@@ -30,7 +30,6 @@ from .grids import (
     GridError,
     LeafGrid,
     ScalarField,
-    make_line_grid,
     make_sphere_grid,
     make_torus_grid,
 )

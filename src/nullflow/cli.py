@@ -4,19 +4,15 @@
     nullflow verify <trajectory.csv> --theorem <id> --params <config.json>
 
 Exit codes: 0 when every requested inequality holds or is hypothesis
-gated, 1 on any violation, 2 on a runtime error.  The environment
-variable NULLFLOW_THREADS caps worker parallelism; the engine steps
-sequentially, so outputs are byte-identical for any valid setting.
+gated, 1 on any violation, 2 on a runtime error.  The engine steps
+sequentially, so repeated runs give byte-identical outputs.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from .config import ConfigError, parse_config
 from .estimates import HYPOTHESIS_VIOLATED, VIOLATED, build_cutoff, verify
@@ -33,19 +29,6 @@ from .report import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_ERROR = 2
-
-
-def _read_threads() -> int:
-    raw = os.environ.get("NULLFLOW_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"NULLFLOW_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"NULLFLOW_THREADS must be at least 1, got {value}")
-    return value
 
 
 def _cmd_run(args) -> int:
@@ -147,7 +130,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _read_threads()
         code = args.func(args)
     except Exception as exc:  # runtime errors map to exit code 2
         print(f"error: {exc}", file=sys.stderr)

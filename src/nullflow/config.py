@@ -17,13 +17,13 @@ failing constraint.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimates import THEOREM_IDS, EstimateError, EstimateParams
 from .flow import FlowConfig, FlowError
-from .grids import ONE_D_TOPOLOGIES, ScalarField
+from .grids import SPHERICAL_1D, ScalarField
 from .metric import LeafMetric
 from .scenarios import SCENARIOS, ScenarioError, build_scenario_metric
 
@@ -66,7 +66,7 @@ class RunConfig:
         if self.heat_initial == "constant":
             return ScalarField(grid, np.full(grid.shape, 2.0))
         # cosine-mode: one smooth mode above a positive floor
-        if grid.topology in ONE_D_TOPOLOGIES:
+        if grid.topology == SPHERICAL_1D:
             return ScalarField(grid, 2.0 + np.cos(grid.axes[0]))
         x, _ = grid.coordinate_fields()
         return ScalarField(grid, 2.0 + np.sin(x))
@@ -78,10 +78,14 @@ def _reject_unknown(section: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {unknown}")
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} is not allowed")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run document (strict)."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):

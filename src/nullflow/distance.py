@@ -2,8 +2,8 @@
 
 Three routes, chosen by grid/metric structure:
 
-* symmetric-1d grids: arc length along the symmetry-reduced coordinate
-  (exact up to quadrature error for the built-in symmetric scenarios);
+* spherical 1-D grids: arc length along the symmetry-reduced coordinate
+  (exact up to quadrature error for the round-sphere scenario);
 * periodic grids with a constant diagonal metric: closed-form minimum-image
   distance;
 * periodic grids with varying metrics: Dijkstra on a 16-neighbour graph
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .grids import ONE_D_TOPOLOGIES, PERIODIC_2D, LeafGrid
+from .grids import PERIODIC_2D, SPHERICAL_1D, LeafGrid
 from .metric import LeafMetric
 
 CUT_LOCUS_MARGIN = 3  # in units of the grid spacing
@@ -46,8 +46,8 @@ def _distance_symmetric(metric: LeafMetric, center: int) -> DistanceField:
     speed = np.sqrt(metric.comps[..., 0, 0])
     arc = cumulative_trapezoid(speed, theta, initial=0.0)
     d = np.abs(arc - arc[center])
-    # cut locus sits past the far end of the chart (the collapsed antipode
-    # for spherical charts); mask a margin of nodes at that end
+    # the cut locus is the collapsed antipode past the far end of the
+    # chart; mask a margin of nodes at that end
     margin = CUT_LOCUS_MARGIN * h
     far_end = len(theta) - 1 if center <= len(theta) // 2 else 0
     if far_end:
@@ -140,7 +140,7 @@ def geodesic_distance(metric: LeafMetric, center) -> DistanceField:
     """Distance to the given center node; cut-locus band flagged invalid."""
     metric.require_positive_definite()
     grid = metric.grid
-    if grid.topology in ONE_D_TOPOLOGIES:
+    if grid.topology == SPHERICAL_1D:
         return _distance_symmetric(metric, int(center))
     if grid.topology == PERIODIC_2D:
         center = tuple(center)

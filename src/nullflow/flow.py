@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import ScalarField, field_values
-from .metric import DIM, LeafMetric, SingularMetricError, laplace_beltrami, ricci
+from .metric import LeafMetric, SingularMetricError, grad_norm_sq, laplace_beltrami, ricci
 from .metric import curvature as curvature_pack
 
 FORWARD = "forward"
@@ -326,24 +326,48 @@ class CurvatureBounds:
         if self.rho1 < 0 or self.rho2 < 0 or self.rho3 < 0:
             raise FlowError("curvature bounds must be nonnegative")
 
+    @classmethod
+    def from_suprema(cls, sups: dict, slack: float = 1e-9) -> "CurvatureBounds":
+        """Smallest bounds covering :func:`curvature_suprema`, with slack."""
+        bump = 1.0 + slack
+        return cls(
+            max(sups["neg_scal_sup"], 0.0) * bump,
+            max(sups["neg_ricci_eig_sup"], 0.0) * bump,
+            max(sups["grad_scal_sup"], 0.0) * bump,
+        )
+
+
+def curvature_suprema(trajectory: FlowTrajectory, masks=None) -> dict:
+    """Suprema of -Scal', -Ric', Ric' and |grad Scal'| over the samples.
+
+    In 2-D both g'-relative Ricci eigenvalues equal the Gauss curvature K,
+    so the Ricci suprema are max(-K) and max(K).  ``masks`` restricts
+    sample k to the nodes where ``masks[k]`` is True; samples with an
+    empty mask are skipped, and every supremum is -inf if all are.
+    """
+    sups = dict.fromkeys(
+        ("neg_scal_sup", "neg_ricci_eig_sup", "ricci_eig_sup", "grad_scal_sup"), -np.inf
+    )
+    for k, metric in enumerate(trajectory.metrics):
+        mask = np.ones(metric.grid.shape, dtype=bool) if masks is None else masks[k]
+        if not np.any(mask):
+            continue
+        pack = trajectory.curvature(k)
+        K = pack.K[mask]
+        grad_scal = np.sqrt(grad_norm_sq(metric, pack.scal))
+        for key, values in (
+            ("neg_scal_sup", -pack.scal[mask]),
+            ("neg_ricci_eig_sup", -K),
+            ("ricci_eig_sup", K),
+            ("grad_scal_sup", grad_scal[mask]),
+        ):
+            sups[key] = max(sups[key], float(np.max(values)))
+    return sups
+
 
 def measure_curvature_bounds(trajectory: FlowTrajectory, slack: float = 1e-9) -> CurvatureBounds:
     """Smallest (rho1, rho2, rho3) satisfied by every stored sample."""
-    from .metric import grad_norm_sq
-
-    rho1 = rho2 = rho3 = 0.0
-    for k, metric in enumerate(trajectory.metrics):
-        pack = trajectory.curvature(k)
-        rho1 = max(rho1, float(-np.min(pack.scal)))
-        s = _sqrt_inv(metric)
-        ric_eigs = np.linalg.eigvalsh(
-            np.einsum("...ab,...bc,...cd->...ad", s, pack.ricci, s)
-        )
-        rho2 = max(rho2, float(-np.min(ric_eigs)))
-        grad2 = grad_norm_sq(metric, pack.scal)
-        rho3 = max(rho3, float(np.sqrt(np.max(grad2))))
-    bump = 1.0 + slack
-    return CurvatureBounds(rho1 * bump, rho2 * bump, rho3 * bump)
+    return CurvatureBounds.from_suprema(curvature_suprema(trajectory), slack)
 
 
 def _sqrt_inv(metric: LeafMetric) -> np.ndarray:
@@ -381,14 +405,11 @@ def metric_equivalence_check(
     """
     if len(trajectory.metrics) < 2:
         raise FlowError("equivalence check needs at least two stored samples")
-    for k, metric in enumerate(trajectory.metrics):
-        pack = trajectory.curvature(k)
-        s = _sqrt_inv(metric)
-        ric_rel = np.einsum("...ab,...bc,...cd->...ad", s, pack.ricci, s)
-        eigs = np.linalg.eigvalsh(ric_rel)
-        if np.min(eigs) < -bounds.rho1 - tol:
+    for k in range(len(trajectory.metrics)):
+        K = trajectory.curvature(k).K  # both g'-relative Ricci eigenvalues
+        if np.min(K) < -bounds.rho1 - tol:
             return EquivalenceReport(False, "ricci-lower-bound", np.nan, np.nan, False)
-        if np.max(eigs) > bounds.rho2 + tol:
+        if np.max(K) > bounds.rho2 + tol:
             return EquivalenceReport(False, "ricci-upper-bound", np.nan, np.nan, False)
     if direction == FORWARD:
         rho1, rho2 = bounds.rho1, bounds.rho2

@@ -4,14 +4,14 @@ Two grid kinds are supported:
 
 * ``periodic-2d``: an Nx x Ny doubly periodic grid (flat torus and
   perturbations of it).  All stencils wrap around.
-* ``symmetric-1d``: a 1-D grid in a single coordinate (called theta below)
-  carrying a rotationally symmetric 2-D geometry.  Fields depend on theta
-  only; derivatives along the symmetry coordinate vanish identically.
-  Spherical scenarios live here with theta restricted to the open interval
-  (0, pi), so the poles are never grid nodes.
+* ``spherical-collapsed-poles``: a 1-D grid in a single coordinate
+  (called theta below) carrying a rotationally symmetric 2-D geometry on
+  the open interval (0, pi), so the poles are never grid nodes.  Fields
+  depend on theta only; derivatives along the symmetry coordinate vanish
+  identically.
 
-All stencils are second order: central differences in the interior and
-second-order one-sided differences at the ends of a symmetric-1d grid.
+All stencils are second-order central differences; the spherical grid
+extends fields across its poles by even reflection.
 """
 from __future__ import annotations
 
@@ -20,10 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PERIODIC_2D = "periodic-2d"
-SYMMETRIC_1D = "symmetric-1d"
 SPHERICAL_1D = "spherical-collapsed-poles"
-TOPOLOGIES = (PERIODIC_2D, SYMMETRIC_1D, SPHERICAL_1D)
-ONE_D_TOPOLOGIES = (SYMMETRIC_1D, SPHERICAL_1D)
+TOPOLOGIES = (PERIODIC_2D, SPHERICAL_1D)
 
 _MIN_NODES = 8
 
@@ -57,10 +55,6 @@ class LeafGrid:
     def ndim_grid(self):
         return len(self.axes)
 
-    @property
-    def num_nodes(self):
-        return int(np.prod(self.shape))
-
     def coordinate_fields(self):
         """Coordinate values broadcast to the grid shape."""
         if self.topology == PERIODIC_2D:
@@ -88,12 +82,6 @@ def make_sphere_grid(n: int) -> LeafGrid:
     h = np.pi / n
     theta = (np.arange(n) + 0.5) * h
     return LeafGrid(SPHERICAL_1D, (theta,), (h,))
-
-
-def make_line_grid(n: int, start: float = 0.0, stop: float = 1.0) -> LeafGrid:
-    """Non-periodic 1-D patch carrying a symmetric 2-D geometry."""
-    x = np.linspace(start, stop, n)
-    return LeafGrid(SYMMETRIC_1D, (x,), (x[1] - x[0],))
 
 
 @dataclass
@@ -148,15 +136,8 @@ def partial_deriv(grid: LeafGrid, values: np.ndarray, axis: int) -> np.ndarray:
     # 1-D reductions: derivatives along the symmetry coordinate vanish
     if axis == 1:
         return np.zeros_like(values)
-    h = grid.spacings[0]
-    if grid.topology == SPHERICAL_1D:
-        ext = _extend_even(values)
-        return (ext[2:] - ext[:-2])[1:-1] / (2.0 * h)
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
-    return out
+    ext = _extend_even(values)
+    return (ext[2:] - ext[:-2])[1:-1] / (2.0 * grid.spacings[0])
 
 
 def second_deriv(grid: LeafGrid, values: np.ndarray, axis: int) -> np.ndarray:
@@ -169,19 +150,12 @@ def second_deriv(grid: LeafGrid, values: np.ndarray, axis: int) -> np.ndarray:
         ) / h**2
     if axis == 1:
         return np.zeros_like(values)
-    h = grid.spacings[0]
-    if grid.topology == SPHERICAL_1D:
-        ext = _extend_even(values)
-        return (ext[2:] - 2.0 * ext[1:-1] + ext[:-2])[1:-1] / h**2
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / h**2
-    out[0] = (2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2] - values[3]) / h**2
-    out[-1] = (2.0 * values[-1] - 5.0 * values[-2] + 4.0 * values[-3] - values[-4]) / h**2
-    return out
+    ext = _extend_even(values)
+    return (ext[2:] - 2.0 * ext[1:-1] + ext[:-2])[1:-1] / grid.spacings[0] ** 2
 
 
 def mixed_deriv(grid: LeafGrid, values: np.ndarray) -> np.ndarray:
-    """Mixed second derivative d^2/dx0 dx1 (zero on 1-D reduced grids)."""
-    if grid.topology in ONE_D_TOPOLOGIES:
+    """Mixed second derivative d^2/dx0 dx1 (zero on the spherical 1-D grid)."""
+    if grid.topology == SPHERICAL_1D:
         return np.zeros_like(np.asarray(values, dtype=float))
     return partial_deriv(grid, partial_deriv(grid, values, 0), 1)

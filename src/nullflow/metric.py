@@ -1,17 +1,18 @@
-"""Leaf metrics, curvature tensors, and differential operators.
+"""Leaf metrics, curvature, and differential operators.
 
 The leaf is a 2-D Riemannian manifold discretized on a structured grid.
-Curvature on periodic grids comes from the standard finite-difference
-Christoffel / Riemann construction.  On symmetric-1d grids (diagonal
-metrics a(x) dx^2 + b(x) dy^2) the Gauss curvature is computed through the
-surface-of-revolution formula
+In two dimensions every curvature is carried by the Gauss curvature K:
+Ric = K g, Scal = 2K and Rm = K (g_ac g_bd - g_ad g_bc), so K is the only
+curvature computed here and the rest are derived from it.  On periodic
+grids K comes from the standard finite-difference Christoffel / Ricci
+construction.  On spherical 1-D grids (diagonal metrics
+a(x) dx^2 + b(x) dy^2) it comes from the surface-of-revolution formula
 
     K = -(1 / (2 sqrt(ab))) d/dx ( b' / sqrt(ab) ),
 
-which stays uniformly second-order accurate up to the excluded poles of a
-spherical chart, where the generic route loses accuracy to the cot(theta)
-singularity of the Christoffel symbols.  In two dimensions the full
-Riemann tensor is recovered exactly from K.
+which stays uniformly second-order accurate up to the excluded poles of
+the chart, where the generic route loses accuracy to the cot(theta)
+singularity of the Christoffel symbols.
 """
 from __future__ import annotations
 
@@ -20,10 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (
-    ONE_D_TOPOLOGIES,
-    GridError,
+    SPHERICAL_1D,
     LeafGrid,
-    ScalarField,
     field_values,
     mixed_deriv,
     partial_deriv,
@@ -54,10 +53,6 @@ class LeafMetric:
             raise MetricError(f"metric component shape {self.comps.shape} invalid")
         if not np.allclose(self.comps[..., 0, 1], self.comps[..., 1, 0], atol=1e-14):
             raise MetricError("metric components are not symmetric")
-
-    @property
-    def dimension(self):
-        return DIM
 
     def determinant(self) -> np.ndarray:
         g = self.comps
@@ -106,13 +101,34 @@ class LeafMetric:
 
 @dataclass
 class CurvaturePack:
-    """Christoffel symbols and curvature tensors at every node."""
+    """Christoffel symbols and Gauss curvature K at every node; the 2-D
+    Ricci, scalar and Riemann curvatures are derived from K."""
 
-    grid: LeafGrid
+    metric: LeafMetric
     christoffel: np.ndarray  # shape + (c, a, b) -> Gamma^c_ab
-    riemann: np.ndarray  # shape + (a, b, c, d) -> R_abcd (all indices down)
-    ricci: np.ndarray  # shape + (a, b)
-    scal: np.ndarray  # shape
+    K: np.ndarray  # shape
+
+    @property
+    def grid(self) -> LeafGrid:
+        return self.metric.grid
+
+    @property
+    def ricci(self) -> np.ndarray:
+        """Ric_ab = K g_ab, shape + (a, b)."""
+        return self.K[..., None, None] * self.metric.comps
+
+    @property
+    def scal(self) -> np.ndarray:
+        return 2.0 * self.K
+
+    @property
+    def riemann(self) -> np.ndarray:
+        """R_abcd = K (g_ac g_bd - g_ad g_bc), all indices down."""
+        g = self.metric.comps
+        K = self.K
+        return np.einsum("...,...ac,...bd->...abcd", K, g, g) - np.einsum(
+            "...,...ad,...bc->...abcd", K, g, g
+        )
 
 
 def _metric_derivatives(metric: LeafMetric) -> np.ndarray:
@@ -144,7 +160,7 @@ def christoffel(metric: LeafMetric) -> np.ndarray:
 def _gauss_curvature_symmetric(metric: LeafMetric) -> np.ndarray:
     g = metric.comps
     if np.max(np.abs(g[..., 0, 1])) > 1e-12 * np.max(metric.max_eigenvalue()):
-        raise MetricError("symmetric-1d curvature requires a diagonal metric")
+        raise MetricError("spherical 1-D curvature requires a diagonal metric")
     a = g[..., 0, 0]
     b = g[..., 1, 1]
     grid = metric.grid
@@ -179,34 +195,25 @@ def _gauss_curvature_generic(metric: LeafMetric, gamma: np.ndarray) -> np.ndarra
     return 0.5 * scal
 
 
-def curvature(metric: LeafMetric) -> CurvaturePack:
-    """Full curvature pack: Christoffel, Riemann (0,4), Ricci, scalar.
+def gauss_curvature(metric: LeafMetric, gamma: np.ndarray | None = None) -> np.ndarray:
+    """Gauss curvature K per node (spherical charts use the
+    surface-of-revolution formula; ``gamma`` is reused when given)."""
+    if metric.grid.topology == SPHERICAL_1D:
+        return _gauss_curvature_symmetric(metric)
+    if gamma is None:
+        gamma = christoffel(metric)
+    return _gauss_curvature_generic(metric, gamma)
 
-    In 2-D the Riemann tensor is K (g_ac g_bd - g_ad g_bc) and Ricci is
-    K g, so the pack is assembled from the Gauss curvature K; the trace
-    identity Scal = g^ab Ric_ab then holds by construction.
-    """
+
+def curvature(metric: LeafMetric) -> CurvaturePack:
+    """Curvature pack: Christoffel symbols and the Gauss curvature K."""
     gamma = christoffel(metric)
-    if metric.grid.topology in ONE_D_TOPOLOGIES:
-        K = _gauss_curvature_symmetric(metric)
-    else:
-        K = _gauss_curvature_generic(metric, gamma)
-    g = metric.comps
-    ricci = K[..., None, None] * g
-    scal = 2.0 * K
-    riem = np.einsum(
-        "...,...ac,...bd->...abcd", K, g, g
-    ) - np.einsum("...,...ad,...bc->...abcd", K, g, g)
-    return CurvaturePack(metric.grid, gamma, riem, ricci, scal)
+    return CurvaturePack(metric, gamma, gauss_curvature(metric, gamma))
 
 
 def ricci(metric: LeafMetric) -> np.ndarray:
-    """Ricci tensor only (used by the flow right-hand side)."""
-    if metric.grid.topology in ONE_D_TOPOLOGIES:
-        K = _gauss_curvature_symmetric(metric)
-    else:
-        K = _gauss_curvature_generic(metric, christoffel(metric))
-    return K[..., None, None] * metric.comps
+    """Ricci tensor K g only (used by the flow right-hand side)."""
+    return gauss_curvature(metric)[..., None, None] * metric.comps
 
 
 def gradient(metric: LeafMetric, field) -> np.ndarray:

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .flow import FlowTrajectory
-from .grids import ScalarField, make_sphere_grid, make_torus_grid
+from .grids import ScalarField
 from .metric import LeafMetric
 
 SCHEMA_VERSION = 1

@@ -1,6 +1,10 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nullflow.config import parse_config
 from nullflow.estimates import (
     EstimateError,
     EstimateParams,
@@ -260,6 +264,25 @@ def test_verify_fault_injection_pinpoints_node():
     # corrupted sample or its time-stencil neighbours
     hits = [(k, node) for k, node, _, _ in rep.violations]
     assert any(node == flat_bad and abs(k - k_bad) <= 1 for k, node in hits)
+
+
+def test_verify_fails_closed_past_heat_horizon():
+    # the golden run freezes u past heat_t_max; A must come from the live
+    # heat samples, or A = NaN makes every log-gradient RHS NaN and a
+    # spiked u still reports `holds`
+    cfg = parse_config((Path(__file__).parent / "data" / "golden_config.json").read_text())
+    metric = cfg.build_metric()
+    traj = run_flow(metric, cfg.flow, u0=cfg.build_heat_initial(metric))
+    assert traj.heat_valid_until is not None
+    traj.heat_fields[2].values[24] *= 3.0
+    rep = verify(traj, "log-gradient-forward", cfg.estimates, cert=CERT)
+    assert np.isfinite(rep.constants["A"])
+    assert rep.status == "violated"
+    assert -180.0 < rep.min_margin < -170.0
+    # an explicit non-finite A is an error, never a verdict
+    nan_a = dataclasses.replace(cfg.estimates, A=float("nan"))
+    with pytest.raises(EstimateError, match="non-finite"):
+        verify(traj, "log-gradient-forward", nan_a, cert=CERT)
 
 
 def test_verify_hypothesis_gate_blocks_conclusion():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullflow.flow import (
     CurvatureBounds,
     FlowConfig,
     FlowError,
     FlowTrajectory,
+    curvature_suprema,
     measure_curvature_bounds,
     metric_equivalence_check,
     run_flow,
@@ -14,7 +17,8 @@ from nullflow.flow import (
     step_flow,
 )
 from nullflow.grids import ScalarField
-from nullflow.scenarios import flat_torus_metric, sphere_metric
+from nullflow.metric import LeafMetric, curvature, gradient
+from nullflow.scenarios import flat_torus_metric, sphere_metric, torus_bump_metric
 
 
 def test_flat_torus_single_step_is_stationary():
@@ -75,8 +79,6 @@ def test_flow_times_strictly_increasing_and_metrics_pd():
 def test_rk4_order_under_dt_halving():
     # torus-bump has a genuinely nonlinear time dependence; global error
     # against a much finer reference should drop ~2^4 per dt halving
-    from nullflow.scenarios import torus_bump_metric
-
     errs = []
     for dt in (5e-3, 2.5e-3):
         traj = run_flow(torus_bump_metric(0.5, 16), FlowConfig(t_end=0.2, dt_initial=dt, sample_every=10**9))
@@ -225,3 +227,67 @@ def test_equivalence_hypothesis_gate():
     rep = metric_equivalence_check(traj, CurvatureBounds(0.0, 0.5, 0.0))
     assert not rep.hypothesis_ok
     assert rep.failed_hypothesis == "ricci-upper-bound"
+
+
+def _eigen_oracle_suprema(trajectory, masks):
+    """The same suprema through g'-relative Ricci eigenvalues:
+    eigh -> g^{-1/2} Ric g^{-1/2} -> eigvalsh, and Scal = g^ab Ric_ab."""
+    sups = dict.fromkeys(
+        ("neg_scal_sup", "neg_ricci_eig_sup", "ricci_eig_sup", "grad_scal_sup"), -np.inf
+    )
+    for metric, mask in zip(trajectory.metrics, masks):
+        if not np.any(mask):
+            continue
+        ric = curvature(metric).ricci
+        w, v = np.linalg.eigh(metric.comps)
+        s = np.einsum("...ab,...b,...cb->...ac", v, 1.0 / np.sqrt(w), v)
+        eigs = np.linalg.eigvalsh(np.einsum("...ab,...bc,...cd->...ad", s, ric, s))
+        scal = np.einsum("...ab,...ab->...", metric.inverse(), ric)
+        grad = gradient(metric, scal)
+        grad_norm = np.sqrt(np.einsum("...ab,...a,...b->...", metric.comps, grad, grad))
+        for key, values in (
+            ("neg_scal_sup", -scal),
+            ("neg_ricci_eig_sup", -eigs[..., 0]),
+            ("ricci_eig_sup", eigs[..., 1]),
+            ("grad_scal_sup", grad_norm),
+        ):
+            sups[key] = max(sups[key], float(np.max(values[mask])))
+    return sups
+
+
+_coeff = st.floats(-1.0, 1.0)
+_offdiag = st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    amps=st.lists(st.floats(0.05, 0.5), min_size=2, max_size=2),
+    eps=st.floats(0.01, 0.1),
+    coeffs=st.tuples(_coeff, _offdiag, _coeff),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_k_route_matches_ricci_eigen_oracle(amps, eps, coeffs, density, seed):
+    # torus bumps plus a smooth SPD perturbation with g01 != 0; |eps P| < 0.3
+    # stays below the bump's smallest eigenvalue 0.5
+    metrics = []
+    for amp in amps:
+        base = torus_bump_metric(amp, 16)
+        x, y = base.grid.coordinate_fields()
+        pert = np.zeros(base.comps.shape)
+        pert[..., 0, 0] = coeffs[0] * np.cos(x + y)
+        pert[..., 0, 1] = pert[..., 1, 0] = coeffs[1] * np.sin(x) * np.cos(y)
+        pert[..., 1, 1] = coeffs[2] * np.sin(y)
+        metrics.append(LeafMetric(base.grid, base.comps + eps * pert))
+    traj = FlowTrajectory(np.array([0.0, 0.1]), metrics, None, "reached-t_end")
+    rng = np.random.default_rng(seed)
+    masks = [rng.random(m.grid.shape) < density for m in metrics]
+
+    got = curvature_suprema(traj, masks)
+    want = _eigen_oracle_suprema(traj, masks)
+    scale = max(float(np.max(np.abs(traj.curvature(k).K))) for k in range(2))
+    for key in want:
+        assert np.isclose(got[key], want[key], rtol=1e-12, atol=1e-12 * scale), key
+    # no masks means every node of every sample
+    full = [np.ones(m.grid.shape, dtype=bool) for m in metrics]
+    assert curvature_suprema(traj) == curvature_suprema(traj, full)

@@ -7,7 +7,6 @@ from nullflow.grids import (
     ScalarField,
     field_values,
     grids_compatible,
-    make_line_grid,
     make_sphere_grid,
     make_torus_grid,
     mixed_deriv,
@@ -92,10 +91,3 @@ def test_symmetry_axis_derivatives_vanish():
     assert np.all(partial_deriv(g, f, axis=1) == 0.0)
     assert np.all(second_deriv(g, f, axis=1) == 0.0)
     assert np.all(mixed_deriv(g, f) == 0.0)
-
-
-def test_line_grid_one_sided_ends():
-    g = make_line_grid(64, 0.0, 1.0)
-    x = g.axes[0]
-    d = partial_deriv(g, x**3, axis=0)
-    assert np.max(np.abs(d - 3 * x**2)) < 1e-2
