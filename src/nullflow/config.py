@@ -17,7 +17,7 @@ failing constraint.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -150,30 +150,14 @@ def parse_config(text: str) -> RunConfig:
 
 def render_config(cfg: RunConfig) -> str:
     """Serialize a RunConfig back to canonical JSON (round-trips parse_config)."""
-    doc = {"scenario": cfg.scenario, "flow": {}, "seed": cfg.seed}
-    f = cfg.flow
-    doc["flow"] = {
-        "direction": f.direction,
-        "t_end": f.t_end,
-        "dt_initial": f.dt_initial,
-        "dt_controller": f.dt_controller,
-        "eps_singular_rel": f.eps_singular_rel,
-        "heat": f.heat,
-        "sample_every": f.sample_every,
-    }
-    if f.heat_t_max is not None:
-        doc["flow"]["heat_t_max"] = f.heat_t_max
+    def set_fields(obj):  # unset optional fields are left out
+        return {k: v for k, v in asdict(obj).items() if v is not None}
+
+    doc = {"scenario": cfg.scenario, "flow": set_fields(cfg.flow), "seed": cfg.seed}
     if cfg.heat_initial is not None:
         doc["heat_initial"] = cfg.heat_initial
     if cfg.estimates is not None:
-        e = cfg.estimates
-        est = {"alpha": e.alpha, "p": e.p, "q": e.q, "rho": e.rho}
-        est["center"] = list(e.center) if isinstance(e.center, tuple) else e.center
-        if e.A is not None:
-            est["A"] = e.A
-        if e.ricci_upper is not None:
-            est["ricci_upper"] = e.ricci_upper
-        doc["estimates"] = est
+        doc["estimates"] = set_fields(cfg.estimates)  # a tuple center renders as a list
     if cfg.theorems:
         doc["theorems"] = list(cfg.theorems)
     return json.dumps(doc, indent=2, sort_keys=True)

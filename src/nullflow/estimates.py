@@ -299,15 +299,6 @@ class EstimateReport:
         return self.status == HOLDS
 
 
-def _admissible_masks(trajectory: FlowTrajectory, params: EstimateParams):
-    """Per-sample node masks for the geodesic cube d <= 2 rho."""
-    masks = []
-    for metric in trajectory.metrics:
-        dist = geodesic_distance(metric, params.center)
-        masks.append(dist.valid & (dist.values <= 2.0 * params.rho))
-    return masks
-
-
 def verify(
     trajectory: FlowTrajectory,
     theorem: str,
@@ -330,25 +321,20 @@ def verify(
     if cert is None:
         cert = build_cutoff(samples=100_001)
 
-    times = trajectory.times
     # samples past the heat horizon carry a frozen u with no meaningful
-    # time derivative; exclude them from the sweep and the measurement
+    # time derivative; only the live samples before it (a prefix) are
+    # swept and measured
     horizon = trajectory.heat_valid_until
     t_hi = np.inf if horizon is None else horizon + 1e-12
-    sel = [k for k, t in enumerate(times) if t <= t_hi]
-    u_series = np.full((len(times),) + trajectory.grid.shape, np.nan)
-    u_sel = np.stack([trajectory.heat_fields[k].values for k in sel], axis=0)
-    u_series[sel] = u_sel
-    u_t_series = np.full_like(u_series, np.nan)
-    u_t_series[sel] = time_derivative(times[sel], u_sel)
-
-    masks = _admissible_masks(trajectory, params)
-    empty = np.zeros(trajectory.grid.shape, dtype=bool)
-    masks = [m if k in set(sel) else empty for k, m in enumerate(masks)]
+    times = trajectory.times[trajectory.times <= t_hi]
+    u_live = np.stack([f.values for f in trajectory.heat_fields[:len(times)]])
+    u_t_live = time_derivative(times, u_live)
+    dists = [geodesic_distance(m, params.center) for m in trajectory.metrics[:len(times)]]
+    masks = [d.valid & (d.values <= 2.0 * params.rho) for d in dists]  # the cube d <= 2 rho
     measured = curvature_suprema(trajectory, masks)
     constants = operational_constants(cert)
 
-    sup_u = float(np.max(u_sel))
+    sup_u = float(np.max(u_live))
     A = params.A if params.A is not None else (1.0 + A_SLACK) * sup_u
 
     if bounds is None:
@@ -372,15 +358,11 @@ def verify(
     extra = {"margin_by_time": []}
     if theorem == "log-gradient-backward":
         extra["rhs_proof_variant_min"] = np.inf
-    for k, t in enumerate(times):
-        if t <= t_min or t <= 0.0:
+    for k, (t, metric, mask, u, u_t) in enumerate(
+        zip(times, trajectory.metrics, masks, u_live, u_t_live)
+    ):
+        if t <= t_min or t <= 0.0 or not np.any(mask):
             continue
-        mask = masks[k]
-        if not np.any(mask):
-            continue
-        metric = trajectory.metrics[k]
-        u = u_series[k]
-        u_t = u_t_series[k]
         if theorem in ("log-gradient-backward", "log-gradient-forward"):
             lhs = grad_norm_sq(metric, u) / u**2
             if theorem == "log-gradient-backward":
@@ -411,19 +393,18 @@ def verify(
             else:  # li-yau
                 rhs_val = bound_alpha_one(t, rho_up)
             rhs = np.full_like(lhs, rhs_val)
-        m = (rhs - lhs)[mask]
+        lhs = lhs[mask]
+        rhs = rhs[mask]
+        m = rhs - lhs
         if not np.all(np.isfinite(m)):
             # a NaN comparison is False, so it would silently count as a pass
             raise EstimateError(f"non-finite estimate bound or LHS at sample {k} (t = {t:.6g})")
-        admissible += int(np.count_nonzero(mask))
+        admissible += m.size
         margins.append(m)
         extra["margin_by_time"].append((float(t), float(np.min(m))))
-        flat_idx = np.flatnonzero(mask.ravel())
-        lhs_flat = lhs.ravel()[flat_idx]
-        rhs_flat = np.broadcast_to(rhs, lhs.shape).ravel()[flat_idx]
-        bad = lhs_flat > rhs_flat
-        for j in np.nonzero(bad)[0]:
-            worst.append((k, int(flat_idx[j]), float(lhs_flat[j]), float(rhs_flat[j])))
+        flat_idx = np.flatnonzero(mask)
+        for j in np.flatnonzero(lhs > rhs):
+            worst.append((k, int(flat_idx[j]), float(lhs[j]), float(rhs[j])))
 
     if admissible == 0:
         raise EstimateError("admissible set is empty (cube entirely masked)")

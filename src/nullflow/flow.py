@@ -11,7 +11,7 @@ shrinking-sphere collapse).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,9 +127,9 @@ def _check_singular(metric: LeafMetric, threshold: float):
         raise FlowSingular(node, float(lam.flat[node]))
 
 
-def _heat_rhs(metric: LeafMetric, u: np.ndarray, mode: str, scal: np.ndarray) -> np.ndarray:
+def _heat_rhs(metric: LeafMetric, u: np.ndarray, scal: np.ndarray | None) -> np.ndarray:
     lap = laplace_beltrami(metric, u)
-    if mode == HEAT_CONJUGATE:
+    if scal is not None:
         return lap - scal * u
     return lap
 
@@ -148,20 +148,24 @@ def _diffusion_rate(metric: LeafMetric) -> float:
     )
 
 
-def _heat_substep(metric: LeafMetric, u: np.ndarray, dt: float, mode: str) -> np.ndarray:
-    """Advance u by dt on a frozen metric with RK4, CFL-limited substeps."""
-    scal = curvature_pack(metric).scal if mode == HEAT_CONJUGATE else 0.0
+def _scal(metric: LeafMetric, mode: str) -> np.ndarray | None:
+    return curvature_pack(metric).scal if mode == HEAT_CONJUGATE else None
+
+
+def _heat_substep(metric: LeafMetric, u: np.ndarray, dt: float, scal: np.ndarray | None) -> np.ndarray:
+    """Advance u by dt on a frozen metric with RK4, CFL-limited substeps;
+    ``scal`` is Scal' for the conjugate heat equation, None for the plain one."""
     rate = _diffusion_rate(metric)
-    if mode == HEAT_CONJUGATE:
+    if scal is not None:
         rate += float(np.max(np.abs(scal)))
     dt_cfl = _CFL_NUMBER / rate
     nsub = max(1, int(np.ceil(dt / dt_cfl)))
     h = dt / nsub
     for _ in range(nsub):
-        k1 = _heat_rhs(metric, u, mode, scal)
-        k2 = _heat_rhs(metric, u + 0.5 * h * k1, mode, scal)
-        k3 = _heat_rhs(metric, u + 0.5 * h * k2, mode, scal)
-        k4 = _heat_rhs(metric, u + h * k3, mode, scal)
+        k1 = _heat_rhs(metric, u, scal)
+        k2 = _heat_rhs(metric, u + 0.5 * h * k1, scal)
+        k3 = _heat_rhs(metric, u + 0.5 * h * k2, scal)
+        k4 = _heat_rhs(metric, u + h * k3, scal)
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if np.any(u <= 0.0):
         node = int(np.argmin(u))
@@ -223,11 +227,11 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
         try:
             if heat_active:
                 h_dt = min(dt_step, heat_t_max - t)
-                u = _heat_substep(metric, u, 0.5 * h_dt, config.heat)
+                u = _heat_substep(metric, u, 0.5 * h_dt, _scal(metric, config.heat))
             new_metric = step_flow(metric, config.direction, dt_step)
             _check_singular(new_metric, threshold)
             if heat_active:
-                u = _heat_substep(new_metric, u, 0.5 * h_dt, config.heat)
+                u = _heat_substep(new_metric, u, 0.5 * h_dt, _scal(new_metric, config.heat))
         except (FlowSingular, SingularMetricError):
             termination = SINGULAR
             # collapse happened inside this step
@@ -261,16 +265,7 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
 
 
 def _run_backward(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None) -> FlowTrajectory:
-    fwd_cfg = FlowConfig(
-        direction=FORWARD,
-        t_end=config.t_end,
-        dt_initial=config.dt_initial,
-        dt_controller=config.dt_controller,
-        eps_singular_rel=config.eps_singular_rel,
-        heat=HEAT_NONE,
-        sample_every=config.sample_every,
-    )
-    fwd = run_flow(initial, fwd_cfg)
+    fwd = run_flow(initial, replace(config, direction=FORWARD, heat=HEAT_NONE, heat_t_max=None))
     if fwd.termination != REACHED_T_END:
         raise FlowError(
             "backward run unreachable: the auxiliary forward integration "
@@ -305,10 +300,15 @@ def _solve_on_trajectory(trajectory: FlowTrajectory, u0: ScalarField, mode: str)
     if np.any(u <= 0.0):
         raise FlowError("heat initial data must be positive everywhere")
     out = [ScalarField(trajectory.grid, u.copy())]
+    # Scal' from the trajectory's cached packs, which verify reuses
+    scal = [
+        trajectory.curvature(k).scal if mode == HEAT_CONJUGATE else None
+        for k in range(len(trajectory.times))
+    ]
     for k in range(1, len(trajectory.times)):
         dt = trajectory.times[k] - trajectory.times[k - 1]
-        u = _heat_substep(trajectory.metrics[k - 1], u, 0.5 * dt, mode)
-        u = _heat_substep(trajectory.metrics[k], u, 0.5 * dt, mode)
+        u = _heat_substep(trajectory.metrics[k - 1], u, 0.5 * dt, scal[k - 1])
+        u = _heat_substep(trajectory.metrics[k], u, 0.5 * dt, scal[k])
         out.append(ScalarField(trajectory.grid, u.copy()))
     return out
 
@@ -343,18 +343,20 @@ def curvature_suprema(trajectory: FlowTrajectory, masks=None) -> dict:
     In 2-D both g'-relative Ricci eigenvalues equal the Gauss curvature K,
     so the Ricci suprema are max(-K) and max(K).  ``masks`` restricts
     sample k to the nodes where ``masks[k]`` is True; samples with an
-    empty mask are skipped, and every supremum is -inf if all are.
+    empty mask or past the end of ``masks`` are skipped, and every
+    supremum is -inf if all are.
     """
     sups = dict.fromkeys(
         ("neg_scal_sup", "neg_ricci_eig_sup", "ricci_eig_sup", "grad_scal_sup"), -np.inf
     )
-    for k, metric in enumerate(trajectory.metrics):
-        mask = np.ones(metric.grid.shape, dtype=bool) if masks is None else masks[k]
+    if masks is None:
+        masks = [np.ones(trajectory.grid.shape, dtype=bool)] * len(trajectory.metrics)
+    for k, mask in enumerate(masks):
         if not np.any(mask):
             continue
         pack = trajectory.curvature(k)
         K = pack.K[mask]
-        grad_scal = np.sqrt(grad_norm_sq(metric, pack.scal))
+        grad_scal = np.sqrt(grad_norm_sq(pack.metric, pack.scal))
         for key, values in (
             ("neg_scal_sup", -pack.scal[mask]),
             ("neg_ricci_eig_sup", -K),

@@ -77,7 +77,7 @@ class LeafMetric:
 
     def require_positive_definite(self):
         lam = self.min_eigenvalue()
-        if np.any(lam <= 0.0):
+        if not np.all(lam > 0.0):  # a NaN eigenvalue fails too
             node = int(np.argmin(lam))
             raise SingularMetricError(
                 f"metric not positive definite (node {node}, eigenvalue {lam.flat[node]:.3e})"

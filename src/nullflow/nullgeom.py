@@ -46,10 +46,6 @@ class DegenerateMetric:
     def total_dimension(self):
         return DIM + 1
 
-    @property
-    def radical_rank(self):
-        return 1
-
     def matrix(self) -> np.ndarray:
         """Assembled (n+1)x(n+1) matrix per node, radical block zero."""
         m = self.total_dimension

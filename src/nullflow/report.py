@@ -11,11 +11,13 @@ import json
 
 import numpy as np
 
-from .flow import FlowTrajectory
+from .flow import REACHED_T_END, SINGULAR, STEP_UNDERFLOW, FlowTrajectory
 from .grids import ScalarField
 from .metric import LeafMetric
 
 SCHEMA_VERSION = 1
+_CSV_HEADER = "t,node,g11,g12,g22,u"
+_META_KEYS = ("termination", "singular_time", "heat_valid_until")
 
 
 def _fmt(x) -> str:
@@ -28,9 +30,12 @@ def _fmt(x) -> str:
 
 
 def write_trajectory_csv(path, trajectory: FlowTrajectory):
-    """Long format: one row per (time sample, node) with the metric
-    components and the heat field (empty when absent)."""
-    lines = ["t,node,g11,g12,g22,u"]
+    """A ``#`` JSON line with the metadata (termination, singular_time,
+    heat_valid_until), then the long format: one row per (time sample,
+    node) with the metric components and the heat field (empty when
+    absent)."""
+    meta = {key: getattr(trajectory, key) for key in _META_KEYS}
+    lines = ["# " + json.dumps(_round_trip(meta)), _CSV_HEADER]
     has_u = trajectory.heat_fields is not None
     for k, t in enumerate(trajectory.times):
         g = trajectory.metrics[k].comps.reshape(-1, 2, 2)
@@ -46,39 +51,66 @@ def write_trajectory_csv(path, trajectory: FlowTrajectory):
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_meta(line: str) -> dict:
+    """The metadata of line 1; a missing or malformed line raises."""
+    try:
+        meta = json.loads(line[2:]) if line.startswith("# ") else None
+        ok = (
+            sorted(meta) == sorted(_META_KEYS)
+            and meta["termination"] in (REACHED_T_END, SINGULAR, STEP_UNDERFLOW)
+            and all(x is None or type(x) in (int, float) and np.isfinite(x)
+                    for x in (meta["singular_time"], meta["heat_valid_until"]))
+        )
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"line 1: expected '# ' and a JSON object with the keys {_META_KEYS}")
+    return meta
+
+
 def read_trajectory_csv(path, grid) -> FlowTrajectory:
-    """Rebuild a FlowTrajectory from CSV rows on a known grid."""
+    """Rebuild a FlowTrajectory on a known grid from :func:`write_trajectory_csv`.
+
+    Raises ValueError naming the line on a missing or bad metadata line, a
+    row without 6 cells, a non-finite number, a truncated block, a block
+    whose rows disagree on the time or do not list the nodes 0..n-1 once
+    each, or block times that do not strictly increase; a cell that is
+    not a number raises numpy's ValueError.
+    """
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "t,node,g11,g12,g22,u":
-            raise ValueError(f"unexpected trajectory header {header!r}")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+        meta = _read_meta(fh.readline().rstrip("\n"))
+        if fh.readline().rstrip("\n") != _CSV_HEADER:
+            raise ValueError(f"line 2: expected the header {_CSV_HEADER!r}")
+        rows = [line.rstrip("\n").split(",") for line in fh]
     n_nodes = int(np.prod(grid.shape))
-    if len(rows) % n_nodes != 0:
-        raise ValueError("trajectory row count does not match the grid")
-    times = []
-    metrics = []
-    heats = []
+
+    def require(bad_rows, what):  # indices into ``rows`` of the rows that break a rule
+        if len(bad_rows):
+            raise ValueError(f"line {bad_rows[0] + 3}: {what}")
+
+    require(np.flatnonzero([len(row) != 6 for row in rows]), "expected 6 cells")
+    if not rows or len(rows) % n_nodes:
+        raise ValueError(
+            f"line {len(rows) + 2}: expected blocks of {n_nodes} rows, got {len(rows)} rows"
+        )
     has_u = rows[0][5] != ""
-    for start in range(0, len(rows), n_nodes):
-        block = rows[start:start + n_nodes]
-        times.append(float(block[0][0]))
-        comps = np.zeros(grid.shape + (2, 2))
-        flat = comps.reshape(-1, 2, 2)
-        uvals = np.zeros(n_nodes)
-        for row in block:
-            node = int(row[1])
-            flat[node, 0, 0] = float(row[2])
-            flat[node, 0, 1] = flat[node, 1, 0] = float(row[3])
-            flat[node, 1, 1] = float(row[4])
-            if has_u:
-                uvals[node] = float(row[5])
-        metrics.append(LeafMetric(grid, comps))
-        if has_u:
-            heats.append(ScalarField(grid, uvals.reshape(grid.shape)))
-    return FlowTrajectory(
-        np.asarray(times), metrics, heats if has_u else None, "reached-t_end"
-    )
+    cols = (0, 2, 3, 4, 5) if has_u else (0, 2, 3, 4)
+    values = np.stack([np.array([row[j] for row in rows], dtype=float) for j in cols], axis=-1)
+    values = values.reshape(-1, n_nodes, len(cols))
+    nodes = np.array([row[1] for row in rows], dtype=int).reshape(-1, n_nodes)
+    require(np.flatnonzero(~np.isfinite(values).all(axis=-1)), "non-finite number")
+    require(np.flatnonzero(values[..., 0] != values[:, :1, 0]),
+            "time differs from the first row of its block")
+    require(n_nodes * (np.flatnonzero(np.diff(values[:, 0, 0]) <= 0.0) + 1),
+            "block times must strictly increase")
+    require(n_nodes * np.flatnonzero((np.sort(nodes, axis=1) != np.arange(n_nodes)).any(axis=1)),
+            f"the block does not list the nodes 0..{n_nodes - 1} once each")
+    # each block is a permutation of the nodes: scatter the rows into node order
+    values[np.arange(len(nodes))[:, None], nodes] = values.copy()
+    comps = values[..., [1, 2, 2, 3]].reshape((-1,) + grid.shape + (2, 2))
+    metrics = [LeafMetric(grid, c) for c in comps]
+    heats = [ScalarField(grid, u.reshape(grid.shape)) for u in values[..., 4]] if has_u else None
+    return FlowTrajectory(values[:, 0, 0], metrics, heats, **meta)
 
 
 # --- report JSON ----------------------------------------------------------

@@ -1,14 +1,25 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullflow.cli import main
 from nullflow.config import ConfigError, parse_config, render_config
+from nullflow.estimates import THEOREM_IDS, EstimateError, build_cutoff, verify
 from nullflow.flow import FlowConfig, run_flow
 from nullflow.grids import ScalarField
-from nullflow.report import read_trajectory_csv, write_trajectory_csv
+from nullflow.report import (
+    estimate_report_doc,
+    read_trajectory_csv,
+    render_json,
+    write_trajectory_csv,
+)
 from nullflow.scenarios import sphere_metric
+
+GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_config.json"
 
 
 def _base_doc(**overrides):
@@ -117,19 +128,178 @@ def test_render_parse_round_trip():
 def test_trajectory_csv_round_trip(tmp_path):
     m = sphere_metric(1.0, 24)
     th = m.grid.axes[0]
-    traj = run_flow(
-        m,
-        FlowConfig(t_end=0.1, dt_initial=1e-3, heat="heat", sample_every=20),
-        u0=ScalarField(m.grid, 2.0 + np.cos(th)),
-    )
-    path = tmp_path / "traj.csv"
+    u0 = ScalarField(m.grid, 2.0 + np.cos(th))
+    # a run that reaches t_end, and one that collapses (R^2 = 0.25 at
+    # t = 0.125) with the heat stopped early
+    for radius, heat_t_max in ((1.0, None), (0.5, 0.05)):
+        m = sphere_metric(radius, 24)
+        traj = run_flow(
+            m,
+            FlowConfig(t_end=0.2 if heat_t_max else 0.1, dt_initial=1e-3, heat="heat",
+                       heat_t_max=heat_t_max, sample_every=20),
+            u0=u0,
+        )
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, traj)
+        back = read_trajectory_csv(path, m.grid)
+        assert np.array_equal(back.times, traj.times)
+        for a, b in zip(back.metrics, traj.metrics):
+            assert np.array_equal(a.comps, b.comps)
+        for a, b in zip(back.heat_fields, traj.heat_fields):
+            assert np.array_equal(a.values, b.values)
+        assert back.termination == traj.termination
+        assert back.singular_time == traj.singular_time
+        assert back.heat_valid_until == traj.heat_valid_until
+    assert (back.termination, back.heat_valid_until) == ("singular", 0.05)
+    assert 0.12 < back.singular_time < 0.13
+
+
+def _verify_doc(traj, theorem, params, cert):
+    """The report document of one theorem, or the error it raised."""
+    try:
+        return render_json(estimate_report_doc(verify(traj, theorem, params, cert=cert)))
+    except EstimateError as exc:
+        return f"EstimateError: {exc}"
+
+
+@pytest.mark.parametrize("doc", [
+    json.loads(GOLDEN_CONFIG.read_text()),
+    {
+        "scenario": {"name": "torus-bump", "amp": 0.3, "resolution": 16},
+        "flow": {"t_end": 0.1, "dt_initial": 0.002, "heat": "heat", "sample_every": 10},
+        "heat_initial": "cosine-mode",
+        "estimates": {"alpha": 2.0, "p": 4.0, "q": 4.0, "rho": 0.8, "center": [3, 12]},
+    },
+    {
+        "scenario": {"name": "torus-bump", "amp": 0.3, "resolution": 16},
+        "flow": {"direction": "backward", "t_end": 0.02, "dt_initial": 0.001,
+                 "heat": "conjugate-heat", "sample_every": 5},
+        "heat_initial": "cosine-mode",
+        "estimates": {"alpha": 2.0, "p": 4.0, "q": 4.0, "rho": 0.8, "center": [15, 0]},
+    },
+], ids=["golden", "torus-heat", "torus-backward-conjugate"])
+def test_verify_on_csv_reproduces_run_report(tmp_path, doc):
+    cfg = parse_config(json.dumps(doc))
+    metric = cfg.build_metric()
+    traj = run_flow(metric, cfg.flow, u0=cfg.build_heat_initial(metric))
+    path = tmp_path / "trajectory.csv"
     write_trajectory_csv(path, traj)
-    back = read_trajectory_csv(path, m.grid)
-    assert np.array_equal(back.times, traj.times)
-    for a, b in zip(back.metrics, traj.metrics):
-        assert np.array_equal(a.comps, b.comps)
-    for a, b in zip(back.heat_fields, traj.heat_fields):
-        assert np.array_equal(a.values, b.values)
+    back = read_trajectory_csv(path, metric.grid)
+    cert = build_cutoff()
+    docs = [_verify_doc(traj, tid, cfg.estimates, cert) for tid in THEOREM_IDS]
+    assert docs == [_verify_doc(back, tid, cfg.estimates, cert) for tid in THEOREM_IDS]
+    assert sum('"status": "holds"' in d for d in docs) >= 1
+
+
+# --- malformed trajectory CSVs ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def stored_run(tmp_path_factory):
+    """One CLI run of the base config: its directory, config path and CSV lines."""
+    root = tmp_path_factory.mktemp("stored")
+    cfg = _write_cfg(root, _base_doc())
+    assert main(["run", cfg, "--out", str(root / "out")]) == 0
+    lines = (root / "out" / "trajectory.csv").read_text().splitlines()
+    return root, cfg, lines
+
+
+_N_NODES = 32  # _base_doc's resolution
+_NUMERIC_CELLS = (0, 2, 3, 4, 5)  # t, g11, g12, g22, u
+
+
+@st.composite
+def _corruptions(draw, lines):
+    """A copy of the CSV lines with one corruption that must fail closed."""
+    lines = list(lines)
+    rows = lines[2:]
+    n_blocks = len(rows) // _N_NODES
+    r = draw(st.integers(0, len(rows) - 1))
+    cells = rows[r].split(",")
+    kind = draw(st.sampled_from(
+        ["non-finite", "time", "swap", "node", "truncate", "no-metadata", "bad-metadata"]
+    ))
+    if kind == "non-finite":
+        cells[draw(st.sampled_from(_NUMERIC_CELLS))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    elif kind == "time":
+        t = float(cells[0]) + draw(st.floats(-1.0, 1.0).filter(lambda d: abs(d) > 1e-6))
+        cells[0] = repr(t)
+    elif kind == "node":
+        own = int(cells[1])
+        cells[1] = str(draw(st.sampled_from(
+            [-1, _N_NODES, _N_NODES + 7, (own + draw(st.integers(1, _N_NODES - 1))) % _N_NODES]
+        )))
+    if kind in ("non-finite", "time", "node"):
+        rows[r] = ",".join(cells)
+    elif kind == "swap":
+        a, b = sorted(draw(st.lists(st.integers(0, n_blocks - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        blocks = [rows[i * _N_NODES:(i + 1) * _N_NODES] for i in range(n_blocks)]
+        blocks[a], blocks[b] = blocks[b], blocks[a]
+        rows = [row for block in blocks for row in block]
+    elif kind == "truncate":
+        rows = rows[:-draw(st.integers(1, _N_NODES - 1))]
+    if kind == "no-metadata":
+        return lines[1:]
+    if kind == "bad-metadata":
+        meta = json.loads(lines[0][2:])
+        key = draw(st.sampled_from(sorted(meta)))
+        bad = draw(st.sampled_from([float("nan"), "later", [1.0], -float("inf")]))
+        meta[key] = bad
+        return ["# " + json.dumps(meta)] + lines[1:]
+    return lines[:2] + rows
+
+
+def test_cli_verify_fails_closed_on_malformed_trajectories(stored_run, capsys):
+    root, cfg, lines = stored_run
+    path = root / "corrupt.csv"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        path.write_text("\n".join(data.draw(_corruptions(lines))) + "\n")
+        code = main(["verify", str(path), "--theorem", "li-yau", "--params", cfg])
+        out, err = capsys.readouterr()
+        assert code == 2, out
+        assert out == "" and "error:" in err
+
+    check()
+
+
+def test_read_trajectory_csv_names_the_line(stored_run, tmp_path):
+    _, _, lines = stored_run
+    grid = sphere_metric(1.0, _N_NODES).grid
+    path = tmp_path / "t.csv"
+
+    def read(edit):
+        rows = list(lines)
+        edit(rows)
+        path.write_text("\n".join(rows) + "\n")
+        return read_trajectory_csv(path, grid)
+
+    def set_cell(r, c, value):  # r counts lines from 0
+        def edit(rows):
+            cells = rows[r].split(",")
+            cells[c] = value
+            rows[r] = ",".join(cells)
+        return edit
+
+    with pytest.raises(ValueError, match="line 1: "):
+        read(lambda rows: rows.pop(0))
+    first = 2 + 3 * _N_NODES  # line index of the first row of block 3
+    with pytest.raises(ValueError, match=f"line {first + 6}: time differs"):
+        read(set_cell(first + 5, 0, "0.123"))
+    with pytest.raises(ValueError, match=f"line {first + 5}: non-finite"):
+        read(set_cell(first + 4, 4, "nan"))
+    with pytest.raises(ValueError, match=f"line {first + 1}: the block does not list"):
+        read(set_cell(first + 4, 1, "3"))
+
+    def rewind_block(rows):  # block 3 now claims t = 0, before block 2
+        for i in range(first, first + _N_NODES):
+            rows[i] = "0.0" + rows[i][rows[i].index(","):]
+
+    with pytest.raises(ValueError, match=f"line {first + 1}: block times must strictly"):
+        read(rewind_block)
 
 
 # --- CLI ------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import heapq
+
 import numpy as np
 import pytest
 
-from nullflow.distance import geodesic_distance
+from nullflow.distance import _NEIGHBOR_STEPS, _periodic_mask, geodesic_distance
+from nullflow.metric import LeafMetric
 from nullflow.scenarios import flat_torus_metric, sphere_metric, torus_bump_metric
 
 
@@ -49,3 +52,53 @@ def test_masked_values_are_nan():
     masked = d.masked()
     assert np.isnan(masked[-1])
     assert np.isfinite(masked[0])
+
+
+def _heap_dijkstra(metric, center):
+    """Reference: textbook heapq Dijkstra over the same 16-neighbour graph."""
+    nx, ny = metric.grid.shape
+    hx, hy = metric.grid.spacings
+    g = metric.comps
+    dist = np.full((nx, ny), np.inf)
+    dist[center] = 0.0
+    heap = [(0.0, center)]
+    done = np.zeros((nx, ny), dtype=bool)
+    while heap:
+        d0, (i, j) = heapq.heappop(heap)
+        if done[i, j]:
+            continue
+        done[i, j] = True
+        for di, dj in _NEIGHBOR_STEPS:
+            ii, jj = (i + di) % nx, (j + dj) % ny
+            if done[ii, jj]:
+                continue
+            vx, vy = di * hx, dj * hy
+            gm = 0.5 * (g[i, j] + g[ii, jj])
+            nd = d0 + np.sqrt(gm[0, 0] * vx * vx + 2.0 * gm[0, 1] * vx * vy + gm[1, 1] * vy * vy)
+            if nd < dist[ii, jj]:
+                dist[ii, jj] = nd
+                heapq.heappush(heap, (nd, (ii, jj)))
+    return dist
+
+
+def _sheared_bump(amp, n, eps):
+    """Torus bump plus a smooth symmetric perturbation with g01 != 0."""
+    base = torus_bump_metric(amp, n)
+    x, y = base.grid.coordinate_fields()
+    comps = base.comps.copy()
+    comps[..., 0, 0] += eps * np.cos(x + y)
+    comps[..., 0, 1] += eps * np.sin(x) * np.cos(y)
+    comps[..., 1, 0] = comps[..., 0, 1]
+    comps[..., 1, 1] += eps * np.sin(y)
+    return LeafMetric(base.grid, comps)
+
+
+@pytest.mark.parametrize("n", [8, 16, 33])
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+def test_library_dijkstra_matches_heap_reference(n, eps):
+    m = _sheared_bump(0.3, n, eps)
+    assert (np.max(np.abs(m.comps[..., 0, 1])) > 0.0) == (eps > 0.0)
+    for center in [(0, 0), (n - 1, n - 1), (n // 3, n // 2)]:
+        d = geodesic_distance(m, center)
+        assert np.array_equal(d.values, _heap_dijkstra(m, center))
+        assert np.array_equal(d.valid, _periodic_mask(m.grid, center))

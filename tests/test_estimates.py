@@ -285,6 +285,23 @@ def test_verify_fails_closed_past_heat_horizon():
         verify(traj, "log-gradient-forward", nan_a, cert=CERT)
 
 
+def test_verify_measures_distances_of_live_samples_only(monkeypatch):
+    import nullflow.estimates as estimates
+
+    cfg = parse_config((Path(__file__).parent / "data" / "golden_config.json").read_text())
+    metric = cfg.build_metric()
+    traj = run_flow(metric, cfg.flow, u0=cfg.build_heat_initial(metric))
+    live = int(np.count_nonzero(traj.times <= traj.heat_valid_until + 1e-12))
+    assert 1 < live < len(traj.times)
+    centers = []
+    distance = estimates.geodesic_distance
+    monkeypatch.setattr(estimates, "geodesic_distance",
+                        lambda m, c: centers.append(c) or distance(m, c))
+    rep = verify(traj, "li-yau", cfg.estimates, cert=CERT)
+    assert len(centers) == live
+    assert [t for t, _ in rep.extra["margin_by_time"]] == list(traj.times[1:live])
+
+
 def test_verify_hypothesis_gate_blocks_conclusion():
     # li-yau requires nonnegative Ricci; a saddle-like bump region fails it
     from nullflow.scenarios import torus_bump_metric

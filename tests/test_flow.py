@@ -98,6 +98,27 @@ def test_backward_run_grows_sphere():
     assert abs(traj.metrics[-1].comps[mid, 0, 0] - 1.0) < 1e-12
 
 
+def test_conjugate_heat_builds_one_curvature_pack_per_sample(monkeypatch):
+    import nullflow.flow as flow
+    from nullflow.estimates import EstimateParams, build_cutoff, verify
+
+    calls = []
+    build = flow.curvature_pack
+    monkeypatch.setattr(flow, "curvature_pack", lambda metric: calls.append(1) or build(metric))
+    m = sphere_metric(1.0, 32)
+    traj = run_flow(
+        m,
+        FlowConfig(direction="backward", t_end=0.1, dt_initial=1e-3,
+                   heat="conjugate-heat", sample_every=20),
+        u0=ScalarField(m.grid, 2.0 + np.cos(m.grid.axes[0])),
+    )
+    assert len(calls) == len(traj.times) == 6
+    rep = verify(traj, "log-gradient-backward", EstimateParams(rho=0.5, center=16),
+                 cert=build_cutoff(samples=10_001))
+    assert rep.status == "holds"
+    assert len(calls) == len(traj.times)
+
+
 def test_cfl_adaptive_controller_runs():
     traj = run_flow(sphere_metric(1.0, 32), FlowConfig(t_end=0.2, dt_initial=0.05, dt_controller="cfl-adaptive"))
     assert traj.termination == "reached-t_end"

@@ -70,6 +70,15 @@ def test_positive_definiteness_reports_node():
     assert "node" in str(exc.value)
 
 
+def test_positive_definiteness_rejects_nan():
+    # NaN <= 0 is False, so a NaN eigenvalue must fail the check explicitly
+    m = sphere_metric(1.0, 16)
+    m.comps[4, 1, 1] = np.nan
+    with pytest.raises(SingularMetricError, match="node 4"):
+        m.require_positive_definite()
+    assert not m.is_positive_definite()
+
+
 def test_inverse_closed_form():
     m = torus_bump_metric(BUMP_AMP, 16)
     ident = np.einsum("...ab,...bc->...ac", m.comps, m.inverse())
