@@ -64,11 +64,10 @@ def _cmd_run(args) -> int:
         (out_dir / "radius.svg").write_text(
             sphere_radius_plot(trajectory, cfg.scenario.get("radius", 1.0))
         )
-    if margins_by_theorem:
-        times = {tid: [t for t, _ in s] for tid, s in margins_by_theorem.items()}
-        first = next(iter(margins_by_theorem))
+    if margins_by_theorem:  # the first theorem's sample times label the x axis
+        times = [t for t, _ in next(iter(margins_by_theorem.values()))]
         (out_dir / "margins.svg").write_text(
-            margin_plot(times[first], {tid: [m for _, m in s] for tid, s in margins_by_theorem.items()})
+            margin_plot(times, {tid: [m for _, m in s] for tid, s in margins_by_theorem.items()})
         )
 
     print(f"termination: {trajectory.termination}")

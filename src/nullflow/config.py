@@ -25,7 +25,7 @@ from .estimates import THEOREM_IDS, EstimateError, EstimateParams
 from .flow import FlowConfig, FlowError
 from .grids import SPHERICAL_1D, ScalarField
 from .metric import LeafMetric
-from .scenarios import SCENARIOS, ScenarioError, build_scenario_metric
+from .scenarios import SCENARIOS, build_scenario_metric
 
 HEAT_INITIAL_IDS = ("constant", "cosine-mode")
 
@@ -99,8 +99,14 @@ def parse_config(text: str) -> RunConfig:
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
     _reject_unknown(scenario, _SCENARIO_KEYS[name], f"scenario {name}")
+    resolution = scenario.get("resolution", 1)
+    if type(resolution) is not int or resolution < 1:
+        raise ConfigError("scenario resolution must be a positive integer")
+    for key in ("flow", "estimates"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ConfigError(f"the {key} section must be an object")
 
-    flow_doc = dict(doc.get("flow", {}))
+    flow_doc = doc.get("flow", {})
     _reject_unknown(flow_doc, _FLOW_KEYS, "flow")
     try:
         flow = FlowConfig(**flow_doc)
@@ -127,7 +133,9 @@ def parse_config(text: str) -> RunConfig:
         except (EstimateError, TypeError) as exc:
             raise ConfigError(f"invalid estimates section: {exc}")
 
-    theorems = tuple(doc.get("theorems", ()))
+    theorems = doc.get("theorems", [])
+    if not isinstance(theorems, list):
+        raise ConfigError("theorems must be a list of theorem ids")
     for tid in theorems:
         if tid not in THEOREM_IDS:
             raise ConfigError(f"unknown theorem id {tid!r}; choose from {THEOREM_IDS}")
@@ -137,14 +145,19 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("theorem verification requires heat_initial data")
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
 
-    cfg = RunConfig(dict(scenario), flow, heat_initial, estimates, theorems, seed)
+    cfg = RunConfig(dict(scenario), flow, heat_initial, estimates, tuple(theorems), seed)
     try:
-        cfg.build_metric()
-    except ScenarioError as exc:
+        shape = cfg.build_metric().grid.shape
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid scenario parameters: {exc}")
+    if estimates is not None:  # a node index on a 1-D grid, [i, j] on a 2-D one
+        c = estimates.center if len(shape) > 1 else (estimates.center,)
+        if type(c) is not tuple or len(c) != len(shape) or any(
+                type(i) is not int or not 0 <= i < n for i, n in zip(c, shape)):
+            raise ConfigError(f"estimates.center must be a node of the grid of shape {shape}")
     return cfg
 
 

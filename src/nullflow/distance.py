@@ -51,12 +51,9 @@ def _distance_symmetric(metric: LeafMetric, center: int) -> DistanceField:
     # the cut locus is the collapsed antipode past the far end of the
     # chart; mask a margin of nodes at that end
     margin = CUT_LOCUS_MARGIN * h
-    far_end = len(theta) - 1 if center <= len(theta) // 2 else 0
-    if far_end:
-        invalid = theta > theta[-1] - margin
-    else:
-        invalid = theta < theta[0] + margin
-    return DistanceField(grid, d, ~invalid)
+    if center <= len(theta) // 2:
+        return DistanceField(grid, d, theta <= theta[-1] - margin)
+    return DistanceField(grid, d, theta >= theta[0] + margin)
 
 
 def _min_image(delta: np.ndarray, period: float) -> np.ndarray:

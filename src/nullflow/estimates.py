@@ -104,13 +104,14 @@ class CutoffCertificate:
 def build_cutoff(samples: int = 1_000_000, safety: float = 1.05) -> CutoffCertificate:
     """Certify the shipped cutoff constants over a dense sample grid."""
     s = np.linspace(0.0, 2.0, samples)
-    psi = cutoff_profile(s)
-    d2 = _cutoff_d2(s)
-    c1 = max(float(np.max(-d2)), 0.0) * safety
-    pos = psi > 0.0
-    ratio = _cutoff_d1(s[pos]) ** 2 / psi[pos]
-    c2 = float(np.max(ratio)) * safety
-    return CutoffCertificate(c1, c2, samples)
+    neg_d2 = ratio = -np.inf
+    for i in range(0, samples, 65_536):  # slices bound the peak memory
+        chunk = s[i:i + 65_536]
+        psi = cutoff_profile(chunk)
+        pos = psi > 0.0
+        neg_d2 = max(neg_d2, float(np.max(-_cutoff_d2(chunk))))
+        ratio = max(ratio, float(np.max(_cutoff_d1(chunk[pos]) ** 2 / psi[pos], initial=-np.inf)))
+    return CutoffCertificate(max(neg_d2, 0.0) * safety, ratio * safety, samples)
 
 
 def operational_constants(cert: CutoffCertificate, n: int = DIM) -> dict:

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import ScalarField, field_values
-from .metric import LeafMetric, SingularMetricError, grad_norm_sq, laplace_beltrami, ricci
+from .grids import LeafGrid, ScalarField, field_values
+from .metric import HeatOperator, LeafMetric, SingularMetricError, grad_norm_sq
+from .metric import laplace_beltrami, ricci
 from .metric import curvature as curvature_pack
 
 FORWARD = "forward"
@@ -69,8 +70,10 @@ class FlowConfig:
             raise FlowError("singularity threshold must be positive")
         if self.heat not in (HEAT_NONE, HEAT_PLAIN, HEAT_CONJUGATE):
             raise FlowError(f"unknown heat coupling {self.heat!r}")
-        if self.sample_every < 1:
-            raise FlowError("sample_every must be at least 1")
+        if type(self.sample_every) is not int or self.sample_every < 1:
+            raise FlowError("sample_every must be an integer of at least 1")
+        if self.heat_t_max is not None and not self.heat_t_max > 0:
+            raise FlowError("heat_t_max must be positive")
 
 
 @dataclass
@@ -101,7 +104,7 @@ def _flow_sign(direction: str) -> float:
 
 
 def _rhs(metric: LeafMetric, comps: np.ndarray, sign: float) -> np.ndarray:
-    return sign * ricci(LeafMetric(metric.grid, comps))
+    return sign * ricci(LeafMetric._unchecked(metric.grid, comps))
 
 
 def step_flow(metric: LeafMetric, direction: str, dt: float) -> LeafMetric:
@@ -127,45 +130,37 @@ def _check_singular(metric: LeafMetric, threshold: float):
         raise FlowSingular(node, float(lam.flat[node]))
 
 
-def _heat_rhs(metric: LeafMetric, u: np.ndarray, scal: np.ndarray | None) -> np.ndarray:
-    lap = laplace_beltrami(metric, u)
-    if scal is not None:
-        return lap - scal * u
-    return lap
+def _heat_rhs(op: HeatOperator, u: np.ndarray) -> np.ndarray:
+    lap = laplace_beltrami(op.metric, u, gamma=op.gamma, ginv=op.ginv)
+    return lap if op.scal is None else lap - op.scal * u
 
 
-def _diffusion_rate(metric: LeafMetric) -> float:
+def _diffusion_rate(grid: LeafGrid, ginv: np.ndarray) -> float:
     """Explicit-stability rate sum of g^aa / h_a^2 over active axes.
 
     On 1-D reduced grids derivatives along the symmetry axis vanish, so
     only axis 0 contributes.
     """
-    grid = metric.grid
-    ginv = metric.inverse()
     return sum(
         float(np.max(ginv[..., a, a])) / grid.spacings[a] ** 2
         for a in range(grid.ndim_grid)
     )
 
 
-def _scal(metric: LeafMetric, mode: str) -> np.ndarray | None:
-    return curvature_pack(metric).scal if mode == HEAT_CONJUGATE else None
-
-
-def _heat_substep(metric: LeafMetric, u: np.ndarray, dt: float, scal: np.ndarray | None) -> np.ndarray:
-    """Advance u by dt on a frozen metric with RK4, CFL-limited substeps;
-    ``scal`` is Scal' for the conjugate heat equation, None for the plain one."""
-    rate = _diffusion_rate(metric)
-    if scal is not None:
-        rate += float(np.max(np.abs(scal)))
+def _heat_substep(op: HeatOperator, u: np.ndarray, dt: float) -> np.ndarray:
+    """Advance u by dt on the frozen metric of ``op`` with RK4, CFL-limited
+    substeps that all share its Christoffel symbols and inverse."""
+    rate = _diffusion_rate(op.metric.grid, op.ginv)
+    if op.scal is not None:
+        rate += float(np.max(np.abs(op.scal)))
     dt_cfl = _CFL_NUMBER / rate
     nsub = max(1, int(np.ceil(dt / dt_cfl)))
     h = dt / nsub
     for _ in range(nsub):
-        k1 = _heat_rhs(metric, u, scal)
-        k2 = _heat_rhs(metric, u + 0.5 * h * k1, scal)
-        k3 = _heat_rhs(metric, u + 0.5 * h * k2, scal)
-        k4 = _heat_rhs(metric, u + h * k3, scal)
+        k1 = _heat_rhs(op, u)
+        k2 = _heat_rhs(op, u + 0.5 * h * k1)
+        k3 = _heat_rhs(op, u + 0.5 * h * k2)
+        k4 = _heat_rhs(op, u + h * k3)
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if np.any(u <= 0.0):
         node = int(np.argmin(u))
@@ -209,6 +204,8 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
     t = 0.0
     dt = config.dt_initial
     metric = initial.copy()
+    # the heat operator of ``metric``; each step's second half builds the next one
+    op = HeatOperator.build(metric, config.heat == HEAT_CONJUGATE) if u is not None else None
     termination = REACHED_T_END
     singular_time = None
     step = 0
@@ -217,7 +214,7 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
         if config.dt_controller == "cfl-adaptive":
             # the linearized flow diffuses with coefficient g^aa along each
             # active axis, so the explicit limit matches the heat stencil's
-            rate = _diffusion_rate(metric)
+            rate = _diffusion_rate(metric.grid, metric.inverse())
             if rate > 0:
                 dt_step = min(dt_step, _CFL_NUMBER / rate)
             if dt_step < 1e-12 * config.t_end:
@@ -227,11 +224,12 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
         try:
             if heat_active:
                 h_dt = min(dt_step, heat_t_max - t)
-                u = _heat_substep(metric, u, 0.5 * h_dt, _scal(metric, config.heat))
+                u = _heat_substep(op, u, 0.5 * h_dt)
             new_metric = step_flow(metric, config.direction, dt_step)
             _check_singular(new_metric, threshold)
             if heat_active:
-                u = _heat_substep(new_metric, u, 0.5 * h_dt, _scal(new_metric, config.heat))
+                op = HeatOperator.build(new_metric, config.heat == HEAT_CONJUGATE)
+                u = _heat_substep(op, u, 0.5 * h_dt)
         except (FlowSingular, SingularMetricError):
             termination = SINGULAR
             # collapse happened inside this step
@@ -300,15 +298,15 @@ def _solve_on_trajectory(trajectory: FlowTrajectory, u0: ScalarField, mode: str)
     if np.any(u <= 0.0):
         raise FlowError("heat initial data must be positive everywhere")
     out = [ScalarField(trajectory.grid, u.copy())]
-    # Scal' from the trajectory's cached packs, which verify reuses
-    scal = [
-        trajectory.curvature(k).scal if mode == HEAT_CONJUGATE else None
-        for k in range(len(trajectory.times))
-    ]
+    if mode == HEAT_CONJUGATE:  # Gamma and Scal' from the cached packs, which verify reuses
+        packs = [trajectory.curvature(k) for k in range(len(trajectory.times))]
+        ops = [HeatOperator(p.metric, p.christoffel, p.scal) for p in packs]
+    else:
+        ops = [HeatOperator.build(m) for m in trajectory.metrics]
     for k in range(1, len(trajectory.times)):
         dt = trajectory.times[k] - trajectory.times[k - 1]
-        u = _heat_substep(trajectory.metrics[k - 1], u, 0.5 * dt, scal[k - 1])
-        u = _heat_substep(trajectory.metrics[k], u, 0.5 * dt, scal[k])
+        u = _heat_substep(ops[k - 1], u, 0.5 * dt)
+        u = _heat_substep(ops[k], u, 0.5 * dt)
         out.append(ScalarField(trajectory.grid, u.copy()))
     return out
 

@@ -54,6 +54,13 @@ class LeafMetric:
         if not np.allclose(self.comps[..., 0, 1], self.comps[..., 1, 0], atol=1e-14):
             raise MetricError("metric components are not symmetric")
 
+    @classmethod
+    def _unchecked(cls, grid: LeafGrid, comps: np.ndarray) -> "LeafMetric":
+        """Skips the symmetry check: for the RK stages of the flow only."""
+        metric = object.__new__(cls)
+        metric.grid, metric.comps = grid, comps
+        return metric
+
     def determinant(self) -> np.ndarray:
         g = self.comps
         return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
@@ -129,6 +136,24 @@ class CurvaturePack:
         return np.einsum("...,...ac,...bd->...abcd", K, g, g) - np.einsum(
             "...,...ad,...bc->...abcd", K, g, g
         )
+
+
+@dataclass
+class HeatOperator:
+    """Christoffel symbols and inverse of one frozen metric, computed once for
+    all the Laplace-Beltrami calls on it; ``scal`` is Scal' for conjugate heat."""
+
+    metric: LeafMetric
+    gamma: np.ndarray
+    scal: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.ginv = self.metric.inverse()
+
+    @classmethod
+    def build(cls, metric: LeafMetric, conjugate: bool = False) -> "HeatOperator":
+        gamma = christoffel(metric)
+        return cls(metric, gamma, 2.0 * gauss_curvature(metric, gamma) if conjugate else None)
 
 
 def _metric_derivatives(metric: LeafMetric) -> np.ndarray:
@@ -257,11 +282,12 @@ def hessian(metric: LeafMetric, field, gamma: np.ndarray | None = None) -> np.nd
     return hess
 
 
-def laplace_beltrami(metric: LeafMetric, field, gamma: np.ndarray | None = None) -> np.ndarray:
+def laplace_beltrami(metric: LeafMetric, field, gamma: np.ndarray | None = None,
+                     ginv: np.ndarray | None = None) -> np.ndarray:
     """Trace of the covariant Hessian (identical stencils, so the trace
-    identity with :func:`hessian` is exact)."""
+    identity with :func:`hessian` is exact); ``gamma``, ``ginv`` reused if given."""
     hess = hessian(metric, field, gamma=gamma)
-    ginv = metric.inverse()
+    ginv = metric.inverse() if ginv is None else ginv
     return np.einsum("...ab,...ab->...", ginv, hess)
 
 

@@ -21,9 +21,7 @@ _META_KEYS = ("termination", "singular_time", "heat_valid_until")
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float) and (np.isnan(x) or np.isinf(x)):
-        return str(x)
-    return repr(float(x))
+    return repr(float(x))  # shortest round trip; 'nan', 'inf' and '-inf' too
 
 
 # --- trajectory CSV -------------------------------------------------------
@@ -36,17 +34,14 @@ def write_trajectory_csv(path, trajectory: FlowTrajectory):
     absent)."""
     meta = {key: getattr(trajectory, key) for key in _META_KEYS}
     lines = ["# " + json.dumps(_round_trip(meta)), _CSV_HEADER]
-    has_u = trajectory.heat_fields is not None
+    heats = trajectory.heat_fields
     for k, t in enumerate(trajectory.times):
         g = trajectory.metrics[k].comps.reshape(-1, 2, 2)
-        u = trajectory.heat_fields[k].values.ravel() if has_u else None
-        for node in range(g.shape[0]):
-            row = [
-                _fmt(t), str(node),
-                _fmt(g[node, 0, 0]), _fmt(g[node, 0, 1]), _fmt(g[node, 1, 1]),
-                _fmt(u[node]) if has_u else "",
-            ]
-            lines.append(",".join(row))
+        n = len(g)
+        # repr of a Python float is _fmt, so each column is formatted at once
+        cells = [map(repr, c.tolist()) for c in (g[:, 0, 0], g[:, 0, 1], g[:, 1, 1])]
+        cells.append([""] * n if heats is None else map(repr, heats[k].values.ravel().tolist()))
+        lines.extend(map(",".join, zip([_fmt(t)] * n, map(str, range(n)), *cells)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

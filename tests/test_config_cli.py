@@ -111,6 +111,84 @@ def test_parse_rejects_non_finite_numbers(section, key, value):
         parse_config(json.dumps(doc))
 
 
+_TORUS_DOC = {
+    "scenario": {"name": "torus-bump", "amp": 0.3, "resolution": 16},
+    "flow": {"t_end": 0.1, "dt_initial": 0.002, "heat": "heat", "heat_t_max": 0.05,
+             "sample_every": 10},
+    "heat_initial": "cosine-mode",
+    "estimates": {"alpha": 2.0, "p": 4.0, "q": 4.0, "rho": 0.8, "center": [3, 12], "A": 3.5},
+    "theorems": ["harnack-global"],
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize("path, value, match", [
+    (("scenario", "resolution"), 16.5, "resolution"),
+    (("scenario", "resolution"), True, "resolution"),
+    (("scenario", "resolution"), 0, "resolution"),
+    (("flow", "sample_every"), 2.5, "sample_every"),
+    (("flow", "heat_t_max"), -1.0, "heat_t_max"),
+    (("flow", "heat_t_max"), 0.0, "heat_t_max"),
+    (("estimates", "center"), [1], "center"),
+    (("estimates", "center"), [1.5, 2], "center"),
+    (("estimates", "center"), [16, 0], "center"),
+    (("estimates", "center"), 3, "center"),
+    (("scenario", "amp"), "x", "scenario"),
+    (("flow",), None, "flow"),
+    (("estimates",), 5, "estimates"),
+    (("theorems",), 5, "theorems"),
+])
+def test_parse_rejects_malformed_fields(path, value, match):
+    doc = json.loads(json.dumps(_TORUS_DOC))
+    parse_config(json.dumps(doc))
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    with pytest.raises(ConfigError, match=match):
+        parse_config(json.dumps(doc))
+
+
+def _mutations(value):
+    """Replacements of one field: other types, null, fractional, negative."""
+    out = [None, "x", True, [value], {"v": value}]
+    if isinstance(value, list):
+        out += [[], value + value[:1]]
+        if all(isinstance(v, int) for v in value):
+            out += [[v + 0.5 for v in value], [-v - 1 for v in value], value[:1]]
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        out += [value + 0.5, -abs(value) - 1, -abs(value) - 0.5, 0]
+    return out
+
+
+def _fields(doc):
+    """Paths to every field of a run document, the sections included."""
+    for key, value in doc.items():
+        yield (key,)
+        if isinstance(value, dict):
+            yield from ((key, sub) for sub in value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_config_fuzz_raises_only_config_errors(data):
+    # one field of a valid document is mutated: the result parses or
+    # raises ConfigError, never another exception
+    doc = json.loads(json.dumps(data.draw(st.sampled_from([_base_doc(), _TORUS_DOC]))))
+    path = data.draw(st.sampled_from(list(_fields(doc))))
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = data.draw(st.sampled_from(_mutations(section[path[-1]])))
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except ConfigError:
+        return
+    metric = cfg.build_metric()
+    cfg.build_heat_initial(metric)
+    parse_config(render_config(cfg))
+
+
 def test_render_parse_round_trip():
     cfg = parse_config(json.dumps(_base_doc()))
     text = render_config(cfg)
@@ -152,6 +230,43 @@ def test_trajectory_csv_round_trip(tmp_path):
         assert back.heat_valid_until == traj.heat_valid_until
     assert (back.termination, back.heat_valid_until) == ("singular", 0.05)
     assert 0.12 < back.singular_time < 0.13
+
+
+def _reference_csv(trajectory):
+    """The trajectory CSV written one cell at a time (the per-row writer)."""
+    def fmt(x):
+        return str(x) if isinstance(x, float) and not np.isfinite(x) else repr(float(x))
+
+    meta = {key: getattr(trajectory, key) for key in ("termination", "singular_time", "heat_valid_until")}
+    lines = ["# " + json.dumps(dict(sorted(meta.items()))), "t,node,g11,g12,g22,u"]
+    for k, t in enumerate(trajectory.times):
+        g = trajectory.metrics[k].comps.reshape(-1, 2, 2)
+        u = trajectory.heat_fields[k].values.ravel() if trajectory.heat_fields else None
+        for node in range(g.shape[0]):
+            row = [fmt(t), str(node), fmt(g[node, 0, 0]), fmt(g[node, 0, 1]), fmt(g[node, 1, 1]),
+                   "" if u is None else fmt(u[node])]
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_matches_per_row_writer(tmp_path):
+    from nullflow.scenarios import torus_bump_metric
+
+    m = torus_bump_metric(0.3, 16)
+    x, _ = m.grid.coordinate_fields()
+    s = sphere_metric(0.5, 24)
+    runs = [  # a torus-bump heat run, a run without heat, a collapsing run
+        run_flow(m, FlowConfig(t_end=0.02, dt_initial=2e-3, heat="heat", sample_every=5),
+                 u0=ScalarField(m.grid, 2.0 + np.sin(x))),
+        run_flow(m, FlowConfig(t_end=0.02, dt_initial=2e-3, sample_every=5)),
+        run_flow(s, FlowConfig(t_end=0.2, dt_initial=1e-3, heat="heat", heat_t_max=0.05,
+                               sample_every=20), u0=ScalarField(s.grid, 2.0 + np.cos(s.grid.axes[0]))),
+    ]
+    assert runs[2].termination == "singular"
+    for traj in runs:
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, traj)
+        assert path.read_text() == _reference_csv(traj)
 
 
 def _verify_doc(traj, theorem, params, cert):

@@ -7,6 +7,8 @@ import pytest
 from nullflow.config import parse_config
 from nullflow.estimates import (
     EstimateError,
+    _cutoff_d1,
+    _cutoff_d2,
     EstimateParams,
     bound_alpha_one,
     bound_backward_thm,
@@ -55,6 +57,17 @@ def test_cutoff_certificate_against_dense_oracle():
     assert CERT.c1 <= c1_oracle * 1.2
     assert CERT.c2 >= c2_oracle * 0.999
     assert CERT.c2 <= c2_oracle * 1.2
+
+
+@pytest.mark.parametrize("samples", [100_001, 1_000_000])
+def test_cutoff_certificate_equals_unsliced_computation(samples):
+    s = np.linspace(0.0, 2.0, samples)
+    psi = cutoff_profile(s)
+    pos = psi > 0.0
+    c1 = max(float(np.max(-_cutoff_d2(s))), 0.0) * 1.05
+    c2 = float(np.max(_cutoff_d1(s[pos]) ** 2 / psi[pos])) * 1.05
+    cert = build_cutoff(samples=samples)
+    assert (cert.c1, cert.c2, cert.samples) == (c1, c2, samples)
 
 
 def test_operational_constants_structure():

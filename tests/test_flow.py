@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from nullflow.flow import (
     step_flow,
 )
 from nullflow.grids import ScalarField
-from nullflow.metric import LeafMetric, curvature, gradient
+from nullflow.metric import LeafMetric, MetricError, curvature, gradient, laplace_beltrami
 from nullflow.scenarios import flat_torus_metric, sphere_metric, torus_bump_metric
 
 
@@ -117,6 +119,97 @@ def test_conjugate_heat_builds_one_curvature_pack_per_sample(monkeypatch):
                  cert=build_cutoff(samples=10_001))
     assert rep.status == "holds"
     assert len(calls) == len(traj.times)
+
+
+def _reference_heat_substep(metric, u, dt, conjugate):
+    """The per-stage algorithm: Laplace-Beltrami, and with it the Christoffel
+    symbols and the inverse metric, rebuilt at every RK stage."""
+    scal = curvature(metric).scal if conjugate else None
+
+    def rhs(v):
+        lap = laplace_beltrami(metric, v)
+        return lap if scal is None else lap - scal * v
+
+    ginv = metric.inverse()
+    grid = metric.grid
+    rate = sum(float(np.max(ginv[..., a, a])) / grid.spacings[a] ** 2 for a in range(grid.ndim_grid))
+    if scal is not None:
+        rate += float(np.max(np.abs(scal)))
+    nsub = max(1, int(np.ceil(dt / (0.2 / rate))))
+    h = dt / nsub
+    for _ in range(nsub):
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * h * k1)
+        k3 = rhs(u + 0.5 * h * k2)
+        k4 = rhs(u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u
+
+
+@pytest.mark.parametrize("direction,heat", [
+    ("forward", "heat"), ("forward", "conjugate-heat"), ("backward", "conjugate-heat"),
+])
+def test_shared_heat_operator_is_bit_identical_to_per_stage_rebuild(direction, heat):
+    m = torus_bump_metric(0.3, 16)
+    x, _ = m.grid.coordinate_fields()
+    u0 = 2.0 + np.sin(x)
+    config = FlowConfig(direction=direction, t_end=0.02, dt_initial=2e-3, heat=heat, sample_every=5)
+    traj = run_flow(m, config, u0=ScalarField(m.grid, u0))
+    conjugate = heat == "conjugate-heat"
+    expected = [u0]
+    if direction == "forward":  # Strang halves around every flow step, as run_flow takes them
+        metric, u, t, step = m, u0, 0.0, 0
+        while t < config.t_end - 1e-15:
+            dt = min(config.dt_initial, config.t_end - t)
+            u = _reference_heat_substep(metric, u, 0.5 * dt, conjugate)
+            metric = step_flow(metric, direction, dt)
+            u = _reference_heat_substep(metric, u, 0.5 * dt, conjugate)
+            t += dt
+            step += 1
+            if step % config.sample_every == 0:
+                expected.append(u)
+    else:  # Strang halves between the stored samples
+        u = u0
+        for k in range(1, len(traj.times)):
+            dt = traj.times[k] - traj.times[k - 1]
+            u = _reference_heat_substep(traj.metrics[k - 1], u, 0.5 * dt, conjugate)
+            u = _reference_heat_substep(traj.metrics[k], u, 0.5 * dt, conjugate)
+            expected.append(u)
+    assert len(traj.heat_fields) == len(expected) == 3
+    for got, want in zip(traj.heat_fields, expected):
+        assert np.array_equal(got.values, want)
+
+
+def test_heat_builds_christoffel_symbols_once_per_metric(monkeypatch):
+    import nullflow.metric as metric_module
+    from nullflow.config import parse_config
+
+    seen = []
+    build = metric_module.christoffel
+    monkeypatch.setattr(metric_module, "christoffel", lambda m: seen.append(m) or build(m))
+    cfg = parse_config((Path(__file__).parent / "data" / "golden_config.json").read_text())
+    m = cfg.build_metric()
+    run_flow(m, cfg.flow, u0=cfg.build_heat_initial(m))
+    # the heat runs to t = 0.3 in 600 steps of 5e-4, so it sees 601 metrics;
+    # rebuilding the operator at every RK stage made 4,800 calls
+    assert len(seen) == len({id(metric) for metric in seen}) == 601
+
+
+def test_step_flow_validates_only_its_result(monkeypatch):
+    import nullflow.flow as flow
+
+    validated = []
+    check = LeafMetric.__post_init__
+    monkeypatch.setattr(LeafMetric, "__post_init__", lambda self: validated.append(1) or check(self))
+    for m in (sphere_metric(1.0, 32), torus_bump_metric(0.3, 16)):
+        for _ in range(3):
+            validated.clear()
+            m = step_flow(m, "forward", 1e-3)
+            assert len(validated) == 1
+    # a NaN step still fails closed on the checked result
+    monkeypatch.setattr(flow, "ricci", lambda metric: np.full(metric.comps.shape, np.nan))
+    with pytest.raises(MetricError, match="symmetric"):
+        step_flow(m, "forward", 1e-3)
 
 
 def test_cfl_adaptive_controller_runs():
