@@ -30,7 +30,9 @@ of the conclusion.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -157,6 +159,15 @@ class EstimateParams:
             )
         if self.rho <= 0:
             raise EstimateError("cube radius rho must be positive")
+        if self.A is not None and not (_finite_real(self.A) and self.A > 0):
+            raise EstimateError(f"A must be a finite number above 0, got {self.A!r}")
+        rho_up = self.ricci_upper
+        if rho_up is not None and not (_finite_real(rho_up) and rho_up >= 0):
+            raise EstimateError(f"ricci_upper must be a finite number of at least 0, got {rho_up!r}")
+
+
+def _finite_real(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 # --- pointwise quantities -------------------------------------------------
@@ -460,4 +471,8 @@ def _check_hypotheses(theorem, params, bounds, measured, sup_u, A):
             return "alpha-equals-one"
         if measured["neg_ricci_eig_sup"] > tol:
             return "ricci-nonnegative"
+    rho_up = params.ricci_upper  # rho in Ric' <= rho g' of li-yau and alpha = 1 harnack-global
+    if theorem in ("li-yau", "harnack-global") and params.alpha == 1.0 and rho_up is not None:
+        if measured["ricci_eig_sup"] > rho_up + tol:
+            return "ricci-upper-bound"
     return None

@@ -131,7 +131,7 @@ def _check_singular(metric: LeafMetric, threshold: float):
 
 
 def _heat_rhs(op: HeatOperator, u: np.ndarray) -> np.ndarray:
-    lap = laplace_beltrami(op.metric, u, gamma=op.gamma, ginv=op.ginv)
+    lap = laplace_beltrami(op.metric, u, op)
     return lap if op.scal is None else lap - op.scal * u
 
 

@@ -127,12 +127,21 @@ def _extend_even(values: np.ndarray) -> np.ndarray:
     return np.concatenate([values[1::-1], values, values[:-3:-1]], axis=0)
 
 
+# (node, next, previous) along a periodic axis: the interior, then the two
+# wrapped edges; stencils write them into one output laid out as their input
+_PERIODIC = ((slice(1, -1), slice(2, None), slice(None, -2)), (0, 1, -1), (-1, 0, -2))
+
+
 def partial_deriv(grid: LeafGrid, values: np.ndarray, axis: int) -> np.ndarray:
     """First derivative along a coordinate axis, second order."""
     values = np.asarray(values, dtype=float)
     if grid.topology == PERIODIC_2D:
-        h = grid.spacings[axis]
-        return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+        out = np.empty_like(values)
+        v, o = values.swapaxes(0, axis), out.swapaxes(0, axis)
+        for i, nxt, prv in _PERIODIC:
+            np.subtract(v[nxt], v[prv], out=o[i])
+        out /= 2.0 * grid.spacings[axis]
+        return out
     # 1-D reductions: derivatives along the symmetry coordinate vanish
     if axis == 1:
         return np.zeros_like(values)
@@ -144,10 +153,13 @@ def second_deriv(grid: LeafGrid, values: np.ndarray, axis: int) -> np.ndarray:
     """Pure second derivative along one axis (3-point stencil)."""
     values = np.asarray(values, dtype=float)
     if grid.topology == PERIODIC_2D:
-        h = grid.spacings[axis]
-        return (
-            np.roll(values, -1, axis=axis) - 2.0 * values + np.roll(values, 1, axis=axis)
-        ) / h**2
+        out = values * -2.0  # so out + v[i+1] is exactly v[i+1] - 2 v[i]
+        v, o = values.swapaxes(0, axis), out.swapaxes(0, axis)
+        for i, nxt, prv in _PERIODIC:
+            o[i] += v[nxt]
+            o[i] += v[prv]
+        out /= grid.spacings[axis] ** 2
+        return out
     if axis == 1:
         return np.zeros_like(values)
     ext = _extend_even(values)

@@ -32,6 +32,22 @@ from .grids import (
 DIM = 2  # leaf dimension for every built-in scenario
 
 
+def _node_major(soa: np.ndarray, ncomp: int) -> np.ndarray:
+    """Node-major view (grid axes first) of component-major storage."""
+    return soa.transpose(tuple(range(ncomp, soa.ndim)) + tuple(range(ncomp)))
+
+
+def _component_major(t: np.ndarray, ncomp: int) -> np.ndarray:
+    """Contiguous component-major storage of a node-major tensor (no copy of a view)."""
+    return np.ascontiguousarray(t.transpose(tuple(range(-ncomp, 0)) + tuple(range(t.ndim - ncomp))))
+
+
+def _trace(g, t) -> np.ndarray:
+    """g^ab t_ab from components ``g[a][b]``, ``t[a][b]``, with the products
+    paired as np.einsum("...ab,...ab->...") pairs them on node-major arrays."""
+    return (g[0][0] * t[0][0] + g[1][0] * t[1][0]) + (g[0][1] * t[0][1] + g[1][1] * t[1][1])
+
+
 class MetricError(ValueError):
     pass
 
@@ -51,7 +67,11 @@ class LeafMetric:
         self.comps = np.asarray(self.comps, dtype=float)
         if self.comps.shape != self.grid.shape + (DIM, DIM):
             raise MetricError(f"metric component shape {self.comps.shape} invalid")
-        if not np.allclose(self.comps[..., 0, 1], self.comps[..., 1, 0], atol=1e-14):
+        # the predicate of np.allclose(a, b, atol=1e-14), without its call overhead
+        a, b = self.comps[..., 0, 1], self.comps[..., 1, 0]
+        with np.errstate(invalid="ignore"):  # inf - inf
+            close = (a == b) | ((np.abs(a - b) <= 1e-14 + 1e-5 * np.abs(b)) & np.isfinite(b))
+        if not np.all(close):
             raise MetricError("metric components are not symmetric")
 
     @classmethod
@@ -95,12 +115,12 @@ class LeafMetric:
         if np.any(det == 0.0):
             raise SingularMetricError("singular metric matrix")
         g = self.comps
-        inv = np.empty_like(g)
-        inv[..., 0, 0] = g[..., 1, 1] / det
-        inv[..., 1, 1] = g[..., 0, 0] / det
-        inv[..., 0, 1] = -g[..., 0, 1] / det
-        inv[..., 1, 0] = -g[..., 1, 0] / det
-        return inv
+        inv = np.empty((DIM, DIM) + det.shape)
+        inv[0, 0] = g[..., 1, 1] / det
+        inv[1, 1] = g[..., 0, 0] / det
+        inv[0, 1] = -g[..., 0, 1] / det
+        inv[1, 0] = -g[..., 1, 0] / det
+        return _node_major(inv, 2)
 
     def copy(self) -> "LeafMetric":
         return LeafMetric(self.grid, self.comps.copy())
@@ -149,6 +169,9 @@ class HeatOperator:
 
     def __post_init__(self):
         self.ginv = self.metric.inverse()
+        # contiguous components g^ab = ginv_c[a, b] and Gamma^c_ab = gamma_c[c, a, b]
+        self.ginv_c = _component_major(self.ginv, 2)
+        self.gamma_c = _component_major(self.gamma, 3)
 
     @classmethod
     def build(cls, metric: LeafMetric, conjugate: bool = False) -> "HeatOperator":
@@ -156,30 +179,22 @@ class HeatOperator:
         return cls(metric, gamma, 2.0 * gauss_curvature(metric, gamma) if conjugate else None)
 
 
-def _metric_derivatives(metric: LeafMetric) -> np.ndarray:
-    """dg[d, ..., a, b] = partial_d g_ab."""
-    out = np.empty((DIM,) + metric.comps.shape)
-    for d in range(DIM):
-        out[d] = partial_deriv(metric.grid, metric.comps, axis=d)
-    return out
-
-
 def christoffel(metric: LeafMetric) -> np.ndarray:
-    """Gamma^c_ab = 1/2 g^cd (d_a g_db + d_b g_da - d_d g_ab)."""
+    """Gamma^c_ab = 1/2 g^cd (d_a g_db + d_b g_da - d_d g_ab), stored component-major."""
     metric.require_positive_definite()
-    ginv = metric.inverse()
-    dg = _metric_derivatives(metric)
-    gamma = np.zeros(metric.grid.shape + (DIM, DIM, DIM))
+    ginv = _component_major(metric.inverse(), 2)
+    # dg[d][a, b] = d_d g_ab, component-major: the stencils keep their input's layout
+    comps = _node_major(_component_major(metric.comps, 2), 2)
+    dg = [_component_major(partial_deriv(metric.grid, comps, axis=d), 2) for d in range(DIM)]
+    gamma = np.empty((DIM, DIM, DIM) + metric.grid.shape)
     for c in range(DIM):
         for a in range(DIM):
             for b in range(DIM):
                 acc = 0.0
                 for d in range(DIM):
-                    acc = acc + ginv[..., c, d] * (
-                        dg[a][..., d, b] + dg[b][..., d, a] - dg[d][..., a, b]
-                    )
-                gamma[..., c, a, b] = 0.5 * acc
-    return gamma
+                    acc = acc + ginv[c, d] * (dg[a][d, b] + dg[b][d, a] - dg[d][a, b])
+                gamma[c, a, b] = 0.5 * acc
+    return _node_major(gamma, 3)
 
 
 def _gauss_curvature_symmetric(metric: LeafMetric) -> np.ndarray:
@@ -197,27 +212,22 @@ def _gauss_curvature_symmetric(metric: LeafMetric) -> np.ndarray:
 def _gauss_curvature_generic(metric: LeafMetric, gamma: np.ndarray) -> np.ndarray:
     """Ricci via R^m_{s m n} from Gamma and its derivatives; returns K = Scal/2."""
     grid = metric.grid
-    dgamma = np.empty((DIM,) + gamma.shape)
-    for d in range(DIM):
-        dgamma[d] = partial_deriv(grid, gamma, axis=d)
+    dgamma = [_component_major(partial_deriv(grid, gamma, axis=d), 3) for d in range(DIM)]
+    gamma = _component_major(gamma, 3)
     # R^r_{s m n} = d_m Gamma^r_ns - d_n Gamma^r_ms + Gamma^r_ml Gamma^l_ns - Gamma^r_nl Gamma^l_ms
-    ric = np.zeros(grid.shape + (DIM, DIM))
+    ric = np.empty((DIM, DIM) + grid.shape)
     for s in range(DIM):
         for n in range(DIM):
             acc = 0.0
             for m in range(DIM):
-                term = dgamma[m][..., m, n, s] - dgamma[n][..., m, m, s]
+                term = dgamma[m][m, n, s] - dgamma[n][m, m, s]
                 for l in range(DIM):
-                    term = term + (
-                        gamma[..., m, m, l] * gamma[..., l, n, s]
-                        - gamma[..., m, n, l] * gamma[..., l, m, s]
-                    )
+                    term = term + (gamma[m, m, l] * gamma[l, n, s]
+                                   - gamma[m, n, l] * gamma[l, m, s])
                 acc = acc + term
-            ric[..., s, n] = acc
-    ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
-    ginv = metric.inverse()
-    scal = np.einsum("...ab,...ab->...", ginv, ric)
-    return 0.5 * scal
+            ric[s, n] = acc
+    ric = 0.5 * (ric + ric.swapaxes(0, 1))
+    return 0.5 * _trace(_component_major(metric.inverse(), 2), ric)
 
 
 def gauss_curvature(metric: LeafMetric, gamma: np.ndarray | None = None) -> np.ndarray:
@@ -268,27 +278,45 @@ def hessian(metric: LeafMetric, field, gamma: np.ndarray | None = None) -> np.nd
     grid = metric.grid
     if gamma is None:
         gamma = christoffel(metric)
+    gamma = _component_major(gamma, 3)
     df = [partial_deriv(grid, values, axis=d) for d in range(DIM)]
-    hess = np.empty(grid.shape + (DIM, DIM))
-    hess[..., 0, 0] = second_deriv(grid, values, 0)
-    hess[..., 1, 1] = second_deriv(grid, values, 1)
+    hess = np.empty((DIM, DIM) + grid.shape)
+    hess[0, 0] = second_deriv(grid, values, 0)
+    hess[1, 1] = second_deriv(grid, values, 1)
     cross = mixed_deriv(grid, values)
-    hess[..., 0, 1] = cross
-    hess[..., 1, 0] = cross
+    hess[0, 1] = cross
+    hess[1, 0] = cross
     for a in range(DIM):
         for b in range(DIM):
             for c in range(DIM):
-                hess[..., a, b] -= gamma[..., c, a, b] * df[c]
-    return hess
+                hess[a, b] -= gamma[c, a, b] * df[c]
+    return _node_major(hess, 2)
 
 
-def laplace_beltrami(metric: LeafMetric, field, gamma: np.ndarray | None = None,
-                     ginv: np.ndarray | None = None) -> np.ndarray:
-    """Trace of the covariant Hessian (identical stencils, so the trace
-    identity with :func:`hessian` is exact); ``gamma``, ``ginv`` reused if given."""
-    hess = hessian(metric, field, gamma=gamma)
-    ginv = metric.inverse() if ginv is None else ginv
-    return np.einsum("...ab,...ab->...", ginv, hess)
+def laplace_beltrami(metric: LeafMetric, field, op: HeatOperator | None = None) -> np.ndarray:
+    """Trace g^ab f_ab of the covariant Hessian of :func:`hessian`, fused
+    component by component from ``op`` (built from ``metric`` if not given).
+
+    These are the operations of :func:`hessian` and of its einsum trace, in
+    their order, so the two agree bit for bit; the sphere chart skips the
+    terms that vanish there.
+    """
+    values = field_values(field, metric.grid)
+    op = HeatOperator.build(metric) if op is None else op
+    grid, g, G = metric.grid, op.ginv_c, op.gamma_c
+    d0 = partial_deriv(grid, values, 0)
+    if grid.topology == SPHERICAL_1D:
+        # d_1 f, d_11 f and d_01 f vanish, and so do g^01 and Gamma^0_01 of
+        # the chart's diagonal metric
+        h00 = second_deriv(grid, values, 0) - G[0, 0, 0] * d0
+        return g[0, 0] * h00 + g[1, 1] * (0.0 - G[0, 1, 1] * d0)
+    d1 = partial_deriv(grid, values, 1)
+    cross = mixed_deriv(grid, values)
+    h = [[(second_deriv(grid, values, 0) - G[0, 0, 0] * d0) - G[1, 0, 0] * d1,
+          (cross - G[0, 0, 1] * d0) - G[1, 0, 1] * d1],
+         [(cross - G[0, 1, 0] * d0) - G[1, 1, 0] * d1,
+          (second_deriv(grid, values, 1) - G[0, 1, 1] * d0) - G[1, 1, 1] * d1]]
+    return _trace(g, h)
 
 
 def bochner_residual(metric: LeafMetric, field) -> np.ndarray:
@@ -300,13 +328,13 @@ def bochner_residual(metric: LeafMetric, field) -> np.ndarray:
     """
     values = field_values(field, metric.grid)
     pack = curvature(metric)
-    ginv = metric.inverse()
-    gamma = pack.christoffel
+    op = HeatOperator(metric, pack.christoffel)
+    ginv = op.ginv
     gradsq = grad_norm_sq(metric, values)
-    lhs = laplace_beltrami(metric, gradsq, gamma=gamma)
-    hess = hessian(metric, values, gamma=gamma)
+    lhs = laplace_beltrami(metric, gradsq, op)
+    hess = hessian(metric, values, gamma=op.gamma)
     hess_sq = np.einsum("...ac,...bd,...ab,...cd->...", ginv, ginv, hess, hess)
-    lap = laplace_beltrami(metric, values, gamma=gamma)
+    lap = laplace_beltrami(metric, values, op)
     df = np.stack([partial_deriv(metric.grid, values, d) for d in range(DIM)], axis=-1)
     dlap = np.stack([partial_deriv(metric.grid, lap, d) for d in range(DIM)], axis=-1)
     cross = np.einsum("...ab,...a,...b->...", ginv, df, dlap)
@@ -324,24 +352,23 @@ def ricci_identity_residual(metric: LeafMetric, field) -> np.ndarray:
     values = field_values(field, metric.grid)
     grid = metric.grid
     pack = curvature(metric)
-    gamma = pack.christoffel
-    ginv = metric.inverse()
-    hess = hessian(metric, values, gamma=gamma)
+    gamma = _component_major(pack.christoffel, 3)
+    ginv = _component_major(metric.inverse(), 2)
+    hess_view = hessian(metric, values, gamma=pack.christoffel)
+    hess = _component_major(hess_view, 2)
     # covariant divergence of the Hessian: B_i = g^jk ( d_k H_ij - G^l_ki H_lj - G^l_kj H_il )
-    dhess = np.empty((DIM,) + hess.shape)
-    for k in range(DIM):
-        dhess[k] = partial_deriv(grid, hess, axis=k)
-    cov = np.empty(grid.shape + (DIM, DIM, DIM))  # (k, i, j) -> nabla_k H_ij
+    dhess = [_component_major(partial_deriv(grid, hess_view, axis=k), 2) for k in range(DIM)]
+    cov = np.empty((DIM, DIM, DIM) + grid.shape)  # (k, i, j) -> nabla_k H_ij
     for k in range(DIM):
         for i in range(DIM):
             for j in range(DIM):
-                term = dhess[k][..., i, j]
+                term = dhess[k][i, j]
                 for l in range(DIM):
-                    term = term - gamma[..., l, k, i] * hess[..., l, j]
-                    term = term - gamma[..., l, k, j] * hess[..., i, l]
-                cov[..., k, i, j] = term
-    div_hess = np.einsum("...jk,...kij->...i", ginv, cov)
-    lap = np.einsum("...ab,...ab->...", ginv, hess)
+                    term = term - gamma[l, k, i] * hess[l, j]
+                    term = term - gamma[l, k, j] * hess[i, l]
+                cov[k, i, j] = term
+    div_hess = np.stack([_trace(ginv, cov[:, i].swapaxes(0, 1)) for i in range(DIM)], axis=-1)
+    lap = _trace(ginv, hess)
     dlap = np.stack([partial_deriv(grid, lap, d) for d in range(DIM)], axis=-1)
     gradf = gradient(metric, values)
     ric_low = np.einsum("...ij,...j->...i", pack.ricci, gradf)

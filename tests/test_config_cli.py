@@ -27,7 +27,7 @@ def _base_doc(**overrides):
         "scenario": {"name": "round-sphere", "radius": 1.0, "resolution": 32},
         "flow": {"t_end": 0.2, "dt_initial": 1e-3, "heat": "heat", "sample_every": 20},
         "heat_initial": "cosine-mode",
-        "estimates": {"rho": 0.7, "center": 16, "ricci_upper": 0.0},
+        "estimates": {"rho": 0.7, "center": 16, "ricci_upper": 2.0},
         "theorems": ["li-yau"],
         "seed": 0,
     }
@@ -137,6 +137,11 @@ _TORUS_DOC = {
     (("flow",), None, "flow"),
     (("estimates",), 5, "estimates"),
     (("theorems",), 5, "theorems"),
+    (("estimates", "A"), "x", "A must be"),
+    (("estimates", "A"), -1, "A must be"),
+    (("estimates", "A"), False, "A must be"),
+    (("estimates", "ricci_upper"), -5, "ricci_upper must be"),
+    (("estimates", "ricci_upper"), "x", "ricci_upper must be"),
 ])
 def test_parse_rejects_malformed_fields(path, value, match):
     doc = json.loads(json.dumps(_TORUS_DOC))
@@ -169,6 +174,15 @@ def _fields(doc):
             yield from ((key, sub) for sub in value)
 
 
+def _valid_constant(path, value):
+    """estimates.A and estimates.ricci_upper are null or numbers, A > 0 and ricci_upper >= 0."""
+    if path not in (("estimates", "A"), ("estimates", "ricci_upper")) or value is None:
+        return True
+    if type(value) not in (int, float):
+        return False
+    return value > 0 if path[-1] == "A" else value >= 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_parse_config_fuzz_raises_only_config_errors(data):
@@ -179,11 +193,13 @@ def test_parse_config_fuzz_raises_only_config_errors(data):
     section = doc
     for key in path[:-1]:
         section = section[key]
-    section[path[-1]] = data.draw(st.sampled_from(_mutations(section[path[-1]])))
+    value = data.draw(st.sampled_from(_mutations(section[path[-1]])))
+    section[path[-1]] = value
     try:
         cfg = parse_config(json.dumps(doc))
     except ConfigError:
         return
+    assert _valid_constant(path, value), f"{path} = {value!r} was accepted"
     metric = cfg.build_metric()
     cfg.build_heat_initial(metric)
     parse_config(render_config(cfg))
@@ -446,6 +462,14 @@ def test_cli_exit_two_on_bad_config(tmp_path, capsys):
     bad.write_text("{\"scenario\": {\"name\": \"klein-bottle\"}}")
     assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["x", -1])
+def test_cli_exit_two_on_bad_estimate_constant(tmp_path, capsys, value):
+    doc = _base_doc(theorems=["log-gradient-forward", "li-yau"])
+    doc["estimates"]["A"] = value
+    assert main(["run", _write_cfg(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+    assert "A must be a finite number above 0" in capsys.readouterr().err
 
 
 def test_cli_verify_subcommand_round_trip(tmp_path, capsys):

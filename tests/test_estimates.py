@@ -88,6 +88,17 @@ def test_params_constraint_enforced():
         EstimateParams(alpha=0.5, p=1.0, q=1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("A", "x"), ("A", True), ("A", -1), ("A", 0.0), ("A", float("nan")), ("A", float("inf")),
+    ("ricci_upper", "x"), ("ricci_upper", False), ("ricci_upper", -5.0),
+    ("ricci_upper", float("nan")), ("ricci_upper", float("inf")),
+])
+def test_estimate_params_reject_malformed_constants(field, value):
+    EstimateParams(**{field: 2})
+    with pytest.raises(EstimateError, match=f"{field} must be a finite number"):
+        EstimateParams(**{field: value})
+
+
 # --- pointwise quantities -------------------------------------------------
 
 
@@ -292,8 +303,12 @@ def test_verify_fails_closed_past_heat_horizon():
     assert np.isfinite(rep.constants["A"])
     assert rep.status == "violated"
     assert -180.0 < rep.min_margin < -170.0
-    # an explicit non-finite A is an error, never a verdict
-    nan_a = dataclasses.replace(cfg.estimates, A=float("nan"))
+    # an explicit non-finite A is an error, never a verdict: EstimateParams
+    # refuses it, and verify still fails closed on one set afterwards
+    with pytest.raises(EstimateError, match="A must be a finite number"):
+        dataclasses.replace(cfg.estimates, A=float("nan"))
+    nan_a = dataclasses.replace(cfg.estimates)
+    nan_a.A = float("nan")
     with pytest.raises(EstimateError, match="non-finite"):
         verify(traj, "log-gradient-forward", nan_a, cert=CERT)
 
@@ -326,6 +341,26 @@ def test_verify_hypothesis_gate_blocks_conclusion():
     assert rep.status == "hypothesis-violated"
     assert rep.failed_hypothesis == "ricci-nonnegative"
     assert np.isnan(rep.max_violation)
+
+
+def test_verify_gates_explicit_ricci_upper_on_measured_curvature():
+    # li-yau and alpha = 1 harnack-global use ricci_upper as the rho of
+    # Ric' <= rho g'; on this run sup K = 1.64
+    m = sphere_metric(1.0, 32)
+    traj = run_flow(m, FlowConfig(t_end=0.2, dt_initial=1e-3, heat="heat", sample_every=20),
+                    u0=ScalarField(m.grid, 2.0 + np.cos(m.grid.axes[0])))
+    for theorem in ("li-yau", "harnack-global"):
+        below = [EstimateParams(rho=0.7, center=16, ricci_upper=0.0),
+                 EstimateParams(rho=0.7, center=16)]
+        below[1].ricci_upper = -5.0  # the gate does not rely on the constructor's check
+        for params in below:
+            rep = verify(traj, theorem, params, cert=CERT)
+            assert rep.measured_bounds["ricci_eig_sup"] == pytest.approx(1.6445, abs=1e-4)
+            assert rep.status == "hypothesis-violated"
+            assert rep.failed_hypothesis == "ricci-upper-bound"
+        rep = verify(traj, theorem, EstimateParams(rho=0.7, center=16, ricci_upper=2.0), cert=CERT)
+        assert rep.status == "holds"
+        assert rep.min_margin == pytest.approx(8.2367, abs=1e-4)
 
 
 def test_verify_rejects_unknown_theorem():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import node_major_reference as ref
+
 from nullflow.flow import (
     CurvatureBounds,
     FlowConfig,
@@ -19,7 +21,7 @@ from nullflow.flow import (
     step_flow,
 )
 from nullflow.grids import ScalarField
-from nullflow.metric import LeafMetric, MetricError, curvature, gradient, laplace_beltrami
+from nullflow.metric import LeafMetric, MetricError, curvature, gradient
 from nullflow.scenarios import flat_torus_metric, sphere_metric, torus_bump_metric
 
 
@@ -123,14 +125,15 @@ def test_conjugate_heat_builds_one_curvature_pack_per_sample(monkeypatch):
 
 def _reference_heat_substep(metric, u, dt, conjugate):
     """The per-stage algorithm: Laplace-Beltrami, and with it the Christoffel
-    symbols and the inverse metric, rebuilt at every RK stage."""
-    scal = curvature(metric).scal if conjugate else None
+    symbols and the inverse metric, rebuilt at every RK stage, on the
+    node-major reference kernels (np.roll stencils, Hessian and einsum)."""
+    scal = 2.0 * ref.gauss_curvature(metric) if conjugate else None
 
     def rhs(v):
-        lap = laplace_beltrami(metric, v)
+        lap = ref.laplace_beltrami(metric, v)
         return lap if scal is None else lap - scal * v
 
-    ginv = metric.inverse()
+    ginv = ref.inverse(metric)
     grid = metric.grid
     rate = sum(float(np.max(ginv[..., a, a])) / grid.spacings[a] ** 2 for a in range(grid.ndim_grid))
     if scal is not None:

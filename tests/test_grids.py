@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import node_major_reference as ref
 from nullflow.grids import (
     GridError,
     LeafGrid,
@@ -69,6 +70,21 @@ def test_periodic_second_and_mixed_derivative():
     mixed = mixed_deriv(g, f)
     exact = np.cos(x) * 2 * np.cos(2 * y)
     assert np.max(np.abs(mixed - exact)) < 20 * h**2
+
+
+@pytest.mark.parametrize("n", [16, 33])
+def test_periodic_stencils_bit_identical_to_rolled_copies(n):
+    # scalars, node-major tensors, and component-major storage seen node-major
+    g = make_torus_grid(n)
+    rng = np.random.default_rng(n)
+    scalar = rng.standard_normal(g.shape)
+    tensor = rng.standard_normal(g.shape + (2, 2, 2))
+    viewed = np.moveaxis(rng.standard_normal((2, 2) + g.shape), (0, 1), (2, 3))
+    for values in (scalar, tensor, viewed):
+        for axis in (0, 1):
+            assert np.array_equal(partial_deriv(g, values, axis), ref.partial_deriv(g, values, axis))
+            assert np.array_equal(second_deriv(g, values, axis), ref.second_deriv(g, values, axis))
+        assert np.array_equal(mixed_deriv(g, values), ref.mixed_deriv(g, values))
 
 
 def test_sphere_stencils_uniformly_second_order():

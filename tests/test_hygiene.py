@@ -1,5 +1,7 @@
 """Static hygiene checks on the package sources."""
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,20 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_benchmark_call_sites_exist():
+    # nullbench/tracing.py wraps these names in the namespace of their caller;
+    # a renamed or dropped one breaks `nullbench/run.py --trace 1`
+    path = SRC.parents[1] / "nullbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("nullbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, span in tracing._CALLSITES:
+        caller = importlib.import_module(f"nullflow.{module}")
+        defining, name = span.rsplit(".", 1)
+        # the caller's name is the function the span is named after
+        assert getattr(caller, attr) is getattr(importlib.import_module(f"nullflow.{defining}"), name)
+    cli = importlib.import_module("nullflow.cli")
+    assert cli.verify is importlib.import_module("nullflow.estimates").verify
+    assert "__post_init__" in vars(importlib.import_module("nullflow.metric").LeafMetric)

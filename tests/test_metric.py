@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from nullflow.grids import ScalarField, make_torus_grid
+import node_major_reference as ref
+from nullflow.grids import ScalarField, make_sphere_grid, make_torus_grid
 from nullflow.metric import (
+    HeatOperator,
     LeafMetric,
     MetricError,
     SingularMetricError,
     bochner_residual,
     christoffel,
     curvature,
+    gauss_curvature,
     grad_norm_sq,
     gradient,
     hessian,
@@ -60,6 +63,53 @@ def test_metric_requires_symmetry():
     comps[..., 0, 1] = 0.1
     with pytest.raises(MetricError):
         LeafMetric(g, comps)
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.nan, np.nan), (np.nan, 1.0), (1.0, np.nan), (np.inf, np.inf), (-np.inf, -np.inf),
+    (np.inf, -np.inf), (1.0, np.inf), (np.inf, 1.0), (-np.inf, 1.0), (0.0, -0.0),
+    (1.0, 1.0 + 9e-6), (1.0, 1.0 + 2e-5), (0.0, 1e-14), (0.0, 2e-14), (1e-14, 0.0),
+    (-3.0, -3.0 * (1 + 1e-5)), (1e300, -1e300),
+])
+def test_symmetry_check_agrees_with_allclose(a, b):
+    grid = make_sphere_grid(8)
+    comps = np.zeros(grid.shape + (2, 2))
+    comps[..., 0, 0] = comps[..., 1, 1] = 1.0
+    comps[3, 0, 1], comps[3, 1, 0] = a, b
+    if np.allclose(a, b, atol=1e-14):
+        LeafMetric(grid, comps)
+    else:
+        with pytest.raises(MetricError, match="symmetric"):
+            LeafMetric(grid, comps)
+
+
+def _kernel_case(case):
+    """Metric and a smooth field: sphere n = 48 or torus bump n = 16 / 33,
+    the latter optionally with a smooth off-diagonal g_01."""
+    if case == "sphere-48":
+        m = sphere_metric(1.3, 48)
+        return m, 2.0 + np.cos(m.grid.axes[0])
+    n = int(case.split("-")[1])
+    m = torus_bump_metric(0.3, n)
+    x, y = m.grid.coordinate_fields()
+    if case.endswith("g01"):
+        comps = m.comps.copy()
+        comps[..., 0, 1] = comps[..., 1, 0] = 0.2 * np.sin(x + 2.0 * y)
+        m = LeafMetric(m.grid, comps)
+    return m, 2.0 + np.sin(x) * np.cos(2.0 * y)
+
+
+@pytest.mark.parametrize("case", ["sphere-48", "bump-16", "bump-16-g01", "bump-33", "bump-33-g01"])
+def test_kernels_bit_identical_to_node_major_reference(case):
+    m, u = _kernel_case(case)
+    assert np.array_equal(m.inverse(), ref.inverse(m))
+    assert np.array_equal(christoffel(m), ref.christoffel(m))
+    assert np.array_equal(gauss_curvature(m), ref.gauss_curvature(m))
+    assert np.array_equal(curvature(m).K, ref.gauss_curvature(m))
+    assert np.array_equal(hessian(m, u), ref.hessian(m, u))
+    lap = ref.laplace_beltrami(m, u)
+    assert np.array_equal(laplace_beltrami(m, u), lap)
+    assert np.array_equal(laplace_beltrami(m, u, HeatOperator.build(m, conjugate=True)), lap)
 
 
 def test_positive_definiteness_reports_node():
