@@ -19,9 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .grids import PERIODIC_2D, SPHERICAL_1D, LeafGrid
 from .metric import LeafMetric
@@ -46,7 +43,8 @@ def _distance_symmetric(metric: LeafMetric, center: int) -> DistanceField:
     theta = grid.axes[0]
     h = grid.spacings[0]
     speed = np.sqrt(metric.comps[..., 0, 0])
-    arc = cumulative_trapezoid(speed, theta, initial=0.0)
+    # scipy's cumulative_trapezoid(speed, theta, initial=0.0), operation for operation
+    arc = np.concatenate(([0.0], np.cumsum(np.diff(theta) * (speed[1:] + speed[:-1]) / 2.0)))
     d = np.abs(arc - arc[center])
     # the cut locus is the collapsed antipode past the far end of the
     # chart; mask a margin of nodes at that end
@@ -104,6 +102,8 @@ _NEIGHBOR_STEPS = [
 
 
 def _distance_dijkstra(metric: LeafMetric, center: tuple) -> DistanceField:
+    from scipy.sparse import csr_matrix  # the only route that loads scipy
+    from scipy.sparse.csgraph import dijkstra
     grid = metric.grid
     nx, ny = grid.shape
     hx, hy = grid.spacings

@@ -64,8 +64,18 @@ class EstimateError(ValueError):
 # --- cutoff profile -------------------------------------------------------
 
 
-def _smoothstep(s):
-    return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
+def _smoothstep(w):
+    return w * w * w * (10.0 + w * (-15.0 + 6.0 * w))
+
+
+def _smoothstep_d1(w):
+    """psi'(s) at w = 2 - s, for 1 < s < 2."""
+    return -30.0 * w * w * (1.0 - w) ** 2
+
+
+def _smoothstep_d2(w):
+    """psi''(s) at w = 2 - s, for 1 < s < 2."""
+    return 60.0 * w * (1.0 - w) * (1.0 - 2.0 * w)
 
 
 def cutoff_profile(s):
@@ -82,8 +92,7 @@ def _cutoff_d1(s):
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
     mid = (s > 1.0) & (s < 2.0)
-    w = 2.0 - s[mid]
-    out[mid] = -30.0 * w * w * (1.0 - w) ** 2
+    out[mid] = _smoothstep_d1(2.0 - s[mid])
     return out
 
 
@@ -91,8 +100,7 @@ def _cutoff_d2(s):
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
     mid = (s > 1.0) & (s < 2.0)
-    w = 2.0 - s[mid]
-    out[mid] = 60.0 * w * (1.0 - w) * (1.0 - 2.0 * w)
+    out[mid] = _smoothstep_d2(2.0 - s[mid])
     return out
 
 
@@ -106,14 +114,14 @@ class CutoffCertificate:
 def build_cutoff(samples: int = 1_000_000, safety: float = 1.05) -> CutoffCertificate:
     """Certify the shipped cutoff constants over a dense sample grid."""
     s = np.linspace(0.0, 2.0, samples)
-    neg_d2 = ratio = -np.inf
-    for i in range(0, samples, 65_536):  # slices bound the peak memory
-        chunk = s[i:i + 65_536]
-        psi = cutoff_profile(chunk)
-        pos = psi > 0.0
-        neg_d2 = max(neg_d2, float(np.max(-_cutoff_d2(chunk))))
-        ratio = max(ratio, float(np.max(_cutoff_d1(chunk[pos]) ** 2 / psi[pos], initial=-np.inf)))
-    return CutoffCertificate(max(neg_d2, 0.0) * safety, ratio * safety, samples)
+    # off 1 < s < 2, psi' = psi'' = 0: only the samples inside can raise c1 and c2
+    lo, hi = s.searchsorted(1.0, "right"), s.searchsorted(2.0)
+    neg_d2 = ratio = 0.0
+    for i in range(lo, hi, 65_536):  # slices bound the peak memory
+        w = 2.0 - s[i:min(i + 65_536, hi)]
+        neg_d2 = max(neg_d2, float(np.max(-_smoothstep_d2(w))))
+        ratio = max(ratio, float(np.max(_smoothstep_d1(w) ** 2 / _smoothstep(w))))  # psi > 0 for 0 < w < 1
+    return CutoffCertificate(neg_d2 * safety, ratio * safety, samples)
 
 
 def operational_constants(cert: CutoffCertificate, n: int = DIM) -> dict:
@@ -148,17 +156,17 @@ class EstimateParams:
     ricci_upper: float | None = None  # explicit rho for li-yau / nonneg-Ricci branch
 
     def __post_init__(self):
-        if self.alpha < 1.0:
-            raise EstimateError("alpha must be at least 1")
-        if self.p <= 0 or self.q <= 0:
-            raise EstimateError("p and q must be positive")
+        if not (_finite_real(self.alpha) and self.alpha >= 1.0):
+            raise EstimateError(f"alpha must be a finite number of at least 1, got {self.alpha!r}")
+        if not all(_finite_real(x) and x > 0 for x in (self.p, self.q)):
+            raise EstimateError(f"p and q must be finite numbers above 0, got {self.p!r} and {self.q!r}")
         if abs(1.0 / self.p + 1.0 / self.q - 1.0 / self.alpha) > 1e-12:
             raise EstimateError(
                 f"constraint 1/p + 1/q = 1/alpha violated: "
                 f"1/{self.p} + 1/{self.q} != 1/{self.alpha}"
             )
-        if self.rho <= 0:
-            raise EstimateError("cube radius rho must be positive")
+        if not (_finite_real(self.rho) and self.rho > 0):
+            raise EstimateError(f"cube radius rho must be a finite number above 0, got {self.rho!r}")
         if self.A is not None and not (_finite_real(self.A) and self.A > 0):
             raise EstimateError(f"A must be a finite number above 0, got {self.A!r}")
         rho_up = self.ricci_upper

@@ -92,13 +92,6 @@ class LeafMetric:
         disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
         return 0.5 * (tr - disc)
 
-    def max_eigenvalue(self) -> np.ndarray:
-        g = self.comps
-        tr = g[..., 0, 0] + g[..., 1, 1]
-        det = self.determinant()
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-        return 0.5 * (tr + disc)
-
     def is_positive_definite(self) -> bool:
         return bool(np.all(self.min_eigenvalue() > 0.0))
 
@@ -166,23 +159,27 @@ class HeatOperator:
     metric: LeafMetric
     gamma: np.ndarray
     scal: np.ndarray | None = None
+    ginv: np.ndarray | None = None  # the metric's inverse, computed here if not given
 
     def __post_init__(self):
-        self.ginv = self.metric.inverse()
+        if self.ginv is None:
+            self.ginv = self.metric.inverse()
         # contiguous components g^ab = ginv_c[a, b] and Gamma^c_ab = gamma_c[c, a, b]
         self.ginv_c = _component_major(self.ginv, 2)
         self.gamma_c = _component_major(self.gamma, 3)
 
     @classmethod
     def build(cls, metric: LeafMetric, conjugate: bool = False) -> "HeatOperator":
-        gamma = christoffel(metric)
-        return cls(metric, gamma, 2.0 * gauss_curvature(metric, gamma) if conjugate else None)
+        ginv = metric.inverse()  # the one inversion, shared with Gamma and K
+        gamma = christoffel(metric, ginv)
+        return cls(metric, gamma, 2.0 * gauss_curvature(metric, gamma, ginv) if conjugate else None, ginv)
 
 
-def christoffel(metric: LeafMetric) -> np.ndarray:
-    """Gamma^c_ab = 1/2 g^cd (d_a g_db + d_b g_da - d_d g_ab), stored component-major."""
+def christoffel(metric: LeafMetric, ginv: np.ndarray | None = None) -> np.ndarray:
+    """Gamma^c_ab = 1/2 g^cd (d_a g_db + d_b g_da - d_d g_ab), stored component-major;
+    ``ginv`` is the metric's inverse when the caller has it."""
     metric.require_positive_definite()
-    ginv = _component_major(metric.inverse(), 2)
+    ginv = _component_major(metric.inverse() if ginv is None else ginv, 2)
     # dg[d][a, b] = d_d g_ab, component-major: the stencils keep their input's layout
     comps = _node_major(_component_major(metric.comps, 2), 2)
     dg = [_component_major(partial_deriv(metric.grid, comps, axis=d), 2) for d in range(DIM)]
@@ -199,17 +196,17 @@ def christoffel(metric: LeafMetric) -> np.ndarray:
 
 def _gauss_curvature_symmetric(metric: LeafMetric) -> np.ndarray:
     g = metric.comps
-    if np.max(np.abs(g[..., 0, 1])) > 1e-12 * np.max(metric.max_eigenvalue()):
-        raise MetricError("spherical 1-D curvature requires a diagonal metric")
     a = g[..., 0, 0]
     b = g[..., 1, 1]
+    if np.max(np.abs(g[..., 0, 1])) > 1e-12 * max(np.max(a), np.max(b)):
+        raise MetricError("spherical 1-D curvature requires a diagonal metric")
     grid = metric.grid
     root = np.sqrt(a * b)
     inner = partial_deriv(grid, b, 0) / root
     return -partial_deriv(grid, inner, 0) / (2.0 * root)
 
 
-def _gauss_curvature_generic(metric: LeafMetric, gamma: np.ndarray) -> np.ndarray:
+def _gauss_curvature_generic(metric: LeafMetric, gamma: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """Ricci via R^m_{s m n} from Gamma and its derivatives; returns K = Scal/2."""
     grid = metric.grid
     dgamma = [_component_major(partial_deriv(grid, gamma, axis=d), 3) for d in range(DIM)]
@@ -227,17 +224,19 @@ def _gauss_curvature_generic(metric: LeafMetric, gamma: np.ndarray) -> np.ndarra
                 acc = acc + term
             ric[s, n] = acc
     ric = 0.5 * (ric + ric.swapaxes(0, 1))
-    return 0.5 * _trace(_component_major(metric.inverse(), 2), ric)
+    return 0.5 * _trace(_component_major(ginv, 2), ric)
 
 
-def gauss_curvature(metric: LeafMetric, gamma: np.ndarray | None = None) -> np.ndarray:
+def gauss_curvature(metric: LeafMetric, gamma: np.ndarray | None = None,
+                    ginv: np.ndarray | None = None) -> np.ndarray:
     """Gauss curvature K per node (spherical charts use the
-    surface-of-revolution formula; ``gamma`` is reused when given)."""
+    surface-of-revolution formula; ``gamma`` and ``ginv`` are reused when given)."""
     if metric.grid.topology == SPHERICAL_1D:
         return _gauss_curvature_symmetric(metric)
+    ginv = metric.inverse() if ginv is None else ginv
     if gamma is None:
-        gamma = christoffel(metric)
-    return _gauss_curvature_generic(metric, gamma)
+        gamma = christoffel(metric, ginv)
+    return _gauss_curvature_generic(metric, gamma, ginv)
 
 
 def curvature(metric: LeafMetric) -> CurvaturePack:

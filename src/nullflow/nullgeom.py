@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import make_interp_spline
 
 from .metric import DIM, LeafMetric
 
@@ -223,6 +221,7 @@ class ReparamResult:
 
 
 def _reparam_map(tstar: np.ndarray, h_values: np.ndarray, a: float, b: float) -> np.ndarray:
+    from scipy.integrate import cumulative_simpson
     inner = cumulative_simpson(h_values, x=tstar, initial=0.0)
     return a * cumulative_simpson(np.exp(inner), x=tstar, initial=0.0) + b
 
@@ -235,6 +234,7 @@ def distinguished_parameter(htilde_star, tstar: np.ndarray, a: float = 1.0, b: f
     measures how far the reparametrized curve is from satisfying the
     geodesic equation in p = (t - b)/a.
     """
+    from scipy.interpolate import make_interp_spline  # scipy is loaded only by the routes that call it
     if a == 0.0:
         raise NullStructureError("reparametrization requires a != 0")
     tstar = np.asarray(tstar, dtype=float)

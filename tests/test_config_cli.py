@@ -142,6 +142,12 @@ _TORUS_DOC = {
     (("estimates", "A"), False, "A must be"),
     (("estimates", "ricci_upper"), -5, "ricci_upper must be"),
     (("estimates", "ricci_upper"), "x", "ricci_upper must be"),
+    (("estimates", "rho"), True, "rho must be"),
+    (("estimates", "rho"), "x", "rho must be"),
+    (("estimates", "alpha"), True, "alpha must be"),
+    (("estimates", "alpha"), None, "alpha must be"),
+    (("estimates", "p"), False, "p and q must be"),
+    (("estimates", "q"), "x", "p and q must be"),
 ])
 def test_parse_rejects_malformed_fields(path, value, match):
     doc = json.loads(json.dumps(_TORUS_DOC))
@@ -175,12 +181,18 @@ def _fields(doc):
 
 
 def _valid_constant(path, value):
-    """estimates.A and estimates.ricci_upper are null or numbers, A > 0 and ricci_upper >= 0."""
-    if path not in (("estimates", "A"), ("estimates", "ricci_upper")) or value is None:
+    """The numbers of the estimates section: alpha >= 1, p, q, rho and A > 0,
+    ricci_upper >= 0; only A and ricci_upper may be null."""
+    key = path[1] if path[0] == "estimates" and len(path) == 2 else None
+    if key not in ("alpha", "p", "q", "rho", "A", "ricci_upper"):
         return True
+    if value is None:
+        return key in ("A", "ricci_upper")
     if type(value) not in (int, float):
         return False
-    return value > 0 if path[-1] == "A" else value >= 0
+    if key == "alpha":
+        return value >= 1
+    return value >= 0 if key == "ricci_upper" else value > 0
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,9 +1,12 @@
 import heapq
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nullflow.config import parse_config
 from nullflow.distance import _NEIGHBOR_STEPS, _periodic_mask, geodesic_distance
+from nullflow.flow import run_flow
 from nullflow.metric import LeafMetric
 from nullflow.scenarios import flat_torus_metric, sphere_metric, torus_bump_metric
 
@@ -19,6 +22,30 @@ def test_sphere_arc_length():
     # antipode band masked
     assert not d.valid[-1]
     assert d.valid[center]
+
+
+def _golden_run_metrics():
+    cfg = parse_config((Path(__file__).parent / "data" / "golden_config.json").read_text())
+    m = cfg.build_metric()
+    return run_flow(m, cfg.flow, u0=cfg.build_heat_initial(m)).metrics
+
+
+def _non_uniform_speed_metric():
+    base = sphere_metric(1.0, 40)
+    theta = base.grid.axes[0]
+    comps = base.comps.copy()
+    comps[..., 0, 0] = (1.0 + 0.5 * np.sin(3.0 * theta)) ** 2 + np.random.default_rng(3).random(40)
+    return LeafMetric(base.grid, comps)
+
+
+def test_sphere_arc_length_equals_scipy_trapezoid_bit_for_bit():
+    from scipy.integrate import cumulative_trapezoid
+
+    for m in _golden_run_metrics() + [_non_uniform_speed_metric()]:
+        theta = m.grid.axes[0]
+        arc = cumulative_trapezoid(np.sqrt(m.comps[..., 0, 0]), theta, initial=0.0)
+        for center in (0, len(theta) // 3, len(theta) - 1):
+            assert np.array_equal(geodesic_distance(m, center).values, np.abs(arc - arc[center]))
 
 
 def test_flat_torus_min_image():

@@ -59,7 +59,8 @@ def test_cutoff_certificate_against_dense_oracle():
     assert CERT.c2 <= c2_oracle * 1.2
 
 
-@pytest.mark.parametrize("samples", [100_001, 1_000_000])
+# 1,001 and 2,001 samples put a node exactly on s = 1 and s = 2
+@pytest.mark.parametrize("samples", [8, 1_001, 2_001, 100_001, 1_000_000])
 def test_cutoff_certificate_equals_unsliced_computation(samples):
     s = np.linspace(0.0, 2.0, samples)
     psi = cutoff_profile(s)

@@ -189,7 +189,7 @@ def test_heat_builds_christoffel_symbols_once_per_metric(monkeypatch):
 
     seen = []
     build = metric_module.christoffel
-    monkeypatch.setattr(metric_module, "christoffel", lambda m: seen.append(m) or build(m))
+    monkeypatch.setattr(metric_module, "christoffel", lambda m, *ginv: seen.append(m) or build(m, *ginv))
     cfg = parse_config((Path(__file__).parent / "data" / "golden_config.json").read_text())
     m = cfg.build_metric()
     run_flow(m, cfg.flow, u0=cfg.build_heat_initial(m))

@@ -1,7 +1,10 @@
-"""Static hygiene checks on the package sources."""
+"""Hygiene checks on the package: its sources and the modules a run imports."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,41 @@ def test_benchmark_call_sites_exist():
     cli = importlib.import_module("nullflow.cli")
     assert cli.verify is importlib.import_module("nullflow.estimates").verify
     assert "__post_init__" in vars(importlib.import_module("nullflow.metric").LeafMetric)
+
+
+_COLD_RUN = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import nullflow
+from nullflow.cli import main
+
+assert scipy_modules() == [], scipy_modules()
+config, out = sys.argv[1:]
+assert main(["run", config, "--out", out]) == 0
+assert main(["verify", str(Path(out) / "trajectory.csv"), "--theorem", "li-yau", "--params", config]) == 0
+assert scipy_modules() == [], scipy_modules()
+
+# the reparametrization loads its scipy routines when called
+tstar = np.linspace(0.0, 1.0, 3001)
+res = nullflow.distinguished_parameter(lambda t: np.full_like(t, 0.5), tstar)
+assert np.max(np.abs(res.t_of_tstar - (np.exp(0.5 * tstar) - 1.0) / 0.5)) < 1e-8
+assert {"scipy.integrate", "scipy.interpolate"} <= set(scipy_modules())
+"""
+
+
+def test_cold_golden_run_and_verify_load_no_scipy(tmp_path):
+    # a sphere run never calls scipy, so `nullflow run` and `nullflow verify`
+    # must not pay for importing it
+    config = SRC.parents[1] / "tests" / "data" / "golden_config.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_RUN, str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr

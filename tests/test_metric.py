@@ -112,6 +112,32 @@ def test_kernels_bit_identical_to_node_major_reference(case):
     assert np.array_equal(laplace_beltrami(m, u, HeatOperator.build(m, conjugate=True)), lap)
 
 
+@pytest.mark.parametrize("case", ["sphere-48", "bump-16-g01"])
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_heat_operator_build_inverts_its_metric_once(monkeypatch, case, conjugate):
+    m, _ = _kernel_case(case)
+    calls = []
+    inverse = LeafMetric.inverse
+    monkeypatch.setattr(LeafMetric, "inverse", lambda self: calls.append(1) or inverse(self))
+    op = HeatOperator.build(m, conjugate)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert np.array_equal(op.ginv, m.inverse())
+    assert np.array_equal(op.gamma, christoffel(m))
+    if conjugate:
+        assert np.array_equal(op.scal, 2.0 * gauss_curvature(m))
+    else:
+        assert op.scal is None
+
+
+def test_sphere_curvature_requires_a_diagonal_metric():
+    m = sphere_metric(1.0, 16)
+    comps = m.comps.copy()
+    comps[5, 0, 1] = comps[5, 1, 0] = 1e-6
+    with pytest.raises(MetricError, match="diagonal"):
+        gauss_curvature(LeafMetric(m.grid, comps))
+
+
 def test_positive_definiteness_reports_node():
     m = flat_torus_metric(n=8)
     m.comps[3, 4] = [[-1.0, 0.0], [0.0, 1.0]]
