@@ -35,6 +35,8 @@ EXIT_ERROR = 2
 def _cmd_run(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
         cfg.seed = args.seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -30,15 +30,13 @@ of the conclusion.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
 from .distance import geodesic_distance
 from .flow import CurvatureBounds, FlowTrajectory, curvature_suprema
-from .grids import field_values
+from .grids import field_values, finite_real
 from .metric import DIM, grad_norm_sq
 
 THEOREM_IDS = (
@@ -156,26 +154,22 @@ class EstimateParams:
     ricci_upper: float | None = None  # explicit rho for li-yau / nonneg-Ricci branch
 
     def __post_init__(self):
-        if not (_finite_real(self.alpha) and self.alpha >= 1.0):
+        if not (finite_real(self.alpha) and self.alpha >= 1.0):
             raise EstimateError(f"alpha must be a finite number of at least 1, got {self.alpha!r}")
-        if not all(_finite_real(x) and x > 0 for x in (self.p, self.q)):
+        if not all(finite_real(x) and x > 0 for x in (self.p, self.q)):
             raise EstimateError(f"p and q must be finite numbers above 0, got {self.p!r} and {self.q!r}")
         if abs(1.0 / self.p + 1.0 / self.q - 1.0 / self.alpha) > 1e-12:
             raise EstimateError(
                 f"constraint 1/p + 1/q = 1/alpha violated: "
                 f"1/{self.p} + 1/{self.q} != 1/{self.alpha}"
             )
-        if not (_finite_real(self.rho) and self.rho > 0):
+        if not (finite_real(self.rho) and self.rho > 0):
             raise EstimateError(f"cube radius rho must be a finite number above 0, got {self.rho!r}")
-        if self.A is not None and not (_finite_real(self.A) and self.A > 0):
+        if self.A is not None and not (finite_real(self.A) and self.A > 0):
             raise EstimateError(f"A must be a finite number above 0, got {self.A!r}")
         rho_up = self.ricci_upper
-        if rho_up is not None and not (_finite_real(rho_up) and rho_up >= 0):
+        if rho_up is not None and not (finite_real(rho_up) and rho_up >= 0):
             raise EstimateError(f"ricci_upper must be a finite number of at least 0, got {rho_up!r}")
-
-
-def _finite_real(x) -> bool:
-    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 # --- pointwise quantities -------------------------------------------------

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import LeafGrid, ScalarField, field_values
-from .metric import HeatOperator, LeafMetric, SingularMetricError, grad_norm_sq
+from .grids import LeafGrid, ScalarField, field_values, finite_real
+from .metric import CurvaturePack, LeafMetric, SingularMetricError, grad_norm_sq
 from .metric import laplace_beltrami, ricci
 from .metric import curvature as curvature_pack
 
@@ -60,20 +60,18 @@ class FlowConfig:
     def __post_init__(self):
         if self.direction not in (FORWARD, BACKWARD):
             raise FlowError(f"unknown direction {self.direction!r}")
-        if self.t_end <= 0:
-            raise FlowError("t_end must be positive")
-        if self.dt_initial <= 0:
-            raise FlowError("dt_initial must be positive")
+        for key in ("t_end", "dt_initial", "eps_singular_rel"):
+            value = getattr(self, key)
+            if not (finite_real(value) and value > 0):
+                raise FlowError(f"{key} must be a finite number above 0, got {value!r}")
         if self.dt_controller not in ("fixed", "cfl-adaptive"):
             raise FlowError(f"unknown dt controller {self.dt_controller!r}")
-        if self.eps_singular_rel <= 0:
-            raise FlowError("singularity threshold must be positive")
         if self.heat not in (HEAT_NONE, HEAT_PLAIN, HEAT_CONJUGATE):
             raise FlowError(f"unknown heat coupling {self.heat!r}")
         if type(self.sample_every) is not int or self.sample_every < 1:
             raise FlowError("sample_every must be an integer of at least 1")
-        if self.heat_t_max is not None and not self.heat_t_max > 0:
-            raise FlowError("heat_t_max must be positive")
+        if self.heat_t_max is not None and not (finite_real(self.heat_t_max) and self.heat_t_max > 0):
+            raise FlowError(f"heat_t_max must be a finite number above 0, got {self.heat_t_max!r}")
 
 
 @dataclass
@@ -130,9 +128,9 @@ def _check_singular(metric: LeafMetric, threshold: float):
         raise FlowSingular(node, float(lam.flat[node]))
 
 
-def _heat_rhs(op: HeatOperator, u: np.ndarray) -> np.ndarray:
-    lap = laplace_beltrami(op.metric, u, op)
-    return lap if op.scal is None else lap - op.scal * u
+def _heat_rhs(pack: CurvaturePack, u: np.ndarray, scal: np.ndarray | None) -> np.ndarray:
+    lap = laplace_beltrami(pack.metric, u, pack)
+    return lap if scal is None else lap - scal * u
 
 
 def _diffusion_rate(grid: LeafGrid, ginv: np.ndarray) -> float:
@@ -147,20 +145,22 @@ def _diffusion_rate(grid: LeafGrid, ginv: np.ndarray) -> float:
     )
 
 
-def _heat_substep(op: HeatOperator, u: np.ndarray, dt: float) -> np.ndarray:
-    """Advance u by dt on the frozen metric of ``op`` with RK4, CFL-limited
-    substeps that all share its Christoffel symbols and inverse."""
-    rate = _diffusion_rate(op.metric.grid, op.ginv)
-    if op.scal is not None:
-        rate += float(np.max(np.abs(op.scal)))
+def _heat_substep(pack: CurvaturePack, u: np.ndarray, dt: float, mode: str) -> np.ndarray:
+    """Advance u by dt on the frozen metric of ``pack`` with RK4, CFL-limited
+    substeps that all share its Christoffel symbols and inverse; conjugate
+    heat also reads Scal' = 2K, which plain heat never computes."""
+    scal = pack.scal if mode == HEAT_CONJUGATE else None
+    rate = _diffusion_rate(pack.grid, pack.ginv)
+    if scal is not None:
+        rate += float(np.max(np.abs(scal)))
     dt_cfl = _CFL_NUMBER / rate
     nsub = max(1, int(np.ceil(dt / dt_cfl)))
     h = dt / nsub
     for _ in range(nsub):
-        k1 = _heat_rhs(op, u)
-        k2 = _heat_rhs(op, u + 0.5 * h * k1)
-        k3 = _heat_rhs(op, u + 0.5 * h * k2)
-        k4 = _heat_rhs(op, u + h * k3)
+        k1 = _heat_rhs(pack, u, scal)
+        k2 = _heat_rhs(pack, u + 0.5 * h * k1, scal)
+        k3 = _heat_rhs(pack, u + 0.5 * h * k2, scal)
+        k4 = _heat_rhs(pack, u + h * k3, scal)
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if np.any(u <= 0.0):
         node = int(np.argmin(u))
@@ -204,8 +204,8 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
     t = 0.0
     dt = config.dt_initial
     metric = initial.copy()
-    # the heat operator of ``metric``; each step's second half builds the next one
-    op = HeatOperator.build(metric, config.heat == HEAT_CONJUGATE) if u is not None else None
+    # the geometry of ``metric``; each step's second heat half builds the next one
+    pack = curvature_pack(metric) if u is not None else None
     termination = REACHED_T_END
     singular_time = None
     step = 0
@@ -224,12 +224,12 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
         try:
             if heat_active:
                 h_dt = min(dt_step, heat_t_max - t)
-                u = _heat_substep(op, u, 0.5 * h_dt)
+                u = _heat_substep(pack, u, 0.5 * h_dt, config.heat)
             new_metric = step_flow(metric, config.direction, dt_step)
             _check_singular(new_metric, threshold)
             if heat_active:
-                op = HeatOperator.build(new_metric, config.heat == HEAT_CONJUGATE)
-                u = _heat_substep(op, u, 0.5 * h_dt)
+                pack = curvature_pack(new_metric)
+                u = _heat_substep(pack, u, 0.5 * h_dt, config.heat)
         except (FlowSingular, SingularMetricError):
             termination = SINGULAR
             # collapse happened inside this step
@@ -298,15 +298,10 @@ def _solve_on_trajectory(trajectory: FlowTrajectory, u0: ScalarField, mode: str)
     if np.any(u <= 0.0):
         raise FlowError("heat initial data must be positive everywhere")
     out = [ScalarField(trajectory.grid, u.copy())]
-    if mode == HEAT_CONJUGATE:  # Gamma and Scal' from the cached packs, which verify reuses
-        packs = [trajectory.curvature(k) for k in range(len(trajectory.times))]
-        ops = [HeatOperator(p.metric, p.christoffel, p.scal) for p in packs]
-    else:
-        ops = [HeatOperator.build(m) for m in trajectory.metrics]
-    for k in range(1, len(trajectory.times)):
+    for k in range(1, len(trajectory.times)):  # on the cached packs, which verify reuses
         dt = trajectory.times[k] - trajectory.times[k - 1]
-        u = _heat_substep(ops[k - 1], u, 0.5 * dt)
-        u = _heat_substep(ops[k], u, 0.5 * dt)
+        u = _heat_substep(trajectory.curvature(k - 1), u, 0.5 * dt, mode)
+        u = _heat_substep(trajectory.curvature(k), u, 0.5 * dt, mode)
         out.append(ScalarField(trajectory.grid, u.copy()))
     return out
 

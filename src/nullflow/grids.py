@@ -15,7 +15,9 @@ extends fields across its poles by even reflection.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -28,6 +30,11 @@ _MIN_NODES = 8
 
 class GridError(ValueError):
     pass
+
+
+def finite_real(x) -> bool:
+    """Whether a parameter is a finite number; booleans and strings are not."""
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True, eq=False)

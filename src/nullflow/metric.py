@@ -17,6 +17,7 @@ singularity of the Christoffel symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,18 +120,36 @@ class LeafMetric:
         return LeafMetric(self.grid, self.comps.copy())
 
 
-@dataclass
 class CurvaturePack:
-    """Christoffel symbols and Gauss curvature K at every node; the 2-D
-    Ricci, scalar and Riemann curvatures are derived from K."""
+    """The geometry of one frozen metric, built once by :func:`curvature` for
+    every operator on it: the inverse g^ab and the Christoffel symbols, each
+    stored once as contiguous components ``ginv_c[a, b]`` and
+    ``gamma_c[c, a, b]`` for the kernels, and the Gauss curvature K, computed
+    on first use.  The 2-D Ricci, scalar and Riemann curvatures are derived
+    from K."""
 
-    metric: LeafMetric
-    christoffel: np.ndarray  # shape + (c, a, b) -> Gamma^c_ab
-    K: np.ndarray  # shape
+    def __init__(self, metric: LeafMetric, ginv: np.ndarray, christoffel: np.ndarray):
+        self.metric = metric
+        self.ginv_c = _component_major(ginv, 2)
+        self.gamma_c = _component_major(christoffel, 3)
 
     @property
     def grid(self) -> LeafGrid:
         return self.metric.grid
+
+    @property
+    def ginv(self) -> np.ndarray:
+        """g^ab, shape + (a, b): a node-major view of ``ginv_c``."""
+        return _node_major(self.ginv_c, 2)
+
+    @property
+    def christoffel(self) -> np.ndarray:
+        """Gamma^c_ab, shape + (c, a, b): a node-major view of ``gamma_c``."""
+        return _node_major(self.gamma_c, 3)
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return gauss_curvature(self.metric, self)
 
     @property
     def ricci(self) -> np.ndarray:
@@ -149,30 +168,6 @@ class CurvaturePack:
         return np.einsum("...,...ac,...bd->...abcd", K, g, g) - np.einsum(
             "...,...ad,...bc->...abcd", K, g, g
         )
-
-
-@dataclass
-class HeatOperator:
-    """Christoffel symbols and inverse of one frozen metric, computed once for
-    all the Laplace-Beltrami calls on it; ``scal`` is Scal' for conjugate heat."""
-
-    metric: LeafMetric
-    gamma: np.ndarray
-    scal: np.ndarray | None = None
-    ginv: np.ndarray | None = None  # the metric's inverse, computed here if not given
-
-    def __post_init__(self):
-        if self.ginv is None:
-            self.ginv = self.metric.inverse()
-        # contiguous components g^ab = ginv_c[a, b] and Gamma^c_ab = gamma_c[c, a, b]
-        self.ginv_c = _component_major(self.ginv, 2)
-        self.gamma_c = _component_major(self.gamma, 3)
-
-    @classmethod
-    def build(cls, metric: LeafMetric, conjugate: bool = False) -> "HeatOperator":
-        ginv = metric.inverse()  # the one inversion, shared with Gamma and K
-        gamma = christoffel(metric, ginv)
-        return cls(metric, gamma, 2.0 * gauss_curvature(metric, gamma, ginv) if conjugate else None, ginv)
 
 
 def christoffel(metric: LeafMetric, ginv: np.ndarray | None = None) -> np.ndarray:
@@ -206,11 +201,11 @@ def _gauss_curvature_symmetric(metric: LeafMetric) -> np.ndarray:
     return -partial_deriv(grid, inner, 0) / (2.0 * root)
 
 
-def _gauss_curvature_generic(metric: LeafMetric, gamma: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+def _gauss_curvature_generic(pack: CurvaturePack) -> np.ndarray:
     """Ricci via R^m_{s m n} from Gamma and its derivatives; returns K = Scal/2."""
-    grid = metric.grid
-    dgamma = [_component_major(partial_deriv(grid, gamma, axis=d), 3) for d in range(DIM)]
-    gamma = _component_major(gamma, 3)
+    grid = pack.grid
+    dgamma = [_component_major(partial_deriv(grid, pack.christoffel, axis=d), 3) for d in range(DIM)]
+    gamma = pack.gamma_c
     # R^r_{s m n} = d_m Gamma^r_ns - d_n Gamma^r_ms + Gamma^r_ml Gamma^l_ns - Gamma^r_nl Gamma^l_ms
     ric = np.empty((DIM, DIM) + grid.shape)
     for s in range(DIM):
@@ -224,25 +219,21 @@ def _gauss_curvature_generic(metric: LeafMetric, gamma: np.ndarray, ginv: np.nda
                 acc = acc + term
             ric[s, n] = acc
     ric = 0.5 * (ric + ric.swapaxes(0, 1))
-    return 0.5 * _trace(_component_major(ginv, 2), ric)
+    return 0.5 * _trace(pack.ginv_c, ric)
 
 
-def gauss_curvature(metric: LeafMetric, gamma: np.ndarray | None = None,
-                    ginv: np.ndarray | None = None) -> np.ndarray:
-    """Gauss curvature K per node (spherical charts use the
-    surface-of-revolution formula; ``gamma`` and ``ginv`` are reused when given)."""
+def gauss_curvature(metric: LeafMetric, pack: CurvaturePack | None = None) -> np.ndarray:
+    """Gauss curvature K per node.  Spherical charts use the surface-of-revolution
+    formula and need no ``pack``; other grids build one if none is given."""
     if metric.grid.topology == SPHERICAL_1D:
         return _gauss_curvature_symmetric(metric)
-    ginv = metric.inverse() if ginv is None else ginv
-    if gamma is None:
-        gamma = christoffel(metric, ginv)
-    return _gauss_curvature_generic(metric, gamma, ginv)
+    return _gauss_curvature_generic(curvature(metric) if pack is None else pack)
 
 
 def curvature(metric: LeafMetric) -> CurvaturePack:
-    """Curvature pack: Christoffel symbols and the Gauss curvature K."""
-    gamma = christoffel(metric)
-    return CurvaturePack(metric, gamma, gauss_curvature(metric, gamma))
+    """The geometry pack of ``metric``; its one inversion serves Gamma, K and the kernels."""
+    ginv = metric.inverse()
+    return CurvaturePack(metric, ginv, christoffel(metric, ginv))
 
 
 def ricci(metric: LeafMetric) -> np.ndarray:
@@ -292,17 +283,17 @@ def hessian(metric: LeafMetric, field, gamma: np.ndarray | None = None) -> np.nd
     return _node_major(hess, 2)
 
 
-def laplace_beltrami(metric: LeafMetric, field, op: HeatOperator | None = None) -> np.ndarray:
+def laplace_beltrami(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np.ndarray:
     """Trace g^ab f_ab of the covariant Hessian of :func:`hessian`, fused
-    component by component from ``op`` (built from ``metric`` if not given).
+    component by component from ``pack`` (built from ``metric`` if not given).
 
     These are the operations of :func:`hessian` and of its einsum trace, in
     their order, so the two agree bit for bit; the sphere chart skips the
     terms that vanish there.
     """
     values = field_values(field, metric.grid)
-    op = HeatOperator.build(metric) if op is None else op
-    grid, g, G = metric.grid, op.ginv_c, op.gamma_c
+    pack = curvature(metric) if pack is None else pack
+    grid, g, G = metric.grid, pack.ginv_c, pack.gamma_c
     d0 = partial_deriv(grid, values, 0)
     if grid.topology == SPHERICAL_1D:
         # d_1 f, d_11 f and d_01 f vanish, and so do g^01 and Gamma^0_01 of
@@ -327,13 +318,12 @@ def bochner_residual(metric: LeafMetric, field) -> np.ndarray:
     """
     values = field_values(field, metric.grid)
     pack = curvature(metric)
-    op = HeatOperator(metric, pack.christoffel)
-    ginv = op.ginv
+    ginv = pack.ginv
     gradsq = grad_norm_sq(metric, values)
-    lhs = laplace_beltrami(metric, gradsq, op)
-    hess = hessian(metric, values, gamma=op.gamma)
+    lhs = laplace_beltrami(metric, gradsq, pack)
+    hess = hessian(metric, values, gamma=pack.christoffel)
     hess_sq = np.einsum("...ac,...bd,...ab,...cd->...", ginv, ginv, hess, hess)
-    lap = laplace_beltrami(metric, values, op)
+    lap = laplace_beltrami(metric, values, pack)
     df = np.stack([partial_deriv(metric.grid, values, d) for d in range(DIM)], axis=-1)
     dlap = np.stack([partial_deriv(metric.grid, lap, d) for d in range(DIM)], axis=-1)
     cross = np.einsum("...ab,...a,...b->...", ginv, df, dlap)
@@ -351,8 +341,7 @@ def ricci_identity_residual(metric: LeafMetric, field) -> np.ndarray:
     values = field_values(field, metric.grid)
     grid = metric.grid
     pack = curvature(metric)
-    gamma = _component_major(pack.christoffel, 3)
-    ginv = _component_major(metric.inverse(), 2)
+    gamma, ginv = pack.gamma_c, pack.ginv_c
     hess_view = hessian(metric, values, gamma=pack.christoffel)
     hess = _component_major(hess_view, 2)
     # covariant divergence of the Hessian: B_i = g^jk ( d_k H_ij - G^l_ki H_lj - G^l_kj H_il )

@@ -154,7 +154,6 @@ def _param_deriv(params: np.ndarray, samples: np.ndarray) -> np.ndarray:
     out = np.empty_like(samples)
     t = params
     out[1:-1] = (samples[2:] - samples[:-2]) / (t[2:] - t[:-2])[:, None]
-    out[0] = (samples[1] - samples[0]) / (t[1] - t[0])
     out[0] = (-3 * samples[0] + 4 * samples[1] - samples[2]) / (t[2] - t[0])
     out[-1] = (3 * samples[-1] - 4 * samples[-2] + samples[-3]) / (t[-1] - t[-3])
     return out

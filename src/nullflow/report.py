@@ -8,6 +8,7 @@ emitted directly (simple polyline documents) with no plotting library.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -128,19 +129,7 @@ def _round_trip(obj):
 
 
 def estimate_report_doc(report) -> dict:
-    return {
-        "theorem": report.theorem,
-        "status": report.status,
-        "constants": _round_trip(report.constants),
-        "measured_bounds": _round_trip(report.measured_bounds),
-        "max_violation": _round_trip(report.max_violation),
-        "min_margin": _round_trip(report.min_margin),
-        "margin_quantiles": _round_trip(report.margin_quantiles),
-        "violations": _round_trip(report.violations),
-        "failed_hypothesis": report.failed_hypothesis,
-        "admissible_points": report.admissible_points,
-        "extra": _round_trip(report.extra),
-    }
+    return _round_trip(asdict(report))
 
 
 def run_report_doc(trajectory: FlowTrajectory, reports, seed: int) -> dict:

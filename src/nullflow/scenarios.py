@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import make_sphere_grid, make_torus_grid
+from .grids import finite_real, make_sphere_grid, make_torus_grid
 from .metric import DIM, LeafMetric
 
 SCENARIOS = ("round-sphere", "flat-torus", "torus-bump")
@@ -24,8 +24,8 @@ class ScenarioError(ValueError):
 
 
 def sphere_metric(radius: float, n: int = DEFAULT_RESOLUTION) -> LeafMetric:
-    if radius <= 0:
-        raise ScenarioError("sphere radius must be positive")
+    if not (finite_real(radius) and radius > 0):
+        raise ScenarioError(f"sphere radius must be a finite number above 0, got {radius!r}")
     grid = make_sphere_grid(n)
     theta = grid.axes[0]
     comps = np.zeros(grid.shape + (DIM, DIM))
@@ -35,8 +35,8 @@ def sphere_metric(radius: float, n: int = DEFAULT_RESOLUTION) -> LeafMetric:
 
 
 def flat_torus_metric(side: float = 2.0 * np.pi, n: int = DEFAULT_RESOLUTION) -> LeafMetric:
-    if side <= 0:
-        raise ScenarioError("torus side must be positive")
+    if not (finite_real(side) and side > 0):
+        raise ScenarioError(f"torus side must be a finite number above 0, got {side!r}")
     grid = make_torus_grid(n, side=side)
     comps = np.zeros(grid.shape + (DIM, DIM))
     comps[..., 0, 0] = 1.0
@@ -49,10 +49,8 @@ def torus_bump_conformal_factor(amp: float, x: np.ndarray, y: np.ndarray) -> np.
 
 
 def torus_bump_metric(amp: float, n: int = DEFAULT_RESOLUTION) -> LeafMetric:
-    if abs(amp) >= 1.0:
-        raise ScenarioError(
-            "bump amplitude must satisfy |amp| < 1 to keep the metric positive definite"
-        )
+    if not (finite_real(amp) and abs(amp) < 1.0):
+        raise ScenarioError(f"bump amplitude must be a finite number with |amp| < 1, got {amp!r}")
     grid = make_torus_grid(n)
     x, y = grid.coordinate_fields()
     factor = torus_bump_conformal_factor(amp, x, y)

@@ -148,6 +148,14 @@ _TORUS_DOC = {
     (("estimates", "alpha"), None, "alpha must be"),
     (("estimates", "p"), False, "p and q must be"),
     (("estimates", "q"), "x", "p and q must be"),
+    (("flow", "t_end"), True, "t_end must be"),
+    (("flow", "t_end"), "1", "t_end must be"),
+    (("flow", "dt_initial"), False, "dt_initial must be"),
+    (("flow", "eps_singular_rel"), True, "eps_singular_rel must be"),
+    (("flow", "heat_t_max"), True, "heat_t_max must be"),
+    (("flow", "heat_t_max"), "x", "heat_t_max must be"),
+    (("scenario", "amp"), True, "amplitude must be"),
+    (("scenario", "amp"), "0.3", "amplitude must be"),
 ])
 def test_parse_rejects_malformed_fields(path, value, match):
     doc = json.loads(json.dumps(_TORUS_DOC))
@@ -180,18 +188,27 @@ def _fields(doc):
             yield from ((key, sub) for sub in value)
 
 
+_CONSTANTS = {
+    "estimates": ("alpha", "p", "q", "rho", "A", "ricci_upper"),
+    "flow": ("t_end", "dt_initial", "eps_singular_rel", "heat_t_max"),
+    "scenario": ("radius", "side", "amp"),
+}
+
+
 def _valid_constant(path, value):
-    """The numbers of the estimates section: alpha >= 1, p, q, rho and A > 0,
-    ricci_upper >= 0; only A and ricci_upper may be null."""
-    key = path[1] if path[0] == "estimates" and len(path) == 2 else None
-    if key not in ("alpha", "p", "q", "rho", "A", "ricci_upper"):
+    """The numbers of a run document: alpha >= 1, |amp| < 1, ricci_upper >= 0
+    and every other one > 0; only A, ricci_upper and heat_t_max may be null."""
+    if len(path) != 2 or path[1] not in _CONSTANTS.get(path[0], ()):
         return True
+    key = path[1]
     if value is None:
-        return key in ("A", "ricci_upper")
+        return key in ("A", "ricci_upper", "heat_t_max")
     if type(value) not in (int, float):
         return False
     if key == "alpha":
         return value >= 1
+    if key == "amp":
+        return abs(value) < 1
     return value >= 0 if key == "ricci_upper" else value > 0
 
 
@@ -474,6 +491,15 @@ def test_cli_exit_two_on_bad_config(tmp_path, capsys):
     bad.write_text("{\"scenario\": {\"name\": \"klein-bottle\"}}")
     assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", _write_cfg(tmp_path, _base_doc()), "--out", str(out), "--seed", "-5"]) == 2
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert main(["run", _write_cfg(tmp_path, _base_doc()), "--out", str(out), "--seed", "5"]) == 0
+    assert json.loads((out / "report.json").read_text())["seed"] == 5
 
 
 @pytest.mark.parametrize("value", ["x", -1])

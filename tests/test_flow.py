@@ -102,25 +102,49 @@ def test_backward_run_grows_sphere():
     assert abs(traj.metrics[-1].comps[mid, 0, 0] - 1.0) < 1e-12
 
 
-def test_conjugate_heat_builds_one_curvature_pack_per_sample(monkeypatch):
+def _check_one_curvature_pack_per_sample(monkeypatch, heat):
     import nullflow.flow as flow
+    import nullflow.metric as metric_module
     from nullflow.estimates import EstimateParams, build_cutoff, verify
 
-    calls = []
-    build = flow.curvature_pack
+    calls, gammas = [], []
+    build, christoffel = flow.curvature_pack, metric_module.christoffel
     monkeypatch.setattr(flow, "curvature_pack", lambda metric: calls.append(1) or build(metric))
+    monkeypatch.setattr(metric_module, "christoffel", lambda m, *ginv: gammas.append(1) or christoffel(m, *ginv))
     m = sphere_metric(1.0, 32)
     traj = run_flow(
         m,
-        FlowConfig(direction="backward", t_end=0.1, dt_initial=1e-3,
-                   heat="conjugate-heat", sample_every=20),
+        FlowConfig(direction="backward", t_end=0.1, dt_initial=1e-3, heat=heat, sample_every=20),
         u0=ScalarField(m.grid, 2.0 + np.cos(m.grid.axes[0])),
     )
-    assert len(calls) == len(traj.times) == 6
+    assert len(calls) == len(gammas) == len(traj.times) == 6
     rep = verify(traj, "log-gradient-backward", EstimateParams(rho=0.5, center=16),
                  cert=build_cutoff(samples=10_001))
     assert rep.status == "holds"
-    assert len(calls) == len(traj.times)
+    # verify reuses the heat solve's packs, so it builds none of its own
+    assert len(calls) == len(gammas) == len(traj.times)
+
+
+def test_conjugate_heat_builds_one_curvature_pack_per_sample(monkeypatch):
+    _check_one_curvature_pack_per_sample(monkeypatch, "conjugate-heat")
+
+
+def test_plain_heat_builds_one_curvature_pack_per_sample(monkeypatch):
+    _check_one_curvature_pack_per_sample(monkeypatch, "heat")
+
+
+def test_conjugate_heat_inverts_each_sample_metric_once(monkeypatch):
+    m = torus_bump_metric(0.3, 16)
+    traj = run_flow(m, FlowConfig(t_end=0.05, dt_initial=1e-2, sample_every=1))
+    assert len(traj.times) == 6
+    calls = []
+    inverse = LeafMetric.inverse
+    monkeypatch.setattr(LeafMetric, "inverse", lambda self: calls.append(self) or inverse(self))
+    x, _ = m.grid.coordinate_fields()
+    heats = solve_conjugate_heat(traj, ScalarField(m.grid, 2.0 + np.sin(x)))
+    assert len(heats) == 6
+    # Gamma, K and the Laplacian share one inverse per sample
+    assert len(calls) == len({id(metric) for metric in calls}) == 6
 
 
 def _reference_heat_substep(metric, u, dt, conjugate):

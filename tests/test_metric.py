@@ -4,7 +4,6 @@ import pytest
 import node_major_reference as ref
 from nullflow.grids import ScalarField, make_sphere_grid, make_torus_grid
 from nullflow.metric import (
-    HeatOperator,
     LeafMetric,
     MetricError,
     SingularMetricError,
@@ -109,25 +108,29 @@ def test_kernels_bit_identical_to_node_major_reference(case):
     assert np.array_equal(hessian(m, u), ref.hessian(m, u))
     lap = ref.laplace_beltrami(m, u)
     assert np.array_equal(laplace_beltrami(m, u), lap)
-    assert np.array_equal(laplace_beltrami(m, u, HeatOperator.build(m, conjugate=True)), lap)
+    assert np.array_equal(laplace_beltrami(m, u, curvature(m)), lap)
 
 
 @pytest.mark.parametrize("case", ["sphere-48", "bump-16-g01"])
-@pytest.mark.parametrize("conjugate", [False, True])
-def test_heat_operator_build_inverts_its_metric_once(monkeypatch, case, conjugate):
-    m, _ = _kernel_case(case)
+@pytest.mark.parametrize("with_K", [False, True])
+def test_curvature_inverts_its_metric_once(monkeypatch, case, with_K):
+    m, u = _kernel_case(case)
     calls = []
     inverse = LeafMetric.inverse
     monkeypatch.setattr(LeafMetric, "inverse", lambda self: calls.append(1) or inverse(self))
-    op = HeatOperator.build(m, conjugate)
+    pack = curvature(m)
+    if with_K:  # K, computed on first use, and the kernels reuse the pack's inverse
+        K = pack.K
+        lap = laplace_beltrami(m, u, pack)
     assert len(calls) == 1
+    assert ("K" in vars(pack)) == with_K
     monkeypatch.undo()
-    assert np.array_equal(op.ginv, m.inverse())
-    assert np.array_equal(op.gamma, christoffel(m))
-    if conjugate:
-        assert np.array_equal(op.scal, 2.0 * gauss_curvature(m))
-    else:
-        assert op.scal is None
+    assert np.array_equal(pack.ginv, m.inverse())
+    assert np.array_equal(pack.christoffel, christoffel(m))
+    if with_K:
+        assert np.array_equal(K, gauss_curvature(m))
+        assert pack.K is K
+        assert np.array_equal(lap, laplace_beltrami(m, u))
 
 
 def test_sphere_curvature_requires_a_diagonal_metric():

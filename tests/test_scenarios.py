@@ -47,3 +47,13 @@ def test_invalid_scenario_inputs():
         flat_torus_metric(side=-1.0)
     with pytest.raises(ScenarioError):
         build_scenario_metric("round-sphere", radius=1.0, warp=2.0)
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("round-sphere", "radius", True), ("round-sphere", "radius", "1"),
+    ("round-sphere", "radius", np.inf), ("flat-torus", "side", False),
+    ("flat-torus", "side", np.nan), ("torus-bump", "amp", True), ("torus-bump", "amp", "0.2"),
+])
+def test_scenario_parameters_must_be_finite_numbers(name, key, value):
+    with pytest.raises(ScenarioError, match="must be a finite number"):
+        build_scenario_metric(name, **{key: value, "resolution": 16})
