@@ -54,43 +54,33 @@ def _distance_symmetric(metric: LeafMetric, center: int) -> DistanceField:
     return DistanceField(grid, d, theta >= theta[0] + margin)
 
 
-def _min_image(delta: np.ndarray, period: float) -> np.ndarray:
-    return delta - period * np.round(delta / period)
-
-
 def _is_constant_diagonal(metric: LeafMetric) -> bool:
     g = metric.comps
     if np.max(np.abs(g[..., 0, 1])) > 1e-13:
         return False
-    return (
-        np.ptp(g[..., 0, 0]) < 1e-13 * max(1.0, np.max(g[..., 0, 0]))
-        and np.ptp(g[..., 1, 1]) < 1e-13 * max(1.0, np.max(g[..., 1, 1]))
-    )
+    return all(np.ptp(c) < 1e-13 * max(1.0, np.max(c)) for c in (g[..., 0, 0], g[..., 1, 1]))
+
+
+def _min_image_offsets(grid: LeafGrid, center: tuple):
+    """Coordinate offsets from the center to each node's nearest periodic image,
+    and the two periods."""
+    lx, ly = (n * h for n, h in zip(grid.shape, grid.spacings))
+    x, y = grid.coordinate_fields()
+    dx, dy = x - x[center], y - y[center]
+    return dx - lx * np.round(dx / lx), dy - ly * np.round(dy / ly), lx, ly
 
 
 def _periodic_mask(grid: LeafGrid, center: tuple) -> np.ndarray:
-    x, y = grid.coordinate_fields()
-    hx, hy = grid.spacings
-    lx = grid.shape[0] * hx
-    ly = grid.shape[1] * hy
-    dx = np.abs(_min_image(x - x[center], lx))
-    dy = np.abs(_min_image(y - y[center], ly))
-    near_cut = (dx >= lx / 2 - CUT_LOCUS_MARGIN * hx) | (dy >= ly / 2 - CUT_LOCUS_MARGIN * hy)
-    return ~near_cut
+    dx, dy, lx, ly = _min_image_offsets(grid, center)
+    hx, hy = grid.spacings  # nodes within the margin of the cut locus are invalid
+    return (np.abs(dx) < lx / 2 - CUT_LOCUS_MARGIN * hx) & (np.abs(dy) < ly / 2 - CUT_LOCUS_MARGIN * hy)
 
 
 def _distance_flat_periodic(metric: LeafMetric, center: tuple) -> DistanceField:
-    grid = metric.grid
-    x, y = grid.coordinate_fields()
-    hx, hy = grid.spacings
-    lx = grid.shape[0] * hx
-    ly = grid.shape[1] * hy
-    gxx = metric.comps[(0,) * grid.ndim_grid + (0, 0)]
-    gyy = metric.comps[(0,) * grid.ndim_grid + (1, 1)]
-    dx = _min_image(x - x[center], lx)
-    dy = _min_image(y - y[center], ly)
-    d = np.sqrt(gxx * dx**2 + gyy * dy**2)
-    return DistanceField(grid, d, _periodic_mask(grid, center))
+    dx, dy, _, _ = _min_image_offsets(metric.grid, center)
+    g = metric.comps[0, 0]
+    d = np.sqrt(g[0, 0] * dx**2 + g[1, 1] * dy**2)
+    return DistanceField(metric.grid, d, _periodic_mask(metric.grid, center))
 
 
 _NEIGHBOR_STEPS = [
@@ -107,23 +97,24 @@ def _distance_dijkstra(metric: LeafMetric, center: tuple) -> DistanceField:
     grid = metric.grid
     nx, ny = grid.shape
     hx, hy = grid.spacings
-    g = metric.comps
-    node = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny)
+    g00, g01, g11 = (np.ascontiguousarray(metric.comps[..., a, b]) for a, b in ((0, 0), (0, 1), (1, 1)))
     steps = len(_NEIGHBOR_STEPS)
     weights = np.empty(grid.shape + (steps,))
-    targets = np.empty(grid.shape + (steps,), dtype=np.int32)
-    for s, (di, dj) in enumerate(_NEIGHBOR_STEPS):
+    for s, (di, dj) in enumerate(_NEIGHBOR_STEPS[:steps // 2]):
         # the edge (i, j) -> (i + di, j + dj) is measured by the mean of both metrics
-        gm = 0.5 * (g + np.roll(g, (-di, -dj), axis=(0, 1)))
+        m00, m01, m11 = (0.5 * (c + np.roll(c, (-di, -dj), axis=(0, 1))) for c in (g00, g01, g11))
         vx, vy = di * hx, dj * hy
-        weights[..., s] = np.sqrt(
-            gm[..., 0, 0] * vx * vx + 2.0 * gm[..., 0, 1] * vx * vy + gm[..., 1, 1] * vy * vy
-        )
-        targets[..., s] = np.roll(node, (-di, -dj), axis=(0, 1))
+        weights[..., s] = np.sqrt(m00 * vx * vx + 2.0 * m01 * vx * vy + m11 * vy * vy)
+        # the steps are listed in pairs (s, -s) from both ends, and the edge
+        # (i, j) -> (i - di, j - dj) is the edge above seen from its far end
+        weights[..., steps - 1 - s] = np.roll(weights[..., s], (di, dj), axis=(0, 1))
+    di, dj = np.array(_NEIGHBOR_STEPS, dtype=np.int32).T
+    targets = ((np.arange(nx, dtype=np.int32)[:, None] + di) % nx * ny)[:, None] + (
+        (np.arange(ny, dtype=np.int32)[:, None] + dj) % ny)
     # CSR row r holds the edges leaving node r, one per step
-    row_starts = np.arange(0, node.size * steps + 1, steps, dtype=np.int32)
+    row_starts = np.arange(0, nx * ny * steps + 1, steps, dtype=np.int32)
     graph = csr_matrix((weights.ravel(), targets.ravel(), row_starts))
-    dist = dijkstra(graph, indices=node[center])
+    dist = dijkstra(graph, indices=np.arange(nx * ny).reshape(nx, ny)[center])
     return DistanceField(grid, dist.reshape(grid.shape), _periodic_mask(grid, center))
 
 

@@ -204,17 +204,17 @@ def time_derivative(times: np.ndarray, series: np.ndarray) -> np.ndarray:
     return np.gradient(series, times, axis=0, edge_order=2)
 
 
-def harnack_quantity(metric, u, u_t, alpha: float, t: float) -> np.ndarray:
+def harnack_quantity(metric, u, u_t, alpha: float, t: float, pack=None) -> np.ndarray:
     """G = t (|grad f|^2 - alpha f_t) with f = ln u.
 
     Discretized so the chain rule is exact: |grad f|^2 := |grad u|^2/u^2
     and f_t := u_t/u, making G/t = |grad u|^2/u^2 - alpha u_t/u an
-    algebraic identity.
+    algebraic identity.  ``pack`` is the metric's CurvaturePack, if built.
     """
     u = np.asarray(field_values(u), dtype=float)
     if np.any(u <= 0.0):
         raise EstimateError("u must be positive everywhere")
-    grad2 = grad_norm_sq(metric, u) / u**2
+    grad2 = grad_norm_sq(metric, u, pack) / u**2
     ft = np.asarray(u_t, dtype=float) / u
     return t * (grad2 - alpha * ft)
 
@@ -327,6 +327,7 @@ def verify(
     they are taken as the measured suprema over the admissible region
     (with slack), making the check property-based.  Hypothesis failures
     produce status ``hypothesis-violated`` and no conclusion judgement.
+    Distances are cached in ``trajectory.distances`` per (sample, center).
     """
     if theorem not in THEOREM_IDS:
         raise EstimateError(f"unknown theorem id {theorem!r}; choose from {THEOREM_IDS}")
@@ -341,9 +342,16 @@ def verify(
     horizon = trajectory.heat_valid_until
     t_hi = np.inf if horizon is None else horizon + 1e-12
     times = trajectory.times[trajectory.times <= t_hi]
+    if len(times) < 3:
+        raise EstimateError(f"u_t needs at least 3 live heat samples, the trajectory has {len(times)}")
     u_live = np.stack([f.values for f in trajectory.heat_fields[:len(times)]])
     u_t_live = time_derivative(times, u_live)
-    dists = [geodesic_distance(m, params.center) for m in trajectory.metrics[:len(times)]]
+    # the cube depends on the sample and the center only, not on the theorem
+    center = tuple(np.atleast_1d(params.center).tolist())
+    for k, m in enumerate(trajectory.metrics[:len(times)]):
+        if (k, center) not in trajectory.distances:
+            trajectory.distances[k, center] = geodesic_distance(m, params.center)
+    dists = [trajectory.distances[k, center] for k in range(len(times))]
     masks = [d.valid & (d.values <= 2.0 * params.rho) for d in dists]  # the cube d <= 2 rho
     measured = curvature_suprema(trajectory, masks)
     constants = operational_constants(cert)
@@ -377,8 +385,9 @@ def verify(
     ):
         if t <= t_min or t <= 0.0 or not np.any(mask):
             continue
+        pack = trajectory.curvature(k)  # built by curvature_suprema for a nonempty mask
         if theorem in ("log-gradient-backward", "log-gradient-forward"):
-            lhs = grad_norm_sq(metric, u) / u**2
+            lhs = grad_norm_sq(metric, u, pack) / u**2
             if theorem == "log-gradient-backward":
                 rhs = bound_backward_thm(t, bounds, params.rho, cert, A, u)
                 variant = bound_backward_thm_proof_variant(t, bounds, params.rho, cert, A, u)
@@ -388,7 +397,7 @@ def verify(
             else:
                 rhs = bound_forward_thm(t, bounds.rho1, bounds.rho3, params.rho, cert, A, u)
         else:
-            G = harnack_quantity(metric, u, u_t, params.alpha, t)
+            G = harnack_quantity(metric, u, u_t, params.alpha, t, pack)
             lhs = G / t
             if theorem == "harnack-local":
                 rhs_val = bound_local_forward(

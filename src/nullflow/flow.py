@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import LeafGrid, ScalarField, field_values, finite_real
-from .metric import CurvaturePack, LeafMetric, SingularMetricError, grad_norm_sq
+from .metric import CurvaturePack, LeafMetric, SingularMetricError
 from .metric import laplace_beltrami, ricci
 from .metric import curvature as curvature_pack
 
@@ -83,6 +83,7 @@ class FlowTrajectory:
     singular_time: float | None = None
     heat_valid_until: float | None = None  # u frozen past this time (if set)
     curvatures: list = field(default_factory=list)  # lazily filled CurvaturePacks
+    distances: dict = field(default_factory=dict)  # (sample, center tuple) -> DistanceField
 
     @property
     def grid(self):
@@ -197,15 +198,23 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
     threshold = config.eps_singular_rel * float(np.min(initial.min_eigenvalue()))
     heat_t_max = config.heat_t_max if config.heat_t_max is not None else config.t_end
 
-    times = [0.0]
-    metrics = [initial.copy()]
-    heats = [u.copy()] if u is not None else None
-
     t = 0.0
     dt = config.dt_initial
     metric = initial.copy()
     # the geometry of ``metric``; each step's second heat half builds the next one
     pack = curvature_pack(metric) if u is not None else None
+    times, metrics, packs = [], [], []
+    heats = [] if u is not None else None
+
+    def store():
+        # the stored metric is never modified, so its pack, when current, serves verify
+        times.append(t)
+        metrics.append(metric)
+        packs.append(pack if pack is not None and pack.metric is metric else None)
+        if heats is not None:
+            heats.append(ScalarField(metric.grid, u.copy()))
+
+    store()
     termination = REACHED_T_END
     singular_time = None
     step = 0
@@ -239,26 +248,15 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
         t += dt_step
         step += 1
         if step % config.sample_every == 0:
-            times.append(t)
-            metrics.append(metric.copy())
-            if heats is not None:
-                heats.append(u.copy())
+            store()
 
     if termination == REACHED_T_END and not np.isclose(times[-1], t):
-        times.append(t)
-        metrics.append(metric.copy())
-        if heats is not None:
-            heats.append(u.copy())
+        store()
 
-    heat_fields = None
-    valid_until = None
-    if heats is not None:
-        heat_fields = [ScalarField(initial.grid, v) for v in heats]
-        if heat_t_max < config.t_end:
-            valid_until = heat_t_max
+    valid_until = heat_t_max if heats is not None and heat_t_max < config.t_end else None
     return FlowTrajectory(
-        np.asarray(times), metrics, heat_fields, termination, singular_time,
-        heat_valid_until=valid_until,
+        np.asarray(times), metrics, heats, termination, singular_time,
+        heat_valid_until=valid_until, curvatures=packs,
     )
 
 
@@ -270,7 +268,7 @@ def _run_backward(initial: LeafMetric, config: FlowConfig, u0: ScalarField | Non
             f"terminated {fwd.termination} before t_end"
         )
     times = config.t_end - fwd.times[::-1]
-    metrics = [m.copy() for m in reversed(fwd.metrics)]
+    metrics = fwd.metrics[::-1]  # the auxiliary run is discarded, so its samples need no copy
     traj = FlowTrajectory(times, metrics, None, REACHED_T_END)
     if config.heat != HEAT_NONE:
         if u0 is None:
@@ -349,12 +347,11 @@ def curvature_suprema(trajectory: FlowTrajectory, masks=None) -> dict:
             continue
         pack = trajectory.curvature(k)
         K = pack.K[mask]
-        grad_scal = np.sqrt(grad_norm_sq(pack.metric, pack.scal))
         for key, values in (
             ("neg_scal_sup", -pack.scal[mask]),
             ("neg_ricci_eig_sup", -K),
             ("ricci_eig_sup", K),
-            ("grad_scal_sup", grad_scal[mask]),
+            ("grad_scal_sup", pack.grad_scal[mask]),
         ):
             sups[key] = max(sups[key], float(np.max(values)))
     return sups

@@ -151,6 +151,11 @@ class CurvaturePack:
     def K(self) -> np.ndarray:
         return gauss_curvature(self.metric, self)
 
+    @cached_property
+    def grad_scal(self) -> np.ndarray:
+        """|grad Scal'| per node."""
+        return np.sqrt(grad_norm_sq(self.metric, self.scal, self))
+
     @property
     def ricci(self) -> np.ndarray:
         """Ric_ab = K g_ab, shape + (a, b)."""
@@ -241,23 +246,25 @@ def ricci(metric: LeafMetric) -> np.ndarray:
     return gauss_curvature(metric)[..., None, None] * metric.comps
 
 
-def gradient(metric: LeafMetric, field) -> np.ndarray:
-    """Contravariant gradient (grad f)^a = g^ab d_b f, shape grid + (2,)."""
+def _inverse_and_differential(metric: LeafMetric, field, pack: CurvaturePack | None):
+    """g^ab (the pack's, when given) and d_a f, both node-major."""
     values = field_values(field, metric.grid)
-    ginv = metric.inverse()
+    ginv = metric.inverse() if pack is None else pack.ginv
     df = np.stack(
         [partial_deriv(metric.grid, values, axis=d) for d in range(DIM)], axis=-1
     )
+    return ginv, df
+
+
+def gradient(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np.ndarray:
+    """Contravariant gradient (grad f)^a = g^ab d_b f, shape grid + (2,)."""
+    ginv, df = _inverse_and_differential(metric, field, pack)
     return np.einsum("...ab,...b->...a", ginv, df)
 
 
-def grad_norm_sq(metric: LeafMetric, field) -> np.ndarray:
+def grad_norm_sq(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np.ndarray:
     """||grad f||^2 = g^ab d_a f d_b f >= 0."""
-    values = field_values(field, metric.grid)
-    ginv = metric.inverse()
-    df = np.stack(
-        [partial_deriv(metric.grid, values, axis=d) for d in range(DIM)], axis=-1
-    )
+    ginv, df = _inverse_and_differential(metric, field, pack)
     out = np.einsum("...ab,...a,...b->...", ginv, df, df)
     return np.maximum(out, 0.0)
 
@@ -319,7 +326,7 @@ def bochner_residual(metric: LeafMetric, field) -> np.ndarray:
     values = field_values(field, metric.grid)
     pack = curvature(metric)
     ginv = pack.ginv
-    gradsq = grad_norm_sq(metric, values)
+    gradsq = grad_norm_sq(metric, values, pack)
     lhs = laplace_beltrami(metric, gradsq, pack)
     hess = hessian(metric, values, gamma=pack.christoffel)
     hess_sq = np.einsum("...ac,...bd,...ab,...cd->...", ginv, ginv, hess, hess)
@@ -358,7 +365,7 @@ def ricci_identity_residual(metric: LeafMetric, field) -> np.ndarray:
     div_hess = np.stack([_trace(ginv, cov[:, i].swapaxes(0, 1)) for i in range(DIM)], axis=-1)
     lap = _trace(ginv, hess)
     dlap = np.stack([partial_deriv(grid, lap, d) for d in range(DIM)], axis=-1)
-    gradf = gradient(metric, values)
+    gradf = gradient(metric, values, pack)
     ric_low = np.einsum("...ij,...j->...i", pack.ricci, gradf)
     resid = div_hess - dlap - ric_low
     return np.einsum("...i,...i->...", gradf, resid)

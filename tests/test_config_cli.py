@@ -510,6 +510,21 @@ def test_cli_exit_two_on_bad_estimate_constant(tmp_path, capsys, value):
     assert "A must be a finite number above 0" in capsys.readouterr().err
 
 
+def test_cli_exit_two_on_too_few_live_heat_samples(tmp_path, capsys):
+    # two stored samples give no second-order time derivative of u
+    doc = {
+        "scenario": {"name": "torus-bump", "amp": 0.3, "resolution": 16},
+        "flow": {"t_end": 0.01, "heat": "heat", "sample_every": 100},
+        "heat_initial": "cosine-mode",
+        "estimates": {"alpha": 2.0, "p": 4.0, "q": 4.0, "rho": 0.8, "center": [3, 12]},
+        "theorems": ["log-gradient-forward"],
+    }
+    assert main(["run", _write_cfg(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "at least 3 live heat samples, the trajectory has 2" in err
+    assert "Shape of array too small" not in err
+
+
 def test_cli_verify_subcommand_round_trip(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, _base_doc())
     out = tmp_path / "out"

@@ -120,9 +120,8 @@ def _sheared_bump(amp, n, eps):
     return LeafMetric(base.grid, comps)
 
 
-@pytest.mark.parametrize("n", [8, 16, 33])
-@pytest.mark.parametrize("eps", [0.0, 0.2])
-def test_library_dijkstra_matches_heap_reference(n, eps):
+@pytest.mark.parametrize("eps, n", [(e, n) for e in (0.0, 0.2) for n in (8, 16, 33)] + [(0.2, 64)])
+def test_library_dijkstra_matches_heap_reference(eps, n):
     m = _sheared_bump(0.3, n, eps)
     assert (np.max(np.abs(m.comps[..., 0, 1])) > 0.0) == (eps > 0.0)
     for center in [(0, 0), (n - 1, n - 1), (n // 3, n // 2)]:

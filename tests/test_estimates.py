@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from nullflow.config import parse_config
 from nullflow.estimates import (
+    THEOREM_IDS,
     EstimateError,
     _cutoff_d1,
     _cutoff_d2,
@@ -329,6 +331,102 @@ def test_verify_measures_distances_of_live_samples_only(monkeypatch):
     rep = verify(traj, "li-yau", cfg.estimates, cert=CERT)
     assert len(centers) == live
     assert [t for t, _ in rep.extra["margin_by_time"]] == list(traj.times[1:live])
+
+
+_TORUS_HEAT = {
+    "scenario": {"name": "torus-bump", "amp": 0.3, "resolution": 16},
+    "flow": {"t_end": 0.1, "dt_initial": 0.002, "heat": "heat", "sample_every": 10},
+    "heat_initial": "cosine-mode",
+    "estimates": {"alpha": 2.0, "p": 4.0, "q": 4.0, "rho": 0.8, "center": [3, 12]},
+}
+
+
+def _torus_heat_run(**flow):
+    """A torus-bump n = 16 forward heat run (6 samples, all live by default)."""
+    doc = json.loads(json.dumps(_TORUS_HEAT))
+    doc["flow"].update(flow)
+    cfg = parse_config(json.dumps(doc))
+    metric = cfg.build_metric()
+    return cfg, run_flow(metric, cfg.flow, u0=cfg.build_heat_initial(metric))
+
+
+def _count_distance_calls(monkeypatch):
+    import nullflow.estimates as estimates
+
+    centers = []
+    distance = estimates.geodesic_distance
+    monkeypatch.setattr(estimates, "geodesic_distance",
+                        lambda m, c: centers.append(tuple(c)) or distance(m, c))
+    return centers
+
+
+def test_verify_shares_distances_across_theorems(monkeypatch):
+    cfg, traj = _torus_heat_run()
+    centers = _count_distance_calls(monkeypatch)
+    shared = [verify(traj, tid, cfg.estimates, cert=CERT) for tid in THEOREM_IDS]
+    assert centers == [(3, 12)] * len(traj.times)  # once per live sample, not once per theorem
+    assert sorted(traj.distances) == [(k, (3, 12)) for k in range(len(traj.times))]
+    for rep in shared:  # every field as on a trajectory that verifies this theorem alone
+        _, fresh = _torus_heat_run()
+        alone = verify(fresh, rep.theorem, cfg.estimates, cert=CERT)
+        np.testing.assert_equal(dataclasses.asdict(rep), dataclasses.asdict(alone))
+    assert len(centers) == len(traj.times) * (1 + len(THEOREM_IDS))
+
+
+def test_verify_measures_a_second_center_afresh(monkeypatch):
+    cfg, traj = _torus_heat_run()
+    first = verify(traj, "log-gradient-forward", cfg.estimates, cert=CERT)
+    other = dataclasses.replace(cfg.estimates, center=(10, 4))
+    centers = _count_distance_calls(monkeypatch)
+    rep = verify(traj, "log-gradient-forward", other, cert=CERT)
+    assert centers == [(10, 4)] * len(traj.times)
+    assert {c for _, c in traj.distances} == {(3, 12), (10, 4)}
+    assert rep.min_margin != first.min_margin
+    _, fresh = _torus_heat_run()
+    alone = verify(fresh, "log-gradient-forward", other, cert=CERT)
+    np.testing.assert_equal(dataclasses.asdict(rep), dataclasses.asdict(alone))
+
+
+def test_verify_of_forward_heat_run_builds_no_pack_for_a_live_sample(monkeypatch):
+    import nullflow.flow as flow
+
+    cfg = parse_config((Path(__file__).parent / "data" / "golden_config.json").read_text())
+    metric = cfg.build_metric()
+    golden = run_flow(metric, cfg.flow, u0=cfg.build_heat_initial(metric))
+    live = int(np.count_nonzero(golden.times <= golden.heat_valid_until + 1e-12))
+    # the run hands over the pack of each sample inside the heat horizon, where it is current
+    assert [p is not None for p in golden.curvatures] == [k < live for k in range(len(golden.times))]
+    assert all(p.metric is m for p, m in zip(golden.curvatures[:live], golden.metrics))
+    torus_cfg, torus = _torus_heat_run()
+    built = []
+    curvature_pack = flow.curvature_pack
+    monkeypatch.setattr(flow, "curvature_pack", lambda m: built.append(m) or curvature_pack(m))
+    verify(golden, "li-yau", cfg.estimates, cert=CERT)
+    for tid in THEOREM_IDS:
+        verify(torus, tid, torus_cfg.estimates, cert=CERT)
+    assert built == []
+
+
+def test_verify_with_cached_packs_never_inverts_a_metric(monkeypatch):
+    from nullflow.metric import LeafMetric
+
+    cfg, traj = _torus_heat_run()
+    inverted = []
+    inverse = LeafMetric.inverse
+    monkeypatch.setattr(LeafMetric, "inverse", lambda self: inverted.append(self) or inverse(self))
+    for tid in THEOREM_IDS:  # g^-1 comes from the sample's pack in K, |grad Scal'| and the LHS
+        verify(traj, tid, cfg.estimates, cert=CERT)
+    assert inverted == []
+
+
+@pytest.mark.parametrize("flow", [
+    {"t_end": 0.01, "dt_initial": 1e-4, "sample_every": 100},  # 2 stored samples
+    {"heat_t_max": 0.03},  # 6 stored samples, u frozen past the second
+], ids=["two-samples", "two-live-samples"])
+def test_verify_needs_three_live_heat_samples(flow):
+    cfg, traj = _torus_heat_run(**flow)
+    with pytest.raises(EstimateError, match="at least 3 live heat samples, the trajectory has 2"):
+        verify(traj, "log-gradient-forward", cfg.estimates, cert=CERT)
 
 
 def test_verify_hypothesis_gate_blocks_conclusion():
