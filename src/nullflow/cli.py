@@ -48,15 +48,8 @@ def _cmd_run(args) -> int:
     t_flow = time.perf_counter() - t_start
 
     cert = build_cutoff()
-    reports = []
-    margins_by_theorem = {}
     t_start = time.perf_counter()
-    for tid in cfg.theorems:
-        rep = verify(trajectory, tid, cfg.estimates, cert=cert)
-        reports.append(rep)
-        series = rep.extra.get("margin_by_time", [])
-        if series:
-            margins_by_theorem[tid] = series
+    reports = [verify(trajectory, tid, cfg.estimates, cert=cert) for tid in cfg.theorems]
     t_verify = time.perf_counter() - t_start
 
     write_trajectory_csv(out_dir / "trajectory.csv", trajectory)
@@ -66,11 +59,8 @@ def _cmd_run(args) -> int:
         (out_dir / "radius.svg").write_text(
             sphere_radius_plot(trajectory, cfg.scenario.get("radius", 1.0))
         )
-    if margins_by_theorem:  # the first theorem's sample times label the x axis
-        times = [t for t, _ in next(iter(margins_by_theorem.values()))]
-        (out_dir / "margins.svg").write_text(
-            margin_plot(times, {tid: [m for _, m in s] for tid, s in margins_by_theorem.items()})
-        )
+    if any(rep.status != HYPOTHESIS_VIOLATED for rep in reports):
+        (out_dir / "margins.svg").write_text(margin_plot(reports))
 
     print(f"termination: {trajectory.termination}")
     if trajectory.singular_time is not None:

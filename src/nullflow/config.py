@@ -29,11 +29,6 @@ from .scenarios import SCENARIOS, build_scenario_metric
 
 HEAT_INITIAL_IDS = ("constant", "cosine-mode")
 
-_SCENARIO_KEYS = {
-    "round-sphere": {"name", "radius", "resolution"},
-    "flat-torus": {"name", "side", "resolution"},
-    "torus-bump": {"name", "amp", "resolution"},
-}
 _FLOW_KEYS = {
     "direction", "t_end", "dt_initial", "dt_controller",
     "eps_singular_rel", "heat", "heat_t_max", "sample_every",
@@ -98,7 +93,6 @@ def parse_config(text: str) -> RunConfig:
     name = scenario["name"]
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
-    _reject_unknown(scenario, _SCENARIO_KEYS[name], f"scenario {name}")
     resolution = scenario.get("resolution", 1)
     if type(resolution) is not int or resolution < 1:
         raise ConfigError("scenario resolution must be a positive integer")

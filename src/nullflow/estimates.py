@@ -23,10 +23,16 @@ solution u of the (conjugate) heat equation coupled to the leaf flow:
 
 The absolute constants are made operational from a shipped cutoff
 certificate: c1, c2 certified by dense sampling, c3 = max(c1, c2),
-c4 = n c3, c(n) = n c4.  Reports carry the constants used, measured
-curvature bounds, and a status from {holds, violated,
-hypothesis-violated}; a failed hypothesis always suppresses judgement
-of the conclusion.
+c4 = n c3, c(n) = n c4.  The curvature scales rho1, rho2, rho3 are
+always the measured suprema over the admissible cube (with slack), so
+the hypotheses they enter hold by construction; the five that can fail
+are u-upper-bound-A (an explicit A below sup u, log-gradient theorems),
+alpha-greater-than-one (harnack-local), alpha-equals-one (li-yau),
+ricci-nonnegative (li-yau and alpha = 1 harnack-global) and
+ricci-upper-bound (an explicit ricci_upper below sup K, same two).
+Reports carry the constants used, measured curvature bounds, and a
+status from {holds, violated, hypothesis-violated}; a failed hypothesis
+always suppresses judgement of the conclusion.
 """
 from __future__ import annotations
 
@@ -53,6 +59,7 @@ HYPOTHESIS_VIOLATED = "hypothesis-violated"
 
 A_SLACK = 1e-9  # default A = (1 + A_SLACK) * sup u
 HYPOTHESIS_TOL = 1e-3  # curvature hypotheses checked to stencil noise
+CUTOFF_SAFETY = 1.05  # margin on the sampled cutoff constants
 
 
 class EstimateError(ValueError):
@@ -109,7 +116,7 @@ class CutoffCertificate:
     samples: int
 
 
-def build_cutoff(samples: int = 1_000_000, safety: float = 1.05) -> CutoffCertificate:
+def build_cutoff(samples: int = 1_000_000) -> CutoffCertificate:
     """Certify the shipped cutoff constants over a dense sample grid."""
     s = np.linspace(0.0, 2.0, samples)
     # off 1 < s < 2, psi' = psi'' = 0: only the samples inside can raise c1 and c2
@@ -119,17 +126,17 @@ def build_cutoff(samples: int = 1_000_000, safety: float = 1.05) -> CutoffCertif
         w = 2.0 - s[i:min(i + 65_536, hi)]
         neg_d2 = max(neg_d2, float(np.max(-_smoothstep_d2(w))))
         ratio = max(ratio, float(np.max(_smoothstep_d1(w) ** 2 / _smoothstep(w))))  # psi > 0 for 0 < w < 1
-    return CutoffCertificate(neg_d2 * safety, ratio * safety, samples)
+    return CutoffCertificate(neg_d2 * CUTOFF_SAFETY, ratio * CUTOFF_SAFETY, samples)
 
 
-def operational_constants(cert: CutoffCertificate, n: int = DIM) -> dict:
+def operational_constants(cert: CutoffCertificate) -> dict:
     c3 = max(cert.c1, cert.c2)
     return {
         "c1": cert.c1,
         "c2": cert.c2,
         "c3": c3,
-        "c4": n * c3,
-        "c_n": n * n * c3,
+        "c4": DIM * c3,
+        "c_n": DIM * DIM * c3,
     }
 
 
@@ -259,10 +266,11 @@ def bound_forward_thm(t, rho1, rho3, rho, cert: CutoffCertificate, A, u):
     return pref * factor
 
 
-def bound_local_forward(t, bounds: CurvatureBounds, rho, alpha, p, q, c, n: int = DIM):
+def bound_local_forward(t, bounds: CurvatureBounds, rho, alpha, p, q, c):
     """Scalar local Harnack bound over the geodesic cube."""
     if alpha <= 1.0:
         raise EstimateError("local Harnack bound requires alpha > 1")
+    n = DIM
     r12 = bounds.rho1 + bounds.rho2
     return (
         alpha * n * p / (4.0 * t)
@@ -272,12 +280,12 @@ def bound_local_forward(t, bounds: CurvatureBounds, rho, alpha, p, q, c, n: int 
     )
 
 
-def bound_global_forward(t, rho1, rho2, alpha, p, q, n: int = DIM):
+def bound_global_forward(t, rho1, rho2, alpha, p, q):
     """Scalar global Harnack bound; rho2 = None selects the
     nonnegative-Ricci branch with a single scale rho = rho1."""
+    n = DIM
     if rho2 is None:
-        rho = rho1
-        return alpha * n * p / (4.0 * t) + 0.5 * alpha * n * rho * np.sqrt(p * q)
+        return alpha * n * p / (4.0 * t) + 0.5 * alpha * n * rho1 * np.sqrt(p * q)
     if alpha <= 1.0:
         raise EstimateError("global Harnack bound requires alpha > 1 (use the nonnegative-Ricci branch for alpha = 1)")
     return (
@@ -287,9 +295,9 @@ def bound_global_forward(t, rho1, rho2, alpha, p, q, n: int = DIM):
     )
 
 
-def bound_alpha_one(t, rho, n: int = DIM):
+def bound_alpha_one(t, rho):
     """Li-Yau bound n/(2t) + n rho under 0 <= Ric' <= rho g'."""
-    return n / (2.0 * t) + n * rho
+    return DIM / (2.0 * t) + DIM * rho
 
 
 # --- verification sweep ---------------------------------------------------
@@ -309,25 +317,20 @@ class EstimateReport:
     admissible_points: int = 0
     extra: dict = field(default_factory=dict)
 
-    def holds(self) -> bool:
-        return self.status == HOLDS
-
 
 def verify(
     trajectory: FlowTrajectory,
     theorem: str,
     params: EstimateParams,
-    bounds: CurvatureBounds | None = None,
     cert: CutoffCertificate | None = None,
-    t_min: float = 0.0,
 ) -> EstimateReport:
     """Sweep one inequality over every admissible (node, time) pair.
 
-    ``bounds`` supplies the hypothesis curvature scales; when omitted
-    they are taken as the measured suprema over the admissible region
-    (with slack), making the check property-based.  Hypothesis failures
-    produce status ``hypothesis-violated`` and no conclusion judgement.
-    Distances are cached in ``trajectory.distances`` per (sample, center).
+    The curvature scales are the measured suprema over the admissible
+    region (with slack), making the check property-based.  Hypothesis
+    failures produce status ``hypothesis-violated`` and no conclusion
+    judgement.  Distances are cached in ``trajectory.distances`` per
+    (sample, center).
     """
     if theorem not in THEOREM_IDS:
         raise EstimateError(f"unknown theorem id {theorem!r}; choose from {THEOREM_IDS}")
@@ -354,20 +357,19 @@ def verify(
     dists = [trajectory.distances[k, center] for k in range(len(times))]
     masks = [d.valid & (d.values <= 2.0 * params.rho) for d in dists]  # the cube d <= 2 rho
     measured = curvature_suprema(trajectory, masks)
+    bounds = CurvatureBounds.from_suprema(measured)
     constants = operational_constants(cert)
 
     sup_u = float(np.max(u_live))
     A = params.A if params.A is not None else (1.0 + A_SLACK) * sup_u
-
-    if bounds is None:
-        bounds = CurvatureBounds.from_suprema(measured)
+    # rho of Ric' <= rho g' in li-yau and alpha = 1 harnack-global
     rho_up = params.ricci_upper
     if rho_up is None:
         rho_up = measured["ricci_eig_sup"] * (1.0 + 1e-9)
     # the report must carry every constant entering the RHS
     constants.update(A=A, rho1=bounds.rho1, rho2=bounds.rho2, rho3=bounds.rho3)
 
-    failed = _check_hypotheses(theorem, params, bounds, measured, sup_u, A)
+    failed = _check_hypotheses(theorem, params, measured, sup_u, A)
     if failed is not None:
         return EstimateReport(
             theorem, HYPOTHESIS_VIOLATED, constants, measured,
@@ -380,44 +382,34 @@ def verify(
     extra = {"margin_by_time": []}
     if theorem == "log-gradient-backward":
         extra["rhs_proof_variant_min"] = np.inf
+    alpha, p, q, rho = params.alpha, params.p, params.q, params.rho
     for k, (t, metric, mask, u, u_t) in enumerate(
         zip(times, trajectory.metrics, masks, u_live, u_t_live)
     ):
-        if t <= t_min or t <= 0.0 or not np.any(mask):
+        if t <= 0.0 or not np.any(mask):
             continue
         pack = trajectory.curvature(k)  # built by curvature_suprema for a nonempty mask
-        if theorem in ("log-gradient-backward", "log-gradient-forward"):
+        if theorem.startswith("log-gradient"):
             lhs = grad_norm_sq(metric, u, pack) / u**2
-            if theorem == "log-gradient-backward":
-                rhs = bound_backward_thm(t, bounds, params.rho, cert, A, u)
-                variant = bound_backward_thm_proof_variant(t, bounds, params.rho, cert, A, u)
-                extra["rhs_proof_variant_min"] = min(
-                    extra["rhs_proof_variant_min"], float(np.min(variant[mask]))
-                )
-            else:
-                rhs = bound_forward_thm(t, bounds.rho1, bounds.rho3, params.rho, cert, A, u)
         else:
-            G = harnack_quantity(metric, u, u_t, params.alpha, t, pack)
-            lhs = G / t
-            if theorem == "harnack-local":
-                rhs_val = bound_local_forward(
-                    t, bounds, params.rho, params.alpha, params.p, params.q,
-                    constants["c3"],
-                )
-            elif theorem == "harnack-global":
-                if params.alpha > 1.0:
-                    rhs_val = bound_global_forward(
-                        t, bounds.rho1, bounds.rho2, params.alpha, params.p, params.q
-                    )
-                else:
-                    rhs_val = bound_global_forward(
-                        t, rho_up, None, params.alpha, params.p, params.q
-                    )
-            else:  # li-yau
-                rhs_val = bound_alpha_one(t, rho_up)
-            rhs = np.full_like(lhs, rhs_val)
+            lhs = harnack_quantity(metric, u, u_t, alpha, t, pack) / t
+        if theorem == "log-gradient-backward":
+            rhs = bound_backward_thm(t, bounds, rho, cert, A, u)
+            variant = bound_backward_thm_proof_variant(t, bounds, rho, cert, A, u)
+            extra["rhs_proof_variant_min"] = min(
+                extra["rhs_proof_variant_min"], float(np.min(variant[mask]))
+            )
+        elif theorem == "log-gradient-forward":
+            rhs = bound_forward_thm(t, bounds.rho1, bounds.rho3, rho, cert, A, u)
+        elif theorem == "harnack-local":
+            rhs = bound_local_forward(t, bounds, rho, alpha, p, q, constants["c3"])
+        elif theorem == "harnack-global":  # alpha = 1 takes the nonnegative-Ricci branch
+            rho1, rho2 = (bounds.rho1, bounds.rho2) if alpha > 1.0 else (rho_up, None)
+            rhs = bound_global_forward(t, rho1, rho2, alpha, p, q)
+        else:  # li-yau
+            rhs = bound_alpha_one(t, rho_up)
         lhs = lhs[mask]
-        rhs = rhs[mask]
+        rhs = np.broadcast_to(rhs, mask.shape)[mask]
         m = rhs - lhs
         if not np.all(np.isfinite(m)):
             # a NaN comparison is False, so it would silently count as a pass
@@ -449,41 +441,19 @@ def verify(
     )
 
 
-def _check_hypotheses(theorem, params, bounds, measured, sup_u, A):
-    tol = HYPOTHESIS_TOL
-    if theorem in ("log-gradient-backward", "log-gradient-forward"):
-        if sup_u > A:
-            return "u-upper-bound-A"
-        if measured["neg_scal_sup"] > bounds.rho1 + tol:
-            return "scalar-lower-bound"
-        if measured["grad_scal_sup"] > bounds.rho3 + tol:
-            return "scalar-gradient-bound"
-        if theorem == "log-gradient-backward":
-            if measured["neg_ricci_eig_sup"] > bounds.rho2 + tol:
-                return "ricci-lower-bound"
-    elif theorem == "harnack-local":
-        if params.alpha <= 1.0:
-            return "alpha-greater-than-one"
-        if measured["neg_scal_sup"] > bounds.rho1 + tol:
-            return "scalar-lower-bound"
-        if measured["neg_ricci_eig_sup"] > bounds.rho2 + tol:
-            return "ricci-lower-bound"
-    elif theorem == "harnack-global":
-        if params.alpha > 1.0:
-            if measured["neg_scal_sup"] > bounds.rho1 + tol:
-                return "scalar-lower-bound"
-            if measured["neg_ricci_eig_sup"] > bounds.rho2 + tol:
-                return "ricci-lower-bound"
-        else:
-            if measured["neg_ricci_eig_sup"] > tol:
-                return "ricci-nonnegative"
-    elif theorem == "li-yau":
-        if params.alpha != 1.0:
-            return "alpha-equals-one"
-        if measured["neg_ricci_eig_sup"] > tol:
+def _check_hypotheses(theorem, params, measured, sup_u, A):
+    """The first failed hypothesis of ``theorem``, or None.  The
+    curvature scales are measured, so only these five can fail."""
+    if theorem.startswith("log-gradient") and sup_u > A:
+        return "u-upper-bound-A"
+    if theorem == "harnack-local" and params.alpha <= 1.0:
+        return "alpha-greater-than-one"
+    if theorem == "li-yau" and params.alpha != 1.0:
+        return "alpha-equals-one"
+    if theorem in ("li-yau", "harnack-global") and params.alpha <= 1.0:
+        if measured["neg_ricci_eig_sup"] > HYPOTHESIS_TOL:
             return "ricci-nonnegative"
-    rho_up = params.ricci_upper  # rho in Ric' <= rho g' of li-yau and alpha = 1 harnack-global
-    if theorem in ("li-yau", "harnack-global") and params.alpha == 1.0 and rho_up is not None:
-        if measured["ricci_eig_sup"] > rho_up + tol:
+        rho_up = params.ricci_upper  # rho in Ric' <= rho g'
+        if rho_up is not None and measured["ricci_eig_sup"] > rho_up + HYPOTHESIS_TOL:
             return "ricci-upper-bound"
     return None

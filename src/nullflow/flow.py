@@ -31,19 +31,11 @@ SINGULAR = "singular"
 STEP_UNDERFLOW = "step-underflow"
 
 _CFL_NUMBER = 0.2
+BOUND_SLACK = 1e-9  # relative slack of measured curvature bounds
 
 
 class FlowError(ValueError):
     pass
-
-
-class FlowSingular(RuntimeError):
-    """Raised internally when a step would lose positive definiteness."""
-
-    def __init__(self, node, eigenvalue):
-        super().__init__(f"metric singular at node {node} (eigenvalue {eigenvalue:.3e})")
-        self.node = node
-        self.eigenvalue = eigenvalue
 
 
 @dataclass
@@ -72,6 +64,8 @@ class FlowConfig:
             raise FlowError("sample_every must be an integer of at least 1")
         if self.heat_t_max is not None and not (finite_real(self.heat_t_max) and self.heat_t_max > 0):
             raise FlowError(f"heat_t_max must be a finite number above 0, got {self.heat_t_max!r}")
+        if self.heat_t_max is not None and (self.direction == BACKWARD or self.heat == HEAT_NONE):
+            raise FlowError("heat_t_max applies only to a forward run with heat")
 
 
 @dataclass
@@ -126,7 +120,7 @@ def _check_singular(metric: LeafMetric, threshold: float):
     lam = metric.min_eigenvalue()
     if np.min(lam) < threshold:
         node = int(np.argmin(lam))
-        raise FlowSingular(node, float(lam.flat[node]))
+        raise SingularMetricError(f"metric singular at node {node} (eigenvalue {lam.flat[node]:.3e})")
 
 
 def _heat_rhs(pack: CurvaturePack, u: np.ndarray, scal: np.ndarray | None) -> np.ndarray:
@@ -239,7 +233,7 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
             if heat_active:
                 pack = curvature_pack(new_metric)
                 u = _heat_substep(pack, u, 0.5 * h_dt, config.heat)
-        except (FlowSingular, SingularMetricError):
+        except SingularMetricError:
             termination = SINGULAR
             # collapse happened inside this step
             singular_time = t + dt_step
@@ -261,7 +255,7 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
 
 
 def _run_backward(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None) -> FlowTrajectory:
-    fwd = run_flow(initial, replace(config, direction=FORWARD, heat=HEAT_NONE, heat_t_max=None))
+    fwd = run_flow(initial, replace(config, direction=FORWARD, heat=HEAT_NONE))
     if fwd.termination != REACHED_T_END:
         raise FlowError(
             "backward run unreachable: the auxiliary forward integration "
@@ -318,9 +312,9 @@ class CurvatureBounds:
             raise FlowError("curvature bounds must be nonnegative")
 
     @classmethod
-    def from_suprema(cls, sups: dict, slack: float = 1e-9) -> "CurvatureBounds":
+    def from_suprema(cls, sups: dict) -> "CurvatureBounds":
         """Smallest bounds covering :func:`curvature_suprema`, with slack."""
-        bump = 1.0 + slack
+        bump = 1.0 + BOUND_SLACK
         return cls(
             max(sups["neg_scal_sup"], 0.0) * bump,
             max(sups["neg_ricci_eig_sup"], 0.0) * bump,
@@ -357,9 +351,9 @@ def curvature_suprema(trajectory: FlowTrajectory, masks=None) -> dict:
     return sups
 
 
-def measure_curvature_bounds(trajectory: FlowTrajectory, slack: float = 1e-9) -> CurvatureBounds:
+def measure_curvature_bounds(trajectory: FlowTrajectory) -> CurvatureBounds:
     """Smallest (rho1, rho2, rho3) satisfied by every stored sample."""
-    return CurvatureBounds.from_suprema(curvature_suprema(trajectory), slack)
+    return CurvatureBounds.from_suprema(curvature_suprema(trajectory))
 
 
 def _sqrt_inv(metric: LeafMetric) -> np.ndarray:

@@ -69,14 +69,11 @@ class LeafGrid:
         return (self.axes[0].copy(),)
 
 
-def make_torus_grid(n: int, side: float = 2.0 * np.pi, ny: int | None = None) -> LeafGrid:
-    """Doubly periodic grid on [0, side) x [0, side)."""
-    ny = n if ny is None else ny
-    hx = side / n
-    hy = side / ny
-    x = np.arange(n) * hx
-    y = np.arange(ny) * hy
-    return LeafGrid(PERIODIC_2D, (x, y), (hx, hy))
+def make_torus_grid(n: int, side: float = 2.0 * np.pi) -> LeafGrid:
+    """Doubly periodic n x n grid on [0, side) x [0, side)."""
+    h = side / n
+    x = np.arange(n) * h
+    return LeafGrid(PERIODIC_2D, (x, x.copy()), (h, h))
 
 
 def make_sphere_grid(n: int) -> LeafGrid:

@@ -218,11 +218,12 @@ def sphere_radius_plot(trajectory: FlowTrajectory, R0: float) -> str:
     )
 
 
-def margin_plot(report_times, margins_by_theorem) -> str:
-    """Minimum estimate margin per sample time, one curve per theorem."""
+def margin_plot(reports) -> str:
+    """Minimum estimate margin per sample time, one curve per judged theorem."""
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
+    judged = {r.theorem: r.extra["margin_by_time"] for r in reports if "margin_by_time" in r.extra}
     series = [
-        (tid, report_times, vals, colors[i % len(colors)])
-        for i, (tid, vals) in enumerate(sorted(margins_by_theorem.items()))
+        (tid, [t for t, _ in pairs], [m for _, m in pairs], colors[i % len(colors)])
+        for i, (tid, pairs) in enumerate(sorted(judged.items()))
     ]
     return line_plot_svg("estimate margin (RHS - LHS) minimum over nodes", "t", "margin", series)

@@ -486,6 +486,18 @@ def test_cli_run_produces_outputs_and_exit_zero(tmp_path, capsys):
     assert doc["theorems"][0]["status"] == "holds"
 
 
+def test_cli_run_plots_one_margin_curve_per_judged_theorem(tmp_path, capsys):
+    doc = json.loads(json.dumps(_TORUS_DOC))
+    doc["theorems"] = ["harnack-global", "li-yau", "log-gradient-forward"]  # li-yau: alpha = 2
+    out = tmp_path / "out"
+    assert main(["run", _write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    assert "li-yau: hypothesis-violated" in capsys.readouterr().out
+    svg = (out / "margins.svg").read_text()
+    assert svg.count("<polyline") == 2
+    assert ">harnack-global</text>" in svg and ">log-gradient-forward</text>" in svg
+    assert "li-yau" not in svg
+
+
 def test_cli_exit_two_on_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"scenario\": {\"name\": \"klein-bottle\"}}")
@@ -523,6 +535,26 @@ def test_cli_exit_two_on_too_few_live_heat_samples(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "at least 3 live heat samples, the trajectory has 2" in err
     assert "Shape of array too small" not in err
+
+
+_BACKWARD_FLOW = {"direction": "backward", "t_end": 0.1, "dt_initial": 1e-3,
+                  "heat": "conjugate-heat", "sample_every": 20}
+
+
+@pytest.mark.parametrize("flow", [
+    {**_BACKWARD_FLOW, "heat_t_max": 0.02},
+    {"t_end": 0.1, "dt_initial": 1e-3, "heat": "none", "heat_t_max": 0.02},
+], ids=["backward", "no-heat"])
+def test_heat_t_max_applies_only_to_a_forward_heat_run(tmp_path, capsys, flow):
+    doc = _base_doc(flow=flow)
+    with pytest.raises(ConfigError, match="heat_t_max applies only to a forward run with heat"):
+        parse_config(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run", _write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "heat_t_max applies only to a forward run with heat" in capsys.readouterr().err
+    assert not out.exists()
+    del doc["flow"]["heat_t_max"]
+    parse_config(json.dumps(doc))
 
 
 def test_cli_verify_subcommand_round_trip(tmp_path, capsys):

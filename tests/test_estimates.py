@@ -462,6 +462,33 @@ def test_verify_gates_explicit_ricci_upper_on_measured_curvature():
         assert rep.min_margin == pytest.approx(8.2367, abs=1e-4)
 
 
+@pytest.fixture(scope="module")
+def torus_heat_run():
+    return _torus_heat_run()
+
+
+@pytest.mark.parametrize("theorem, params, gate", [
+    ("log-gradient-backward", {"A": 1.5}, "u-upper-bound-A"),  # sup u is about 3
+    ("log-gradient-forward", {"A": 1.5}, "u-upper-bound-A"),
+    ("harnack-local", {"alpha": 1.0, "p": 2.0, "q": 2.0}, "alpha-greater-than-one"),
+    ("li-yau", {}, "alpha-equals-one"),
+    ("harnack-global", {"alpha": 1.0, "p": 2.0, "q": 2.0}, "ricci-nonnegative"),
+    ("harnack-global", {}, None),  # alpha = 2 needs no sign of Ric'
+])
+def test_verify_gates_each_reachable_hypothesis(torus_heat_run, theorem, params, gate):
+    cfg, traj = torus_heat_run
+    rep = verify(traj, theorem, dataclasses.replace(cfg.estimates, **params), cert=CERT)
+    assert rep.measured_bounds["neg_ricci_eig_sup"] > 0.01  # the bump's cube has K < 0
+    assert rep.failed_hypothesis == gate
+    if gate is None:
+        assert rep.status == "holds"
+        assert rep.admissible_points > 0
+    else:
+        assert rep.status == "hypothesis-violated"
+        assert np.isnan(rep.max_violation) and np.isnan(rep.min_margin)
+        assert rep.admissible_points == 0 and rep.violations == [] and rep.extra == {}
+
+
 def test_verify_rejects_unknown_theorem():
     m = flat_torus_metric(n=16)
     times = np.linspace(0.1, 0.5, 4)
