@@ -308,7 +308,7 @@ def laplace_beltrami(metric: LeafMetric, field, pack: CurvaturePack | None = Non
         h00 = second_deriv(grid, values, 0) - G[0, 0, 0] * d0
         return g[0, 0] * h00 + g[1, 1] * (0.0 - G[0, 1, 1] * d0)
     d1 = partial_deriv(grid, values, 1)
-    cross = mixed_deriv(grid, values)
+    cross = partial_deriv(grid, d0, 1)  # mixed_deriv(grid, values), reusing d0
     h = [[(second_deriv(grid, values, 0) - G[0, 0, 0] * d0) - G[1, 0, 0] * d1,
           (cross - G[0, 0, 1] * d0) - G[1, 0, 1] * d1],
          [(cross - G[0, 1, 0] * d0) - G[1, 1, 0] * d1,

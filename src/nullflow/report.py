@@ -64,37 +64,49 @@ def _read_meta(line: str) -> dict:
     return meta
 
 
+def _scan_rows(body: np.ndarray):
+    """Cells per row, and if it has 6 whether u is empty; rows end in LF, CRLF or EOF."""
+    ends = np.flatnonzero(body == ord("\n"))
+    if body.size and body[-1] != ord("\n"):
+        ends = np.append(ends, body.size)
+    cells = np.diff(np.searchsorted(np.flatnonzero(body == ord(",")), ends), prepend=0) + 1
+    return cells, body[ends - 1 - (body[ends - 1] == ord("\r"))] == ord(",")
+
+
 def read_trajectory_csv(path, grid) -> FlowTrajectory:
     """Rebuild a FlowTrajectory on a known grid from :func:`write_trajectory_csv`.
 
-    Raises ValueError naming the line on a missing or bad metadata line, a
-    row without 6 cells, a non-finite number, a truncated block, a block
-    whose rows disagree on the time or do not list the nodes 0..n-1 once
-    each, or block times that do not strictly increase; a cell that is
-    not a number raises numpy's ValueError.
+    Lines end in LF or CRLF, u is empty in every row or in none, and node ids are
+    integers.  Raises ValueError naming the line on a missing or bad metadata line or
+    header, a row without 6 cells, a u cell empty unlike line 3's, a non-finite number,
+    a node id outside 0..n-1, a truncated block, a block whose rows disagree on the time
+    or do not list the nodes 0..n-1 once each, or block times that do not strictly
+    increase; a cell that is not a number raises numpy's ValueError.
     """
-    with open(path) as fh:
-        meta = _read_meta(fh.readline().rstrip("\n"))
-        if fh.readline().rstrip("\n") != _CSV_HEADER:
-            raise ValueError(f"line 2: expected the header {_CSV_HEADER!r}")
-        rows = [line.rstrip("\n").split(",") for line in fh]
-    n_nodes = int(np.prod(grid.shape))
+    with open(path, "rb") as fh:
+        head = [fh.readline().decode().removesuffix("\n").removesuffix("\r") for _ in range(2)]
+        cells, empty_u = _scan_rows(np.frombuffer(fh.read(), dtype=np.uint8))
+    meta = _read_meta(head[0])
+    if head[1] != _CSV_HEADER:
+        raise ValueError(f"line 2: expected the header {_CSV_HEADER!r}")
+    n_nodes, n_rows = int(np.prod(grid.shape)), len(cells)
 
-    def require(bad_rows, what):  # indices into ``rows`` of the rows that break a rule
+    def require(bad_rows, what):  # indices of the data rows that break a rule
         if len(bad_rows):
             raise ValueError(f"line {bad_rows[0] + 3}: {what}")
 
-    require(np.flatnonzero([len(row) != 6 for row in rows]), "expected 6 cells")
-    if not rows or len(rows) % n_nodes:
-        raise ValueError(
-            f"line {len(rows) + 2}: expected blocks of {n_nodes} rows, got {len(rows)} rows"
-        )
-    has_u = rows[0][5] != ""
-    cols = (0, 2, 3, 4, 5) if has_u else (0, 2, 3, 4)
-    values = np.stack([np.array([row[j] for row in rows], dtype=float) for j in cols], axis=-1)
-    values = values.reshape(-1, n_nodes, len(cols))
-    nodes = np.array([row[1] for row in rows], dtype=int).reshape(-1, n_nodes)
+    require(np.flatnonzero(cells != 6), "expected 6 cells")
+    if not n_rows or n_rows % n_nodes:
+        raise ValueError(f"line {n_rows + 2}: expected blocks of {n_nodes} rows, got {n_rows} rows")
+    has_u = not empty_u[0]
+    require(np.flatnonzero(empty_u == has_u), f"u must be {'set' if has_u else 'empty'} as on line 3")
+    # numpy's C reader rounds each cell correctly, so written reprs come back bit for bit
+    values = np.loadtxt(path, delimiter=",", skiprows=2, usecols=range(6 if has_u else 5),
+                        ndmin=2, comments=None).reshape(n_rows // n_nodes, n_nodes, -1)
     require(np.flatnonzero(~np.isfinite(values).all(axis=-1)), "non-finite number")
+    nodes = values[..., 1]
+    require(np.flatnonzero((nodes < 0) | (nodes >= n_nodes) | (nodes % 1 != 0)),
+            f"node id is not an integer in 0..{n_nodes - 1}")
     require(np.flatnonzero(values[..., 0] != values[:, :1, 0]),
             "time differs from the first row of its block")
     require(n_nodes * (np.flatnonzero(np.diff(values[:, 0, 0]) <= 0.0) + 1),
@@ -102,10 +114,10 @@ def read_trajectory_csv(path, grid) -> FlowTrajectory:
     require(n_nodes * np.flatnonzero((np.sort(nodes, axis=1) != np.arange(n_nodes)).any(axis=1)),
             f"the block does not list the nodes 0..{n_nodes - 1} once each")
     # each block is a permutation of the nodes: scatter the rows into node order
-    values[np.arange(len(nodes))[:, None], nodes] = values.copy()
-    comps = values[..., [1, 2, 2, 3]].reshape((-1,) + grid.shape + (2, 2))
+    values[np.arange(len(nodes))[:, None], nodes.astype(int)] = values.copy()
+    comps = values[..., [2, 3, 3, 4]].reshape((-1,) + grid.shape + (2, 2))
     metrics = [LeafMetric(grid, c) for c in comps]
-    heats = [ScalarField(grid, u.reshape(grid.shape)) for u in values[..., 4]] if has_u else None
+    heats = [ScalarField(grid, u.reshape(grid.shape)) for u in values[..., 5]] if has_u else None
     return FlowTrajectory(values[:, 0, 0], metrics, heats, **meta)
 
 
@@ -133,7 +145,7 @@ def estimate_report_doc(report) -> dict:
 
 
 def run_report_doc(trajectory: FlowTrajectory, reports, seed: int) -> dict:
-    doc = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
         "termination": trajectory.termination,
@@ -142,7 +154,6 @@ def run_report_doc(trajectory: FlowTrajectory, reports, seed: int) -> dict:
         "t_final": _round_trip(float(trajectory.times[-1])),
         "theorems": [estimate_report_doc(r) for r in reports],
     }
-    return doc
 
 
 def render_json(doc) -> str:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,16 @@ from hypothesis import strategies as st
 from nullflow.cli import main
 from nullflow.config import ConfigError, parse_config, render_config
 from nullflow.estimates import THEOREM_IDS, EstimateError, build_cutoff, verify
-from nullflow.flow import FlowConfig, run_flow
-from nullflow.grids import ScalarField
+from nullflow.flow import (
+    REACHED_T_END,
+    SINGULAR,
+    STEP_UNDERFLOW,
+    FlowConfig,
+    FlowTrajectory,
+    run_flow,
+)
+from nullflow.grids import ScalarField, make_sphere_grid, make_torus_grid
+from nullflow.metric import LeafMetric
 from nullflow.report import (
     estimate_report_doc,
     read_trajectory_csv,
@@ -314,6 +323,88 @@ def test_trajectory_csv_matches_per_row_writer(tmp_path):
         assert path.read_text() == _reference_csv(traj)
 
 
+@st.composite
+def _trajectories(draw):
+    """A trajectory of random cells on a torus (n = 8, 9, 16) or the sphere
+    (n = 8), with or without heat, in each termination state: times in
+    [0, 1e300]; g11, g22, |g12| and u log-uniform over 5e-324..1e300 (both
+    ends present in each field), g12 of either sign."""
+    kind, n = draw(st.sampled_from([("torus", 8), ("torus", 9), ("torus", 16), ("sphere", 8)]))
+    grid = make_torus_grid(n) if kind == "torus" else make_sphere_grid(n)
+    times = sorted(draw(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=3, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cells():
+        x = 10.0 ** rng.uniform(np.log10(5e-324), 300.0, grid.shape)
+        x.flat[rng.choice(x.size, 2, replace=False)] = (5e-324, 1e300)
+        return x
+
+    metrics = []
+    for _ in times:
+        comps = np.empty(grid.shape + (2, 2))
+        comps[..., 0, 0], comps[..., 1, 1] = cells(), cells()
+        comps[..., 0, 1] = comps[..., 1, 0] = cells() * rng.choice([-1.0, 1.0], grid.shape)
+        metrics.append(LeafMetric(grid, comps))
+    heat = draw(st.booleans())
+    termination = draw(st.sampled_from([REACHED_T_END, SINGULAR, STEP_UNDERFLOW]))
+    return FlowTrajectory(
+        np.array(times), metrics, [ScalarField(grid, cells()) for _ in times] if heat else None,
+        termination,
+        singular_time=draw(st.floats(0.0, 1e300)) if termination == SINGULAR else None,
+        heat_valid_until=draw(st.none() | st.floats(0.0, 1e300)) if heat else None,
+    )
+
+
+def test_trajectory_csv_round_trips_bit_for_bit(tmp_path):
+    path = tmp_path / "traj.csv"
+
+    @settings(max_examples=40, deadline=None)
+    @given(traj=_trajectories())
+    def check(traj):
+        write_trajectory_csv(path, traj)
+        text = path.read_bytes()
+        crlf = text.replace(b"\n", b"\r\n")
+        # as written, with "\r\n" line ends, and either without its last line end
+        for variant in (text, crlf, text[:-1], crlf[:-2]):
+            path.write_bytes(variant)
+            back = read_trajectory_csv(path, traj.grid)
+            assert back.times.tobytes() == traj.times.tobytes()
+            assert [m.comps.tobytes() for m in back.metrics] == [m.comps.tobytes() for m in traj.metrics]
+            if traj.heat_fields is None:
+                assert back.heat_fields is None
+            else:
+                assert [u.values.tobytes() for u in back.heat_fields] == [
+                    u.values.tobytes() for u in traj.heat_fields]
+            assert (back.termination, back.singular_time, back.heat_valid_until) == (
+                traj.termination, traj.singular_time, traj.heat_valid_until)
+
+    check()
+
+
+def test_read_trajectory_csv_keeps_no_strings_per_row(tmp_path):
+    """Reading a 6-sample torus n = 64 trajectory (24,576 rows, 2.07 MB)
+    peaked at 2.6 times the file size (numpy 2.4, CPython 3.11); a reader
+    that keeps a list of strings per row and per column peaked at 7.4 times."""
+    grid = make_torus_grid(64)
+    rng = np.random.default_rng(0)
+    comps = 1.0 + 0.1 * rng.random((6,) + grid.shape + (2, 2))
+    comps[..., 1, 0] = comps[..., 0, 1]
+    traj = FlowTrajectory(
+        0.02 * np.arange(6), [LeafMetric(grid, c) for c in comps],
+        [ScalarField(grid, 2.0 + rng.random(grid.shape)) for _ in range(6)], REACHED_T_END,
+    )
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, traj)
+    read_trajectory_csv(path, grid)  # first-call imports and caches are not the reader's
+    tracemalloc.start()
+    try:
+        read_trajectory_csv(path, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * path.stat().st_size, (peak, path.stat().st_size)
+
+
 def _verify_doc(traj, theorem, params, cert):
     """The report document of one theorem, or the error it raised."""
     try:
@@ -377,7 +468,7 @@ def _corruptions(draw, lines):
     r = draw(st.integers(0, len(rows) - 1))
     cells = rows[r].split(",")
     kind = draw(st.sampled_from(
-        ["non-finite", "time", "swap", "node", "truncate", "no-metadata", "bad-metadata"]
+        ["non-finite", "time", "swap", "node", "truncate", "no-metadata", "bad-metadata", "empty-u"]
     ))
     if kind == "non-finite":
         cells[draw(st.sampled_from(_NUMERIC_CELLS))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
@@ -389,7 +480,9 @@ def _corruptions(draw, lines):
         cells[1] = str(draw(st.sampled_from(
             [-1, _N_NODES, _N_NODES + 7, (own + draw(st.integers(1, _N_NODES - 1))) % _N_NODES]
         )))
-    if kind in ("non-finite", "time", "node"):
+    elif kind == "empty-u":  # the run has heat: u is set in every other row
+        cells[5] = ""
+    if kind in ("non-finite", "time", "node", "empty-u"):
         rows[r] = ",".join(cells)
     elif kind == "swap":
         a, b = sorted(draw(st.lists(st.integers(0, n_blocks - 1), min_size=2, max_size=2,
@@ -460,6 +553,22 @@ def test_read_trajectory_csv_names_the_line(stored_run, tmp_path):
 
     with pytest.raises(ValueError, match=f"line {first + 1}: block times must strictly"):
         read(rewind_block)
+    with pytest.raises(ValueError, match=f"line {first + 3}: expected 6 cells"):
+        read(set_cell(first + 2, 5, "1.0,1.0"))
+    with pytest.raises(ValueError, match=f"line {len(lines) + 1}: expected 6 cells"):
+        read(lambda rows: rows.append(""))  # a trailing blank line
+    # node ids are integers in 0..n-1, although the reader parses them as floats
+    for bad in ("3.5", "1e300", "-1", str(_N_NODES)):
+        with pytest.raises(ValueError, match=f"line {first + 4}: node id is not an integer"):
+            read(set_cell(first + 3, 1, bad))
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=f"line {first + 4}: non-finite"):
+            read(set_cell(first + 3, 1, bad))
+    # u is all-or-none, and line 3 decides which
+    with pytest.raises(ValueError, match=f"line {first + 8}: u must be set as on line 3"):
+        read(set_cell(first + 7, 5, ""))
+    with pytest.raises(ValueError, match="line 4: u must be empty as on line 3"):
+        read(set_cell(2, 5, ""))
 
 
 # --- CLI ------------------------------------------------------------------
