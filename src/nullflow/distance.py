@@ -9,7 +9,8 @@ Three routes, chosen by grid/metric structure:
 * periodic grids with varying metrics: ``scipy.sparse.csgraph.dijkstra`` on
   a 16-neighbour periodic graph built with numpy (first-order accurate with
   a small metrication overestimate; adequate for cube membership tests at
-  desk scale).
+  desk scale).  The search stops at the caller's ``limit``, the cube
+  radius 2 rho for ``verify``, so it settles only the ball it reads.
 
 Nodes near the cut locus are masked invalid rather than raising: distance
 there is only Lipschitz and its Laplacian is meaningless.
@@ -91,42 +92,51 @@ _NEIGHBOR_STEPS = [
 ]
 
 
-def _distance_dijkstra(metric: LeafMetric, center: tuple) -> DistanceField:
+def _distance_dijkstra(metric: LeafMetric, center: tuple, limit: float) -> DistanceField:
     from scipy.sparse import csr_matrix  # the only route that loads scipy
     from scipy.sparse.csgraph import dijkstra
     grid = metric.grid
     nx, ny = grid.shape
     hx, hy = grid.spacings
-    g00, g01, g11 = (np.ascontiguousarray(metric.comps[..., a, b]) for a, b in ((0, 0), (0, 1), (1, 1)))
+    # padded[p][2 + i, 2 + j] is component p at node (i, j), periodically
+    padded = [np.pad(metric.comps[..., a, b], 2, mode="wrap") for a, b in ((0, 0), (0, 1), (1, 1))]
     steps = len(_NEIGHBOR_STEPS)
-    weights = np.empty(grid.shape + (steps,))
+    weights = np.empty(grid.shape + (steps,))  # the CSR layout: row = node, one entry per step
     for s, (di, dj) in enumerate(_NEIGHBOR_STEPS[:steps // 2]):
-        # the edge (i, j) -> (i + di, j + dj) is measured by the mean of both metrics
-        m00, m01, m11 = (0.5 * (c + np.roll(c, (-di, -dj), axis=(0, 1))) for c in (g00, g01, g11))
+        # each padded edge (i, j) -> (i + di, j + dj), measured by the mean of both metrics
+        near = np.s_[max(0, -di):nx + 4 - max(0, di), max(0, -dj):ny + 4 - max(0, dj)]
+        far = np.s_[max(0, di):nx + 4 - max(0, -di), max(0, dj):ny + 4 - max(0, -dj)]
+        m00, m01, m11 = (0.5 * (c[near] + c[far]) for c in padded)
         vx, vy = di * hx, dj * hy
-        weights[..., s] = np.sqrt(m00 * vx * vx + 2.0 * m01 * vx * vy + m11 * vy * vy)
-        # the steps are listed in pairs (s, -s) from both ends, and the edge
-        # (i, j) -> (i - di, j - dj) is the edge above seen from its far end
-        weights[..., steps - 1 - s] = np.roll(weights[..., s], (di, dj), axis=(0, 1))
+        w = np.sqrt(m00 * vx * vx + 2.0 * m01 * vx * vy + m11 * vy * vy)
+        # the steps are listed in pairs (s, -s) from both ends; node (i, j) leaves by
+        # -s on the edge (i - di, j - dj) -> (i, j), seen from its far end
+        i0, j0 = 2 - max(0, -di), 2 - max(0, -dj)
+        weights[..., s] = w[i0:i0 + nx, j0:j0 + ny]
+        weights[..., steps - 1 - s] = w[i0 - di:i0 - di + nx, j0 - dj:j0 - dj + ny]
     di, dj = np.array(_NEIGHBOR_STEPS, dtype=np.int32).T
     targets = ((np.arange(nx, dtype=np.int32)[:, None] + di) % nx * ny)[:, None] + (
         (np.arange(ny, dtype=np.int32)[:, None] + dj) % ny)
-    # CSR row r holds the edges leaving node r, one per step
     row_starts = np.arange(0, nx * ny * steps + 1, steps, dtype=np.int32)
     graph = csr_matrix((weights.ravel(), targets.ravel(), row_starts))
-    dist = dijkstra(graph, indices=np.arange(nx * ny).reshape(nx, ny)[center])
+    # nodes farther than ``limit`` are never settled and stay at inf
+    dist = dijkstra(graph, indices=np.arange(nx * ny).reshape(nx, ny)[center], limit=limit)
     return DistanceField(grid, dist.reshape(grid.shape), _periodic_mask(grid, center))
 
 
-def geodesic_distance(metric: LeafMetric, center) -> DistanceField:
-    """Distance to the given center node; cut-locus band flagged invalid."""
+def geodesic_distance(metric: LeafMetric, center, limit: float = np.inf) -> DistanceField:
+    """Distance to the given center node; cut-locus band flagged invalid.  Nodes
+    farther than ``limit`` read inf (the Dijkstra search stops there); the rest
+    read the unbounded distance."""
     metric.require_positive_definite()
     grid = metric.grid
     if grid.topology == SPHERICAL_1D:
-        return _distance_symmetric(metric, int(center))
-    if grid.topology == PERIODIC_2D:
-        center = tuple(center)
-        if _is_constant_diagonal(metric):
-            return _distance_flat_periodic(metric, center)
-        return _distance_dijkstra(metric, center)
-    raise ValueError(f"unsupported topology {grid.topology}")
+        field = _distance_symmetric(metric, int(center))
+    elif grid.topology != PERIODIC_2D:
+        raise ValueError(f"unsupported topology {grid.topology}")
+    elif _is_constant_diagonal(metric):
+        field = _distance_flat_periodic(metric, tuple(center))
+    else:
+        return _distance_dijkstra(metric, tuple(center), limit)
+    field.values[field.values > limit] = np.inf
+    return field

@@ -211,19 +211,22 @@ def time_derivative(times: np.ndarray, series: np.ndarray) -> np.ndarray:
     return np.gradient(series, times, axis=0, edge_order=2)
 
 
-def harnack_quantity(metric, u, u_t, alpha: float, t: float, pack=None) -> np.ndarray:
+def harnack_quantity(metric, u, u_t, alpha: float, t: float) -> np.ndarray:
     """G = t (|grad f|^2 - alpha f_t) with f = ln u.
 
     Discretized so the chain rule is exact: |grad f|^2 := |grad u|^2/u^2
     and f_t := u_t/u, making G/t = |grad u|^2/u^2 - alpha u_t/u an
-    algebraic identity.  ``pack`` is the metric's CurvaturePack, if built.
+    algebraic identity.
     """
     u = np.asarray(field_values(u), dtype=float)
     if np.any(u <= 0.0):
         raise EstimateError("u must be positive everywhere")
-    grad2 = grad_norm_sq(metric, u, pack) / u**2
-    ft = np.asarray(u_t, dtype=float) / u
-    return t * (grad2 - alpha * ft)
+    return _harnack(grad_norm_sq(metric, u) / u**2, u, u_t, alpha, t)
+
+
+def _harnack(log_grad_sq, u, u_t, alpha, t):
+    """G of :func:`harnack_quantity` from |grad u|^2/u^2."""
+    return t * (log_grad_sq - alpha * (np.asarray(u_t, dtype=float) / u))
 
 
 # --- right-hand sides -----------------------------------------------------
@@ -318,6 +321,41 @@ class EstimateReport:
     extra: dict = field(default_factory=dict)
 
 
+@dataclass
+class _Sweep:
+    """What ``verify`` reads of a trajectory for one (center, rho), whatever the theorem."""
+
+    sup_u: float  # over the live samples
+    measured: dict  # curvature_suprema over the cubes d <= 2 rho of the live samples
+    judged: list  # (k, t, mask, u, u_t, |grad u|^2/u^2) where t > 0 and the cube is nonempty
+
+
+def _sweep(trajectory: FlowTrajectory, center, rho: float) -> _Sweep:
+    # samples past the heat horizon carry a frozen u with no meaningful
+    # time derivative; only the live samples before it (a prefix) are
+    # swept and measured
+    horizon = trajectory.heat_valid_until
+    t_hi = np.inf if horizon is None else horizon + 1e-12
+    times = trajectory.times[trajectory.times <= t_hi]
+    if len(times) < 3:
+        raise EstimateError(f"u_t needs at least 3 live heat samples, the trajectory has {len(times)}")
+    u = np.stack([f.values for f in trajectory.heat_fields[:len(times)]])
+    if np.any(u <= 0.0):
+        raise EstimateError("u must be positive everywhere")
+    u_t = time_derivative(times, u)
+    masks = []
+    for m in trajectory.metrics[:len(times)]:  # nothing past the cube is read
+        d = geodesic_distance(m, center, 2.0 * rho)
+        masks.append(d.valid & (d.values <= 2.0 * rho))
+    measured = curvature_suprema(trajectory, masks)  # builds the pack of each nonempty mask
+    judged = [
+        (k, t, mask, u[k], u_t[k], grad_norm_sq(metric, u[k], trajectory.curvature(k)) / u[k] ** 2)
+        for k, (t, metric, mask) in enumerate(zip(times, trajectory.metrics, masks))
+        if t > 0.0 and np.any(mask)
+    ]
+    return _Sweep(float(np.max(u)), measured, judged)
+
+
 def verify(
     trajectory: FlowTrajectory,
     theorem: str,
@@ -329,8 +367,11 @@ def verify(
     The curvature scales are the measured suprema over the admissible
     region (with slack), making the check property-based.  Hypothesis
     failures produce status ``hypothesis-violated`` and no conclusion
-    judgement.  Distances are cached in ``trajectory.distances`` per
-    (sample, center).
+    judgement.  All that does not depend on the theorem (the live
+    samples, u and u_t, the cube masks, the curvature suprema and
+    |grad u|^2/u^2) is measured once per (center, rho) and cached in
+    ``trajectory.sweeps``, so each further theorem only forms its bound
+    and compares.
     """
     if theorem not in THEOREM_IDS:
         raise EstimateError(f"unknown theorem id {theorem!r}; choose from {THEOREM_IDS}")
@@ -339,28 +380,15 @@ def verify(
     if cert is None:
         cert = build_cutoff(samples=100_001)
 
-    # samples past the heat horizon carry a frozen u with no meaningful
-    # time derivative; only the live samples before it (a prefix) are
-    # swept and measured
-    horizon = trajectory.heat_valid_until
-    t_hi = np.inf if horizon is None else horizon + 1e-12
-    times = trajectory.times[trajectory.times <= t_hi]
-    if len(times) < 3:
-        raise EstimateError(f"u_t needs at least 3 live heat samples, the trajectory has {len(times)}")
-    u_live = np.stack([f.values for f in trajectory.heat_fields[:len(times)]])
-    u_t_live = time_derivative(times, u_live)
-    # the cube depends on the sample and the center only, not on the theorem
-    center = tuple(np.atleast_1d(params.center).tolist())
-    for k, m in enumerate(trajectory.metrics[:len(times)]):
-        if (k, center) not in trajectory.distances:
-            trajectory.distances[k, center] = geodesic_distance(m, params.center)
-    dists = [trajectory.distances[k, center] for k in range(len(times))]
-    masks = [d.valid & (d.values <= 2.0 * params.rho) for d in dists]  # the cube d <= 2 rho
-    measured = curvature_suprema(trajectory, masks)
+    key = (tuple(np.atleast_1d(params.center).tolist()), params.rho)
+    if key not in trajectory.sweeps:
+        trajectory.sweeps[key] = _sweep(trajectory, params.center, params.rho)
+    sweep = trajectory.sweeps[key]
+    measured = sweep.measured
     bounds = CurvatureBounds.from_suprema(measured)
     constants = operational_constants(cert)
 
-    sup_u = float(np.max(u_live))
+    sup_u = sweep.sup_u
     A = params.A if params.A is not None else (1.0 + A_SLACK) * sup_u
     # rho of Ric' <= rho g' in li-yau and alpha = 1 harnack-global
     rho_up = params.ricci_upper
@@ -383,16 +411,11 @@ def verify(
     if theorem == "log-gradient-backward":
         extra["rhs_proof_variant_min"] = np.inf
     alpha, p, q, rho = params.alpha, params.p, params.q, params.rho
-    for k, (t, metric, mask, u, u_t) in enumerate(
-        zip(times, trajectory.metrics, masks, u_live, u_t_live)
-    ):
-        if t <= 0.0 or not np.any(mask):
-            continue
-        pack = trajectory.curvature(k)  # built by curvature_suprema for a nonempty mask
+    for k, t, mask, u, u_t, log_grad_sq in sweep.judged:
         if theorem.startswith("log-gradient"):
-            lhs = grad_norm_sq(metric, u, pack) / u**2
+            lhs = log_grad_sq
         else:
-            lhs = harnack_quantity(metric, u, u_t, alpha, t, pack) / t
+            lhs = _harnack(log_grad_sq, u, u_t, alpha, t) / t
         if theorem == "log-gradient-backward":
             rhs = bound_backward_thm(t, bounds, rho, cert, A, u)
             variant = bound_backward_thm_proof_variant(t, bounds, rho, cert, A, u)

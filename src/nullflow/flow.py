@@ -77,7 +77,7 @@ class FlowTrajectory:
     singular_time: float | None = None
     heat_valid_until: float | None = None  # u frozen past this time (if set)
     curvatures: list = field(default_factory=list)  # lazily filled CurvaturePacks
-    distances: dict = field(default_factory=dict)  # (sample, center tuple) -> DistanceField
+    sweeps: dict = field(default_factory=dict)  # (center, rho) -> the verify sweep of estimates
 
     @property
     def grid(self):
@@ -100,14 +100,15 @@ def _rhs(metric: LeafMetric, comps: np.ndarray, sign: float) -> np.ndarray:
     return sign * ricci(LeafMetric._unchecked(metric.grid, comps))
 
 
-def step_flow(metric: LeafMetric, direction: str, dt: float) -> LeafMetric:
-    """One RK4 step of dg'/dt = -/+ 2 Ric'(g'); output symmetrized."""
+def step_flow(metric: LeafMetric, direction: str, dt: float, pack: CurvaturePack | None = None) -> LeafMetric:
+    """One RK4 step of dg'/dt = -/+ 2 Ric'(g'); output symmetrized.  Stage 1
+    reads Ric' off ``pack``, the metric's own CurvaturePack, when given."""
     if dt <= 0:
         raise FlowError("dt must be positive")
     metric.require_positive_definite()
     sign = _flow_sign(direction)
     g = metric.comps
-    k1 = _rhs(metric, g, sign)
+    k1 = _rhs(metric, g, sign) if pack is None else sign * pack.ricci
     k2 = _rhs(metric, g + 0.5 * dt * k1, sign)
     k3 = _rhs(metric, g + 0.5 * dt * k2, sign)
     k4 = _rhs(metric, g + dt * k3, sign)
@@ -195,16 +196,17 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
     t = 0.0
     dt = config.dt_initial
     metric = initial.copy()
-    # the geometry of ``metric``; each step's second heat half builds the next one
+    # the geometry of ``metric`` while heat runs, else None; each step's second
+    # heat half builds the next one
     pack = curvature_pack(metric) if u is not None else None
     times, metrics, packs = [], [], []
     heats = [] if u is not None else None
 
     def store():
-        # the stored metric is never modified, so its pack, when current, serves verify
+        # the stored metric is never modified, so its pack serves verify
         times.append(t)
         metrics.append(metric)
-        packs.append(pack if pack is not None and pack.metric is metric else None)
+        packs.append(pack)
         if heats is not None:
             heats.append(ScalarField(metric.grid, u.copy()))
 
@@ -212,7 +214,7 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
     termination = REACHED_T_END
     singular_time = None
     step = 0
-    while t < config.t_end - 1e-15:
+    while t < config.t_end:
         dt_step = min(dt, config.t_end - t)
         if config.dt_controller == "cfl-adaptive":
             # the linearized flow diffuses with coefficient g^aa along each
@@ -228,10 +230,10 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
             if heat_active:
                 h_dt = min(dt_step, heat_t_max - t)
                 u = _heat_substep(pack, u, 0.5 * h_dt, config.heat)
-            new_metric = step_flow(metric, config.direction, dt_step)
+            new_metric = step_flow(metric, config.direction, dt_step, pack)
             _check_singular(new_metric, threshold)
+            pack = curvature_pack(new_metric) if heat_active else None
             if heat_active:
-                pack = curvature_pack(new_metric)
                 u = _heat_substep(pack, u, 0.5 * h_dt, config.heat)
         except SingularMetricError:
             termination = SINGULAR
@@ -241,6 +243,9 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
         metric = new_metric
         t += dt_step
         step += 1
+        # a remainder within the clock's accumulated rounding is no time left
+        if config.t_end - t <= step * np.finfo(float).eps * config.t_end:
+            t = config.t_end
         if step % config.sample_every == 0:
             store()
 

@@ -34,17 +34,16 @@ def write_trajectory_csv(path, trajectory: FlowTrajectory):
     node) with the metric components and the heat field (empty when
     absent)."""
     meta = {key: getattr(trajectory, key) for key in _META_KEYS}
-    lines = ["# " + json.dumps(_round_trip(meta)), _CSV_HEADER]
     heats = trajectory.heat_fields
-    for k, t in enumerate(trajectory.times):
-        g = trajectory.metrics[k].comps.reshape(-1, 2, 2)
-        n = len(g)
-        # repr of a Python float is _fmt, so each column is formatted at once
-        cells = [map(repr, c.tolist()) for c in (g[:, 0, 0], g[:, 0, 1], g[:, 1, 1])]
-        cells.append([""] * n if heats is None else map(repr, heats[k].values.ravel().tolist()))
-        lines.extend(map(",".join, zip([_fmt(t)] * n, map(str, range(n)), *cells)))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# {json.dumps(_round_trip(meta))}\n{_CSV_HEADER}\n")
+        for k, t in enumerate(trajectory.times):  # one sample's block of text at a time
+            g = trajectory.metrics[k].comps.reshape(-1, 2, 2)
+            n = len(g)
+            # repr of a Python float is _fmt, so each column is formatted at once
+            cells = [map(repr, c.tolist()) for c in (g[:, 0, 0], g[:, 0, 1], g[:, 1, 1])]
+            cells.append([""] * n if heats is None else map(repr, heats[k].values.ravel().tolist()))
+            fh.write("\n".join(map(",".join, zip([_fmt(t)] * n, map(str, range(n)), *cells))) + "\n")
 
 
 def _read_meta(line: str) -> dict:
@@ -115,10 +114,11 @@ def read_trajectory_csv(path, grid) -> FlowTrajectory:
             f"the block does not list the nodes 0..{n_nodes - 1} once each")
     # each block is a permutation of the nodes: scatter the rows into node order
     values[np.arange(len(nodes))[:, None], nodes.astype(int)] = values.copy()
+    # copies of the columns kept, so that the parsed rows are freed on return
     comps = values[..., [2, 3, 3, 4]].reshape((-1,) + grid.shape + (2, 2))
     metrics = [LeafMetric(grid, c) for c in comps]
-    heats = [ScalarField(grid, u.reshape(grid.shape)) for u in values[..., 5]] if has_u else None
-    return FlowTrajectory(values[:, 0, 0], metrics, heats, **meta)
+    heats = [ScalarField(grid, u) for u in values[..., 5].copy().reshape((-1,) + grid.shape)] if has_u else None
+    return FlowTrajectory(values[:, 0, 0].copy(), metrics, heats, **meta)
 
 
 # --- report JSON ----------------------------------------------------------

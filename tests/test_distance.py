@@ -128,3 +128,25 @@ def test_library_dijkstra_matches_heap_reference(eps, n):
         d = geodesic_distance(m, center)
         assert np.array_equal(d.values, _heap_dijkstra(m, center))
         assert np.array_equal(d.valid, _periodic_mask(m.grid, center))
+
+
+@pytest.mark.parametrize("eps, n", [(e, n) for e in (0.0, 0.2) for n in (8, 16, 33)])
+def test_bounded_dijkstra_equals_unbounded_inside_the_ball(eps, n):
+    m = _sheared_bump(0.3, n, eps)
+    for center in [(0, 0), (n - 1, n - 1), (n // 3, n // 2)]:
+        full = geodesic_distance(m, center)
+        # the limit is one node's exact distance, which must be kept
+        limit = np.sort(full.values.ravel())[full.values.size // 5]
+        bounded = geodesic_distance(m, center, limit)
+        inside = full.values <= limit
+        assert np.count_nonzero(inside) > full.values.size // 5
+        assert np.array_equal(bounded.values[inside], full.values[inside])
+        assert np.all(np.isinf(bounded.values[~inside]))
+        assert np.array_equal(bounded.valid, full.valid)
+
+
+def test_closed_form_routes_read_inf_beyond_the_limit():
+    for m, center in ((sphere_metric(1.0, 32), 16), (flat_torus_metric(n=16), (3, 5))):
+        full = geodesic_distance(m, center).values
+        bounded = geodesic_distance(m, center, 0.5).values
+        assert np.array_equal(bounded, np.where(full <= 0.5, full, np.inf))

@@ -28,6 +28,7 @@ from nullflow.estimates import (
 )
 from nullflow.flow import CurvatureBounds, FlowConfig, FlowTrajectory, run_flow
 from nullflow.grids import ScalarField
+from nullflow.report import estimate_report_doc, render_json
 from nullflow.scenarios import flat_torus_metric, sphere_metric
 
 CERT = build_cutoff(samples=100_001)
@@ -327,7 +328,7 @@ def test_verify_measures_distances_of_live_samples_only(monkeypatch):
     centers = []
     distance = estimates.geodesic_distance
     monkeypatch.setattr(estimates, "geodesic_distance",
-                        lambda m, c: centers.append(c) or distance(m, c))
+                        lambda m, c, limit: centers.append(c) or distance(m, c, limit))
     rep = verify(traj, "li-yau", cfg.estimates, cert=CERT)
     assert len(centers) == live
     assert [t for t, _ in rep.extra["margin_by_time"]] == list(traj.times[1:live])
@@ -351,40 +352,72 @@ def _torus_heat_run(**flow):
 
 
 def _count_distance_calls(monkeypatch):
+    """The (center, limit) of each distance verify asks for."""
     import nullflow.estimates as estimates
 
-    centers = []
+    calls = []
     distance = estimates.geodesic_distance
     monkeypatch.setattr(estimates, "geodesic_distance",
-                        lambda m, c: centers.append(tuple(c)) or distance(m, c))
-    return centers
+                        lambda m, c, limit: calls.append((tuple(c), limit)) or distance(m, c, limit))
+    return calls
 
 
 def test_verify_shares_distances_across_theorems(monkeypatch):
     cfg, traj = _torus_heat_run()
-    centers = _count_distance_calls(monkeypatch)
+    calls = _count_distance_calls(monkeypatch)
     shared = [verify(traj, tid, cfg.estimates, cert=CERT) for tid in THEOREM_IDS]
-    assert centers == [(3, 12)] * len(traj.times)  # once per live sample, not once per theorem
-    assert sorted(traj.distances) == [(k, (3, 12)) for k in range(len(traj.times))]
+    # once per live sample, not once per theorem, searched up to the cube radius 2 rho
+    assert calls == [((3, 12), 1.6)] * len(traj.times)
+    assert list(traj.sweeps) == [((3, 12), 0.8)]
     for rep in shared:  # every field as on a trajectory that verifies this theorem alone
         _, fresh = _torus_heat_run()
         alone = verify(fresh, rep.theorem, cfg.estimates, cert=CERT)
         np.testing.assert_equal(dataclasses.asdict(rep), dataclasses.asdict(alone))
-    assert len(centers) == len(traj.times) * (1 + len(THEOREM_IDS))
+    assert len(calls) == len(traj.times) * (1 + len(THEOREM_IDS))
 
 
 def test_verify_measures_a_second_center_afresh(monkeypatch):
     cfg, traj = _torus_heat_run()
     first = verify(traj, "log-gradient-forward", cfg.estimates, cert=CERT)
     other = dataclasses.replace(cfg.estimates, center=(10, 4))
-    centers = _count_distance_calls(monkeypatch)
+    calls = _count_distance_calls(monkeypatch)
     rep = verify(traj, "log-gradient-forward", other, cert=CERT)
-    assert centers == [(10, 4)] * len(traj.times)
-    assert {c for _, c in traj.distances} == {(3, 12), (10, 4)}
+    assert calls == [((10, 4), 1.6)] * len(traj.times)
+    assert list(traj.sweeps) == [((3, 12), 0.8), ((10, 4), 0.8)]
     assert rep.min_margin != first.min_margin
     _, fresh = _torus_heat_run()
     alone = verify(fresh, "log-gradient-forward", other, cert=CERT)
     np.testing.assert_equal(dataclasses.asdict(rep), dataclasses.asdict(alone))
+
+
+def test_verify_measures_a_second_rho_afresh(monkeypatch):
+    cfg, traj = _torus_heat_run()
+    first = verify(traj, "harnack-local", cfg.estimates, cert=CERT)
+    smaller = dataclasses.replace(cfg.estimates, rho=0.5)
+    calls = _count_distance_calls(monkeypatch)
+    rep = verify(traj, "harnack-local", smaller, cert=CERT)
+    assert calls == [((3, 12), 1.0)] * len(traj.times)
+    assert list(traj.sweeps) == [((3, 12), 0.8), ((3, 12), 0.5)]
+    assert rep.admissible_points < first.admissible_points
+    _, fresh = _torus_heat_run()
+    alone = verify(fresh, "harnack-local", smaller, cert=CERT)
+    np.testing.assert_equal(dataclasses.asdict(rep), dataclasses.asdict(alone))
+
+
+def test_five_theorem_verify_matches_verify_without_any_cache():
+    # one trajectory carries the flow's packs (with K) and the shared sweep;
+    # a copy of its samples carries neither
+    cfg, traj = _torus_heat_run()
+    # the flow's first RK stage of each step computed K on the pack of its metric
+    assert ["K" in vars(p) for p in traj.curvatures] == [True] * 5 + [False]
+    shared = [verify(traj, tid, cfg.estimates, cert=CERT) for tid in THEOREM_IDS]
+    for rep in shared:
+        bare = FlowTrajectory(
+            traj.times.copy(), [m.copy() for m in traj.metrics],
+            [ScalarField(f.grid, f.values.copy()) for f in traj.heat_fields], traj.termination,
+        )
+        alone = verify(bare, rep.theorem, cfg.estimates, cert=CERT)
+        assert render_json(estimate_report_doc(rep)) == render_json(estimate_report_doc(alone))
 
 
 def test_verify_of_forward_heat_run_builds_no_pack_for_a_live_sample(monkeypatch):

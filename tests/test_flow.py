@@ -222,6 +222,52 @@ def test_heat_builds_christoffel_symbols_once_per_metric(monkeypatch):
     assert len(seen) == len({id(metric) for metric in seen}) == 601
 
 
+def _sheared_bump(amp, n, eps):
+    """Torus bump plus a smooth symmetric perturbation with g01 != 0."""
+    base = torus_bump_metric(amp, n)
+    x, y = base.grid.coordinate_fields()
+    comps = base.comps.copy()
+    comps[..., 0, 0] += eps * np.cos(x + y)
+    comps[..., 0, 1] += eps * np.sin(x) * np.cos(y)
+    comps[..., 1, 0] = comps[..., 0, 1]
+    return LeafMetric(base.grid, comps)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_step_flow_from_the_metrics_pack_is_bit_identical(direction):
+    for m in (sphere_metric(1.0, 32), torus_bump_metric(0.3, 16), _sheared_bump(0.3, 17, 0.2)):
+        pack = curvature(m)
+        out = step_flow(m, direction, 1e-3, pack)
+        assert np.array_equal(out.comps, step_flow(m, direction, 1e-3).comps)
+        assert "K" in vars(pack)  # stage 1 left K on the pack for later readers
+
+
+@pytest.mark.parametrize("heat", ["heat", "none"])
+def test_forward_heat_run_takes_stage_one_from_the_heat_pack(monkeypatch, heat):
+    import nullflow.metric as metric_module
+
+    seen = []
+    build = metric_module.christoffel
+    monkeypatch.setattr(metric_module, "christoffel", lambda m, *ginv: seen.append(m) or build(m, *ginv))
+    m = torus_bump_metric(0.3, 16)
+    x, _ = m.grid.coordinate_fields()
+    config = FlowConfig(t_end=0.02, dt_initial=2e-3, heat=heat, sample_every=5)
+    run_flow(m, config, u0=ScalarField(m.grid, 2.0 + np.sin(x)))
+    # with heat: stages 2-4 and the new metric's pack per step (stage 1 reads
+    # the current pack), plus the initial pack; without: all 4 stages
+    assert len(seen) == 4 * 10 + (heat == "heat")
+
+
+def test_backward_run_starts_at_exactly_zero():
+    # 2,400 forward steps of 1.25e-4 sum to 0.3 - 1.9e-14; the clock must land on
+    # t_end rather than take a rounding-sliver step
+    traj = run_flow(sphere_metric(1.0, 8), FlowConfig(direction="backward", t_end=0.3, dt_initial=1.25e-4))
+    assert traj.times[0] == 0.0
+    assert len(traj.times) == 25
+    fwd = run_flow(sphere_metric(1.0, 8), FlowConfig(t_end=0.3, dt_initial=1.25e-4))
+    assert fwd.times[-1] == 0.3
+
+
 def test_step_flow_validates_only_its_result(monkeypatch):
     import nullflow.flow as flow
 
