@@ -118,12 +118,16 @@ class CutoffCertificate:
 
 def build_cutoff(samples: int = 1_000_000) -> CutoffCertificate:
     """Certify the shipped cutoff constants over a dense sample grid."""
-    s = np.linspace(0.0, 2.0, samples)
-    # off 1 < s < 2, psi' = psi'' = 0: only the samples inside can raise c1 and c2
-    lo, hi = s.searchsorted(1.0, "right"), s.searchsorted(2.0)
+    # np.linspace(0.0, 2.0, samples) a slice at a time: sample k < samples - 1 is k * step.
+    # Off 1 < s < 2, psi' = psi'' = 0, so only k = half or half + 1 (the first above 1)
+    # to k = samples - 2 (2 - step rounds below 2) can raise c1 and c2.  64 KB slices
+    # bound the peak memory and are reused by the allocator; 512 KB ones were mapped afresh
+    step, half = 2.0 / max(samples - 1, 1), (samples - 1) // 2
+    lo = half + int(np.searchsorted(np.arange(half, half + 2) * step, 1.0, "right"))
+    hi = samples - 1
     neg_d2 = ratio = 0.0
-    for i in range(lo, hi, 65_536):  # slices bound the peak memory
-        w = 2.0 - s[i:min(i + 65_536, hi)]
+    for i in range(lo, hi, 8_192):
+        w = 2.0 - np.arange(i, min(i + 8_192, hi), dtype=float) * step
         neg_d2 = max(neg_d2, float(np.max(-_smoothstep_d2(w))))
         ratio = max(ratio, float(np.max(_smoothstep_d1(w) ** 2 / _smoothstep(w))))  # psi > 0 for 0 < w < 1
     return CutoffCertificate(neg_d2 * CUTOFF_SAFETY, ratio * CUTOFF_SAFETY, samples)

@@ -4,8 +4,10 @@ The leaf is a 2-D Riemannian manifold discretized on a structured grid.
 In two dimensions every curvature is carried by the Gauss curvature K:
 Ric = K g, Scal = 2K and Rm = K (g_ac g_bd - g_ad g_bc), so K is the only
 curvature computed here and the rest are derived from it.  On periodic
-grids K comes from the standard finite-difference Christoffel / Ricci
-construction.  On spherical 1-D grids (diagonal metrics
+grids K comes from the finite-difference Christoffel / Ricci construction,
+Ric_sn = sum_m R^m_{smn}, whose m = n summand is exactly 0.0 (an array
+minus itself), so only m = 1 - n and the half of the d_d Gamma^c_ab it
+reads are computed.  On spherical 1-D grids (diagonal metrics
 a(x) dx^2 + b(x) dy^2) it comes from the surface-of-revolution formula
 
     K = -(1 / (2 sqrt(ab))) d/dx ( b' / sqrt(ab) ),
@@ -168,11 +170,9 @@ class CurvaturePack:
     @property
     def riemann(self) -> np.ndarray:
         """R_abcd = K (g_ac g_bd - g_ad g_bc), all indices down."""
-        g = self.metric.comps
-        K = self.K
-        return np.einsum("...,...ac,...bd->...abcd", K, g, g) - np.einsum(
-            "...,...ad,...bc->...abcd", K, g, g
-        )
+        g, K = self.metric.comps, self.K
+        return (np.einsum("...,...ac,...bd->...abcd", K, g, g)
+                - np.einsum("...,...ad,...bc->...abcd", K, g, g))
 
 
 def christoffel(metric: LeafMetric, ginv: np.ndarray | None = None) -> np.ndarray:
@@ -184,13 +184,12 @@ def christoffel(metric: LeafMetric, ginv: np.ndarray | None = None) -> np.ndarra
     comps = _node_major(_component_major(metric.comps, 2), 2)
     dg = [_component_major(partial_deriv(metric.grid, comps, axis=d), 2) for d in range(DIM)]
     gamma = np.empty((DIM, DIM, DIM) + metric.grid.shape)
-    for c in range(DIM):
-        for a in range(DIM):
-            for b in range(DIM):
-                acc = 0.0
-                for d in range(DIM):
-                    acc = acc + ginv[c, d] * (dg[a][d, b] + dg[b][d, a] - dg[d][a, b])
-                gamma[c, a, b] = 0.5 * acc
+    for a in range(DIM):
+        for b in range(DIM):
+            # the bracket d_a g_db + d_b g_da - d_d g_ab does not depend on c
+            b0, b1 = (dg[a][d, b] + dg[b][d, a] - dg[d][a, b] for d in range(DIM))
+            for c in range(DIM):
+                gamma[c, a, b] = 0.5 * (ginv[c, 0] * b0 + ginv[c, 1] * b1)
     return _node_major(gamma, 3)
 
 
@@ -207,22 +206,24 @@ def _gauss_curvature_symmetric(metric: LeafMetric) -> np.ndarray:
 
 
 def _gauss_curvature_generic(pack: CurvaturePack) -> np.ndarray:
-    """Ricci via R^m_{s m n} from Gamma and its derivatives; returns K = Scal/2."""
-    grid = pack.grid
-    dgamma = [_component_major(partial_deriv(grid, pack.christoffel, axis=d), 3) for d in range(DIM)]
-    gamma = pack.gamma_c
-    # R^r_{s m n} = d_m Gamma^r_ns - d_n Gamma^r_ms + Gamma^r_ml Gamma^l_ns - Gamma^r_nl Gamma^l_ms
+    """Ric_sn = sum_m R^m_{smn} from Gamma and its derivatives; returns K = Scal/2.
+
+    In R^r_{smn} = d_m Gamma^r_ns - d_n Gamma^r_ms + Gamma^r_ml Gamma^l_ns - Gamma^r_nl Gamma^l_ms
+    the m = n summand is an array minus itself, exactly 0.0 for finite Gamma, so
+    Ric_sn is the m = 1 - n summand alone, in the full sum's order.  It reads only
+    dgamma[d][c, s] = d_d Gamma^c_{1-d, s}: 4 of the 8 components per axis."""
+    grid, gamma = pack.grid, pack.gamma_c
+    dgamma = [_component_major(partial_deriv(grid, _node_major(gamma[:, 1 - d], 2), axis=d), 2)
+              for d in range(DIM)]
     ric = np.empty((DIM, DIM) + grid.shape)
     for s in range(DIM):
         for n in range(DIM):
-            acc = 0.0
-            for m in range(DIM):
-                term = dgamma[m][m, n, s] - dgamma[n][m, m, s]
-                for l in range(DIM):
-                    term = term + (gamma[m, m, l] * gamma[l, n, s]
-                                   - gamma[m, n, l] * gamma[l, m, s])
-                acc = acc + term
-            ric[s, n] = acc
+            m = 1 - n
+            term = dgamma[m][m, s] - dgamma[n][m, s]
+            for l in range(DIM):
+                term = term + (gamma[m, m, l] * gamma[l, n, s]
+                               - gamma[m, n, l] * gamma[l, m, s])
+            ric[s, n] = term
     ric = 0.5 * (ric + ric.swapaxes(0, 1))
     return 0.5 * _trace(pack.ginv_c, ric)
 
@@ -250,9 +251,7 @@ def _inverse_and_differential(metric: LeafMetric, field, pack: CurvaturePack | N
     """g^ab (the pack's, when given) and d_a f, both node-major."""
     values = field_values(field, metric.grid)
     ginv = metric.inverse() if pack is None else pack.ginv
-    df = np.stack(
-        [partial_deriv(metric.grid, values, axis=d) for d in range(DIM)], axis=-1
-    )
+    df = np.stack([partial_deriv(metric.grid, values, axis=d) for d in range(DIM)], axis=-1)
     return ginv, df
 
 
@@ -280,9 +279,7 @@ def hessian(metric: LeafMetric, field, gamma: np.ndarray | None = None) -> np.nd
     hess = np.empty((DIM, DIM) + grid.shape)
     hess[0, 0] = second_deriv(grid, values, 0)
     hess[1, 1] = second_deriv(grid, values, 1)
-    cross = mixed_deriv(grid, values)
-    hess[0, 1] = cross
-    hess[1, 0] = cross
+    hess[0, 1] = hess[1, 0] = mixed_deriv(grid, values)
     for a in range(DIM):
         for b in range(DIM):
             for c in range(DIM):
@@ -325,13 +322,12 @@ def bochner_residual(metric: LeafMetric, field) -> np.ndarray:
     """
     values = field_values(field, metric.grid)
     pack = curvature(metric)
-    ginv = pack.ginv
+    ginv, df = _inverse_and_differential(metric, values, pack)
     gradsq = grad_norm_sq(metric, values, pack)
     lhs = laplace_beltrami(metric, gradsq, pack)
     hess = hessian(metric, values, gamma=pack.christoffel)
     hess_sq = np.einsum("...ac,...bd,...ab,...cd->...", ginv, ginv, hess, hess)
     lap = laplace_beltrami(metric, values, pack)
-    df = np.stack([partial_deriv(metric.grid, values, d) for d in range(DIM)], axis=-1)
     dlap = np.stack([partial_deriv(metric.grid, lap, d) for d in range(DIM)], axis=-1)
     cross = np.einsum("...ab,...a,...b->...", ginv, df, dlap)
     ric_term = np.einsum("...ac,...bd,...cd,...a,...b->...", ginv, ginv, pack.ricci, df, df)

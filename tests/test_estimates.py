@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,16 +63,23 @@ def test_cutoff_certificate_against_dense_oracle():
     assert CERT.c2 <= c2_oracle * 1.2
 
 
-# 1,001 and 2,001 samples put a node exactly on s = 1 and s = 2
-@pytest.mark.parametrize("samples", [8, 1_001, 2_001, 100_001, 1_000_000])
+# 1,001 and 2,001 samples put a node exactly on s = 1 and s = 2; 131,075
+# put one on s = 1 and fill exactly 8 slices; 777,778 end with a short slice
+@pytest.mark.parametrize("samples", [8, 1_001, 2_001, 10_001, 100_001, 131_075, 777_778, 1_000_000])
 def test_cutoff_certificate_equals_unsliced_computation(samples):
     s = np.linspace(0.0, 2.0, samples)
     psi = cutoff_profile(s)
     pos = psi > 0.0
     c1 = max(float(np.max(-_cutoff_d2(s))), 0.0) * 1.05
     c2 = float(np.max(_cutoff_d1(s[pos]) ** 2 / psi[pos])) * 1.05
-    cert = build_cutoff(samples=samples)
+    tracemalloc.start()
+    try:
+        cert = build_cutoff(samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (cert.c1, cert.c2, cert.samples) == (c1, c2, samples)
+    assert peak < 3e6  # the whole linspace alone is 8 MB at 10^6 samples
 
 
 def test_operational_constants_structure():

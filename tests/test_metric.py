@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import node_major_reference as ref
 from nullflow.grids import ScalarField, make_sphere_grid, make_torus_grid
@@ -111,6 +113,47 @@ def test_kernels_bit_identical_to_node_major_reference(case):
     assert np.array_equal(laplace_beltrami(m, u, curvature(m)), lap)
 
 
+def _fourier_metric(n, modes, skew):
+    """Torus metric g_ab = base_ab + sum of its low modes a cos(k.x) + b sin(k.x);
+    g_10 is g_01 scaled by 1 + skew, within LeafMetric's symmetry tolerance."""
+    grid = make_torus_grid(n)
+    x, y = grid.coordinate_fields()
+    comps = np.empty(grid.shape + (2, 2))
+    for (i, j), base in zip([(0, 0), (1, 1), (0, 1)], [1.0, 1.0, 0.15]):
+        comps[..., i, j] = base
+        for kx, ky, a, b in modes[(i, j)]:
+            comps[..., i, j] += a * np.cos(kx * x + ky * y) + b * np.sin(kx * x + ky * y)
+    comps[..., 1, 0] = comps[..., 0, 1] * (1.0 + skew)
+    return LeafMetric(grid, comps)
+
+
+def _modes(amp):
+    wave, coef = st.integers(-3, 3), st.floats(-amp, amp)
+    return st.lists(st.tuples(wave, wave, coef, coef), min_size=1, max_size=2)
+
+
+_ASYMMETRIC = {(0, 0): [(1, 0, 0.1, 0.0)], (1, 1): [(0, 2, 0.0, -0.05)],
+               (0, 1): [(1, -1, 0.05, 0.05), (2, 3, -0.05, 0.0)]}
+
+
+# g_00, g_11 in [0.6, 1.4] and |g_01| <= 0.35 make g positive definite; the mean
+# of g_01 is at least 0.05, as only a constant mode (k = 0) moves it
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 24),
+       modes=st.fixed_dictionaries({(0, 0): _modes(0.1), (1, 1): _modes(0.1), (0, 1): _modes(0.05)}),
+       skew=st.sampled_from([0.0, 5e-6]))
+@example(n=11, modes=_ASYMMETRIC, skew=5e-6)
+def test_curvature_kernels_match_full_ricci_sum(n, modes, skew):
+    # the kernels drop the m = n summand of the Ricci contraction, which
+    # cancels exactly; the reference sums it, symmetric metric or not
+    m = _fourier_metric(n, modes, skew)
+    assert m.is_positive_definite()
+    assert np.array_equal(christoffel(m), ref.christoffel(m))
+    K = ref.gauss_curvature(m)
+    assert np.array_equal(gauss_curvature(m), K)
+    assert np.array_equal(curvature(m).K, K)
+
+
 @pytest.mark.parametrize("case", ["sphere-48", "bump-16-g01"])
 @pytest.mark.parametrize("with_K", [False, True])
 def test_curvature_inverts_its_metric_once(monkeypatch, case, with_K):
@@ -217,6 +260,23 @@ def test_torus_bump_ricci_matches_fine_stencil_oracle():
     pack = curvature(m)
     h = 2 * np.pi / n
     assert np.max(np.abs(pack.ricci - K_oracle[..., None, None] * m.comps)) < 10 * h**2
+
+
+def test_sheared_flat_torus_curvature_converges_to_zero():
+    # the flat metric pulled back by the periodic shear
+    # phi(x, y) = (x + 0.3 sin y, y + 0.3 sin x): g = Dphi^T Dphi has
+    # g_01 != 0 and K = 0 exactly, so max |K| is the discretization error
+    errs = []
+    for n in (32, 64, 128):
+        grid = make_torus_grid(n)
+        x, y = grid.coordinate_fields()
+        comps = np.empty(grid.shape + (2, 2))
+        comps[..., 0, 0] = 1.0 + 0.09 * np.cos(x) ** 2
+        comps[..., 1, 1] = 1.0 + 0.09 * np.cos(y) ** 2
+        comps[..., 0, 1] = comps[..., 1, 0] = 0.3 * (np.cos(x) + np.cos(y))
+        errs.append(np.max(np.abs(gauss_curvature(LeafMetric(grid, comps)))))
+    assert errs[0] < 1e-4
+    assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
 
 
 def test_torus_bump_christoffel_matches_oracle():
