@@ -1,7 +1,7 @@
 """Numerical harness for a degenerate Ricci-type flow on screen leaves
 of null manifolds, with gradient-estimate verification."""
 
-from .config import ConfigError, RunConfig, parse_config, render_config
+from .config import ConfigError, RunConfig, parse_config
 from .distance import DistanceField, geodesic_distance
 from .estimates import (
     CutoffCertificate,
@@ -9,9 +9,6 @@ from .estimates import (
     EstimateParams,
     EstimateReport,
     build_cutoff,
-    harnack_quantity,
-    log_density,
-    phi_quantity,
     verify,
 )
 from .flow import (
@@ -19,11 +16,7 @@ from .flow import (
     FlowConfig,
     FlowError,
     FlowTrajectory,
-    measure_curvature_bounds,
-    metric_equivalence_check,
     run_flow,
-    solve_conjugate_heat,
-    solve_heat,
     step_flow,
 )
 from .grids import (

@@ -17,7 +17,7 @@ failing constraint.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,18 +153,3 @@ def parse_config(text: str) -> RunConfig:
                 type(i) is not int or not 0 <= i < n for i, n in zip(c, shape)):
             raise ConfigError(f"estimates.center must be a node of the grid of shape {shape}")
     return cfg
-
-
-def render_config(cfg: RunConfig) -> str:
-    """Serialize a RunConfig back to canonical JSON (round-trips parse_config)."""
-    def set_fields(obj):  # unset optional fields are left out
-        return {k: v for k, v in asdict(obj).items() if v is not None}
-
-    doc = {"scenario": cfg.scenario, "flow": set_fields(cfg.flow), "seed": cfg.seed}
-    if cfg.heat_initial is not None:
-        doc["heat_initial"] = cfg.heat_initial
-    if cfg.estimates is not None:
-        doc["estimates"] = set_fields(cfg.estimates)  # a tuple center renders as a list
-    if cfg.theorems:
-        doc["theorems"] = list(cfg.theorems)
-    return json.dumps(doc, indent=2, sort_keys=True)

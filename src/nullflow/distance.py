@@ -33,11 +33,6 @@ class DistanceField:
     values: np.ndarray
     valid: np.ndarray  # False within the cut-locus margin
 
-    def masked(self) -> np.ndarray:
-        out = self.values.copy()
-        out[~self.valid] = np.nan
-        return out
-
 
 def _distance_symmetric(metric: LeafMetric, center: int) -> DistanceField:
     grid = metric.grid

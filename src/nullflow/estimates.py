@@ -70,6 +70,7 @@ class EstimateError(ValueError):
 
 
 def _smoothstep(w):
+    """The C^2 cutoff psi(s) at w = 2 - s: 1 on [0, 1], this quintic on (1, 2), 0 from 2."""
     return w * w * w * (10.0 + w * (-15.0 + 6.0 * w))
 
 
@@ -81,32 +82,6 @@ def _smoothstep_d1(w):
 def _smoothstep_d2(w):
     """psi''(s) at w = 2 - s, for 1 < s < 2."""
     return 60.0 * w * (1.0 - w) * (1.0 - 2.0 * w)
-
-
-def cutoff_profile(s):
-    """C^2 profile: 1 on [0,1], quintic smoothstep down to 0 at 2."""
-    s = np.asarray(s, dtype=float)
-    out = np.ones_like(s)
-    mid = (s > 1.0) & (s < 2.0)
-    out[mid] = _smoothstep(2.0 - s[mid])
-    out[s >= 2.0] = 0.0
-    return out
-
-
-def _cutoff_d1(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    mid = (s > 1.0) & (s < 2.0)
-    out[mid] = _smoothstep_d1(2.0 - s[mid])
-    return out
-
-
-def _cutoff_d2(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    mid = (s > 1.0) & (s < 2.0)
-    out[mid] = _smoothstep_d2(2.0 - s[mid])
-    return out
 
 
 @dataclass
@@ -186,25 +161,6 @@ class EstimateParams:
 # --- pointwise quantities -------------------------------------------------
 
 
-def log_density(u, A: float) -> np.ndarray:
-    """f = ln(u/A); requires 0 < u <= A so that f <= 0 and 1 - f >= 1."""
-    u = np.asarray(field_values(u), dtype=float)
-    if np.any(u <= 0.0):
-        raise EstimateError("u must be positive everywhere")
-    if np.any(u > A):
-        node = int(np.argmax(u))
-        raise EstimateError(f"u exceeds A at node {node} (u = {u.flat[node]:.6g} > {A:.6g})")
-    return np.log(u / A)
-
-
-def phi_quantity(metric, f) -> np.ndarray:
-    """phi = |grad f|^2 / (1 - f)^2 for f <= 0."""
-    f = np.asarray(field_values(f), dtype=float)
-    if np.any(f > 1e-12):
-        raise EstimateError("phi is defined for f <= 0")
-    return grad_norm_sq(metric, f) / (1.0 - f) ** 2
-
-
 def time_derivative(times: np.ndarray, series: np.ndarray) -> np.ndarray:
     """d/dt of node samples along the trajectory time axis (axis 0).
 
@@ -215,21 +171,13 @@ def time_derivative(times: np.ndarray, series: np.ndarray) -> np.ndarray:
     return np.gradient(series, times, axis=0, edge_order=2)
 
 
-def harnack_quantity(metric, u, u_t, alpha: float, t: float) -> np.ndarray:
-    """G = t (|grad f|^2 - alpha f_t) with f = ln u.
+def _harnack(log_grad_sq, u, u_t, alpha, t):
+    """G = t (|grad f|^2 - alpha f_t) with f = ln u, from |grad u|^2/u^2.
 
     Discretized so the chain rule is exact: |grad f|^2 := |grad u|^2/u^2
     and f_t := u_t/u, making G/t = |grad u|^2/u^2 - alpha u_t/u an
     algebraic identity.
     """
-    u = np.asarray(field_values(u), dtype=float)
-    if np.any(u <= 0.0):
-        raise EstimateError("u must be positive everywhere")
-    return _harnack(grad_norm_sq(metric, u) / u**2, u, u_t, alpha, t)
-
-
-def _harnack(log_grad_sq, u, u_t, alpha, t):
-    """G of :func:`harnack_quantity` from |grad u|^2/u^2."""
     return t * (log_grad_sq - alpha * (np.asarray(u_t, dtype=float) / u))
 
 

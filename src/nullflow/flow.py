@@ -1,8 +1,9 @@
 """Time integration of the leaf-metric flow and coupled heat equations.
 
 The leaf metric evolves by dg'/dt = -2 Ric'(g') (forward) or +2 Ric'
-(backward), stepped with classical RK4 and symmetrized after each step.
-A scalar density u can be co-evolved by the heat equation
+(backward).  Only forward steps are taken, with classical RK4 and
+symmetrized after each step; a backward run is the time reversal of a
+forward one.  A scalar density u can be co-evolved by the heat equation
 (Delta - d/dt)u = 0 or the conjugate heat equation
 (d/dt - Delta + Scal')u = 0, interleaved Strang-style so u sees
 time-centered metrics.  Integration stops early with a recorded
@@ -92,26 +93,22 @@ class FlowTrajectory:
         return self.curvatures[k]
 
 
-def _flow_sign(direction: str) -> float:
-    return -2.0 if direction == FORWARD else 2.0
+def _rhs(metric: LeafMetric, comps: np.ndarray) -> np.ndarray:
+    return -2.0 * ricci(LeafMetric._unchecked(metric.grid, comps))
 
 
-def _rhs(metric: LeafMetric, comps: np.ndarray, sign: float) -> np.ndarray:
-    return sign * ricci(LeafMetric._unchecked(metric.grid, comps))
-
-
-def step_flow(metric: LeafMetric, direction: str, dt: float, pack: CurvaturePack | None = None) -> LeafMetric:
-    """One RK4 step of dg'/dt = -/+ 2 Ric'(g'); output symmetrized.  Stage 1
-    reads Ric' off ``pack``, the metric's own CurvaturePack, when given."""
+def step_flow(metric: LeafMetric, dt: float, pack: CurvaturePack | None = None) -> LeafMetric:
+    """One forward RK4 step of dg'/dt = -2 Ric'(g'); output symmetrized.  Stage
+    1 reads Ric' off ``pack``, the metric's own CurvaturePack, when given.
+    Backward runs never step backward: :func:`run_flow` reverses a forward run."""
     if dt <= 0:
         raise FlowError("dt must be positive")
     metric.require_positive_definite()
-    sign = _flow_sign(direction)
     g = metric.comps
-    k1 = _rhs(metric, g, sign) if pack is None else sign * pack.ricci
-    k2 = _rhs(metric, g + 0.5 * dt * k1, sign)
-    k3 = _rhs(metric, g + 0.5 * dt * k2, sign)
-    k4 = _rhs(metric, g + dt * k3, sign)
+    k1 = _rhs(metric, g) if pack is None else -2.0 * pack.ricci
+    k2 = _rhs(metric, g + 0.5 * dt * k1)
+    k3 = _rhs(metric, g + 0.5 * dt * k2)
+    k4 = _rhs(metric, g + dt * k3)
     out = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     out = 0.5 * (out + np.swapaxes(out, -1, -2))
     return LeafMetric(metric.grid, out)
@@ -119,7 +116,7 @@ def step_flow(metric: LeafMetric, direction: str, dt: float, pack: CurvaturePack
 
 def _check_singular(metric: LeafMetric, threshold: float):
     lam = metric.min_eigenvalue()
-    if np.min(lam) < threshold:
+    if not np.all(lam >= threshold):  # a NaN eigenvalue fails too
         node = int(np.argmin(lam))
         raise SingularMetricError(f"metric singular at node {node} (eigenvalue {lam.flat[node]:.3e})")
 
@@ -230,7 +227,7 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
             if heat_active:
                 h_dt = min(dt_step, heat_t_max - t)
                 u = _heat_substep(pack, u, 0.5 * h_dt, config.heat)
-            new_metric = step_flow(metric, config.direction, dt_step, pack)
+            new_metric = step_flow(metric, dt_step, pack)
             _check_singular(new_metric, threshold)
             pack = curvature_pack(new_metric) if heat_active else None
             if heat_active:
@@ -274,20 +271,6 @@ def _run_backward(initial: LeafMetric, config: FlowConfig, u0: ScalarField | Non
             raise FlowError("heat coupling requires initial data u0")
         traj.heat_fields = _solve_on_trajectory(traj, u0, config.heat)
     return traj
-
-
-def solve_heat(trajectory: FlowTrajectory, u0: ScalarField) -> list:
-    """Heat flow (Delta - d/dt)u = 0 along the stored metric samples.
-
-    Steps between consecutive stored metrics with Strang halves, so u is
-    reported exactly at the trajectory sample times.
-    """
-    return _solve_on_trajectory(trajectory, u0, HEAT_PLAIN)
-
-
-def solve_conjugate_heat(trajectory: FlowTrajectory, u0: ScalarField) -> list:
-    """Conjugate heat flow (d/dt - Delta + Scal')u = 0 along the samples."""
-    return _solve_on_trajectory(trajectory, u0, HEAT_CONJUGATE)
 
 
 def _solve_on_trajectory(trajectory: FlowTrajectory, u0: ScalarField, mode: str) -> list:
@@ -354,71 +337,3 @@ def curvature_suprema(trajectory: FlowTrajectory, masks=None) -> dict:
         ):
             sups[key] = max(sups[key], float(np.max(values)))
     return sups
-
-
-def measure_curvature_bounds(trajectory: FlowTrajectory) -> CurvatureBounds:
-    """Smallest (rho1, rho2, rho3) satisfied by every stored sample."""
-    return CurvatureBounds.from_suprema(curvature_suprema(trajectory))
-
-
-def _sqrt_inv(metric: LeafMetric) -> np.ndarray:
-    """Inverse principal square root of g' per node (for g'-relative eigenvalues)."""
-    w, v = np.linalg.eigh(metric.comps)
-    return np.einsum("...ab,...b,...cb->...ac", v, 1.0 / np.sqrt(w), v)
-
-
-@dataclass
-class EquivalenceReport:
-    hypothesis_ok: bool
-    failed_hypothesis: str | None
-    worst_lower: float  # min over (x, t) of eigratio / lower bound
-    worst_upper: float  # max over (x, t) of eigratio / upper bound
-    holds: bool
-
-
-def metric_equivalence_check(
-    trajectory: FlowTrajectory,
-    bounds: CurvatureBounds,
-    direction: str = FORWARD,
-    tol: float = 1e-9,
-) -> EquivalenceReport:
-    """Two-sided uniform-equivalence check of g'(t) against g'(0).
-
-    First verifies -rho1 g' <= Ric' <= rho2 g' pointwise on every sample
-    (the hypothesis); on failure the conclusion is not judged.  The
-    conclusion checked is the flow-ODE bound on generalized eigenvalues of
-    g'(t) relative to g'(0):
-
-        exp(-2 rho2 t) <= eig <= exp(+2 rho1 t)      (forward flow)
-
-    with the exponents swapped for backward trajectories (the metric then
-    grows where Ricci is positive).
-    """
-    if len(trajectory.metrics) < 2:
-        raise FlowError("equivalence check needs at least two stored samples")
-    for k in range(len(trajectory.metrics)):
-        K = trajectory.curvature(k).K  # both g'-relative Ricci eigenvalues
-        if np.min(K) < -bounds.rho1 - tol:
-            return EquivalenceReport(False, "ricci-lower-bound", np.nan, np.nan, False)
-        if np.max(K) > bounds.rho2 + tol:
-            return EquivalenceReport(False, "ricci-upper-bound", np.nan, np.nan, False)
-    if direction == FORWARD:
-        rho1, rho2 = bounds.rho1, bounds.rho2
-    else:
-        rho1, rho2 = bounds.rho2, bounds.rho1
-
-    s0 = _sqrt_inv(trajectory.metrics[0])
-    worst_lower = np.inf
-    worst_upper = -np.inf
-    holds = True
-    for k, metric in enumerate(trajectory.metrics):
-        t = trajectory.times[k]
-        rel = np.einsum("...ab,...bc,...cd->...ad", s0, metric.comps, s0)
-        eigs = np.linalg.eigvalsh(rel)
-        lo = np.exp(-2.0 * rho2 * t)
-        hi = np.exp(2.0 * rho1 * t)
-        worst_lower = min(worst_lower, float(np.min(eigs) / lo))
-        worst_upper = max(worst_upper, float(np.max(eigs) / hi))
-        if np.min(eigs) < lo * (1.0 - tol) - tol or np.max(eigs) > hi * (1.0 + tol) + tol:
-            holds = False
-    return EquivalenceReport(True, None, worst_lower, worst_upper, holds)

@@ -95,9 +95,6 @@ class LeafMetric:
         disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
         return 0.5 * (tr - disc)
 
-    def is_positive_definite(self) -> bool:
-        return bool(np.all(self.min_eigenvalue() > 0.0))
-
     def require_positive_definite(self):
         lam = self.min_eigenvalue()
         if not np.all(lam > 0.0):  # a NaN eigenvalue fails too
@@ -127,8 +124,8 @@ class CurvaturePack:
     every operator on it: the inverse g^ab and the Christoffel symbols, each
     stored once as contiguous components ``ginv_c[a, b]`` and
     ``gamma_c[c, a, b]`` for the kernels, and the Gauss curvature K, computed
-    on first use.  The 2-D Ricci, scalar and Riemann curvatures are derived
-    from K."""
+    on first use.  The 2-D Ricci and scalar curvatures are derived from K;
+    Riemann, K (g_ac g_bd - g_ad g_bc), is not provided."""
 
     def __init__(self, metric: LeafMetric, ginv: np.ndarray, christoffel: np.ndarray):
         self.metric = metric
@@ -166,13 +163,6 @@ class CurvaturePack:
     @property
     def scal(self) -> np.ndarray:
         return 2.0 * self.K
-
-    @property
-    def riemann(self) -> np.ndarray:
-        """R_abcd = K (g_ac g_bd - g_ad g_bc), all indices down."""
-        g, K = self.metric.comps, self.K
-        return (np.einsum("...,...ac,...bd->...abcd", K, g, g)
-                - np.einsum("...,...ad,...bc->...abcd", K, g, g))
 
 
 def christoffel(metric: LeafMetric, ginv: np.ndarray | None = None) -> np.ndarray:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullflow.cli import main
-from nullflow.config import ConfigError, parse_config, render_config
+from nullflow.config import ConfigError, parse_config
 from nullflow.estimates import THEOREM_IDS, EstimateError, build_cutoff, verify
 from nullflow.flow import (
     REACHED_T_END,
@@ -240,18 +240,6 @@ def test_parse_config_fuzz_raises_only_config_errors(data):
     assert _valid_constant(path, value), f"{path} = {value!r} was accepted"
     metric = cfg.build_metric()
     cfg.build_heat_initial(metric)
-    parse_config(render_config(cfg))
-
-
-def test_render_parse_round_trip():
-    cfg = parse_config(json.dumps(_base_doc()))
-    text = render_config(cfg)
-    cfg2 = parse_config(text)
-    assert render_config(cfg2) == text
-    assert cfg2.scenario == cfg.scenario
-    assert cfg2.flow == cfg.flow
-    assert cfg2.estimates == cfg.estimates
-    assert cfg2.theorems == cfg.theorems
 
 
 # --- trajectory CSV -------------------------------------------------------

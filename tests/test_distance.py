@@ -76,9 +76,8 @@ def test_dijkstra_agrees_with_flat_closed_form():
 def test_masked_values_are_nan():
     m = sphere_metric(1.0, 32)
     d = geodesic_distance(m, 0)
-    masked = d.masked()
-    assert np.isnan(masked[-1])
-    assert np.isfinite(masked[0])
+    assert not d.valid[-1]
+    assert d.valid[0] and np.isfinite(d.values[0])
 
 
 def _heap_dijkstra(metric, center):

@@ -10,25 +10,24 @@ from nullflow.config import parse_config
 from nullflow.estimates import (
     THEOREM_IDS,
     EstimateError,
-    _cutoff_d1,
-    _cutoff_d2,
     EstimateParams,
+    _harnack,
+    _smoothstep,
+    _smoothstep_d1,
+    _smoothstep_d2,
     bound_alpha_one,
     bound_backward_thm,
     bound_forward_thm,
     bound_global_forward,
     bound_local_forward,
     build_cutoff,
-    cutoff_profile,
-    harnack_quantity,
-    log_density,
     operational_constants,
-    phi_quantity,
     time_derivative,
     verify,
 )
 from nullflow.flow import CurvatureBounds, FlowConfig, FlowTrajectory, run_flow
 from nullflow.grids import ScalarField
+from nullflow.metric import grad_norm_sq
 from nullflow.report import estimate_report_doc, render_json
 from nullflow.scenarios import flat_torus_metric, sphere_metric
 
@@ -36,6 +35,32 @@ CERT = build_cutoff(samples=100_001)
 
 
 # --- cutoff ---------------------------------------------------------------
+
+
+def cutoff_profile(s):
+    """C^2 profile: 1 on [0,1], quintic smoothstep down to 0 at 2."""
+    s = np.asarray(s, dtype=float)
+    out = np.ones_like(s)
+    mid = (s > 1.0) & (s < 2.0)
+    out[mid] = _smoothstep(2.0 - s[mid])
+    out[s >= 2.0] = 0.0
+    return out
+
+
+def _cutoff_d1(s):
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    mid = (s > 1.0) & (s < 2.0)
+    out[mid] = _smoothstep_d1(2.0 - s[mid])
+    return out
+
+
+def _cutoff_d2(s):
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    mid = (s > 1.0) & (s < 2.0)
+    out[mid] = _smoothstep_d2(2.0 - s[mid])
+    return out
 
 
 def test_cutoff_plateau_and_support():
@@ -114,39 +139,9 @@ def test_estimate_params_reject_malformed_constants(field, value):
 # --- pointwise quantities -------------------------------------------------
 
 
-def test_log_density_identities():
-    m = flat_torus_metric(n=16)
-    u = np.full(m.grid.shape, 5.0)
-    assert np.max(np.abs(log_density(u, 5.0))) == 0.0
-    u[3, 3] = 5.0 / np.e
-    f = log_density(u, 5.0)
-    assert abs(f[3, 3] + 1.0) < 1e-14
-    assert np.all(1.0 - f >= 1.0)
-    with pytest.raises(EstimateError):
-        log_density(u, 4.0)
-
-
-def test_log_density_max_at_argmax():
-    rng = np.random.default_rng(7)
-    m = flat_torus_metric(n=16)
-    u = 1.0 + rng.random(m.grid.shape)
-    f = log_density(u, np.max(u))
-    assert np.unravel_index(np.argmax(f), f.shape) == np.unravel_index(np.argmax(u), u.shape)
-    assert abs(np.max(f)) < 1e-14
-
-
-def test_phi_quantity_flat_torus_closed_form():
-    m = flat_torus_metric(n=64)
-    x, _ = m.grid.coordinate_fields()
-    f = np.sin(x) - 1.0  # = ln(u/A) for u = A e^{sin x - 1}
-    phi = phi_quantity(m, f)
-    exact = np.cos(x) ** 2 / (2.0 - np.sin(x)) ** 2
-    h = 2 * np.pi / 64
-    assert np.max(np.abs(phi - exact)) < 10 * h**2
-    # phi <= |grad f|^2 since 1 - f >= 1
-    from nullflow.metric import grad_norm_sq
-
-    assert np.all(phi <= grad_norm_sq(m, f) + 1e-15)
+def harnack_quantity(m, u, u_t, alpha, t):
+    """G = t (|grad f|^2 - alpha f_t) as verify forms it, from |grad u|^2/u^2."""
+    return _harnack(grad_norm_sq(m, u) / u**2, u, u_t, alpha, t)
 
 
 def test_harnack_quantity_chain_rule_exact():
@@ -155,7 +150,6 @@ def test_harnack_quantity_chain_rule_exact():
     u = 2.0 + np.sin(x)
     u_t = -0.3 * np.sin(x)
     alpha = 1.7
-    from nullflow.metric import grad_norm_sq
 
     for t in (0.2, 1.0):
         G = harnack_quantity(m, u, u_t, alpha, t)
@@ -528,6 +522,42 @@ def test_verify_gates_each_reachable_hypothesis(torus_heat_run, theorem, params,
         assert rep.status == "hypothesis-violated"
         assert np.isnan(rep.max_violation) and np.isnan(rep.min_margin)
         assert rep.admissible_points == 0 and rep.violations == [] and rep.extra == {}
+
+
+@pytest.fixture(scope="module")
+def torus_64_heat_run():
+    """torus-verify-64 at seed 1; at n = 32 harnack-local holds even at k = 10."""
+    doc = json.loads(json.dumps(_TORUS_HEAT))
+    doc["scenario"].update(amp=0.226066, resolution=64)
+    doc["estimates"]["center"] = [11, 53]
+    cfg = parse_config(json.dumps(doc))
+    metric = cfg.build_metric()
+    return cfg, run_flow(metric, cfg.flow, u0=cfg.build_heat_initial(metric))
+
+
+def _with_u_scaled(traj, k, node):
+    """A copy of the heat run with u at ``node`` of sample 3 (t = 0.06) times k."""
+    heats = [ScalarField(f.grid, f.values.copy()) for f in traj.heat_fields]
+    heats[3].values[node] *= k
+    return FlowTrajectory(traj.times, traj.metrics, heats, traj.termination, curvatures=list(traj.curvatures))
+
+
+# the smallest of the factors 2, 5 and 10 that flips each theorem; log-gradient-forward
+# is shown failing on the golden run and li-yau on the flat torus above
+@pytest.mark.parametrize("theorem, flip", [
+    ("log-gradient-backward", 5.0),  # margin 46.6 unfaulted
+    ("harnack-global", 5.0),  # 60.3
+    ("harnack-local", 10.0),  # 1,700; still holds at 5 (1,518)
+])
+def test_negative_control_flips_theorem(torus_64_heat_run, theorem, flip):
+    cfg, traj = torus_64_heat_run
+    center = tuple(cfg.estimates.center)
+    assert verify(_with_u_scaled(traj, 2.0, center), theorem, cfg.estimates, cert=CERT).status == "holds"
+    rep = verify(_with_u_scaled(traj, flip, center), theorem, cfg.estimates, cert=CERT)
+    assert rep.status == "violated"
+    k_worst, node, _, _ = rep.violations[0]
+    i, j = np.unravel_index(node, traj.grid.shape)
+    assert k_worst == 3 and abs(i - center[0]) + abs(j - center[1]) <= 1
 
 
 def test_verify_rejects_unknown_theorem():

@@ -12,39 +12,37 @@ from nullflow.flow import (
     FlowConfig,
     FlowError,
     FlowTrajectory,
+    HEAT_CONJUGATE,
+    HEAT_PLAIN,
+    _check_singular,
+    _solve_on_trajectory,
     curvature_suprema,
-    measure_curvature_bounds,
-    metric_equivalence_check,
     run_flow,
-    solve_conjugate_heat,
-    solve_heat,
     step_flow,
 )
 from nullflow.grids import ScalarField
-from nullflow.metric import LeafMetric, MetricError, curvature, gradient
+from nullflow.metric import LeafMetric, MetricError, SingularMetricError, curvature, gradient
 from nullflow.scenarios import flat_torus_metric, sphere_metric, torus_bump_metric
 
 
 def test_flat_torus_single_step_is_stationary():
     m = flat_torus_metric(n=16)
-    out = step_flow(m, "forward", 0.1)
+    out = step_flow(m, 0.1)
     assert np.max(np.abs(out.comps - m.comps)) < 1e-15
 
 
 def test_sphere_step_matches_radius_ode():
-    # d(r^2)/dt = -2 forward, +2 backward
+    # d(r^2)/dt = -2
     m = sphere_metric(1.0, 64)
     dt = 1e-4
     mid = 32
-    fwd = step_flow(m, "forward", dt)
-    bwd = step_flow(m, "backward", dt)
+    fwd = step_flow(m, dt)
     assert abs(fwd.comps[mid, 0, 0] - (1.0 - 2 * dt)) < 5e-3 * dt
-    assert abs(bwd.comps[mid, 0, 0] - (1.0 + 2 * dt)) < 5e-3 * dt
 
 
 def test_step_output_symmetric():
     m = sphere_metric(1.0, 32)
-    out = step_flow(m, "forward", 1e-3)
+    out = step_flow(m, 1e-3)
     assert np.array_equal(out.comps[..., 0, 1], out.comps[..., 1, 0])
 
 
@@ -73,11 +71,39 @@ def test_singularity_detection_near_half():
     assert abs(traj.singular_time - 0.5) < 1e-2
 
 
+def test_nan_metric_is_singular_at_once_and_never_stored(monkeypatch):
+    import nullflow.flow as flow
+
+    # NaN < threshold is False, so a NaN eigenvalue must fail the check explicitly
+    _check_singular(sphere_metric(1.0, 16), 1e-6)
+    m = sphere_metric(1.0, 16)
+    m.comps[4, 1, 1] = np.nan  # symmetric, so LeafMetric accepts it
+    with pytest.raises(SingularMetricError, match="node 4"):
+        _check_singular(m, 1e-6)
+
+    steps = []
+    step = flow.step_flow
+
+    def nan_third_step(metric, dt, pack=None):
+        out = step(metric, dt, pack)
+        steps.append(1)
+        if len(steps) == 3:
+            out.comps[5, 1, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(flow, "step_flow", nan_third_step)
+    traj = run_flow(sphere_metric(1.0, 16), FlowConfig(t_end=0.1, dt_initial=1e-3, sample_every=1))
+    assert traj.termination == "singular"
+    assert traj.singular_time == 1e-3 + 1e-3 + 1e-3  # not a step later
+    assert len(traj.metrics) == 3
+    assert all(np.all(np.isfinite(m.comps)) for m in traj.metrics)
+
+
 def test_flow_times_strictly_increasing_and_metrics_pd():
     traj = run_flow(sphere_metric(1.0, 32), FlowConfig(t_end=0.3, dt_initial=1e-3))
     assert np.all(np.diff(traj.times) > 0)
     for m in traj.metrics:
-        assert m.is_positive_definite()
+        m.require_positive_definite()
 
 
 def test_rk4_order_under_dt_halving():
@@ -141,7 +167,7 @@ def test_conjugate_heat_inverts_each_sample_metric_once(monkeypatch):
     inverse = LeafMetric.inverse
     monkeypatch.setattr(LeafMetric, "inverse", lambda self: calls.append(self) or inverse(self))
     x, _ = m.grid.coordinate_fields()
-    heats = solve_conjugate_heat(traj, ScalarField(m.grid, 2.0 + np.sin(x)))
+    heats = _solve_on_trajectory(traj, ScalarField(m.grid, 2.0 + np.sin(x)), HEAT_CONJUGATE)
     assert len(heats) == 6
     # Gamma, K and the Laplacian share one inverse per sample
     assert len(calls) == len({id(metric) for metric in calls}) == 6
@@ -189,7 +215,7 @@ def test_shared_heat_operator_is_bit_identical_to_per_stage_rebuild(direction, h
         while t < config.t_end - 1e-15:
             dt = min(config.dt_initial, config.t_end - t)
             u = _reference_heat_substep(metric, u, 0.5 * dt, conjugate)
-            metric = step_flow(metric, direction, dt)
+            metric = step_flow(metric, dt)
             u = _reference_heat_substep(metric, u, 0.5 * dt, conjugate)
             t += dt
             step += 1
@@ -233,12 +259,11 @@ def _sheared_bump(amp, n, eps):
     return LeafMetric(base.grid, comps)
 
 
-@pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_step_flow_from_the_metrics_pack_is_bit_identical(direction):
+def test_step_flow_from_the_metrics_pack_is_bit_identical():
     for m in (sphere_metric(1.0, 32), torus_bump_metric(0.3, 16), _sheared_bump(0.3, 17, 0.2)):
         pack = curvature(m)
-        out = step_flow(m, direction, 1e-3, pack)
-        assert np.array_equal(out.comps, step_flow(m, direction, 1e-3).comps)
+        out = step_flow(m, 1e-3, pack)
+        assert np.array_equal(out.comps, step_flow(m, 1e-3).comps)
         assert "K" in vars(pack)  # stage 1 left K on the pack for later readers
 
 
@@ -277,12 +302,12 @@ def test_step_flow_validates_only_its_result(monkeypatch):
     for m in (sphere_metric(1.0, 32), torus_bump_metric(0.3, 16)):
         for _ in range(3):
             validated.clear()
-            m = step_flow(m, "forward", 1e-3)
+            m = step_flow(m, 1e-3)
             assert len(validated) == 1
     # a NaN step still fails closed on the checked result
     monkeypatch.setattr(flow, "ricci", lambda metric: np.full(metric.comps.shape, np.nan))
     with pytest.raises(MetricError, match="symmetric"):
-        step_flow(m, "forward", 1e-3)
+        step_flow(m, 1e-3)
 
 
 def test_cfl_adaptive_controller_runs():
@@ -303,7 +328,7 @@ def _static_trajectory(metric, t_end, n_samples):
 def test_heat_constant_data_stays_constant():
     m = flat_torus_metric(n=16)
     traj = _static_trajectory(m, 1.0, 11)
-    series = solve_heat(traj, ScalarField(m.grid, np.full(m.grid.shape, 3.0)))
+    series = _solve_on_trajectory(traj, ScalarField(m.grid, np.full(m.grid.shape, 3.0)), HEAT_PLAIN)
     assert np.max(np.abs(series[-1].values - 3.0)) < 1e-13
 
 
@@ -311,7 +336,7 @@ def test_heat_fourier_mode_on_static_torus():
     m = flat_torus_metric(n=64)
     x, y = m.grid.coordinate_fields()
     traj = _static_trajectory(m, 1.0, 41)
-    series = solve_heat(traj, ScalarField(m.grid, 2.0 + np.sin(x)))
+    series = _solve_on_trajectory(traj, ScalarField(m.grid, 2.0 + np.sin(x)), HEAT_PLAIN)
     exact = 2.0 + np.exp(-1.0) * np.sin(x)
     assert np.max(np.abs(series[-1].values - exact)) < 5e-4
 
@@ -322,7 +347,7 @@ def test_heat_positivity_enforced():
     u0 = np.full(m.grid.shape, 1.0)
     u0[0, 0] = -0.5
     with pytest.raises(FlowError):
-        solve_heat(traj, ScalarField(m.grid, u0))
+        _solve_on_trajectory(traj, ScalarField(m.grid, u0), HEAT_PLAIN)
     with pytest.raises(FlowError):
         run_flow(m, FlowConfig(t_end=0.1, dt_initial=0.01, heat="heat"), u0=ScalarField(m.grid, u0))
 
@@ -332,15 +357,15 @@ def test_conjugate_heat_reduces_to_heat_on_flat_torus():
     x, _ = m.grid.coordinate_fields()
     traj = _static_trajectory(m, 0.5, 11)
     u0 = ScalarField(m.grid, 2.0 + np.sin(x))
-    a = solve_heat(traj, u0)
-    b = solve_conjugate_heat(traj, u0)
+    a = _solve_on_trajectory(traj, u0, HEAT_PLAIN)
+    b = _solve_on_trajectory(traj, u0, HEAT_CONJUGATE)
     assert np.max(np.abs(a[-1].values - b[-1].values)) < 1e-12
 
 
 def test_conjugate_heat_constant_on_frozen_sphere():
     m = sphere_metric(1.0, 48)
     traj = _static_trajectory(m, 0.2, 21)
-    series = solve_conjugate_heat(traj, ScalarField(m.grid, np.ones(m.grid.shape)))
+    series = _solve_on_trajectory(traj, ScalarField(m.grid, np.ones(m.grid.shape)), HEAT_CONJUGATE)
     # Scal' = 2 on the unit sphere: u(t) = e^{-2t} uniformly
     assert np.max(np.abs(series[-1].values - np.exp(-0.4))) < 2e-3
 
@@ -376,44 +401,19 @@ def test_heat_solution_positive_along_collapse():
         assert np.all(f.values > 0.0)
 
 
-# --- bounds and equivalence ----------------------------------------------
+# --- curvature bounds ----------------------------------------------------
 
 
 def test_measured_bounds_flat_torus_zero():
     traj = _static_trajectory(flat_torus_metric(n=16), 1.0, 3)
-    b = measure_curvature_bounds(traj)
+    b = CurvatureBounds.from_suprema(curvature_suprema(traj))
     assert b.rho1 < 1e-12 and b.rho2 < 1e-12 and b.rho3 < 1e-10
 
 
 def test_sphere_ricci_stays_nonnegative_along_flow():
     traj = run_flow(sphere_metric(1.0, 48), FlowConfig(t_end=0.3, dt_initial=1e-3, sample_every=50))
-    b = measure_curvature_bounds(traj)
+    b = CurvatureBounds.from_suprema(curvature_suprema(traj))
     assert b.rho2 < 1e-2  # no appreciable negative Ricci appears
-
-
-def test_equivalence_flat_torus_trivial():
-    traj = _static_trajectory(flat_torus_metric(n=16), 1.0, 3)
-    rep = metric_equivalence_check(traj, CurvatureBounds(0.0, 0.0, 0.0))
-    assert rep.hypothesis_ok and rep.holds
-    assert abs(rep.worst_lower - 1.0) < 1e-12
-    assert abs(rep.worst_upper - 1.0) < 1e-12
-
-
-def test_equivalence_shrinking_sphere():
-    traj = run_flow(sphere_metric(1.0, 64), FlowConfig(t_end=0.25, dt_initial=1e-3, sample_every=50))
-    rho2 = 1.0 / (1.0 - 2 * 0.25) * 1.05  # sup Ricci eigenvalue over [0, 0.25]
-    rep = metric_equivalence_check(traj, CurvatureBounds(0.0, rho2, 0.0))
-    assert rep.hypothesis_ok
-    assert rep.holds
-    # closed form: eigratio = r(t)^2 = 1 - 2t >= e^{-2 rho2 t}
-    assert rep.worst_lower >= 1.0 - 1e-9
-
-
-def test_equivalence_hypothesis_gate():
-    traj = run_flow(sphere_metric(1.0, 48), FlowConfig(t_end=0.25, dt_initial=1e-3, sample_every=50))
-    rep = metric_equivalence_check(traj, CurvatureBounds(0.0, 0.5, 0.0))
-    assert not rep.hypothesis_ok
-    assert rep.failed_hypothesis == "ricci-upper-bound"
 
 
 def _eigen_oracle_suprema(trajectory, masks):

@@ -1,7 +1,10 @@
 """Hygiene checks on the package: its sources and the modules a run imports."""
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 import os
 import subprocess
 import sys
@@ -92,3 +95,85 @@ def test_cold_golden_run_and_verify_load_no_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Defined in the package but entered by no `nullflow run` or `nullflow verify`
+# path, each with the reason it stays.  Everything else a CLI path does not
+# reach is surface only tests use, and goes.
+_UNREACHED_BY_DESIGN = {
+    "nullgeom": "the null-structure layer of acceptance criteria 9 and 10",
+    "metric.bochner_residual": "an identity residual of acceptance criterion 5",
+    "metric.ricci_identity_residual": "an identity residual of acceptance criterion 5",
+    "metric.gradient": "ricci_identity_residual's gradient",
+    "metric.hessian": "the Hessian of both residuals",
+    "metric.CurvaturePack.christoffel": "the Christoffel symbols the residuals' Hessian reads",
+    "grids.mixed_deriv": "hessian's mixed derivative, wrapped by nullbench/tracing.py",
+}
+
+_TORUS = {
+    "scenario": {"name": "torus-bump", "amp": 0.3, "resolution": 16},
+    "flow": {"t_end": 0.1, "dt_initial": 0.002, "heat": "heat", "sample_every": 10},
+    "heat_initial": "cosine-mode",
+    "estimates": {"alpha": 2.0, "p": 4.0, "q": 4.0, "rho": 0.8, "center": [3, 12]},
+    "theorems": ["log-gradient-backward", "log-gradient-forward", "harnack-local", "harnack-global", "li-yau"],
+}
+_FLAT_BACKWARD = dict(
+    _TORUS,
+    scenario={"name": "flat-torus", "resolution": 16},
+    flow={"direction": "backward", "t_end": 0.02, "dt_initial": 0.001, "heat": "conjugate-heat",
+          "sample_every": 10},
+    theorems=["log-gradient-backward"],
+)
+_MALFORMED = '{"scenario": {"name": "round-sphere", "radius": NaN}}'
+
+
+def defined_functions() -> dict:
+    """Every function and method in the package's sources, as
+    (file, first line of its code object) -> "module.Qual.name"."""
+    out = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # a decorated function's code starts at its first decorator
+                first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                out[(str(path), first)] = f"{path.stem}.{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text()), path, "")
+    return out
+
+
+def test_every_function_is_reached_by_a_cli_path(tmp_path):
+    from nullflow.cli import main
+
+    runs = [(SRC.parents[1] / "tests" / "data" / "golden_config.json", "li-yau", 0)]
+    for name, doc, code in (("torus", _TORUS, 0), ("flat", _FLAT_BACKWARD, 0), ("malformed", None, 2)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(_MALFORMED if doc is None else json.dumps(doc))
+        runs.append((path, "log-gradient-backward", code))
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        for config, theorem, code in runs:
+            out = tmp_path / config.stem
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(["run", str(config), "--out", str(out)]) == code
+                csv = str(out / "trajectory.csv")
+                assert main(["verify", csv, "--theorem", theorem, "--params", str(config)]) == code
+    finally:
+        sys.setprofile(None)
+
+    unreached = sorted(name for key, name in defined_functions().items() if key not in entered)
+    exempt = [e for e in _UNREACHED_BY_DESIGN if e in unreached or any(n.startswith(e + ".") for n in unreached)]
+    assert [n for n in unreached if not any(n == e or n.startswith(e + ".") for e in exempt)] == []
+    # every entry still names code that exists and that no CLI path reaches
+    assert exempt == list(_UNREACHED_BY_DESIGN)

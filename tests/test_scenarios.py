@@ -33,7 +33,7 @@ def test_torus_bump_matches_closed_form():
     factor = torus_bump_conformal_factor(amp, x, y)
     assert np.allclose(m.comps[..., 0, 0], factor)
     assert np.allclose(m.comps[..., 1, 1], factor)
-    assert m.is_positive_definite()
+    m.require_positive_definite()
 
 
 def test_invalid_scenario_inputs():
