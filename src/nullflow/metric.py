@@ -75,6 +75,9 @@ class LeafMetric:
         with np.errstate(invalid="ignore"):  # inf - inf
             close = (a == b) | ((np.abs(a - b) <= 1e-14 + 1e-5 * np.abs(b)) & np.isfinite(b))
         if not np.all(close):
+            bad = ~np.isfinite(self.comps).all(axis=(-2, -1))
+            if bad.any():  # a non-finite component fails the test above, so name it
+                raise MetricError(f"metric components are not finite (node {int(np.argmax(bad))})")
             raise MetricError("metric components are not symmetric")
 
     @classmethod
@@ -201,21 +204,34 @@ def _gauss_curvature_generic(pack: CurvaturePack) -> np.ndarray:
     In R^r_{smn} = d_m Gamma^r_ns - d_n Gamma^r_ms + Gamma^r_ml Gamma^l_ns - Gamma^r_nl Gamma^l_ms
     the m = n summand is an array minus itself, exactly 0.0 for finite Gamma, so
     Ric_sn is the m = 1 - n summand alone, in the full sum's order.  It reads only
-    dgamma[d][c, s] = d_d Gamma^c_{1-d, s}: 4 of the 8 components per axis."""
+    dgamma[d][c, s] = d_d Gamma^c_{1-d, s}: 4 of the 8 components per axis.  The
+    terms, the symmetrization and the trace are formed in place, in the order of
+    ``0.5 * _trace(ginv, 0.5 * (ric + ric.swapaxes(0, 1)))``."""
     grid, gamma = pack.grid, pack.gamma_c
     dgamma = [_component_major(partial_deriv(grid, _node_major(gamma[:, 1 - d], 2), axis=d), 2)
               for d in range(DIM)]
     ric = np.empty((DIM, DIM) + grid.shape)
+    p, q = np.empty(grid.shape), np.empty(grid.shape)  # hold every product and partial sum below
     for s in range(DIM):
         for n in range(DIM):
             m = 1 - n
-            term = dgamma[m][m, s] - dgamma[n][m, s]
+            term = np.subtract(dgamma[m][m, s], dgamma[n][m, s], out=ric[s, n])
             for l in range(DIM):
-                term = term + (gamma[m, m, l] * gamma[l, n, s]
-                               - gamma[m, n, l] * gamma[l, m, s])
-            ric[s, n] = term
-    ric = 0.5 * (ric + ric.swapaxes(0, 1))
-    return 0.5 * _trace(pack.ginv_c, ric)
+                np.multiply(gamma[m, m, l], gamma[l, n, s], out=p)
+                term += np.subtract(p, np.multiply(gamma[m, n, l], gamma[l, m, s], out=q), out=p)
+    # ric = 0.5 * (ric + ric.swapaxes(0, 1)); both off-diagonal entries are p
+    for s in range(DIM):
+        ric[s, s] += ric[s, s]
+        ric[s, s] *= 0.5
+    np.add(ric[0, 1], ric[1, 0], out=p)
+    p *= 0.5
+    # 0.5 * _trace(ginv, ric), in its order
+    g, t00, t11 = pack.ginv_c, ric[0, 0], ric[1, 1]
+    t00 *= g[0, 0]
+    t00 += np.multiply(g[1, 0], p, out=q)
+    t11 *= g[1, 1]
+    t00 += np.add(np.multiply(g[0, 1], p, out=q), t11, out=q)
+    return np.multiply(t00, 0.5, out=q)
 
 
 def gauss_curvature(metric: LeafMetric, pack: CurvaturePack | None = None) -> np.ndarray:

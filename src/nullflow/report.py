@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
+from itertools import chain, islice, repeat, tee
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .metric import LeafMetric
 SCHEMA_VERSION = 1
 _CSV_HEADER = "t,node,g11,g12,g22,u"
 _META_KEYS = ("termination", "singular_time", "heat_valid_until")
+_SLICE_ROWS = 4096  # rows per write and floats per column formatted: only a slice is held
 
 
 def _fmt(x) -> str:
@@ -28,22 +30,55 @@ def _fmt(x) -> str:
 # --- trajectory CSV -------------------------------------------------------
 
 
+def _reprs(column):
+    """The repr of each float of ``column``, which is _fmt, from a slice of
+    Python floats at a time."""
+    return chain.from_iterable(map(repr, column[i:i + _SLICE_ROWS].tolist())
+                               for i in range(0, len(column), _SLICE_ROWS))
+
+
+def _column_cells(columns) -> list:
+    """Lazy text of each value column, keyed by its bytes (so +0.0 and -0.0
+    differ): a constant column is one repr repeated, and a column bitwise
+    equal to an earlier one shares that column's text through a tee."""
+    cells, first = [], {}
+    for c in columns:
+        key = c.tobytes()
+        if key == key[:c.itemsize] * len(c):
+            cells.append(repeat(_fmt(c[0]), len(c)))
+        elif key in first:
+            i = first[key]
+            cells[i], copy = tee(cells[i])
+            cells.append(copy)
+        else:
+            first[key] = len(cells)
+            cells.append(_reprs(c))
+    return cells
+
+
 def write_trajectory_csv(path, trajectory: FlowTrajectory):
     """A ``#`` JSON line with the metadata (termination, singular_time,
     heat_valid_until), then the long format: one row per (time sample,
     node) with the metric components and the heat field (empty when
-    absent)."""
+    absent).  Rows are written in slices of ``_SLICE_ROWS``."""
     meta = {key: getattr(trajectory, key) for key in _META_KEYS}
     heats = trajectory.heat_fields
+    n = int(np.prod(trajectory.grid.shape))
+    nodes = list(map(str, range(n)))
     with open(path, "w") as fh:
         fh.write(f"# {json.dumps(_round_trip(meta))}\n{_CSV_HEADER}\n")
-        for k, t in enumerate(trajectory.times):  # one sample's block of text at a time
+        for k, t in enumerate(trajectory.times):
             g = trajectory.metrics[k].comps.reshape(-1, 2, 2)
-            n = len(g)
-            # repr of a Python float is _fmt, so each column is formatted at once
-            cells = [map(repr, c.tolist()) for c in (g[:, 0, 0], g[:, 0, 1], g[:, 1, 1])]
-            cells.append([""] * n if heats is None else map(repr, heats[k].values.ravel().tolist()))
-            fh.write("\n".join(map(",".join, zip([_fmt(t)] * n, map(str, range(n)), *cells))) + "\n")
+            columns = [g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]]
+            if heats is not None:
+                columns.append(heats[k].values.ravel())
+            cells = _column_cells(columns)
+            if heats is None:
+                cells.append(repeat("", n))
+            rows = map(",".join, zip(repeat(_fmt(t), n), nodes, *cells))
+            while block := "\n".join(islice(rows, _SLICE_ROWS)):
+                fh.write(block)
+                fh.write("\n")
 
 
 def _read_meta(line: str) -> dict:

@@ -369,6 +369,58 @@ def test_trajectory_csv_round_trips_bit_for_bit(tmp_path):
     check()
 
 
+@st.composite
+def _related_column_trajectories(draw):
+    """A torus trajectory (n = 8, 9 or 65, so that blocks of 4,225 rows cross
+    a write slice) whose value columns g11, g12, g22 and u, per block, are
+    fresh cells with a +0.0 and a -0.0 among them, a constant (+0.0, -0.0 or
+    another number), a bitwise copy of an earlier column, or such a copy with
+    the sign of one cell flipped (a -0.0 where the other has +0.0); u may be
+    absent."""
+    grid = make_torus_grid(draw(st.sampled_from([8, 9, 65])))
+    size = grid.shape[0] * grid.shape[1]
+    times = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    heat = draw(st.booleans())
+    blocks = []
+    for _ in times:
+        cols = []
+        for c in range(4 if heat else 3):
+            kind = draw(st.sampled_from(["fresh", "const"] + [(how, j) for j in range(c)
+                                                            for how in ("copy", "flip")]))
+            if kind == "fresh":
+                col = rng.uniform(-2.0, 2.0, size)
+                col[rng.choice(size, 2, replace=False)] = (0.0, -0.0)
+            elif kind == "const":
+                col = np.full(size, draw(st.sampled_from([0.0, -0.0, 1.0, float(rng.uniform(-2.0, 2.0))])))
+            else:
+                col = cols[kind[1]].copy()
+                if kind[0] == "flip":
+                    zeros = np.flatnonzero(col == 0.0)
+                    i = zeros[0] if zeros.size else 0
+                    col[i] = -col[i]
+            cols.append(col)
+        blocks.append([col.reshape(grid.shape) for col in cols])
+    metrics = []
+    for g11, g12, g22, *_ in blocks:
+        comps = np.stack([np.stack([g11, g12], -1), np.stack([g12, g22], -1)], -2)
+        metrics.append(LeafMetric(grid, comps))
+    heats = [ScalarField(grid, cols[3]) for cols in blocks] if heat else None
+    return FlowTrajectory(np.array(times), metrics, heats, REACHED_T_END)
+
+
+def test_trajectory_csv_shares_text_only_between_bitwise_equal_columns(tmp_path):
+    path = tmp_path / "traj.csv"
+
+    @settings(max_examples=60, deadline=None)
+    @given(traj=_related_column_trajectories())
+    def check(traj):
+        write_trajectory_csv(path, traj)
+        assert path.read_text() == _reference_csv(traj)
+
+    check()
+
+
 def test_read_trajectory_csv_keeps_no_strings_per_row(tmp_path):
     """Reading a 6-sample torus n = 64 trajectory (24,576 rows, 2.07 MB)
     peaked at 2.6 times the file size (numpy 2.4, CPython 3.11); a reader

@@ -8,6 +8,7 @@ import pytest
 
 from nullflow.config import parse_config
 from nullflow.estimates import (
+    A_SLACK,
     THEOREM_IDS,
     EstimateError,
     EstimateParams,
@@ -600,3 +601,64 @@ def test_time_derivative_matches_smooth_series():
     d = time_derivative(times, series)
     exact = -2.0 * series
     assert np.max(np.abs(d - exact)[1:-1]) < 5e-3
+
+
+# --- closed-form margins on the round sphere ------------------------------
+
+# forward flow of the unit sphere with plain heat from u0 = 2 + cos(theta):
+# r^2 = 1 - 2t and u = 2 + (1 - 2t) cos(theta), so |grad u|^2 = (1 - 2t) sin^2(theta),
+# u_t = -2 cos(theta), K = 1/r^2 is constant in space and rho1 = rho2 = rho3 = 0
+_SPHERE_RHO, _SPHERE_T = 0.7, 0.3
+_SPHERE_PARAMS = {
+    "li-yau": EstimateParams(rho=_SPHERE_RHO),
+    "log-gradient-forward": EstimateParams(rho=_SPHERE_RHO),
+    "harnack-global": EstimateParams(alpha=2.0, p=4.0, q=4.0, rho=_SPHERE_RHO),
+    "harnack-local": EstimateParams(alpha=2.0, p=4.0, q=4.0, rho=_SPHERE_RHO),
+}
+
+
+def _sphere_exact_margin(theorem, times, theta_c):
+    """min of RHS - LHS over the samples t > 0 and the continuum cube
+    |theta - theta_c| <= 2 rho / r, on a fine theta grid of [0, pi]."""
+    par = _SPHERE_PARAMS[theorem]
+    theta = np.linspace(0.0, np.pi, 100_001)
+    A = (1.0 + A_SLACK) * 3.0  # sup u is u0 at theta = 0
+    ricci_upper = (1.0 + 1e-9) / (1.0 - 2.0 * times[-1])  # sup K, at the last sample
+    margin = np.inf
+    for t in times[times > 0.0]:
+        a = 1.0 - 2.0 * t
+        th = theta[np.abs(theta - theta_c) <= 2.0 * par.rho / np.sqrt(a)]
+        u = 2.0 + a * np.cos(th)
+        log_grad_sq = a * np.sin(th) ** 2 / u**2
+        if theorem == "log-gradient-forward":
+            lhs, rhs = log_grad_sq, bound_forward_thm(t, 0.0, 0.0, par.rho, CERT, A, u)
+        else:
+            lhs = log_grad_sq + par.alpha * 2.0 * np.cos(th) / u
+            if theorem == "li-yau":
+                rhs = bound_alpha_one(t, ricci_upper)
+            elif theorem == "harnack-global":
+                rhs = bound_global_forward(t, 0.0, 0.0, par.alpha, par.p, par.q)
+            else:
+                c3 = operational_constants(CERT)["c3"]
+                rhs = bound_local_forward(t, CurvatureBounds(), par.rho, par.alpha, par.p, par.q, c3)
+        margin = min(margin, float(np.min(rhs - lhs)))
+    return margin
+
+
+def test_sphere_margins_converge_to_the_closed_form():
+    """The forward theorems' min margins differ from the continuum ones by
+    O(h^2): samples every 0.05 to T = 0.3, centre n/2, rho = 0.7."""
+    errors = {}
+    for n, dt in ((24, 1e-3), (48, 5e-4)):
+        m = sphere_metric(1.0, n)
+        traj = run_flow(m, FlowConfig(t_end=_SPHERE_T, dt_initial=dt, heat="heat",
+                                      sample_every=round(0.05 / dt)),
+                        u0=ScalarField(m.grid, 2.0 + np.cos(m.grid.axes[0])))
+        assert np.allclose(traj.times, np.arange(7) * 0.05)
+        for theorem, par in _SPHERE_PARAMS.items():
+            rep = verify(traj, theorem, dataclasses.replace(par, center=n // 2), cert=CERT)
+            exact = _sphere_exact_margin(theorem, traj.times, m.grid.axes[0][n // 2])
+            errors[theorem, n] = rep.min_margin - exact
+    for theorem in _SPHERE_PARAMS:
+        assert abs(errors[theorem, 48]) <= 0.05, (theorem, errors)
+        assert errors[theorem, 24] / errors[theorem, 48] >= 3.5, (theorem, errors)
