@@ -246,7 +246,7 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
         if step % config.sample_every == 0:
             store()
 
-    if termination == REACHED_T_END and not np.isclose(times[-1], t):
+    if termination == REACHED_T_END and times[-1] != t:  # the clock lands on t_end exactly
         store()
 
     valid_until = heat_t_max if heats is not None and heat_t_max < config.t_end else None

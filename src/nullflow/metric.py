@@ -15,6 +15,16 @@ a(x) dx^2 + b(x) dy^2) it comes from the surface-of-revolution formula
 which stays uniformly second-order accurate up to the excluded poles of
 the chart, where the generic route loses accuracy to the cot(theta)
 singularity of the Christoffel symbols.
+
+Every periodic scenario starts as g = w I, and the flow keeps that form bit
+for bit.  For such a metric (g01 and g10 zero, g00 == g11 at every node)
+each Christoffel symbol is +-p or +-q, with g^00 = g^11 = gi = w / (w w),
+p = gi d_0 w / 2 and q = gi d_1 w / 2, and g^01 = g^10 = +-0.  The flow's
+right-hand side :func:`ricci` and :func:`laplace_beltrami` then take the
+generic route's operations with the products by +-0 and the pairs that
+cancel exactly left out, so the two routes can differ only in the sign of
+an exact zero.  ``CurvaturePack.K`` keeps the Christoffel route, so the
+curvature that ``verify`` measures does not depend on the flow's kernels.
 """
 from __future__ import annotations
 
@@ -49,6 +59,15 @@ def _trace(g, t) -> np.ndarray:
     """g^ab t_ab from components ``g[a][b]``, ``t[a][b]``, with the products
     paired as np.einsum("...ab,...ab->...") pairs them on node-major arrays."""
     return (g[0][0] * t[0][0] + g[1][0] * t[1][0]) + (g[0][1] * t[0][1] + g[1][1] * t[1][1])
+
+
+def _conformal_factor(comps: np.ndarray) -> np.ndarray | None:
+    """w, contiguous, when ``comps`` is exactly w I: g01 and g10 zero and g00 ==
+    g11 at every node (a NaN fails); None otherwise."""
+    w = comps[..., 0, 0]
+    if np.any(comps[..., 0, 1]) or np.any(comps[..., 1, 0]) or not np.array_equal(w, comps[..., 1, 1]):
+        return None
+    return np.ascontiguousarray(w)
 
 
 class MetricError(ValueError):
@@ -132,6 +151,8 @@ class CurvaturePack:
 
     def __init__(self, metric: LeafMetric, ginv: np.ndarray, christoffel: np.ndarray):
         self.metric = metric
+        # g = w I exactly: laplace_beltrami drops the terms g^01 = 0 cancels
+        self.conformal = metric.grid.topology != SPHERICAL_1D and _conformal_factor(metric.comps) is not None
         self.ginv_c = _component_major(ginv, 2)
         self.gamma_c = _component_major(christoffel, 3)
 
@@ -234,6 +255,41 @@ def _gauss_curvature_generic(pack: CurvaturePack) -> np.ndarray:
     return np.multiply(t00, 0.5, out=q)
 
 
+def _gauss_curvature_conformal(metric: LeafMetric, w: np.ndarray) -> np.ndarray:
+    """K of g = w I, with the checks of :func:`curvature` and the operations of
+    :func:`_gauss_curvature_generic` on Gamma^0_00 = Gamma^1_01 = -Gamma^0_11 = p
+    and Gamma^1_11 = Gamma^0_01 = -Gamma^1_00 = q:
+
+        K = 0.5 (((T + A) - A) gi + ((T - A) + A) gi),  T = -(d_1 q + d_0 p),
+        A = p p + q q,
+
+    where ric_01 + ric_10 and every product by g^01 = +-0 are exact zeros."""
+    ww = w * w  # the determinant
+    if np.any(ww == 0.0):
+        raise SingularMetricError("singular metric matrix")
+    metric.require_positive_definite()
+    grid = metric.grid
+    gi = np.divide(w, ww, out=ww)
+    p, q = partial_deriv(grid, w, 0), partial_deriv(grid, w, 1)
+    for c in (p, q):
+        c *= gi
+        c *= 0.5
+    t, d = partial_deriv(grid, q, 1), partial_deriv(grid, p, 0)
+    t += d
+    np.negative(t, out=t)
+    a = np.multiply(p, p, out=p)
+    a += np.multiply(q, q, out=q)
+    k = np.add(t, a, out=d)
+    k -= a
+    k *= gi
+    t -= a
+    t += a
+    t *= gi
+    k += t
+    k *= 0.5
+    return k
+
+
 def gauss_curvature(metric: LeafMetric, pack: CurvaturePack | None = None) -> np.ndarray:
     """Gauss curvature K per node.  Spherical charts use the surface-of-revolution
     formula and need no ``pack``; other grids build one if none is given."""
@@ -249,8 +305,11 @@ def curvature(metric: LeafMetric) -> CurvaturePack:
 
 
 def ricci(metric: LeafMetric) -> np.ndarray:
-    """Ricci tensor K g only (used by the flow right-hand side)."""
-    return gauss_curvature(metric)[..., None, None] * metric.comps
+    """Ricci tensor K g (the flow's right-hand side); K of an exactly conformal
+    metric w I skips the Christoffel symbols."""
+    w = None if metric.grid.topology == SPHERICAL_1D else _conformal_factor(metric.comps)
+    K = gauss_curvature(metric) if w is None else _gauss_curvature_conformal(metric, w)
+    return K[..., None, None] * metric.comps
 
 
 def _inverse_and_differential(metric: LeafMetric, field, pack: CurvaturePack | None):
@@ -298,8 +357,8 @@ def laplace_beltrami(metric: LeafMetric, field, pack: CurvaturePack | None = Non
     component by component from ``pack`` (built from ``metric`` if not given).
 
     These are the operations of :func:`hessian` and of its einsum trace, in
-    their order, so the two agree bit for bit; the sphere chart skips the
-    terms that vanish there.
+    their order, so the two agree bit for bit; the sphere chart and a
+    conformal pack skip the terms that vanish there.
     """
     values = field_values(field, metric.grid)
     pack = curvature(metric) if pack is None else pack
@@ -311,6 +370,11 @@ def laplace_beltrami(metric: LeafMetric, field, pack: CurvaturePack | None = Non
         h00 = second_deriv(grid, values, 0) - G[0, 0, 0] * d0
         return g[0, 0] * h00 + g[1, 1] * (0.0 - G[0, 1, 1] * d0)
     d1 = partial_deriv(grid, values, 1)
+    if pack.conformal:
+        # g^01 = g^10 = +-0, Gamma^1_00 = -Gamma^1_11 and Gamma^0_11 = -Gamma^0_00
+        p, q = G[0, 0, 0] * d0, G[1, 1, 1] * d1
+        return (g[0, 0] * ((second_deriv(grid, values, 0) - p) + q)
+                + g[1, 1] * ((second_deriv(grid, values, 1) + p) - q))
     cross = partial_deriv(grid, d0, 1)  # mixed_deriv(grid, values), reusing d0
     h = [[(second_deriv(grid, values, 0) - G[0, 0, 0] * d0) - G[1, 0, 0] * d1,
           (cross - G[0, 0, 1] * d0) - G[1, 0, 1] * d1],

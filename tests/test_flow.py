@@ -278,9 +278,42 @@ def test_forward_heat_run_takes_stage_one_from_the_heat_pack(monkeypatch, heat):
     x, _ = m.grid.coordinate_fields()
     config = FlowConfig(t_end=0.02, dt_initial=2e-3, heat=heat, sample_every=5)
     run_flow(m, config, u0=ScalarField(m.grid, 2.0 + np.sin(x)))
-    # with heat: stages 2-4 and the new metric's pack per step (stage 1 reads
-    # the current pack), plus the initial pack; without: all 4 stages
-    assert len(seen) == 4 * 10 + (heat == "heat")
+    # the RK stages of g = w I take the conformal route, so the only builds are
+    # the heat packs: the new metric's per step plus the initial one
+    assert len(seen) == (10 + 1 if heat == "heat" else 0)
+
+
+@pytest.mark.parametrize("direction,heat", [
+    ("forward", "heat"), ("forward", "conjugate-heat"), ("backward", "conjugate-heat"),
+])
+def test_conformal_route_leaves_every_stored_bit_unchanged(monkeypatch, direction, heat):
+    import nullflow.metric as metric_module
+
+    m = torus_bump_metric(0.3, 16)
+    x, _ = m.grid.coordinate_fields()
+    config = FlowConfig(direction=direction, t_end=0.02, dt_initial=2e-3, heat=heat, sample_every=5)
+    runs = []
+    for _ in range(2):
+        runs.append(run_flow(m, config, u0=ScalarField(m.grid, 2.0 + np.sin(x))))
+        # then every metric takes the generic Christoffel route
+        monkeypatch.setattr(metric_module, "_conformal_factor", lambda comps: None)
+    fast, generic = runs
+    assert fast.times.tobytes() == generic.times.tobytes() and len(fast.times) == 3
+    # bytes, so that a zero's sign counts as it does in the CSV
+    for a, b in zip(fast.metrics, generic.metrics):
+        assert a.comps.tobytes() == b.comps.tobytes()
+    for a, b in zip(fast.heat_fields, generic.heat_fields):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_final_state_near_the_last_sample_is_stored():
+    # the last sample is at 4e-9 and the clock ends on 5e-9; a tolerance of
+    # 1e-8 took the two for one time and dropped the final state
+    traj = run_flow(flat_torus_metric(n=8), FlowConfig(t_end=5e-9, dt_initial=1e-9, sample_every=2))
+    assert traj.termination == "reached-t_end"
+    assert len(traj.times) == len(traj.metrics) == 4
+    assert traj.times[-1] == 5e-9
+    assert np.allclose(traj.times, [0.0, 2e-9, 4e-9, 5e-9], rtol=1e-12, atol=0.0)
 
 
 def test_backward_run_starts_at_exactly_zero():

@@ -107,6 +107,8 @@ _UNREACHED_BY_DESIGN = {
     "metric.gradient": "ricci_identity_residual's gradient",
     "metric.hessian": "the Hessian of both residuals",
     "metric.CurvaturePack.christoffel": "the Christoffel symbols the residuals' Hessian reads",
+    "metric._trace": "the trace of the generic periodic Laplacian, for metrics not w I, "
+                     "and of ricci_identity_residual",
     "grids.mixed_deriv": "hessian's mixed derivative, wrapped by nullbench/tracing.py",
 }
 

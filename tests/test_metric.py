@@ -4,11 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import node_major_reference as ref
+import nullflow.metric as metric_module
 from nullflow.grids import ScalarField, make_sphere_grid, make_torus_grid
 from nullflow.metric import (
     LeafMetric,
     MetricError,
     SingularMetricError,
+    _conformal_factor,
+    _gauss_curvature_conformal,
+    _gauss_curvature_generic,
     bochner_residual,
     christoffel,
     curvature,
@@ -153,6 +157,79 @@ def test_curvature_kernels_match_full_ricci_sum(n, modes, skew):
     K = ref.gauss_curvature(m)
     assert np.array_equal(gauss_curvature(m), K)
     assert np.array_equal(curvature(m).K, K)
+
+
+def _conformal_metric(n, scale, modes):
+    """Torus metric w I, w = scale (1 + low modes), the modes within [-0.6, 0.6]."""
+    grid = make_torus_grid(n)
+    x, y = grid.coordinate_fields()
+    w = np.ones(grid.shape)
+    for kx, ky, a, b in modes:
+        w += a * np.cos(kx * x + ky * y) + b * np.sin(kx * x + ky * y)
+    comps = np.zeros(grid.shape + (2, 2))
+    comps[..., 0, 0] = comps[..., 1, 1] = scale * w
+    return LeafMetric(grid, comps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 40), scale=st.floats(0.25, 4.0),
+       modes=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                                st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)), max_size=3))
+@example(n=9, scale=1.0, modes=[])  # flat: K is an exact zero, so its sign counts
+@example(n=33, scale=1.0, modes=[(1, 1, 0.0, 0.1), (0, 2, -0.1, 0.0)])
+def test_conformal_kernels_are_bit_identical_to_the_christoffel_route(n, scale, modes):
+    m = _conformal_metric(n, scale, modes)
+    w = _conformal_factor(m.comps)
+    assert np.array_equal(w, m.comps[..., 0, 0])
+    K = _gauss_curvature_conformal(m, w)
+    pack = curvature(m)
+    for other in (_gauss_curvature_generic(pack), ref.gauss_curvature(m)):
+        assert np.array_equal(K, other)
+        assert np.array_equal(np.signbit(K), np.signbit(other))
+    assert ricci(m).tobytes() == pack.ricci.tobytes()
+    x, y = m.grid.coordinate_fields()
+    u = 2.0 + np.sin(x) * np.cos(2.0 * y) + 0.5 * np.cos(3.0 * x - y)
+    assert pack.conformal
+    lap = laplace_beltrami(m, u, pack)
+    assert np.array_equal(lap, ref.laplace_beltrami(m, u))
+    pack.conformal = False  # the generic branch on the same pack
+    assert np.array_equal(lap, laplace_beltrami(m, u, pack))
+
+
+@pytest.mark.parametrize("node", [(0, 0), (5, 7), (15, 15)])
+@pytest.mark.parametrize("change", ["g11 + 1 ulp", "g01 = 5e-324", "g10 = 5e-324"])
+def test_a_metric_one_bit_off_w_I_takes_the_generic_route(monkeypatch, node, change):
+    m = torus_bump_metric(0.3, 16)
+    calls = []
+    build = metric_module.christoffel
+    monkeypatch.setattr(metric_module, "christoffel", lambda g, *ginv: calls.append(1) or build(g, *ginv))
+    ricci(m)
+    assert calls == [] and curvature(m).conformal
+    comps = m.comps.copy()
+    if change == "g11 + 1 ulp":
+        comps[node + (1, 1)] = np.nextafter(comps[node + (1, 1)], np.inf)
+    else:
+        comps[node + ((0, 1) if change.startswith("g01") else (1, 0))] = 5e-324
+    off = LeafMetric(m.grid, comps)
+    assert _conformal_factor(off.comps) is None
+    assert not curvature(off).conformal
+    calls.clear()
+    ricci(off)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("w", [-0.5, 0.0, 1e-170])  # 1e-170 squared is 0.0
+def test_conformal_ricci_keeps_the_singular_metric_checks(monkeypatch, w):
+    m = torus_bump_metric(0.3, 16)
+    comps = m.comps.copy()
+    comps[3, 4, 0, 0] = comps[3, 4, 1, 1] = w
+    bad = LeafMetric(m.grid, comps)
+    assert _conformal_factor(bad.comps) is not None
+    with pytest.raises(SingularMetricError):
+        ricci(bad)
+    monkeypatch.setattr(metric_module, "_conformal_factor", lambda comps: None)
+    with pytest.raises(SingularMetricError):  # as on the generic route
+        ricci(bad)
 
 
 @pytest.mark.parametrize("case", ["sphere-48", "bump-16-g01"])
