@@ -140,8 +140,8 @@ def _diffusion_rate(grid: LeafGrid, ginv: np.ndarray) -> float:
 
 def _heat_substep(pack: CurvaturePack, u: np.ndarray, dt: float, mode: str) -> np.ndarray:
     """Advance u by dt on the frozen metric of ``pack`` with RK4, CFL-limited
-    substeps that all share its Christoffel symbols and inverse; conjugate
-    heat also reads Scal' = 2K, which plain heat never computes."""
+    substeps that all share its inverse (and its Christoffel symbols off w I);
+    conjugate heat also reads Scal' = 2K, which plain heat never computes."""
     scal = pack.scal if mode == HEAT_CONJUGATE else None
     rate = _diffusion_rate(pack.grid, pack.ginv)
     if scal is not None:

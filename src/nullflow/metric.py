@@ -18,13 +18,13 @@ singularity of the Christoffel symbols.
 
 Every periodic scenario starts as g = w I, and the flow keeps that form bit
 for bit.  For such a metric (g01 and g10 zero, g00 == g11 at every node)
-each Christoffel symbol is +-p or +-q, with g^00 = g^11 = gi = w / (w w),
-p = gi d_0 w / 2 and q = gi d_1 w / 2, and g^01 = g^10 = +-0.  The flow's
-right-hand side :func:`ricci` and :func:`laplace_beltrami` then take the
-generic route's operations with the products by +-0 and the pairs that
-cancel exactly left out, so the two routes can differ only in the sign of
-an exact zero.  ``CurvaturePack.K`` keeps the Christoffel route, so the
-curvature that ``verify`` measures does not depend on the flow's kernels.
+every Christoffel symbol is +-p or +-q, with gi = g^00 = g^11 = w / (w w),
+p = gi d_0 w / 2 and q = gi d_1 w / 2.  :func:`gauss_curvature`, the one place
+that picks K's route, then drops the Christoffel route's products by
+g^01 = +-0 and its pairs that cancel exactly, which can change only the sign
+of an exact zero.  In 2-D sqrt(g) g^ab is conformally invariant, so the
+Laplacian is flat, gi (d_00 f + d_11 f), and a pack of g = w I builds its
+Christoffel symbols only if a Hessian reads them.
 """
 from __future__ import annotations
 
@@ -142,19 +142,22 @@ class LeafMetric:
 
 
 class CurvaturePack:
-    """The geometry of one frozen metric, built once by :func:`curvature` for
-    every operator on it: the inverse g^ab and the Christoffel symbols, each
-    stored once as contiguous components ``ginv_c[a, b]`` and
-    ``gamma_c[c, a, b]`` for the kernels, and the Gauss curvature K, computed
-    on first use.  The 2-D Ricci and scalar curvatures are derived from K;
-    Riemann, K (g_ac g_bd - g_ad g_bc), is not provided."""
+    """The geometry of one frozen metric, checked and built once by
+    :func:`curvature` for every operator on it: the inverse g^ab, stored as
+    contiguous components ``ginv_c[a, b]`` for the kernels, and, on first
+    read, the Christoffel symbols ``gamma_c[c, a, b]`` and the Gauss curvature
+    K.  The 2-D Ricci and scalar curvatures are derived from K; Riemann,
+    K (g_ac g_bd - g_ad g_bc), is not provided."""
 
-    def __init__(self, metric: LeafMetric, ginv: np.ndarray, christoffel: np.ndarray):
+    def __init__(self, metric: LeafMetric, ginv: np.ndarray):
         self.metric = metric
-        # g = w I exactly: laplace_beltrami drops the terms g^01 = 0 cancels
+        # g = w I exactly: laplace_beltrami takes the flat form
         self.conformal = metric.grid.topology != SPHERICAL_1D and _conformal_factor(metric.comps) is not None
         self.ginv_c = _component_major(ginv, 2)
-        self.gamma_c = _component_major(christoffel, 3)
+
+    @cached_property
+    def gamma_c(self) -> np.ndarray:
+        return _component_major(christoffel(self.metric, self.ginv), 3)
 
     @property
     def grid(self) -> LeafGrid:
@@ -191,9 +194,11 @@ class CurvaturePack:
 
 def christoffel(metric: LeafMetric, ginv: np.ndarray | None = None) -> np.ndarray:
     """Gamma^c_ab = 1/2 g^cd (d_a g_db + d_b g_da - d_d g_ab), stored component-major;
-    ``ginv`` is the metric's inverse when the caller has it."""
-    metric.require_positive_definite()
-    ginv = _component_major(metric.inverse() if ginv is None else ginv, 2)
+    ``ginv`` is a checked metric's inverse (a pack's), else the metric is checked here."""
+    if ginv is None:
+        metric.require_positive_definite()
+        ginv = metric.inverse()
+    ginv = _component_major(ginv, 2)
     # dg[d][a, b] = d_d g_ab, component-major: the stencils keep their input's layout
     comps = _node_major(_component_major(metric.comps, 2), 2)
     dg = [_component_major(partial_deriv(metric.grid, comps, axis=d), 2) for d in range(DIM)]
@@ -255,19 +260,21 @@ def _gauss_curvature_generic(pack: CurvaturePack) -> np.ndarray:
     return np.multiply(t00, 0.5, out=q)
 
 
-def _gauss_curvature_conformal(metric: LeafMetric, w: np.ndarray) -> np.ndarray:
-    """K of g = w I, with the checks of :func:`curvature` and the operations of
-    :func:`_gauss_curvature_generic` on Gamma^0_00 = Gamma^1_01 = -Gamma^0_11 = p
-    and Gamma^1_11 = Gamma^0_01 = -Gamma^1_00 = q:
+def _gauss_curvature_conformal(metric: LeafMetric, w: np.ndarray, checked: bool = False) -> np.ndarray:
+    """K of g = w I, with the checks of :func:`curvature` unless its pack made
+    them (``checked``), and the operations of :func:`_gauss_curvature_generic`
+    on Gamma^0_00 = Gamma^1_01 = -Gamma^0_11 = p and Gamma^1_11 = Gamma^0_01 =
+    -Gamma^1_00 = q:
 
         K = 0.5 (((T + A) - A) gi + ((T - A) + A) gi),  T = -(d_1 q + d_0 p),
         A = p p + q q,
 
     where ric_01 + ric_10 and every product by g^01 = +-0 are exact zeros."""
     ww = w * w  # the determinant
-    if np.any(ww == 0.0):
-        raise SingularMetricError("singular metric matrix")
-    metric.require_positive_definite()
+    if not checked:
+        if np.any(ww == 0.0):
+            raise SingularMetricError("singular metric matrix")
+        metric.require_positive_definite()
     grid = metric.grid
     gi = np.divide(w, ww, out=ww)
     p, q = partial_deriv(grid, w, 0), partial_deriv(grid, w, 1)
@@ -291,25 +298,27 @@ def _gauss_curvature_conformal(metric: LeafMetric, w: np.ndarray) -> np.ndarray:
 
 
 def gauss_curvature(metric: LeafMetric, pack: CurvaturePack | None = None) -> np.ndarray:
-    """Gauss curvature K per node.  Spherical charts use the surface-of-revolution
-    formula and need no ``pack``; other grids build one if none is given."""
+    """Gauss curvature K per node, the one place that picks its route: the
+    surface-of-revolution formula on spherical charts, the conformal one on
+    g = w I exactly, else the Christoffel route on ``pack`` (built if not given)."""
     if metric.grid.topology == SPHERICAL_1D:
         return _gauss_curvature_symmetric(metric)
-    return _gauss_curvature_generic(curvature(metric) if pack is None else pack)
+    w = _conformal_factor(metric.comps)
+    if w is None:
+        return _gauss_curvature_generic(curvature(metric) if pack is None else pack)
+    return _gauss_curvature_conformal(metric, w, checked=pack is not None)
 
 
 def curvature(metric: LeafMetric) -> CurvaturePack:
-    """The geometry pack of ``metric``; its one inversion serves Gamma, K and the kernels."""
+    """The checked geometry pack of ``metric``; its one inversion serves Gamma, K and the kernels."""
     ginv = metric.inverse()
-    return CurvaturePack(metric, ginv, christoffel(metric, ginv))
+    metric.require_positive_definite()
+    return CurvaturePack(metric, ginv)
 
 
 def ricci(metric: LeafMetric) -> np.ndarray:
-    """Ricci tensor K g (the flow's right-hand side); K of an exactly conformal
-    metric w I skips the Christoffel symbols."""
-    w = None if metric.grid.topology == SPHERICAL_1D else _conformal_factor(metric.comps)
-    K = gauss_curvature(metric) if w is None else _gauss_curvature_conformal(metric, w)
-    return K[..., None, None] * metric.comps
+    """Ricci tensor K g (the flow's right-hand side)."""
+    return gauss_curvature(metric)[..., None, None] * metric.comps
 
 
 def _inverse_and_differential(metric: LeafMetric, field, pack: CurvaturePack | None):
@@ -353,34 +362,22 @@ def hessian(metric: LeafMetric, field, gamma: np.ndarray | None = None) -> np.nd
 
 
 def laplace_beltrami(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np.ndarray:
-    """Trace g^ab f_ab of the covariant Hessian of :func:`hessian`, fused
-    component by component from ``pack`` (built from ``metric`` if not given).
-
-    These are the operations of :func:`hessian` and of its einsum trace, in
-    their order, so the two agree bit for bit; the sphere chart and a
-    conformal pack skip the terms that vanish there.
-    """
+    """Delta f = g^ab f_ab, the trace of :func:`hessian`, on ``pack`` (built from
+    ``metric`` if not given).  A conformal pack takes the flat form
+    gi (d_00 f + d_11 f), which reads no Christoffel symbol; the sphere chart
+    skips the terms that vanish on its diagonal metric."""
     values = field_values(field, metric.grid)
     pack = curvature(metric) if pack is None else pack
-    grid, g, G = metric.grid, pack.ginv_c, pack.gamma_c
-    d0 = partial_deriv(grid, values, 0)
+    grid, g = metric.grid, pack.ginv_c
+    if pack.conformal:
+        return g[0, 0] * (second_deriv(grid, values, 0) + second_deriv(grid, values, 1))
     if grid.topology == SPHERICAL_1D:
         # d_1 f, d_11 f and d_01 f vanish, and so do g^01 and Gamma^0_01 of
         # the chart's diagonal metric
+        G, d0 = pack.gamma_c, partial_deriv(grid, values, 0)
         h00 = second_deriv(grid, values, 0) - G[0, 0, 0] * d0
         return g[0, 0] * h00 + g[1, 1] * (0.0 - G[0, 1, 1] * d0)
-    d1 = partial_deriv(grid, values, 1)
-    if pack.conformal:
-        # g^01 = g^10 = +-0, Gamma^1_00 = -Gamma^1_11 and Gamma^0_11 = -Gamma^0_00
-        p, q = G[0, 0, 0] * d0, G[1, 1, 1] * d1
-        return (g[0, 0] * ((second_deriv(grid, values, 0) - p) + q)
-                + g[1, 1] * ((second_deriv(grid, values, 1) + p) - q))
-    cross = partial_deriv(grid, d0, 1)  # mixed_deriv(grid, values), reusing d0
-    h = [[(second_deriv(grid, values, 0) - G[0, 0, 0] * d0) - G[1, 0, 0] * d1,
-          (cross - G[0, 0, 1] * d0) - G[1, 0, 1] * d1],
-         [(cross - G[0, 1, 0] * d0) - G[1, 1, 0] * d1,
-          (second_deriv(grid, values, 1) - G[0, 1, 1] * d0) - G[1, 1, 1] * d1]]
-    return _trace(g, h)
+    return _trace(g, _component_major(hessian(metric, values, pack.christoffel), 2))
 
 
 def bochner_residual(metric: LeafMetric, field) -> np.ndarray:

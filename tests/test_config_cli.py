@@ -743,6 +743,36 @@ def test_cli_verify_flags_corrupted_trajectory(tmp_path, capsys):
     assert any(v[1] == bad_node for v in doc["violations"])
 
 
+@pytest.mark.parametrize("doc, theorem, node", [
+    (json.loads(GOLDEN_CONFIG.read_text()), "li-yau", 24),
+    ({"scenario": {"name": "torus-bump", "amp": 0.3, "resolution": 16},
+      "flow": {"t_end": 0.1, "dt_initial": 0.002, "heat": "heat", "sample_every": 10},
+      "heat_initial": "cosine-mode",
+      "estimates": {"alpha": 2.0, "p": 4.0, "q": 4.0, "rho": 0.8, "center": [3, 12]}},
+     "log-gradient-backward", 3 * 16 + 12),
+], ids=["golden", "torus-bump-16"])
+def test_cli_verify_rejects_a_metric_not_positive_definite(tmp_path, capsys, doc, theorem, node):
+    # g11 = g22 = -0.5 at the cube's center in the third sample, which is
+    # live: verify must fail closed (the sample's distance and pack both check)
+    cfg = _write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / "trajectory.csv"
+    lines = path.read_text().splitlines()
+    n_nodes = int(np.prod(parse_config(json.dumps(doc)).build_metric().grid.shape))
+    r = 2 + 2 * n_nodes + node
+    cells = lines[r].split(",")
+    assert int(cells[1]) == node and cells[5] != ""
+    cells[2] = cells[4] = "-0.5"
+    lines[r] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["verify", str(path), "--theorem", theorem, "--params", cfg])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "not positive definite" in err
+
+
 def test_cli_determinism_across_runs_and_threads(tmp_path):
     cfg = _write_cfg(tmp_path, _base_doc())
     blobs = []

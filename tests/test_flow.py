@@ -268,8 +268,9 @@ def test_step_flow_from_the_metrics_pack_is_bit_identical():
 
 
 @pytest.mark.parametrize("heat", ["heat", "none"])
-def test_forward_heat_run_takes_stage_one_from_the_heat_pack(monkeypatch, heat):
+def test_torus_run_and_verify_build_no_christoffel_symbols(monkeypatch, heat):
     import nullflow.metric as metric_module
+    from nullflow.estimates import THEOREM_IDS, EstimateParams, build_cutoff, verify
 
     seen = []
     build = metric_module.christoffel
@@ -277,10 +278,19 @@ def test_forward_heat_run_takes_stage_one_from_the_heat_pack(monkeypatch, heat):
     m = torus_bump_metric(0.3, 16)
     x, _ = m.grid.coordinate_fields()
     config = FlowConfig(t_end=0.02, dt_initial=2e-3, heat=heat, sample_every=5)
-    run_flow(m, config, u0=ScalarField(m.grid, 2.0 + np.sin(x)))
-    # the RK stages of g = w I take the conformal route, so the only builds are
-    # the heat packs: the new metric's per step plus the initial one
-    assert len(seen) == (10 + 1 if heat == "heat" else 0)
+    traj = run_flow(m, config, u0=ScalarField(m.grid, 2.0 + np.sin(x)))
+    if heat == "none":  # no heat field, so nothing to verify
+        assert traj.heat_fields is None and not any(traj.curvatures)
+    else:
+        # on g = w I, K and the flat Laplacian read no Christoffel symbol: not in
+        # the RK stages, the heat substeps, stage 1 from the heat pack, nor verify
+        params = EstimateParams(alpha=2.0, p=4.0, q=4.0, rho=0.8, center=(3, 12))
+        cert = build_cutoff(samples=10_001)
+        for theorem in THEOREM_IDS:
+            verify(traj, theorem, params, cert=cert)
+        assert len(traj.curvatures) == len(traj.times) == 3
+        assert all("K" in vars(pack) and "gamma_c" not in vars(pack) for pack in traj.curvatures)
+    assert seen == []
 
 
 @pytest.mark.parametrize("direction,heat", [

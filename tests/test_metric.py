@@ -105,6 +105,23 @@ def _kernel_case(case):
     return m, 2.0 + np.sin(x) * np.cos(2.0 * y)
 
 
+def _assert_flat_laplacian(m, u, lap, christoffel_forms):
+    """``lap``, the Laplacian of a metric w I, is gi (d_00 u + d_11 u) bit for
+    bit, and each Christoffel form of it node by node within 4 eps of the
+    scale gi (|d_00 u| + |d_11 u| + 2 |Gamma^0_00 d_0 u| + 2 |Gamma^1_11 d_1 u|)
+    of the terms it rounds (so exactly where that scale is 0)."""
+    grid = m.grid
+    gi = ref.inverse(m)[..., 0, 0]
+    d00, d11 = ref.second_deriv(grid, u, 0), ref.second_deriv(grid, u, 1)
+    assert np.array_equal(lap, gi * (d00 + d11))
+    gamma = ref.christoffel(m)
+    p = gamma[..., 0, 0, 0] * ref.partial_deriv(grid, u, 0)
+    q = gamma[..., 1, 1, 1] * ref.partial_deriv(grid, u, 1)
+    scale = gi * (np.abs(d00) + np.abs(d11) + 2.0 * np.abs(p) + 2.0 * np.abs(q))
+    for other in christoffel_forms:
+        assert np.all(np.abs(lap - other) <= 4.0 * np.finfo(float).eps * scale)
+
+
 @pytest.mark.parametrize("case", ["sphere-48", "bump-16", "bump-16-g01", "bump-33", "bump-33-g01"])
 def test_kernels_bit_identical_to_node_major_reference(case):
     m, u = _kernel_case(case)
@@ -114,8 +131,12 @@ def test_kernels_bit_identical_to_node_major_reference(case):
     assert np.array_equal(curvature(m).K, ref.gauss_curvature(m))
     assert np.array_equal(hessian(m, u), ref.hessian(m, u))
     lap = ref.laplace_beltrami(m, u)
-    assert np.array_equal(laplace_beltrami(m, u), lap)
-    assert np.array_equal(laplace_beltrami(m, u, curvature(m)), lap)
+    pack = curvature(m)
+    for got in (laplace_beltrami(m, u), laplace_beltrami(m, u, pack)):
+        if pack.conformal:  # bump-16 and bump-33 take the flat form
+            _assert_flat_laplacian(m, u, got, [lap])
+        else:
+            assert np.array_equal(got, lap)
 
 
 def _fourier_metric(n, modes, skew):
@@ -191,9 +212,8 @@ def test_conformal_kernels_are_bit_identical_to_the_christoffel_route(n, scale, 
     u = 2.0 + np.sin(x) * np.cos(2.0 * y) + 0.5 * np.cos(3.0 * x - y)
     assert pack.conformal
     lap = laplace_beltrami(m, u, pack)
-    assert np.array_equal(lap, ref.laplace_beltrami(m, u))
     pack.conformal = False  # the generic branch on the same pack
-    assert np.array_equal(lap, laplace_beltrami(m, u, pack))
+    _assert_flat_laplacian(m, u, lap, [ref.laplace_beltrami(m, u), laplace_beltrami(m, u, pack)])
 
 
 @pytest.mark.parametrize("node", [(0, 0), (5, 7), (15, 15)])
@@ -227,6 +247,8 @@ def test_conformal_ricci_keeps_the_singular_metric_checks(monkeypatch, w):
     assert _conformal_factor(bad.comps) is not None
     with pytest.raises(SingularMetricError):
         ricci(bad)
+    with pytest.raises(SingularMetricError):  # the pack whose K and Laplacian skip them
+        curvature(bad)
     monkeypatch.setattr(metric_module, "_conformal_factor", lambda comps: None)
     with pytest.raises(SingularMetricError):  # as on the generic route
         ricci(bad)
