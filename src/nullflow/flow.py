@@ -1,9 +1,10 @@
 """Time integration of the leaf-metric flow and coupled heat equations.
 
 The leaf metric evolves by dg'/dt = -2 Ric'(g') (forward) or +2 Ric'
-(backward).  Only forward steps are taken, with classical RK4 and
-symmetrized after each step; a backward run is the time reversal of a
-forward one.  A scalar density u can be co-evolved by the heat equation
+(backward).  Only forward steps are taken, with classical RK4, on w alone
+where g' = w I (every torus scenario; Ric' = K g' keeps the form), else on
+the 2x2 components, symmetrized; a backward run reverses a forward one.
+A scalar density u can be co-evolved by the heat equation
 (Delta - d/dt)u = 0 or the conjugate heat equation
 (d/dt - Delta + Scal')u = 0, interleaved Strang-style so u sees
 time-centered metrics.  Integration stops early with a recorded
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import LeafGrid, ScalarField, field_values, finite_real
-from .metric import CurvaturePack, LeafMetric, SingularMetricError
-from .metric import laplace_beltrami, ricci
+from .metric import DIM, CurvaturePack, LeafMetric, MetricError, SingularMetricError
+from .metric import _conformal_w, _gauss_curvature_conformal, laplace_beltrami, ricci
 from .metric import curvature as curvature_pack
 
 FORWARD = "forward"
@@ -93,25 +94,40 @@ class FlowTrajectory:
         return self.curvatures[k]
 
 
-def _rhs(metric: LeafMetric, comps: np.ndarray) -> np.ndarray:
-    return -2.0 * ricci(LeafMetric._unchecked(metric.grid, comps))
-
-
 def step_flow(metric: LeafMetric, dt: float, pack: CurvaturePack | None = None) -> LeafMetric:
-    """One forward RK4 step of dg'/dt = -2 Ric'(g'); output symmetrized.  Stage
-    1 reads Ric' off ``pack``, the metric's own CurvaturePack, when given.
-    Backward runs never step backward: :func:`run_flow` reverses a forward run."""
+    """One forward RK4 step of dg'/dt = -2 Ric'(g'); stage 1 reads K off ``pack``, the
+    metric's own CurvaturePack, when given.  On g' = w I the state is w and the rate
+    -2 K w, from the conformal K, which checks each stage's w I.  The step is bit for
+    bit that of the components, taken on the sphere chart, on any other metric and
+    where a -0.0 is off the diagonal (which that step can keep)."""
     if dt <= 0:
         raise FlowError("dt must be positive")
     metric.require_positive_definite()
-    g = metric.comps
-    k1 = _rhs(metric, g) if pack is None else -2.0 * pack.ricci
-    k2 = _rhs(metric, g + 0.5 * dt * k1)
-    k3 = _rhs(metric, g + 0.5 * dt * k2)
-    k4 = _rhs(metric, g + dt * k3)
-    out = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out = 0.5 * (out + np.swapaxes(out, -1, -2))
-    return LeafMetric(metric.grid, out)
+    grid, g = metric.grid, metric.comps
+    w = _conformal_w(metric)
+    if w is not None and (np.signbit(g[..., 0, 1]).any() or np.signbit(g[..., 1, 0]).any()):
+        w = None
+    if w is None:
+        state, rhs = g, lambda c: -2.0 * ricci(LeafMetric._unchecked(grid, c))
+        k1 = rhs(state) if pack is None else -2.0 * pack.ricci
+    else:
+        state, rhs = w, lambda v: -2.0 * (_gauss_curvature_conformal(grid, v) * v)
+        k1 = rhs(state) if pack is None else -2.0 * (pack.K * w)
+    k2 = rhs(state + 0.5 * dt * k1)
+    k3 = rhs(state + 0.5 * dt * k2)
+    k4 = rhs(state + dt * k3)
+    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if w is None:
+        return LeafMetric(grid, 0.5 * (out + np.swapaxes(out, -1, -2)))
+    # as symmetrized components: 0.5 (w + w), and +0.0 off the diagonal, where the
+    # rates -2 K (+-0) are NaN only at a K not finite, which only k4 can show
+    out += out
+    out *= 0.5
+    if not np.all(np.isfinite(k4)):
+        raise MetricError(f"metric components are not finite (node {int(np.argmax(~np.isfinite(out)))})")
+    comps = np.zeros(grid.shape + (DIM, DIM))
+    comps[..., 0, 0] = comps[..., 1, 1] = out
+    return LeafMetric(grid, comps)
 
 
 def _check_singular(metric: LeafMetric, threshold: float):

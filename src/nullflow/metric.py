@@ -39,6 +39,7 @@ from .grids import (
     field_values,
     mixed_deriv,
     partial_deriv,
+    periodic_laplacian,
     second_deriv,
 )
 
@@ -70,12 +71,29 @@ def _conformal_factor(comps: np.ndarray) -> np.ndarray | None:
     return np.ascontiguousarray(w)
 
 
+def _conformal_w(metric: "LeafMetric") -> np.ndarray | None:
+    """w of a metric exactly w I off the sphere chart (the conformal kernels' case), else None."""
+    return None if metric.grid.topology == SPHERICAL_1D else _conformal_factor(metric.comps)
+
+
 class MetricError(ValueError):
     pass
 
 
 class SingularMetricError(MetricError):
     pass
+
+
+def _min_eigenvalue(tr: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """The smaller eigenvalue of a symmetric 2x2 matrix from its trace and determinant."""
+    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    return 0.5 * (tr - disc)
+
+
+def _require_positive(lam: np.ndarray):
+    if not np.all(lam > 0.0):  # a NaN eigenvalue fails too
+        node = int(np.argmin(lam))
+        raise SingularMetricError(f"metric not positive definite (node {node}, eigenvalue {lam.flat[node]:.3e})")
 
 
 @dataclass
@@ -112,18 +130,10 @@ class LeafMetric:
 
     def min_eigenvalue(self) -> np.ndarray:
         g = self.comps
-        tr = g[..., 0, 0] + g[..., 1, 1]
-        det = self.determinant()
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-        return 0.5 * (tr - disc)
+        return _min_eigenvalue(g[..., 0, 0] + g[..., 1, 1], self.determinant())
 
     def require_positive_definite(self):
-        lam = self.min_eigenvalue()
-        if not np.all(lam > 0.0):  # a NaN eigenvalue fails too
-            node = int(np.argmin(lam))
-            raise SingularMetricError(
-                f"metric not positive definite (node {node}, eigenvalue {lam.flat[node]:.3e})"
-            )
+        _require_positive(self.min_eigenvalue())
 
     def inverse(self) -> np.ndarray:
         det = self.determinant()
@@ -152,7 +162,7 @@ class CurvaturePack:
     def __init__(self, metric: LeafMetric, ginv: np.ndarray):
         self.metric = metric
         # g = w I exactly: laplace_beltrami takes the flat form
-        self.conformal = metric.grid.topology != SPHERICAL_1D and _conformal_factor(metric.comps) is not None
+        self.conformal = _conformal_w(metric) is not None
         self.ginv_c = _component_major(ginv, 2)
 
     @cached_property
@@ -260,7 +270,7 @@ def _gauss_curvature_generic(pack: CurvaturePack) -> np.ndarray:
     return np.multiply(t00, 0.5, out=q)
 
 
-def _gauss_curvature_conformal(metric: LeafMetric, w: np.ndarray, checked: bool = False) -> np.ndarray:
+def _gauss_curvature_conformal(grid: LeafGrid, w: np.ndarray, checked: bool = False) -> np.ndarray:
     """K of g = w I, with the checks of :func:`curvature` unless its pack made
     them (``checked``), and the operations of :func:`_gauss_curvature_generic`
     on Gamma^0_00 = Gamma^1_01 = -Gamma^0_11 = p and Gamma^1_11 = Gamma^0_01 =
@@ -269,13 +279,14 @@ def _gauss_curvature_conformal(metric: LeafMetric, w: np.ndarray, checked: bool 
         K = 0.5 (((T + A) - A) gi + ((T - A) + A) gi),  T = -(d_1 q + d_0 p),
         A = p p + q q,
 
-    where ric_01 + ric_10 and every product by g^01 = +-0 are exact zeros."""
+    where ric_01 + ric_10 and every product by g^01 = +-0 are exact zeros.  The
+    checks read w alone: on w I the metric's trace is w + w and its determinant
+    w w bit for bit, so they raise what LeafMetric's raise, at the same node."""
     ww = w * w  # the determinant
     if not checked:
         if np.any(ww == 0.0):
             raise SingularMetricError("singular metric matrix")
-        metric.require_positive_definite()
-    grid = metric.grid
+        _require_positive(_min_eigenvalue(w + w, ww))
     gi = np.divide(w, ww, out=ww)
     p, q = partial_deriv(grid, w, 0), partial_deriv(grid, w, 1)
     for c in (p, q):
@@ -306,7 +317,7 @@ def gauss_curvature(metric: LeafMetric, pack: CurvaturePack | None = None) -> np
     w = _conformal_factor(metric.comps)
     if w is None:
         return _gauss_curvature_generic(curvature(metric) if pack is None else pack)
-    return _gauss_curvature_conformal(metric, w, checked=pack is not None)
+    return _gauss_curvature_conformal(metric.grid, w, checked=pack is not None)
 
 
 def curvature(metric: LeafMetric) -> CurvaturePack:
@@ -370,7 +381,7 @@ def laplace_beltrami(metric: LeafMetric, field, pack: CurvaturePack | None = Non
     pack = curvature(metric) if pack is None else pack
     grid, g = metric.grid, pack.ginv_c
     if pack.conformal:
-        return g[0, 0] * (second_deriv(grid, values, 0) + second_deriv(grid, values, 1))
+        return g[0, 0] * periodic_laplacian(grid, values)
     if grid.topology == SPHERICAL_1D:
         # d_1 f, d_11 f and d_01 f vanish, and so do g^01 and Gamma^0_01 of
         # the chart's diagonal metric

@@ -21,6 +21,7 @@ SCHEMA_VERSION = 1
 _CSV_HEADER = "t,node,g11,g12,g22,u"
 _META_KEYS = ("termination", "singular_time", "heat_valid_until")
 _SLICE_ROWS = 4096  # rows per write and floats per column formatted: only a slice is held
+_SCAN_BYTES = 1 << 18  # bytes per slice of the reader's row scan
 
 
 def _fmt(x) -> str:
@@ -98,13 +99,25 @@ def _read_meta(line: str) -> dict:
     return meta
 
 
-def _scan_rows(body: np.ndarray):
-    """Cells per row, and if it has 6 whether u is empty; rows end in LF, CRLF or EOF."""
-    ends = np.flatnonzero(body == ord("\n"))
-    if body.size and body[-1] != ord("\n"):
-        ends = np.append(ends, body.size)
-    cells = np.diff(np.searchsorted(np.flatnonzero(body == ord(",")), ends), prepend=0) + 1
-    return cells, body[ends - 1 - (body[ends - 1] == ord("\r"))] == ord(",")
+def _scan_rows(fh):
+    """Cells per row, and if it has 6 whether u is empty, of the rest of ``fh``; rows
+    end in LF, CRLF or EOF.  The bytes are scanned a slice at a time, each behind the
+    last two bytes of the slice before, where a row that ends early in it ends its u."""
+    commas, tail, counts, empty_u = 0, b"", [np.zeros(0, int)], [np.zeros(0, bool)]  # counts: commas before row ends
+    while True:
+        chunk = fh.read(_SCAN_BYTES)
+        if not chunk:
+            if not tail or tail[-1] == ord("\n"):
+                break
+            chunk = b"\n"  # the last row ends at EOF
+        buf = np.frombuffer(tail + chunk, dtype=np.uint8)
+        ends = np.flatnonzero(buf[len(tail):] == ord("\n")) + len(tail)
+        at = np.flatnonzero(buf[len(tail):] == ord(",")) + len(tail)
+        counts.append(commas + np.searchsorted(at, ends))
+        empty_u.append(buf[ends - 1 - (buf[ends - 1] == ord("\r"))] == ord(","))
+        commas += len(at)
+        tail = bytes(buf[-2:])
+    return np.diff(np.concatenate(counts), prepend=0) + 1, np.concatenate(empty_u)
 
 
 def read_trajectory_csv(path, grid) -> FlowTrajectory:
@@ -119,7 +132,7 @@ def read_trajectory_csv(path, grid) -> FlowTrajectory:
     """
     with open(path, "rb") as fh:
         head = [fh.readline().decode().removesuffix("\n").removesuffix("\r") for _ in range(2)]
-        cells, empty_u = _scan_rows(np.frombuffer(fh.read(), dtype=np.uint8))
+        cells, empty_u = _scan_rows(fh)
     meta = _read_meta(head[0])
     if head[1] != _CSV_HEADER:
         raise ValueError(f"line 2: expected the header {_CSV_HEADER!r}")

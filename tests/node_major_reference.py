@@ -3,12 +3,20 @@ with np.roll periodic stencils, a full Hessian tensor and einsum traces.
 
 nullflow.metric and nullflow.grids compute the same quantities from
 contiguous per-component arrays with slice stencils; the tests require the
-two routes to agree bit for bit.
+two routes to agree bit for bit.  ``step_flow`` is the flow's RK4 step on the
+2x2 components, which nullflow.flow takes on w alone for g = w I.
 """
 import numpy as np
 
 from nullflow.grids import PERIODIC_2D, SPHERICAL_1D, _extend_even
-from nullflow.metric import DIM
+from nullflow.metric import (
+    DIM,
+    LeafMetric,
+    SingularMetricError,
+    _conformal_factor,
+    _gauss_curvature_conformal,
+    ricci,
+)
 
 
 def partial_deriv(grid, values, axis):
@@ -113,3 +121,30 @@ def hessian(metric, values):
 
 def laplace_beltrami(metric, values):
     return np.einsum("...ab,...ab->...", inverse(metric), hessian(metric, values))
+
+
+def _component_rate(grid, comps):
+    """-2 Ric' of the components on a periodic grid, with the checks that the
+    conformal K made on the components of g = w I: w w != 0, then
+    LeafMetric.require_positive_definite."""
+    metric = LeafMetric._unchecked(grid, comps)
+    w = _conformal_factor(comps)
+    if w is None:  # ricci's generic route, which checks the metric itself
+        return -2.0 * ricci(metric)
+    if np.any(w * w == 0.0):
+        raise SingularMetricError("singular metric matrix")
+    metric.require_positive_definite()
+    return -2.0 * (_gauss_curvature_conformal(grid, w, checked=True)[..., None, None] * comps)
+
+
+def step_flow(metric, dt, pack=None):
+    """nullflow.flow.step_flow on a periodic grid as it stepped every metric:
+    RK4 on the (n0, n1, 2, 2) components, symmetrized after the step."""
+    metric.require_positive_definite()
+    grid, g = metric.grid, metric.comps
+    k1 = _component_rate(grid, g) if pack is None else -2.0 * pack.ricci
+    k2 = _component_rate(grid, g + 0.5 * dt * k1)
+    k3 = _component_rate(grid, g + 0.5 * dt * k2)
+    k4 = _component_rate(grid, g + dt * k3)
+    out = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return LeafMetric(grid, 0.5 * (out + np.swapaxes(out, -1, -2)))

@@ -1,3 +1,4 @@
+import io
 import json
 import tracemalloc
 from pathlib import Path
@@ -20,7 +21,9 @@ from nullflow.flow import (
 )
 from nullflow.grids import ScalarField, make_sphere_grid, make_torus_grid
 from nullflow.metric import LeafMetric
+import nullflow.report as report_module
 from nullflow.report import (
+    _scan_rows,
     estimate_report_doc,
     read_trajectory_csv,
     render_json,
@@ -561,6 +564,61 @@ def test_cli_verify_fails_closed_on_malformed_trajectories(stored_run, capsys):
         assert out == "" and "error:" in err
 
     check()
+
+
+def _scan_whole(body: bytes):
+    """The row scan over the whole body at once: cells per row, and whether u is
+    empty in each row of 6 cells."""
+    body = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(body == ord("\n"))
+    if body.size and body[-1] != ord("\n"):
+        ends = np.append(ends, body.size)
+    cells = np.diff(np.searchsorted(np.flatnonzero(body == ord(",")), ends), prepend=0) + 1
+    return cells, body[ends - 1 - (body[ends - 1] == ord("\r"))] == ord(",")
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=st.lists(st.sampled_from([b",", b"\n", b"\r", b"1", b"1,1,1,1,1,", b"1,1,1,1,1,1\r\n"]),
+                     max_size=40).map(b"".join),
+       slice_bytes=st.integers(1, 9))
+def test_row_scan_in_slices_matches_the_whole_body(body, slice_bytes):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report_module, "_SCAN_BYTES", slice_bytes)
+        cells, empty_u = _scan_rows(io.BytesIO(body))
+    want_cells, want_empty_u = _scan_whole(body)
+    assert cells.tolist() == want_cells.tolist()
+    six = want_cells == 6  # the only rows whose u the reader reads
+    assert empty_u[six].tolist() == want_empty_u[six].tolist()
+
+
+@pytest.mark.parametrize("crlf", [False, True])
+def test_read_trajectory_csv_names_a_bad_row_in_a_later_slice(tmp_path, crlf):
+    grid = make_torus_grid(32)
+    rng = np.random.default_rng(1)
+    comps = 1.0 + 0.1 * rng.random((6,) + grid.shape + (2, 2))
+    comps[..., 1, 0] = comps[..., 0, 1]
+    traj = FlowTrajectory(
+        0.02 * np.arange(6), [LeafMetric(grid, c) for c in comps],
+        [ScalarField(grid, 2.0 + rng.random(grid.shape)) for _ in range(6)], REACHED_T_END,
+    )
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, traj)
+    lines = path.read_text().splitlines()
+    bad = len(lines) - 100  # a line index in a later slice than the first
+    assert len("\n".join(lines[:bad])) > report_module._SCAN_BYTES
+
+    def read(edit):
+        rows = list(lines)
+        rows[bad] = edit(rows[bad])
+        path.write_bytes(("\r\n" if crlf else "\n").join(rows).encode() + b"\n")
+        return read_trajectory_csv(path, grid)
+
+    with pytest.raises(ValueError, match=f"line {bad + 1}: expected 6 cells"):
+        read(lambda row: row + ",1.0")
+    with pytest.raises(ValueError, match=f"line {bad + 1}: u must be set as on line 3"):
+        read(lambda row: row[:row.rindex(",") + 1])
+    back = read(lambda row: row)
+    assert all(a.comps.tobytes() == b.comps.tobytes() for a, b in zip(back.metrics, traj.metrics))
 
 
 def test_read_trajectory_csv_names_the_line(stored_run, tmp_path):

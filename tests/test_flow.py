@@ -347,10 +347,60 @@ def test_step_flow_validates_only_its_result(monkeypatch):
             validated.clear()
             m = step_flow(m, 1e-3)
             assert len(validated) == 1
-    # a NaN step still fails closed on the checked result
-    monkeypatch.setattr(flow, "ricci", lambda metric: np.full(metric.comps.shape, np.nan))
+    # a NaN step still fails closed on the checked result; the torus steps w,
+    # so the NaN comes through the conformal K
+    monkeypatch.setattr(flow, "_gauss_curvature_conformal", lambda grid, w: np.full(w.shape, np.nan))
     with pytest.raises(MetricError, match=r"not finite \(node 0\)"):
         step_flow(m, 1e-3)
+
+
+def _step_outcome(step, m, dt, with_pack):
+    """The bytes of a step's components, or the class and message it raised."""
+    try:
+        return step(m, dt, curvature(m) if with_pack else None).comps.tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _random_w(n, seed, amp, scale):
+    w = scale * (1.0 + amp * np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n)))
+    comps = np.zeros((n, n, 2, 2))
+    comps[..., 0, 0] = comps[..., 1, 1] = w
+    return LeafMetric(torus_bump_metric(0.3, n).grid, comps)
+
+
+_w_cases = dict(n=st.sampled_from([16, 33]), seed=st.integers(0, 2**32 - 1), amp=st.floats(0.0, 0.6),
+                scale=st.floats(0.25, 4.0), dt=st.floats(1e-5, 0.5), with_pack=st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_w_cases)
+def test_scalar_step_is_bit_identical_to_the_component_step(n, seed, amp, scale, dt, with_pack):
+    m = _random_w(n, seed, amp, scale)
+    assert _step_outcome(step_flow, m, dt, with_pack) == _step_outcome(ref.step_flow, m, dt, with_pack)
+    bump = torus_bump_metric(0.3, n)
+    assert _step_outcome(step_flow, bump, dt, with_pack) == _step_outcome(ref.step_flow, bump, dt, with_pack)
+
+
+@settings(max_examples=15, deadline=None)
+@given(node=st.tuples(st.integers(0, 32), st.integers(0, 32)), **_w_cases)
+def test_scalar_step_fails_as_the_component_step_at_one_bad_node(node, n, seed, amp, scale, dt, with_pack):
+    node = (node[0] % n, node[1] % n)
+    # 1e-160 squared is subnormal, and 4 (1e155)^2 overflows
+    for value in (0.0, -0.0, -1.0, np.nan, np.inf, 5e-324, 1e-160, 1e155):
+        m = _random_w(n, seed, amp, scale)
+        m.comps[node + (0, 0)] = m.comps[node + (1, 1)] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _step_outcome(step_flow, m, dt, with_pack) == _step_outcome(ref.step_flow, m, dt, with_pack)
+
+
+def test_scalar_step_leaves_a_negative_zero_off_the_diagonal_to_the_components():
+    # the component step keeps g01 = g10 = -0.0 where every stage's K is negative
+    m = torus_bump_metric(0.3, 16)
+    m.comps[..., 0, 1] = m.comps[..., 1, 0] = -0.0
+    out = step_flow(m, 1e-3)
+    assert out.comps.tobytes() == ref.step_flow(m, 1e-3).comps.tobytes()
+    assert np.signbit(out.comps[..., 0, 1]).any() and not np.signbit(out.comps[..., 0, 1]).all()
 
 
 def test_cfl_adaptive_controller_runs():

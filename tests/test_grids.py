@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import node_major_reference as ref
 from nullflow.grids import (
+    PERIODIC_2D,
     GridError,
     LeafGrid,
     ScalarField,
@@ -12,6 +16,7 @@ from nullflow.grids import (
     make_torus_grid,
     mixed_deriv,
     partial_deriv,
+    periodic_laplacian,
     second_deriv,
 )
 
@@ -85,6 +90,23 @@ def test_periodic_stencils_bit_identical_to_rolled_copies(n):
             assert np.array_equal(partial_deriv(g, values, axis), ref.partial_deriv(g, values, axis))
             assert np.array_equal(second_deriv(g, values, axis), ref.second_deriv(g, values, axis))
         assert np.array_equal(mixed_deriv(g, values), ref.mixed_deriv(g, values))
+
+
+def _uneven_grid(n0, n1):
+    return LeafGrid(PERIODIC_2D, (0.3 * np.arange(n0), 0.7 * np.arange(n1)), (0.3, 0.7))
+
+
+_LAPLACIAN_GRIDS = (make_torus_grid(8), make_torus_grid(9), make_torus_grid(33),
+                    _uneven_grid(8, 13), _uneven_grid(11, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.sampled_from(_LAPLACIAN_GRIDS), data=st.data())
+def test_periodic_laplacian_bit_identical_to_two_second_derivatives(grid, data):
+    cells = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    values = data.draw(hnp.arrays(float, grid.shape, elements=cells))
+    want = second_deriv(grid, values, 0) + second_deriv(grid, values, 1)
+    assert periodic_laplacian(grid, values).tobytes() == want.tobytes()  # zeros' signs included
 
 
 def test_sphere_stencils_uniformly_second_order():

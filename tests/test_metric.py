@@ -202,7 +202,7 @@ def test_conformal_kernels_are_bit_identical_to_the_christoffel_route(n, scale, 
     m = _conformal_metric(n, scale, modes)
     w = _conformal_factor(m.comps)
     assert np.array_equal(w, m.comps[..., 0, 0])
-    K = _gauss_curvature_conformal(m, w)
+    K = _gauss_curvature_conformal(m.grid, w)
     pack = curvature(m)
     for other in (_gauss_curvature_generic(pack), ref.gauss_curvature(m)):
         assert np.array_equal(K, other)
@@ -252,6 +252,25 @@ def test_conformal_ricci_keeps_the_singular_metric_checks(monkeypatch, w):
     monkeypatch.setattr(metric_module, "_conformal_factor", lambda comps: None)
     with pytest.raises(SingularMetricError):  # as on the generic route
         ricci(bad)
+
+
+@pytest.mark.parametrize("node", [(0, 0), (9, 4)])
+@pytest.mark.parametrize("w", [0.0, -0.0, -1.0, np.nan, np.inf, 5e-324, 1e-160, 1e155])
+def test_conformal_checks_on_w_raise_what_the_metric_checks_raise(node, w):
+    # on w I the trace is w + w and the determinant w w bit for bit; w = inf
+    # passes w > 0 but fails as a NaN eigenvalue, and 4 (1e155)^2 overflows
+    m = torus_bump_metric(0.3, 16)
+    m.comps[node + (0, 0)] = m.comps[node + (1, 1)] = w
+
+    def outcome(kernel):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return kernel().tobytes()
+        except SingularMetricError as exc:
+            return str(exc)
+
+    want = outcome(lambda: curvature(m).K)  # checks the components, then inverts once
+    assert outcome(lambda: _gauss_curvature_conformal(m.grid, np.ascontiguousarray(m.comps[..., 0, 0]))) == want
 
 
 @pytest.mark.parametrize("case", ["sphere-48", "bump-16-g01"])
