@@ -17,7 +17,7 @@ failing constraint.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,11 +29,8 @@ from .scenarios import SCENARIOS, build_scenario_metric
 
 HEAT_INITIAL_IDS = ("constant", "cosine-mode")
 
-_FLOW_KEYS = {
-    "direction", "t_end", "dt_initial", "dt_controller",
-    "eps_singular_rel", "heat", "heat_t_max", "sample_every",
-}
-_ESTIMATE_KEYS = {"alpha", "p", "q", "rho", "center", "A", "ricci_upper"}
+_FLOW_KEYS = {f.name for f in fields(FlowConfig)}
+_ESTIMATE_KEYS = {f.name for f in fields(EstimateParams)}
 _TOP_KEYS = {"scenario", "flow", "heat_initial", "estimates", "theorems", "seed"}
 
 

@@ -98,17 +98,15 @@ def step_flow(metric: LeafMetric, dt: float, pack: CurvaturePack | None = None) 
     """One forward RK4 step of dg'/dt = -2 Ric'(g'); stage 1 reads K off ``pack``, the
     metric's own CurvaturePack, when given.  On g' = w I the state is w and the rate
     -2 K w, from the conformal K, which checks each stage's w I.  The step is bit for
-    bit that of the components, taken on the sphere chart, on any other metric and
-    where a -0.0 is off the diagonal (which that step can keep)."""
+    bit that of the components, taken on the sphere chart and on any other metric,
+    but for the sign of a zero off the diagonal: it writes +0.0 there."""
     if dt <= 0:
         raise FlowError("dt must be positive")
     metric.require_positive_definite()
-    grid, g = metric.grid, metric.comps
+    grid = metric.grid
     w = _conformal_w(metric)
-    if w is not None and (np.signbit(g[..., 0, 1]).any() or np.signbit(g[..., 1, 0]).any()):
-        w = None
     if w is None:
-        state, rhs = g, lambda c: -2.0 * ricci(LeafMetric._unchecked(grid, c))
+        state, rhs = metric.comps, lambda c: -2.0 * ricci(LeafMetric._unchecked(grid, c))
         k1 = rhs(state) if pack is None else -2.0 * pack.ricci
     else:
         state, rhs = w, lambda v: -2.0 * (_gauss_curvature_conformal(grid, v) * v)

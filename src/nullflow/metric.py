@@ -25,6 +25,10 @@ g^01 = +-0 and its pairs that cancel exactly, which can change only the sign
 of an exact zero.  In 2-D sqrt(g) g^ab is conformally invariant, so the
 Laplacian is flat, gi (d_00 f + d_11 f), and a pack of g = w I builds its
 Christoffel symbols only if a Hessian reads them.
+
+Every tensor is stored node-major, grid axes first and components last, as
+``LeafMetric.comps``: g^ab, Ricci and the Hessian have shape grid + (2, 2),
+Gamma^c_ab grid + (2, 2, 2).
 """
 from __future__ import annotations
 
@@ -46,20 +50,11 @@ from .grids import (
 DIM = 2  # leaf dimension for every built-in scenario
 
 
-def _node_major(soa: np.ndarray, ncomp: int) -> np.ndarray:
-    """Node-major view (grid axes first) of component-major storage."""
-    return soa.transpose(tuple(range(ncomp, soa.ndim)) + tuple(range(ncomp)))
-
-
-def _component_major(t: np.ndarray, ncomp: int) -> np.ndarray:
-    """Contiguous component-major storage of a node-major tensor (no copy of a view)."""
-    return np.ascontiguousarray(t.transpose(tuple(range(-ncomp, 0)) + tuple(range(t.ndim - ncomp))))
-
-
 def _trace(g, t) -> np.ndarray:
-    """g^ab t_ab from components ``g[a][b]``, ``t[a][b]``, with the products
-    paired as np.einsum("...ab,...ab->...") pairs them on node-major arrays."""
-    return (g[0][0] * t[0][0] + g[1][0] * t[1][0]) + (g[0][1] * t[0][1] + g[1][1] * t[1][1])
+    """g^ab t_ab per node, with the products paired as np.einsum("...ab,...ab->...")
+    pairs them."""
+    return ((g[..., 0, 0] * t[..., 0, 0] + g[..., 1, 0] * t[..., 1, 0])
+            + (g[..., 0, 1] * t[..., 0, 1] + g[..., 1, 1] * t[..., 1, 1]))
 
 
 def _conformal_factor(comps: np.ndarray) -> np.ndarray | None:
@@ -140,12 +135,12 @@ class LeafMetric:
         if np.any(det == 0.0):
             raise SingularMetricError("singular metric matrix")
         g = self.comps
-        inv = np.empty((DIM, DIM) + det.shape)
-        inv[0, 0] = g[..., 1, 1] / det
-        inv[1, 1] = g[..., 0, 0] / det
-        inv[0, 1] = -g[..., 0, 1] / det
-        inv[1, 0] = -g[..., 1, 0] / det
-        return _node_major(inv, 2)
+        inv = np.empty(det.shape + (DIM, DIM))
+        inv[..., 0, 0] = g[..., 1, 1] / det
+        inv[..., 1, 1] = g[..., 0, 0] / det
+        inv[..., 0, 1] = -g[..., 0, 1] / det
+        inv[..., 1, 0] = -g[..., 1, 0] / det
+        return inv
 
     def copy(self) -> "LeafMetric":
         return LeafMetric(self.grid, self.comps.copy())
@@ -153,35 +148,25 @@ class LeafMetric:
 
 class CurvaturePack:
     """The geometry of one frozen metric, checked and built once by
-    :func:`curvature` for every operator on it: the inverse g^ab, stored as
-    contiguous components ``ginv_c[a, b]`` for the kernels, and, on first
-    read, the Christoffel symbols ``gamma_c[c, a, b]`` and the Gauss curvature
-    K.  The 2-D Ricci and scalar curvatures are derived from K; Riemann,
+    :func:`curvature` for every operator on it: the inverse ``ginv`` (g^ab,
+    shape grid + (a, b)) and, on first read, the Christoffel symbols
+    (Gamma^c_ab, shape grid + (c, a, b)) and the Gauss curvature K.  The 2-D
+    Ricci and scalar curvatures are derived from K; Riemann,
     K (g_ac g_bd - g_ad g_bc), is not provided."""
 
     def __init__(self, metric: LeafMetric, ginv: np.ndarray):
         self.metric = metric
         # g = w I exactly: laplace_beltrami takes the flat form
         self.conformal = _conformal_w(metric) is not None
-        self.ginv_c = _component_major(ginv, 2)
+        self.ginv = ginv
 
     @cached_property
-    def gamma_c(self) -> np.ndarray:
-        return _component_major(christoffel(self.metric, self.ginv), 3)
+    def christoffel(self) -> np.ndarray:
+        return christoffel(self.metric, self.ginv)
 
     @property
     def grid(self) -> LeafGrid:
         return self.metric.grid
-
-    @property
-    def ginv(self) -> np.ndarray:
-        """g^ab, shape + (a, b): a node-major view of ``ginv_c``."""
-        return _node_major(self.ginv_c, 2)
-
-    @property
-    def christoffel(self) -> np.ndarray:
-        """Gamma^c_ab, shape + (c, a, b): a node-major view of ``gamma_c``."""
-        return _node_major(self.gamma_c, 3)
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -203,23 +188,20 @@ class CurvaturePack:
 
 
 def christoffel(metric: LeafMetric, ginv: np.ndarray | None = None) -> np.ndarray:
-    """Gamma^c_ab = 1/2 g^cd (d_a g_db + d_b g_da - d_d g_ab), stored component-major;
+    """Gamma^c_ab = 1/2 g^cd (d_a g_db + d_b g_da - d_d g_ab), shape grid + (c, a, b);
     ``ginv`` is a checked metric's inverse (a pack's), else the metric is checked here."""
     if ginv is None:
         metric.require_positive_definite()
         ginv = metric.inverse()
-    ginv = _component_major(ginv, 2)
-    # dg[d][a, b] = d_d g_ab, component-major: the stencils keep their input's layout
-    comps = _node_major(_component_major(metric.comps, 2), 2)
-    dg = [_component_major(partial_deriv(metric.grid, comps, axis=d), 2) for d in range(DIM)]
-    gamma = np.empty((DIM, DIM, DIM) + metric.grid.shape)
+    dg = [partial_deriv(metric.grid, metric.comps, axis=d) for d in range(DIM)]  # d_d g_ab
+    gamma = np.empty(metric.grid.shape + (DIM, DIM, DIM))
     for a in range(DIM):
         for b in range(DIM):
             # the bracket d_a g_db + d_b g_da - d_d g_ab does not depend on c
-            b0, b1 = (dg[a][d, b] + dg[b][d, a] - dg[d][a, b] for d in range(DIM))
+            b0, b1 = (dg[a][..., d, b] + dg[b][..., d, a] - dg[d][..., a, b] for d in range(DIM))
             for c in range(DIM):
-                gamma[c, a, b] = 0.5 * (ginv[c, 0] * b0 + ginv[c, 1] * b1)
-    return _node_major(gamma, 3)
+                gamma[..., c, a, b] = 0.5 * (ginv[..., c, 0] * b0 + ginv[..., c, 1] * b1)
+    return gamma
 
 
 def _gauss_curvature_symmetric(metric: LeafMetric) -> np.ndarray:
@@ -240,34 +222,19 @@ def _gauss_curvature_generic(pack: CurvaturePack) -> np.ndarray:
     In R^r_{smn} = d_m Gamma^r_ns - d_n Gamma^r_ms + Gamma^r_ml Gamma^l_ns - Gamma^r_nl Gamma^l_ms
     the m = n summand is an array minus itself, exactly 0.0 for finite Gamma, so
     Ric_sn is the m = 1 - n summand alone, in the full sum's order.  It reads only
-    dgamma[d][c, s] = d_d Gamma^c_{1-d, s}: 4 of the 8 components per axis.  The
-    terms, the symmetrization and the trace are formed in place, in the order of
-    ``0.5 * _trace(ginv, 0.5 * (ric + ric.swapaxes(0, 1)))``."""
-    grid, gamma = pack.grid, pack.gamma_c
-    dgamma = [_component_major(partial_deriv(grid, _node_major(gamma[:, 1 - d], 2), axis=d), 2)
-              for d in range(DIM)]
-    ric = np.empty((DIM, DIM) + grid.shape)
-    p, q = np.empty(grid.shape), np.empty(grid.shape)  # hold every product and partial sum below
+    dgamma[d][..., c, s] = d_d Gamma^c_{1-d, s}: 4 of the 8 components per axis."""
+    grid, gamma = pack.grid, pack.christoffel
+    dgamma = [partial_deriv(grid, gamma[..., 1 - d, :], axis=d) for d in range(DIM)]
+    ric = np.empty(grid.shape + (DIM, DIM))
     for s in range(DIM):
         for n in range(DIM):
             m = 1 - n
-            term = np.subtract(dgamma[m][m, s], dgamma[n][m, s], out=ric[s, n])
+            term = dgamma[m][..., m, s] - dgamma[n][..., m, s]
             for l in range(DIM):
-                np.multiply(gamma[m, m, l], gamma[l, n, s], out=p)
-                term += np.subtract(p, np.multiply(gamma[m, n, l], gamma[l, m, s], out=q), out=p)
-    # ric = 0.5 * (ric + ric.swapaxes(0, 1)); both off-diagonal entries are p
-    for s in range(DIM):
-        ric[s, s] += ric[s, s]
-        ric[s, s] *= 0.5
-    np.add(ric[0, 1], ric[1, 0], out=p)
-    p *= 0.5
-    # 0.5 * _trace(ginv, ric), in its order
-    g, t00, t11 = pack.ginv_c, ric[0, 0], ric[1, 1]
-    t00 *= g[0, 0]
-    t00 += np.multiply(g[1, 0], p, out=q)
-    t11 *= g[1, 1]
-    t00 += np.add(np.multiply(g[0, 1], p, out=q), t11, out=q)
-    return np.multiply(t00, 0.5, out=q)
+                term = term + (gamma[..., m, m, l] * gamma[..., l, n, s]
+                               - gamma[..., m, n, l] * gamma[..., l, m, s])
+            ric[..., s, n] = term
+    return 0.5 * _trace(pack.ginv, 0.5 * (ric + ric.swapaxes(-1, -2)))
 
 
 def _gauss_curvature_conformal(grid: LeafGrid, w: np.ndarray, checked: bool = False) -> np.ndarray:
@@ -359,17 +326,16 @@ def hessian(metric: LeafMetric, field, gamma: np.ndarray | None = None) -> np.nd
     grid = metric.grid
     if gamma is None:
         gamma = christoffel(metric)
-    gamma = _component_major(gamma, 3)
     df = [partial_deriv(grid, values, axis=d) for d in range(DIM)]
-    hess = np.empty((DIM, DIM) + grid.shape)
-    hess[0, 0] = second_deriv(grid, values, 0)
-    hess[1, 1] = second_deriv(grid, values, 1)
-    hess[0, 1] = hess[1, 0] = mixed_deriv(grid, values)
+    hess = np.empty(grid.shape + (DIM, DIM))
+    hess[..., 0, 0] = second_deriv(grid, values, 0)
+    hess[..., 1, 1] = second_deriv(grid, values, 1)
+    hess[..., 0, 1] = hess[..., 1, 0] = mixed_deriv(grid, values)
     for a in range(DIM):
         for b in range(DIM):
             for c in range(DIM):
-                hess[a, b] -= gamma[c, a, b] * df[c]
-    return _node_major(hess, 2)
+                hess[..., a, b] -= gamma[..., c, a, b] * df[c]
+    return hess
 
 
 def laplace_beltrami(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np.ndarray:
@@ -379,16 +345,16 @@ def laplace_beltrami(metric: LeafMetric, field, pack: CurvaturePack | None = Non
     skips the terms that vanish on its diagonal metric."""
     values = field_values(field, metric.grid)
     pack = curvature(metric) if pack is None else pack
-    grid, g = metric.grid, pack.ginv_c
+    grid, g = metric.grid, pack.ginv
     if pack.conformal:
-        return g[0, 0] * periodic_laplacian(grid, values)
+        return g[..., 0, 0] * periodic_laplacian(grid, values)
     if grid.topology == SPHERICAL_1D:
         # d_1 f, d_11 f and d_01 f vanish, and so do g^01 and Gamma^0_01 of
         # the chart's diagonal metric
-        G, d0 = pack.gamma_c, partial_deriv(grid, values, 0)
-        h00 = second_deriv(grid, values, 0) - G[0, 0, 0] * d0
-        return g[0, 0] * h00 + g[1, 1] * (0.0 - G[0, 1, 1] * d0)
-    return _trace(g, _component_major(hessian(metric, values, pack.christoffel), 2))
+        G, d0 = pack.christoffel, partial_deriv(grid, values, 0)
+        h00 = second_deriv(grid, values, 0) - G[..., 0, 0, 0] * d0
+        return g[..., 0, 0] * h00 + g[..., 1, 1] * (0.0 - G[..., 0, 1, 1] * d0)
+    return _trace(g, hessian(metric, values, pack.christoffel))
 
 
 def bochner_residual(metric: LeafMetric, field) -> np.ndarray:
@@ -422,21 +388,20 @@ def ricci_identity_residual(metric: LeafMetric, field) -> np.ndarray:
     values = field_values(field, metric.grid)
     grid = metric.grid
     pack = curvature(metric)
-    gamma, ginv = pack.gamma_c, pack.ginv_c
-    hess_view = hessian(metric, values, gamma=pack.christoffel)
-    hess = _component_major(hess_view, 2)
+    gamma, ginv = pack.christoffel, pack.ginv
+    hess = hessian(metric, values, gamma=gamma)
     # covariant divergence of the Hessian: B_i = g^jk ( d_k H_ij - G^l_ki H_lj - G^l_kj H_il )
-    dhess = [_component_major(partial_deriv(grid, hess_view, axis=k), 2) for k in range(DIM)]
-    cov = np.empty((DIM, DIM, DIM) + grid.shape)  # (k, i, j) -> nabla_k H_ij
+    dhess = [partial_deriv(grid, hess, axis=k) for k in range(DIM)]
+    cov = np.empty(grid.shape + (DIM, DIM, DIM))  # (k, i, j) -> nabla_k H_ij
     for k in range(DIM):
         for i in range(DIM):
             for j in range(DIM):
-                term = dhess[k][i, j]
+                term = dhess[k][..., i, j]
                 for l in range(DIM):
-                    term = term - gamma[l, k, i] * hess[l, j]
-                    term = term - gamma[l, k, j] * hess[i, l]
-                cov[k, i, j] = term
-    div_hess = np.stack([_trace(ginv, cov[:, i].swapaxes(0, 1)) for i in range(DIM)], axis=-1)
+                    term = term - gamma[..., l, k, i] * hess[..., l, j]
+                    term = term - gamma[..., l, k, j] * hess[..., i, l]
+                cov[..., k, i, j] = term
+    div_hess = np.stack([_trace(ginv, cov[..., i, :].swapaxes(-1, -2)) for i in range(DIM)], axis=-1)
     lap = _trace(ginv, hess)
     dlap = np.stack([partial_deriv(grid, lap, d) for d in range(DIM)], axis=-1)
     gradf = gradient(metric, values, pack)

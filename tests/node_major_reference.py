@@ -1,9 +1,9 @@
 """Reference kernels on node-major tensors (components on the last axes),
 with np.roll periodic stencils, a full Hessian tensor and einsum traces.
 
-nullflow.metric and nullflow.grids compute the same quantities from
-contiguous per-component arrays with slice stencils; the tests require the
-two routes to agree bit for bit.  ``step_flow`` is the flow's RK4 step on the
+nullflow.metric and nullflow.grids compute the same quantities on the same
+node-major arrays with slice stencils; the tests require the two routes to
+agree bit for bit.  ``step_flow`` is the flow's RK4 step on the
 2x2 components, which nullflow.flow takes on w alone for g = w I.
 """
 import numpy as np

@@ -106,7 +106,6 @@ _UNREACHED_BY_DESIGN = {
     "metric.ricci_identity_residual": "an identity residual of acceptance criterion 5",
     "metric.gradient": "ricci_identity_residual's gradient",
     "metric.hessian": "the Hessian of both residuals and of the periodic Laplacian of a metric not w I",
-    "metric.CurvaturePack.christoffel": "the Christoffel symbols the residuals' Hessian reads",
     "metric._trace": "the trace of that Hessian in the periodic Laplacian of a metric not w I, "
                      "and of ricci_identity_residual",
     "metric._gauss_curvature_generic": "K of a metric not w I: `nullflow verify` on a CSV with "

@@ -295,6 +295,22 @@ def test_curvature_inverts_its_metric_once(monkeypatch, case, with_K):
         assert np.array_equal(lap, laplace_beltrami(m, u))
 
 
+@pytest.mark.parametrize("case", ["sphere-48", "bump-16", "bump-33-g01"])
+def test_pack_stores_its_tensors_grid_axes_first_and_builds_gamma_once(monkeypatch, case):
+    m, u = _kernel_case(case)
+    calls = []
+    build = metric_module.christoffel
+    monkeypatch.setattr(metric_module, "christoffel", lambda g, *ginv: calls.append(1) or build(g, *ginv))
+    pack = curvature(m)
+    pack.K
+    laplace_beltrami(m, u, pack)
+    assert pack.christoffel is pack.christoffel
+    assert calls == [1]
+    for tensor, comps in ((pack.ginv, (2, 2)), (pack.christoffel, (2, 2, 2))):
+        assert tensor.flags.c_contiguous
+        assert tensor.shape == m.grid.shape + comps
+
+
 def test_sphere_curvature_requires_a_diagonal_metric():
     m = sphere_metric(1.0, 16)
     comps = m.comps.copy()
