@@ -46,7 +46,6 @@ from .nullgeom import (
     NullCurveFrame,
     NullStructureError,
     ReparamResult,
-    assemble_degenerate_metric,
     distinguished_parameter,
     frenet_functions,
     radical_check,

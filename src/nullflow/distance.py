@@ -123,7 +123,6 @@ def geodesic_distance(metric: LeafMetric, center, limit: float = np.inf) -> Dist
     """Distance to the given center node; cut-locus band flagged invalid.  Nodes
     farther than ``limit`` read inf (the Dijkstra search stops there); the rest
     read the unbounded distance."""
-    metric.require_positive_definite()
     grid = metric.grid
     if grid.topology == SPHERICAL_1D:
         field = _distance_symmetric(metric, int(center))

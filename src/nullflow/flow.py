@@ -4,12 +4,14 @@ The leaf metric evolves by dg'/dt = -2 Ric'(g') (forward) or +2 Ric'
 (backward).  Only forward steps are taken, with classical RK4, on w alone
 where g' = w I (every torus scenario; Ric' = K g' keeps the form), else on
 the 2x2 components, symmetrized; a backward run reverses a forward one.
+Each step ends in a LeafMetric, valid once made and never edited in place,
+so only the RK stage states, which are not metrics, are checked here.
 A scalar density u can be co-evolved by the heat equation
 (Delta - d/dt)u = 0 or the conjugate heat equation
 (d/dt - Delta + Scal')u = 0, interleaved Strang-style so u sees
-time-centered metrics.  Integration stops early with a recorded
-singular time when the metric loses positive definiteness (the
-shrinking-sphere collapse).
+time-centered metrics.  Integration stops early with a recorded singular
+time when a step's metric is not positive definite or its smallest
+eigenvalue falls below the threshold (the shrinking-sphere collapse).
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .grids import LeafGrid, ScalarField, field_values, finite_real
 from .metric import DIM, CurvaturePack, LeafMetric, MetricError, SingularMetricError
-from .metric import _conformal_w, _gauss_curvature_conformal, laplace_beltrami, ricci
+from .metric import _gauss_curvature_conformal, _min_eigenvalue, laplace_beltrami, ricci
 from .metric import curvature as curvature_pack
 
 FORWARD = "forward"
@@ -96,21 +98,23 @@ class FlowTrajectory:
 
 def step_flow(metric: LeafMetric, dt: float, pack: CurvaturePack | None = None) -> LeafMetric:
     """One forward RK4 step of dg'/dt = -2 Ric'(g'); stage 1 reads K off ``pack``, the
-    metric's own CurvaturePack, when given.  On g' = w I the state is w and the rate
-    -2 K w, from the conformal K, which checks each stage's w I.  The step is bit for
-    bit that of the components, taken on the sphere chart and on any other metric,
-    but for the sign of a zero off the diagonal: it writes +0.0 there."""
+    metric's own CurvaturePack, when given.  On g' = w I the state is ``metric.w`` and
+    the rate -2 K w.  Stages 2-4 are checked as metrics are, but not for symmetry nor on
+    the sphere chart.  The step is bit for bit that of the components, taken on the
+    sphere chart and any other metric, but it writes +0.0 off the diagonal."""
     if dt <= 0:
         raise FlowError("dt must be positive")
-    metric.require_positive_definite()
-    grid = metric.grid
-    w = _conformal_w(metric)
+    grid, w = metric.grid, metric.w
     if w is None:
-        state, rhs = metric.comps, lambda c: -2.0 * ricci(LeafMetric._unchecked(grid, c))
-        k1 = rhs(state) if pack is None else -2.0 * pack.ricci
+        state, rhs = metric.comps, lambda c: -2.0 * ricci(LeafMetric._stage(grid, c))
+        k1 = -2.0 * (ricci(metric) if pack is None else pack.ricci)
     else:
-        state, rhs = w, lambda v: -2.0 * (_gauss_curvature_conformal(grid, v) * v)
-        k1 = rhs(state) if pack is None else -2.0 * (pack.K * w)
+        def rhs(v):  # a stage's w, checked as a LeafMetric checks w I
+            _min_eigenvalue(v + v, v * v)
+            return -2.0 * (_gauss_curvature_conformal(grid, v) * v)
+
+        state = w
+        k1 = -2.0 * ((_gauss_curvature_conformal(grid, w) if pack is None else pack.K) * w)
     k2 = rhs(state + 0.5 * dt * k1)
     k3 = rhs(state + 0.5 * dt * k2)
     k4 = rhs(state + dt * k3)
@@ -129,10 +133,9 @@ def step_flow(metric: LeafMetric, dt: float, pack: CurvaturePack | None = None) 
 
 
 def _check_singular(metric: LeafMetric, threshold: float):
-    lam = metric.min_eigenvalue()
-    if not np.all(lam >= threshold):  # a NaN eigenvalue fails too
-        node = int(np.argmin(lam))
-        raise SingularMetricError(f"metric singular at node {node} (eigenvalue {lam.flat[node]:.3e})")
+    lam = metric.smallest_eigenvalue
+    if lam < threshold:
+        raise SingularMetricError(f"metric singular (eigenvalue {lam:.3e} below {threshold:.3e})")
 
 
 def _heat_rhs(pack: CurvaturePack, u: np.ndarray, scal: np.ndarray | None) -> np.ndarray:
@@ -191,7 +194,6 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
     """
     if config.direction == BACKWARD:
         return _run_backward(initial, config, u0)
-    initial.require_positive_definite()
     if config.heat != HEAT_NONE:
         if u0 is None:
             raise FlowError("heat coupling requires initial data u0")
@@ -201,12 +203,12 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
     else:
         u = None
 
-    threshold = config.eps_singular_rel * float(np.min(initial.min_eigenvalue()))
+    threshold = config.eps_singular_rel * initial.smallest_eigenvalue
     heat_t_max = config.heat_t_max if config.heat_t_max is not None else config.t_end
 
     t = 0.0
     dt = config.dt_initial
-    metric = initial.copy()
+    metric = initial
     # the geometry of ``metric`` while heat runs, else None; each step's second
     # heat half builds the next one
     pack = curvature_pack(metric) if u is not None else None

@@ -26,6 +26,11 @@ of an exact zero.  In 2-D sqrt(g) g^ab is conformally invariant, so the
 Laplacian is flat, gi (d_00 f + d_11 f), and a pack of g = w I builds its
 Christoffel symbols only if a Hessian reads them.
 
+A LeafMetric is checked and classified once, where it is made, and its
+``comps`` are never edited in place after, so no kernel checks its metric
+again.  On w I the checks read w alone: the trace w + w and the determinant
+w w are bit for bit those of the components, so they fail at the same nodes.
+
 Every tensor is stored node-major, grid axes first and components last, as
 ``LeafMetric.comps``: g^ab, Ricci and the Hessian have shape grid + (2, 2),
 Gamma^c_ab grid + (2, 2, 2).
@@ -66,34 +71,39 @@ def _conformal_factor(comps: np.ndarray) -> np.ndarray | None:
     return np.ascontiguousarray(w)
 
 
-def _conformal_w(metric: "LeafMetric") -> np.ndarray | None:
-    """w of a metric exactly w I off the sphere chart (the conformal kernels' case), else None."""
-    return None if metric.grid.topology == SPHERICAL_1D else _conformal_factor(metric.comps)
-
-
 class MetricError(ValueError):
-    pass
+    """A metric rejected when made; ``node`` is the flat index of the node it names, if any."""
+
+    def __init__(self, message: str, node: int | None = None):
+        super().__init__(message)
+        self.node = node
 
 
 class SingularMetricError(MetricError):
     pass
 
 
-def _min_eigenvalue(tr: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """The smaller eigenvalue of a symmetric 2x2 matrix from its trace and determinant."""
+def _min_eigenvalue(tr: np.ndarray, det: np.ndarray) -> float:
+    """The smallest of the smaller eigenvalues of symmetric 2x2 matrices, from
+    their traces and determinants, checked: a zero determinant, then an
+    eigenvalue <= 0 or NaN, raises SingularMetricError."""
+    if np.any(det == 0.0):
+        raise SingularMetricError("singular metric matrix", int(np.argmax(det == 0.0)))
     disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-    return 0.5 * (tr - disc)
-
-
-def _require_positive(lam: np.ndarray):
-    if not np.all(lam > 0.0):  # a NaN eigenvalue fails too
+    lam = 0.5 * (tr - disc)
+    low = float(lam.min())
+    if not low > 0.0:  # a NaN eigenvalue fails too
         node = int(np.argmin(lam))
-        raise SingularMetricError(f"metric not positive definite (node {node}, eigenvalue {lam.flat[node]:.3e})")
+        raise SingularMetricError(
+            f"metric not positive definite (node {node}, eigenvalue {lam.flat[node]:.3e})", node)
+    return low
 
 
 @dataclass
 class LeafMetric:
-    """Symmetric positive-definite metric g'_ab sampled per node."""
+    """Symmetric positive-definite metric g'_ab per node, valid once made, with ``comps``
+    never edited in place after: ``w`` is its conformal factor if g' = w I off the sphere
+    chart, else None, and ``smallest_eigenvalue`` the least over the nodes."""
 
     grid: LeafGrid
     comps: np.ndarray  # shape = grid.shape + (2, 2)
@@ -109,31 +119,32 @@ class LeafMetric:
         if not np.all(close):
             bad = ~np.isfinite(self.comps).all(axis=(-2, -1))
             if bad.any():  # a non-finite component fails the test above, so name it
-                raise MetricError(f"metric components are not finite (node {int(np.argmax(bad))})")
+                node = int(np.argmax(bad))
+                raise MetricError(f"metric components are not finite (node {node})", node)
             raise MetricError("metric components are not symmetric")
+        self._classify()
 
     @classmethod
-    def _unchecked(cls, grid: LeafGrid, comps: np.ndarray) -> "LeafMetric":
-        """Skips the symmetry check: for the RK stages of the flow only."""
+    def _stage(cls, grid: LeafGrid, comps: np.ndarray) -> "LeafMetric":
+        """An RK stage state of the flow: not checked for symmetry, nor at all on the sphere chart."""
         metric = object.__new__(cls)
-        metric.grid, metric.comps = grid, comps
+        metric.grid, metric.comps, metric.w = grid, comps, None
+        if grid.topology != SPHERICAL_1D:
+            metric._classify()
         return metric
+
+    def _classify(self):
+        g = self.comps
+        w = self.w = None if self.grid.topology == SPHERICAL_1D else _conformal_factor(g)
+        tr, det = (g[..., 0, 0] + g[..., 1, 1], self.determinant()) if w is None else (w + w, w * w)
+        self.smallest_eigenvalue = _min_eigenvalue(tr, det)
 
     def determinant(self) -> np.ndarray:
         g = self.comps
         return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
 
-    def min_eigenvalue(self) -> np.ndarray:
-        g = self.comps
-        return _min_eigenvalue(g[..., 0, 0] + g[..., 1, 1], self.determinant())
-
-    def require_positive_definite(self):
-        _require_positive(self.min_eigenvalue())
-
     def inverse(self) -> np.ndarray:
         det = self.determinant()
-        if np.any(det == 0.0):
-            raise SingularMetricError("singular metric matrix")
         g = self.comps
         inv = np.empty(det.shape + (DIM, DIM))
         inv[..., 0, 0] = g[..., 1, 1] / det
@@ -142,22 +153,17 @@ class LeafMetric:
         inv[..., 1, 0] = -g[..., 1, 0] / det
         return inv
 
-    def copy(self) -> "LeafMetric":
-        return LeafMetric(self.grid, self.comps.copy())
-
 
 class CurvaturePack:
-    """The geometry of one frozen metric, checked and built once by
-    :func:`curvature` for every operator on it: the inverse ``ginv`` (g^ab,
-    shape grid + (a, b)) and, on first read, the Christoffel symbols
-    (Gamma^c_ab, shape grid + (c, a, b)) and the Gauss curvature K.  The 2-D
-    Ricci and scalar curvatures are derived from K; Riemann,
-    K (g_ac g_bd - g_ad g_bc), is not provided."""
+    """The geometry of one frozen metric, built once by :func:`curvature` for
+    every operator on it: the inverse ``ginv`` (g^ab, shape grid + (a, b))
+    and, on first read, the Christoffel symbols (Gamma^c_ab, shape
+    grid + (c, a, b)) and the Gauss curvature K.  The 2-D Ricci and scalar
+    curvatures are derived from K; Riemann, K (g_ac g_bd - g_ad g_bc), is not
+    provided."""
 
     def __init__(self, metric: LeafMetric, ginv: np.ndarray):
         self.metric = metric
-        # g = w I exactly: laplace_beltrami takes the flat form
-        self.conformal = _conformal_w(metric) is not None
         self.ginv = ginv
 
     @cached_property
@@ -188,11 +194,9 @@ class CurvaturePack:
 
 
 def christoffel(metric: LeafMetric, ginv: np.ndarray | None = None) -> np.ndarray:
-    """Gamma^c_ab = 1/2 g^cd (d_a g_db + d_b g_da - d_d g_ab), shape grid + (c, a, b);
-    ``ginv`` is a checked metric's inverse (a pack's), else the metric is checked here."""
-    if ginv is None:
-        metric.require_positive_definite()
-        ginv = metric.inverse()
+    """Gamma^c_ab = 1/2 g^cd (d_a g_db + d_b g_da - d_d g_ab), shape grid + (c, a, b),
+    on ``ginv``, the metric's inverse (a pack's), when given."""
+    ginv = metric.inverse() if ginv is None else ginv
     dg = [partial_deriv(metric.grid, metric.comps, axis=d) for d in range(DIM)]  # d_d g_ab
     gamma = np.empty(metric.grid.shape + (DIM, DIM, DIM))
     for a in range(DIM):
@@ -237,23 +241,17 @@ def _gauss_curvature_generic(pack: CurvaturePack) -> np.ndarray:
     return 0.5 * _trace(pack.ginv, 0.5 * (ric + ric.swapaxes(-1, -2)))
 
 
-def _gauss_curvature_conformal(grid: LeafGrid, w: np.ndarray, checked: bool = False) -> np.ndarray:
-    """K of g = w I, with the checks of :func:`curvature` unless its pack made
-    them (``checked``), and the operations of :func:`_gauss_curvature_generic`
+def _gauss_curvature_conformal(grid: LeafGrid, w: np.ndarray) -> np.ndarray:
+    """K of g = w I, with the operations of :func:`_gauss_curvature_generic`
     on Gamma^0_00 = Gamma^1_01 = -Gamma^0_11 = p and Gamma^1_11 = Gamma^0_01 =
     -Gamma^1_00 = q:
 
         K = 0.5 (((T + A) - A) gi + ((T - A) + A) gi),  T = -(d_1 q + d_0 p),
         A = p p + q q,
 
-    where ric_01 + ric_10 and every product by g^01 = +-0 are exact zeros.  The
-    checks read w alone: on w I the metric's trace is w + w and its determinant
-    w w bit for bit, so they raise what LeafMetric's raise, at the same node."""
+    where ric_01 + ric_10 and every product by g^01 = +-0 are exact zeros.  It
+    checks nothing: w is a metric's, or an RK stage's that the flow checked."""
     ww = w * w  # the determinant
-    if not checked:
-        if np.any(ww == 0.0):
-            raise SingularMetricError("singular metric matrix")
-        _require_positive(_min_eigenvalue(w + w, ww))
     gi = np.divide(w, ww, out=ww)
     p, q = partial_deriv(grid, w, 0), partial_deriv(grid, w, 1)
     for c in (p, q):
@@ -279,19 +277,16 @@ def gauss_curvature(metric: LeafMetric, pack: CurvaturePack | None = None) -> np
     """Gauss curvature K per node, the one place that picks its route: the
     surface-of-revolution formula on spherical charts, the conformal one on
     g = w I exactly, else the Christoffel route on ``pack`` (built if not given)."""
+    if metric.w is not None:
+        return _gauss_curvature_conformal(metric.grid, metric.w)
     if metric.grid.topology == SPHERICAL_1D:
         return _gauss_curvature_symmetric(metric)
-    w = _conformal_factor(metric.comps)
-    if w is None:
-        return _gauss_curvature_generic(curvature(metric) if pack is None else pack)
-    return _gauss_curvature_conformal(metric.grid, w, checked=pack is not None)
+    return _gauss_curvature_generic(curvature(metric) if pack is None else pack)
 
 
 def curvature(metric: LeafMetric) -> CurvaturePack:
-    """The checked geometry pack of ``metric``; its one inversion serves Gamma, K and the kernels."""
-    ginv = metric.inverse()
-    metric.require_positive_definite()
-    return CurvaturePack(metric, ginv)
+    """The geometry pack of ``metric``; its one inversion serves Gamma, K and the kernels."""
+    return CurvaturePack(metric, metric.inverse())
 
 
 def ricci(metric: LeafMetric) -> np.ndarray:
@@ -314,9 +309,11 @@ def gradient(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np
 
 
 def grad_norm_sq(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np.ndarray:
-    """||grad f||^2 = g^ab d_a f d_b f >= 0."""
-    ginv, df = _inverse_and_differential(metric, field, pack)
-    out = np.einsum("...ab,...a,...b->...", ginv, df, df)
+    """||grad f||^2 = g^ab d_a f d_b f >= 0, summed in the order of
+    np.einsum("...ab,...a,...b->...")."""
+    g, df = _inverse_and_differential(metric, field, pack)
+    d0, d1 = df[..., 0], df[..., 1]
+    out = ((g[..., 0, 0] * d0 * d0 + g[..., 0, 1] * d0 * d1) + g[..., 1, 0] * d1 * d0) + g[..., 1, 1] * d1 * d1
     return np.maximum(out, 0.0)
 
 
@@ -340,13 +337,13 @@ def hessian(metric: LeafMetric, field, gamma: np.ndarray | None = None) -> np.nd
 
 def laplace_beltrami(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np.ndarray:
     """Delta f = g^ab f_ab, the trace of :func:`hessian`, on ``pack`` (built from
-    ``metric`` if not given).  A conformal pack takes the flat form
+    ``metric`` if not given).  On g = w I it takes the flat form
     gi (d_00 f + d_11 f), which reads no Christoffel symbol; the sphere chart
     skips the terms that vanish on its diagonal metric."""
     values = field_values(field, metric.grid)
     pack = curvature(metric) if pack is None else pack
     grid, g = metric.grid, pack.ginv
-    if pack.conformal:
+    if metric.w is not None:
         return g[..., 0, 0] * periodic_laplacian(grid, values)
     if grid.topology == SPHERICAL_1D:
         # d_1 f, d_11 f and d_01 f vanish, and so do g^01 and Gamma^0_01 of

@@ -60,11 +60,6 @@ class DegenerateMetric:
         return np.sum(s > cutoff, axis=-1)
 
 
-def assemble_degenerate_metric(leaf: LeafMetric) -> DegenerateMetric:
-    leaf.require_positive_definite()
-    return DegenerateMetric(leaf)
-
-
 def radical_vector_field(metric: DegenerateMetric) -> np.ndarray:
     """The coordinate field along the radical direction, d/d(radical)."""
     m = metric.total_dimension

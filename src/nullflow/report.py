@@ -15,7 +15,7 @@ import numpy as np
 
 from .flow import REACHED_T_END, SINGULAR, STEP_UNDERFLOW, FlowTrajectory
 from .grids import ScalarField
-from .metric import LeafMetric
+from .metric import LeafMetric, MetricError
 
 SCHEMA_VERSION = 1
 _CSV_HEADER = "t,node,g11,g12,g22,u"
@@ -127,8 +127,9 @@ def read_trajectory_csv(path, grid) -> FlowTrajectory:
     integers.  Raises ValueError naming the line on a missing or bad metadata line or
     header, a row without 6 cells, a u cell empty unlike line 3's, a non-finite number,
     a node id outside 0..n-1, a truncated block, a block whose rows disagree on the time
-    or do not list the nodes 0..n-1 once each, or block times that do not strictly
-    increase; a cell that is not a number raises numpy's ValueError.
+    or do not list the nodes 0..n-1 once each, block times that do not strictly
+    increase, or a metric that LeafMetric rejects (the line of the node it names); a
+    cell that is not a number raises numpy's ValueError.
     """
     with open(path, "rb") as fh:
         head = [fh.readline().decode().removesuffix("\n").removesuffix("\r") for _ in range(2)]
@@ -161,10 +162,16 @@ def read_trajectory_csv(path, grid) -> FlowTrajectory:
     require(n_nodes * np.flatnonzero((np.sort(nodes, axis=1) != np.arange(n_nodes)).any(axis=1)),
             f"the block does not list the nodes 0..{n_nodes - 1} once each")
     # each block is a permutation of the nodes: scatter the rows into node order
-    values[np.arange(len(nodes))[:, None], nodes.astype(int)] = values.copy()
+    order = nodes.astype(int)
+    values[np.arange(len(nodes))[:, None], order] = values.copy()
     # copies of the columns kept, so that the parsed rows are freed on return
     comps = values[..., [2, 3, 3, 4]].reshape((-1,) + grid.shape + (2, 2))
-    metrics = [LeafMetric(grid, c) for c in comps]
+    metrics = []
+    for k, c in enumerate(comps):
+        try:
+            metrics.append(LeafMetric(grid, c))
+        except MetricError as err:
+            require([k * n_nodes + int(np.argmax(order[k] == err.node))], err)
     heats = [ScalarField(grid, u) for u in values[..., 5].copy().reshape((-1,) + grid.shape)] if has_u else None
     return FlowTrajectory(values[:, 0, 0].copy(), metrics, heats, **meta)
 

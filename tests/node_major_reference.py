@@ -12,6 +12,7 @@ from nullflow.grids import PERIODIC_2D, SPHERICAL_1D, _extend_even
 from nullflow.metric import (
     DIM,
     LeafMetric,
+    MetricError,
     SingularMetricError,
     _conformal_factor,
     _gauss_curvature_conformal,
@@ -123,26 +124,51 @@ def laplace_beltrami(metric, values):
     return np.einsum("...ab,...ab->...", inverse(metric), hessian(metric, values))
 
 
-def _component_rate(grid, comps):
-    """-2 Ric' of the components on a periodic grid, with the checks that the
-    conformal K made on the components of g = w I: w w != 0, then
-    LeafMetric.require_positive_definite."""
-    metric = LeafMetric._unchecked(grid, comps)
-    w = _conformal_factor(comps)
-    if w is None:  # ricci's generic route, which checks the metric itself
-        return -2.0 * ricci(metric)
-    if np.any(w * w == 0.0):
+def _min_eigenvalue(comps):
+    """The smaller eigenvalue per node, from the four components; a zero
+    determinant fails first, then an eigenvalue <= 0 or NaN."""
+    g = comps
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    if np.any(det == 0.0):
         raise SingularMetricError("singular metric matrix")
-    metric.require_positive_definite()
-    return -2.0 * (_gauss_curvature_conformal(grid, w, checked=True)[..., None, None] * comps)
+    tr = g[..., 0, 0] + g[..., 1, 1]
+    lam = 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+    if not np.all(lam > 0.0):
+        node = int(np.argmin(lam))
+        raise SingularMetricError(f"metric not positive definite (node {node}, eigenvalue {lam.flat[node]:.3e})")
+    return lam
+
+
+def check_metric(grid, comps):
+    """The checks of a metric in their order, on its four components: shape,
+    symmetry as np.allclose(g01, g10, atol=1e-14) decides it (a non-finite
+    component named by node), then :func:`_min_eigenvalue`, which it returns."""
+    comps = np.asarray(comps, dtype=float)
+    if comps.shape != grid.shape + (DIM, DIM):
+        raise MetricError(f"metric component shape {comps.shape} invalid")
+    if not np.all(np.isclose(comps[..., 0, 1], comps[..., 1, 0], atol=1e-14)):
+        bad = ~np.isfinite(comps).all(axis=(-2, -1))
+        if bad.any():
+            raise MetricError(f"metric components are not finite (node {int(np.argmax(bad))})")
+        raise MetricError("metric components are not symmetric")
+    return _min_eigenvalue(comps)
+
+
+def _component_rate(grid, comps):
+    """-2 Ric' of the components on a periodic grid, after their checks."""
+    _min_eigenvalue(comps)
+    w = _conformal_factor(comps)
+    if w is None:
+        return -2.0 * ricci(LeafMetric(grid, comps))
+    return -2.0 * (_gauss_curvature_conformal(grid, w)[..., None, None] * comps)
 
 
 def step_flow(metric, dt, pack=None):
     """nullflow.flow.step_flow on a periodic grid as it stepped every metric:
-    RK4 on the (n0, n1, 2, 2) components, symmetrized after the step."""
-    metric.require_positive_definite()
+    RK4 on the (n0, n1, 2, 2) components, symmetrized after the step, each
+    stage's components checked."""
     grid, g = metric.grid, metric.comps
-    k1 = _component_rate(grid, g) if pack is None else -2.0 * pack.ricci
+    k1 = -2.0 * ricci(metric) if pack is None else -2.0 * pack.ricci
     k2 = _component_rate(grid, g + 0.5 * dt * k1)
     k3 = _component_rate(grid, g + 0.5 * dt * k2)
     k4 = _component_rate(grid, g + dt * k3)

@@ -14,7 +14,7 @@ from nullflow.flow import FlowConfig, run_flow
 from nullflow.grids import ScalarField
 from nullflow.metric import bochner_residual, curvature, grad_norm_sq, ricci_identity_residual
 from nullflow.nullgeom import (
-    assemble_degenerate_metric,
+    DegenerateMetric,
     distinguished_parameter,
     radical_check,
     radical_vector_field,
@@ -210,7 +210,7 @@ def test_criterion_09_distinguished_parameter():
 def test_criterion_10_degenerate_structure_and_golden_file(tmp_path):
     rank_ok = True
     for metric in (sphere_metric(1.0, 32), flat_torus_metric(n=16), torus_bump_metric(0.2, 16)):
-        dm = assemble_degenerate_metric(metric)
+        dm = DegenerateMetric(metric)
         rank_ok &= bool(np.all(dm.rank() == 2))
         rank_ok &= bool(np.all(radical_check(dm, radical_vector_field(dm))))
 

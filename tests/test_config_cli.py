@@ -318,23 +318,28 @@ def test_trajectory_csv_matches_per_row_writer(tmp_path):
 def _trajectories(draw):
     """A trajectory of random cells on a torus (n = 8, 9, 16) or the sphere
     (n = 8), with or without heat, in each termination state: times in
-    [0, 1e300]; g11, g22, |g12| and u log-uniform over 5e-324..1e300 (both
-    ends present in each field), g12 of either sign."""
+    [0, 1e300]; u log-uniform over 5e-324..1e300 (both ends present in each
+    field); a positive-definite metric s (a, c; c, b) with a node scale s
+    log-uniform over 1e-150..1e150 (both ends present), a and b in [0.5, 2]
+    and |c| <= 0.4 of either sign, and g12 = 5e-324 and -0.0 at two nodes."""
     kind, n = draw(st.sampled_from([("torus", 8), ("torus", 9), ("torus", 16), ("sphere", 8)]))
     grid = make_torus_grid(n) if kind == "torus" else make_sphere_grid(n)
     times = sorted(draw(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=3, unique=True)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    def cells():
-        x = 10.0 ** rng.uniform(np.log10(5e-324), 300.0, grid.shape)
-        x.flat[rng.choice(x.size, 2, replace=False)] = (5e-324, 1e300)
+    def cells(low=5e-324, high=1e300):
+        x = 10.0 ** rng.uniform(np.log10(low), np.log10(high), grid.shape)
+        x.flat[rng.choice(x.size, 2, replace=False)] = (low, high)
         return x
 
     metrics = []
     for _ in times:
-        comps = np.empty(grid.shape + (2, 2))
-        comps[..., 0, 0], comps[..., 1, 1] = cells(), cells()
-        comps[..., 0, 1] = comps[..., 1, 0] = cells() * rng.choice([-1.0, 1.0], grid.shape)
+        # s^2 (ab - c^2) >= 0.09 s^2, and the eigenvalues differ by a factor below 5
+        scale, comps = cells(1e-150, 1e150), np.empty(grid.shape + (2, 2))
+        comps[..., 0, 0], comps[..., 1, 1] = (scale * rng.uniform(0.5, 2.0, grid.shape) for _ in range(2))
+        g12 = scale * rng.uniform(-0.4, 0.4, grid.shape)
+        g12.flat[rng.choice(g12.size, 2, replace=False)] = (5e-324, -0.0)
+        comps[..., 0, 1] = comps[..., 1, 0] = g12
         metrics.append(LeafMetric(grid, comps))
     heat = draw(st.booleans())
     termination = draw(st.sampled_from([REACHED_T_END, SINGULAR, STEP_UNDERFLOW]))
@@ -372,14 +377,20 @@ def test_trajectory_csv_round_trips_bit_for_bit(tmp_path):
     check()
 
 
+# per column g11, g12, g22, u: the range of fresh cells and the constants drawn
+_COLUMN_KINDS = [(0.5, 2.0, [1.0]), (-0.4, 0.4, [0.0, -0.0]), (0.5, 2.0, [1.0]), (-2.0, 2.0, [0.0, -0.0, 1.0])]
+
+
 @st.composite
 def _related_column_trajectories(draw):
     """A torus trajectory (n = 8, 9 or 65, so that blocks of 4,225 rows cross
     a write slice) whose value columns g11, g12, g22 and u, per block, are
-    fresh cells with a +0.0 and a -0.0 among them, a constant (+0.0, -0.0 or
-    another number), a bitwise copy of an earlier column, or such a copy with
-    the sign of one cell flipped (a -0.0 where the other has +0.0); u may be
-    absent."""
+    fresh cells, a constant, a bitwise copy of an earlier column, or such a
+    copy with the sign of one cell flipped (a -0.0 where the other has +0.0);
+    u may be absent.  The metric stays positive definite: g11 and g22 are
+    fresh or constant in [0.5, 2], or g22 a copy of g11, and g12 is fresh
+    in [-0.4, 0.4] with a +0.0 and a -0.0 among them or a constant +0.0,
+    -0.0 or other number there; u is any of the kinds, over [-2, 2]."""
     grid = make_torus_grid(draw(st.sampled_from([8, 9, 65])))
     size = grid.shape[0] * grid.shape[1]
     times = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True)))
@@ -389,13 +400,15 @@ def _related_column_trajectories(draw):
     for _ in times:
         cols = []
         for c in range(4 if heat else 3):
-            kind = draw(st.sampled_from(["fresh", "const"] + [(how, j) for j in range(c)
-                                                            for how in ("copy", "flip")]))
+            related = [("copy", 0)] if c == 2 else [(how, j) for j in range(c) for how in ("copy", "flip")]
+            kind = draw(st.sampled_from(["fresh", "const"] + (related if c >= 2 else [])))
+            low, high, consts = _COLUMN_KINDS[c]
             if kind == "fresh":
-                col = rng.uniform(-2.0, 2.0, size)
-                col[rng.choice(size, 2, replace=False)] = (0.0, -0.0)
+                col = rng.uniform(low, high, size)
+                if low < 0.0:
+                    col[rng.choice(size, 2, replace=False)] = (0.0, -0.0)
             elif kind == "const":
-                col = np.full(size, draw(st.sampled_from([0.0, -0.0, 1.0, float(rng.uniform(-2.0, 2.0))])))
+                col = np.full(size, draw(st.sampled_from(consts + [float(rng.uniform(low, high))])))
             else:
                 col = cols[kind[1]].copy()
                 if kind[0] == "flip":
@@ -431,6 +444,7 @@ def test_read_trajectory_csv_keeps_no_strings_per_row(tmp_path):
     grid = make_torus_grid(64)
     rng = np.random.default_rng(0)
     comps = 1.0 + 0.1 * rng.random((6,) + grid.shape + (2, 2))
+    comps[..., 0, 1] -= 1.0  # positive definite
     comps[..., 1, 0] = comps[..., 0, 1]
     traj = FlowTrajectory(
         0.02 * np.arange(6), [LeafMetric(grid, c) for c in comps],
@@ -596,6 +610,7 @@ def test_read_trajectory_csv_names_a_bad_row_in_a_later_slice(tmp_path, crlf):
     grid = make_torus_grid(32)
     rng = np.random.default_rng(1)
     comps = 1.0 + 0.1 * rng.random((6,) + grid.shape + (2, 2))
+    comps[..., 0, 1] -= 1.0  # positive definite
     comps[..., 1, 0] = comps[..., 0, 1]
     traj = FlowTrajectory(
         0.02 * np.arange(6), [LeafMetric(grid, c) for c in comps],
@@ -811,7 +826,7 @@ def test_cli_verify_flags_corrupted_trajectory(tmp_path, capsys):
 ], ids=["golden", "torus-bump-16"])
 def test_cli_verify_rejects_a_metric_not_positive_definite(tmp_path, capsys, doc, theorem, node):
     # g11 = g22 = -0.5 at the cube's center in the third sample, which is
-    # live: verify must fail closed (the sample's distance and pack both check)
+    # live: verify must fail closed, as the reader's LeafMetric rejects it
     cfg = _write_cfg(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 0
@@ -828,7 +843,31 @@ def test_cli_verify_rejects_a_metric_not_positive_definite(tmp_path, capsys, doc
     code = main(["verify", str(path), "--theorem", theorem, "--params", cfg])
     out, err = capsys.readouterr()
     assert code == 2
-    assert out == "" and "not positive definite" in err
+    assert out == "" and err.startswith(f"error: line {r + 1}: metric not positive definite (node {node}, ")
+
+
+def test_cli_verify_rejects_a_frozen_sample_not_positive_definite_naming_its_line(tmp_path, capsys):
+    # samples past heat_valid_until are never verified, but each is a metric:
+    # g11 = -1 at one node of the last block, whose rows are listed in reverse
+    cfg = _write_cfg(tmp_path, _TORUS_DOC)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    path = out / "trajectory.csv"
+    lines = path.read_text().splitlines()
+    n_nodes = 16 * 16
+    assert json.loads(lines[0][2:])["heat_valid_until"] < float(lines[-1].split(",")[0])
+    lines[-n_nodes:] = lines[-n_nodes:][::-1]
+    r = len(lines) - 1 - 37  # the row of node 37
+    cells = lines[r].split(",")
+    assert int(cells[1]) == 37
+    cells[2] = "-1.0"
+    lines[r] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["verify", str(path), "--theorem", "harnack-global", "--params", cfg])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.startswith(f"error: line {r + 1}: metric not positive definite (node 37, ")
 
 
 def test_cli_determinism_across_runs_and_threads(tmp_path):

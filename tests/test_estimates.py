@@ -28,7 +28,7 @@ from nullflow.estimates import (
 )
 from nullflow.flow import CurvatureBounds, FlowConfig, FlowTrajectory, run_flow
 from nullflow.grids import ScalarField
-from nullflow.metric import grad_norm_sq
+from nullflow.metric import LeafMetric, grad_norm_sq
 from nullflow.report import estimate_report_doc, render_json
 from nullflow.scenarios import flat_torus_metric, sphere_metric
 
@@ -416,7 +416,7 @@ def test_five_theorem_verify_matches_verify_without_any_cache():
     shared = [verify(traj, tid, cfg.estimates, cert=CERT) for tid in THEOREM_IDS]
     for rep in shared:
         bare = FlowTrajectory(
-            traj.times.copy(), [m.copy() for m in traj.metrics],
+            traj.times.copy(), [LeafMetric(m.grid, m.comps.copy()) for m in traj.metrics],
             [ScalarField(f.grid, f.values.copy()) for f in traj.heat_fields], traj.termination,
         )
         alone = verify(bare, rep.theorem, cfg.estimates, cert=CERT)

@@ -74,12 +74,14 @@ def test_singularity_detection_near_half():
 def test_nan_metric_is_singular_at_once_and_never_stored(monkeypatch):
     import nullflow.flow as flow
 
-    # NaN < threshold is False, so a NaN eigenvalue must fail the check explicitly
+    # NaN <= 0 is False, so a NaN eigenvalue must fail the check explicitly; it
+    # passes the symmetry check, so LeafMetric's eigenvalue check rejects it
     _check_singular(sphere_metric(1.0, 16), 1e-6)
     m = sphere_metric(1.0, 16)
-    m.comps[4, 1, 1] = np.nan  # symmetric, so LeafMetric accepts it
+    comps = m.comps.copy()
+    comps[4, 1, 1] = np.nan
     with pytest.raises(SingularMetricError, match="node 4"):
-        _check_singular(m, 1e-6)
+        LeafMetric(m.grid, comps)
 
     steps = []
     step = flow.step_flow
@@ -88,7 +90,9 @@ def test_nan_metric_is_singular_at_once_and_never_stored(monkeypatch):
         out = step(metric, dt, pack)
         steps.append(1)
         if len(steps) == 3:
-            out.comps[5, 1, 1] = np.nan
+            comps = out.comps.copy()
+            comps[5, 1, 1] = np.nan
+            return LeafMetric(out.grid, comps)
         return out
 
     monkeypatch.setattr(flow, "step_flow", nan_third_step)
@@ -102,8 +106,8 @@ def test_nan_metric_is_singular_at_once_and_never_stored(monkeypatch):
 def test_flow_times_strictly_increasing_and_metrics_pd():
     traj = run_flow(sphere_metric(1.0, 32), FlowConfig(t_end=0.3, dt_initial=1e-3))
     assert np.all(np.diff(traj.times) > 0)
-    for m in traj.metrics:
-        m.require_positive_definite()
+    for m in traj.metrics:  # checked again from the components
+        assert ref.check_metric(m.grid, m.comps).min() == m.smallest_eigenvalue
 
 
 def test_rk4_order_under_dt_halving():
@@ -336,6 +340,29 @@ def test_backward_run_starts_at_exactly_zero():
     assert fwd.times[-1] == 0.3
 
 
+def test_each_metric_is_checked_once_and_each_rk_stage_once(monkeypatch):
+    # the positive-definiteness check runs where a metric is made and on the
+    # RK stages 2-4 of each step, and nowhere else: a torus-bump n = 64 heat
+    # run of 50 steps (the config of the benchmark's torus-verify-64, seed 0)
+    # makes 50 metrics and checks 200 times; each step's pack, its K, the
+    # heat substeps and the singularity test check nothing
+    import nullflow.flow as flow
+    import nullflow.metric as metric_module
+
+    m = torus_bump_metric(0.253175, 64)
+    x, y = m.grid.coordinate_fields()
+    made, checks = [], []
+    check, validate = metric_module._min_eigenvalue, LeafMetric.__post_init__
+    for module in (metric_module, flow):
+        monkeypatch.setattr(module, "_min_eigenvalue", lambda tr, det: checks.append(1) or check(tr, det))
+    monkeypatch.setattr(LeafMetric, "__post_init__", lambda self: made.append(1) or validate(self))
+    config = FlowConfig(t_end=0.1, dt_initial=0.002, heat="heat", sample_every=10)
+    traj = run_flow(m, config, u0=ScalarField(m.grid, 2.0 + np.sin(x) * np.cos(y)))
+    assert traj.termination == "reached-t_end" and len(traj.times) == 6
+    assert len(made) == 50
+    assert len(checks) == len(made) + 3 * 50
+
+
 def test_step_flow_validates_only_its_result(monkeypatch):
     import nullflow.flow as flow
 
@@ -348,25 +375,41 @@ def test_step_flow_validates_only_its_result(monkeypatch):
             m = step_flow(m, 1e-3)
             assert len(validated) == 1
     # a NaN step still fails closed on the checked result; the torus steps w,
-    # so the NaN comes through the conformal K
-    monkeypatch.setattr(flow, "_gauss_curvature_conformal", lambda grid, w: np.full(w.shape, np.nan))
-    with pytest.raises(MetricError, match=r"not finite \(node 0\)"):
-        step_flow(m, 1e-3)
+    # so the NaN comes through the conformal K: at stage 4 it reaches the
+    # result, and at an earlier stage the next stage's check on w
+    kernel = flow._gauss_curvature_conformal
+    for nan_at, error, message in ((4, MetricError, r"not finite \(node 0\)"),
+                                   (3, SingularMetricError, r"node 0, eigenvalue nan")):
+        calls = []
+
+        def nan_kernel(grid, w):
+            calls.append(1)
+            return np.full(w.shape, np.nan) if len(calls) == nan_at else kernel(grid, w)
+
+        monkeypatch.setattr(flow, "_gauss_curvature_conformal", nan_kernel)
+        with pytest.raises(error, match=message):
+            step_flow(m, 1e-3)
 
 
 def _step_outcome(step, m, dt, with_pack):
-    """The bytes of a step's components, or the class and message it raised."""
+    """The bytes of a step's components, or the class and message it raised;
+    ``m`` may be a function that makes the metric."""
     try:
+        m = m() if callable(m) else m
         return step(m, dt, curvature(m) if with_pack else None).comps.tobytes()
     except ValueError as exc:
         return type(exc), str(exc)
 
 
-def _random_w(n, seed, amp, scale):
+def _random_w_comps(n, seed, amp, scale):
     w = scale * (1.0 + amp * np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n)))
     comps = np.zeros((n, n, 2, 2))
     comps[..., 0, 0] = comps[..., 1, 1] = w
-    return LeafMetric(torus_bump_metric(0.3, n).grid, comps)
+    return comps
+
+
+def _random_w(n, seed, amp, scale):
+    return LeafMetric(torus_bump_metric(0.3, n).grid, _random_w_comps(n, seed, amp, scale))
 
 
 _w_cases = dict(n=st.sampled_from([16, 33]), seed=st.integers(0, 2**32 - 1), amp=st.floats(0.0, 0.6),
@@ -386,19 +429,29 @@ def test_scalar_step_is_bit_identical_to_the_component_step(n, seed, amp, scale,
 @given(node=st.tuples(st.integers(0, 32), st.integers(0, 32)), **_w_cases)
 def test_scalar_step_fails_as_the_component_step_at_one_bad_node(node, n, seed, amp, scale, dt, with_pack):
     node = (node[0] % n, node[1] % n)
-    # 1e-160 squared is subnormal, and 4 (1e155)^2 overflows
+    grid = torus_bump_metric(0.3, n).grid
+    # 1e-160 squared is subnormal, and 4 (1e155)^2 overflows; the metric is
+    # checked on w when made, and the reference checks its components first
     for value in (0.0, -0.0, -1.0, np.nan, np.inf, 5e-324, 1e-160, 1e155):
-        m = _random_w(n, seed, amp, scale)
-        m.comps[node + (0, 0)] = m.comps[node + (1, 1)] = value
+        comps = _random_w_comps(n, seed, amp, scale)
+        comps[node + (0, 0)] = comps[node + (1, 1)] = value
+
+        def checked():
+            ref.check_metric(grid, comps)
+            return LeafMetric(grid, comps)
+
         with np.errstate(over="ignore", invalid="ignore"):
-            assert _step_outcome(step_flow, m, dt, with_pack) == _step_outcome(ref.step_flow, m, dt, with_pack)
+            got = _step_outcome(step_flow, lambda: LeafMetric(grid, comps), dt, with_pack)
+            assert got == _step_outcome(ref.step_flow, checked, dt, with_pack)
 
 
 def test_a_negative_zero_off_the_diagonal_steps_as_its_positive_zero_twin():
     # g01 = g10 = -0.0 is still w I, so the step runs on w and writes +0.0
-    m = torus_bump_metric(0.3, 16)
-    twin = m.copy()
-    m.comps[..., 0, 1] = m.comps[..., 1, 0] = -0.0
+    twin = torus_bump_metric(0.3, 16)
+    comps = twin.comps.copy()
+    comps[..., 0, 1] = comps[..., 1, 0] = -0.0
+    m = LeafMetric(twin.grid, comps)
+    assert m.w is not None
     assert step_flow(m, 1e-3).comps.tobytes() == step_flow(twin, 1e-3).comps.tobytes()
 
 

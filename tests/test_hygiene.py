@@ -97,6 +97,33 @@ def test_cold_golden_run_and_verify_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+_FAILING_HYPOTHESIS_TEST = """
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers(0, 10))
+def test_fails(x):
+    assert x < 0
+"""
+
+
+def test_a_failing_hypothesis_test_fails_without_aborting_the_suite(tmp_path):
+    # under the suite's warning filters: hypothesis imports libcst to report a
+    # failing example, and the DeprecationWarning of that import must not turn
+    # into a pytest INTERNALERROR (exit 3) that stops the tests after it
+    (tmp_path / "test_a_fails.py").write_text(_FAILING_HYPOTHESIS_TEST)
+    (tmp_path / "test_b_passes.py").write_text("def test_passes():\n    pass\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(SRC.parents[1] / "pyproject.toml"), "--rootdir", str(tmp_path), str(tmp_path)],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout and "INTERNALERROR" not in proc.stdout + proc.stderr
+
+
 # Defined in the package but entered by no `nullflow run` or `nullflow verify`
 # path, each with the reason it stays.  Everything else a CLI path does not
 # reach is surface only tests use, and goes.

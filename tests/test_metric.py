@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from nullflow.metric import (
     _conformal_factor,
     _gauss_curvature_conformal,
     _gauss_curvature_generic,
+    _trace,
     bochner_residual,
     christoffel,
     curvature,
@@ -70,6 +73,16 @@ def test_metric_requires_symmetry():
         LeafMetric(g, comps)
 
 
+def _outcome(make):
+    """None, or the class and message of what ``make()`` raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            make()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
 @pytest.mark.parametrize("a, b", [
     (np.nan, np.nan), (np.nan, 1.0), (1.0, np.nan), (np.inf, np.inf), (-np.inf, -np.inf),
     (np.inf, -np.inf), (1.0, np.inf), (np.inf, 1.0), (-np.inf, 1.0), (0.0, -0.0),
@@ -82,7 +95,11 @@ def test_symmetry_check_agrees_with_allclose(a, b):
     comps[..., 0, 0] = comps[..., 1, 1] = 1.0
     comps[3, 0, 1], comps[3, 1, 0] = a, b
     if np.allclose(a, b, atol=1e-14):
-        LeafMetric(grid, comps)
+        # symmetric, so positive definiteness decides: an inf pair or
+        # |g01| >= 1 fails it at node 3, as the components' checks do
+        want = _outcome(lambda: ref.check_metric(grid, comps))
+        assert _outcome(lambda: LeafMetric(grid, comps)) == want
+        assert (want is None) == (abs(a) < 1.0)
     else:  # a pair that fails on a NaN or inf names its node instead
         finite = np.isfinite(a) and np.isfinite(b)
         with pytest.raises(MetricError, match="not symmetric" if finite else r"not finite \(node 3\)"):
@@ -133,7 +150,7 @@ def test_kernels_bit_identical_to_node_major_reference(case):
     lap = ref.laplace_beltrami(m, u)
     pack = curvature(m)
     for got in (laplace_beltrami(m, u), laplace_beltrami(m, u, pack)):
-        if pack.conformal:  # bump-16 and bump-33 take the flat form
+        if m.w is not None:  # bump-16 and bump-33 take the flat form
             _assert_flat_laplacian(m, u, got, [lap])
         else:
             assert np.array_equal(got, lap)
@@ -173,7 +190,6 @@ def test_curvature_kernels_match_full_ricci_sum(n, modes, skew):
     # the kernels drop the m = n summand of the Ricci contraction, which
     # cancels exactly; the reference sums it, symmetric metric or not
     m = _fourier_metric(n, modes, skew)
-    m.require_positive_definite()
     assert np.array_equal(christoffel(m), ref.christoffel(m))
     K = ref.gauss_curvature(m)
     assert np.array_equal(gauss_curvature(m), K)
@@ -210,10 +226,10 @@ def test_conformal_kernels_are_bit_identical_to_the_christoffel_route(n, scale, 
     assert ricci(m).tobytes() == pack.ricci.tobytes()
     x, y = m.grid.coordinate_fields()
     u = 2.0 + np.sin(x) * np.cos(2.0 * y) + 0.5 * np.cos(3.0 * x - y)
-    assert pack.conformal
+    assert m.w is not None
     lap = laplace_beltrami(m, u, pack)
-    pack.conformal = False  # the generic branch on the same pack
-    _assert_flat_laplacian(m, u, lap, [ref.laplace_beltrami(m, u), laplace_beltrami(m, u, pack)])
+    generic = _trace(pack.ginv, hessian(m, u, pack.christoffel))  # the branch of metrics not w I
+    _assert_flat_laplacian(m, u, lap, [ref.laplace_beltrami(m, u), generic])
 
 
 @pytest.mark.parametrize("node", [(0, 0), (5, 7), (15, 15)])
@@ -224,7 +240,7 @@ def test_a_metric_one_bit_off_w_I_takes_the_generic_route(monkeypatch, node, cha
     build = metric_module.christoffel
     monkeypatch.setattr(metric_module, "christoffel", lambda g, *ginv: calls.append(1) or build(g, *ginv))
     ricci(m)
-    assert calls == [] and curvature(m).conformal
+    assert calls == [] and m.w is not None
     comps = m.comps.copy()
     if change == "g11 + 1 ulp":
         comps[node + (1, 1)] = np.nextafter(comps[node + (1, 1)], np.inf)
@@ -232,7 +248,7 @@ def test_a_metric_one_bit_off_w_I_takes_the_generic_route(monkeypatch, node, cha
         comps[node + ((0, 1) if change.startswith("g01") else (1, 0))] = 5e-324
     off = LeafMetric(m.grid, comps)
     assert _conformal_factor(off.comps) is None
-    assert not curvature(off).conformal
+    assert off.w is None
     calls.clear()
     ricci(off)
     assert calls == [1]
@@ -240,18 +256,17 @@ def test_a_metric_one_bit_off_w_I_takes_the_generic_route(monkeypatch, node, cha
 
 @pytest.mark.parametrize("w", [-0.5, 0.0, 1e-170])  # 1e-170 squared is 0.0
 def test_conformal_ricci_keeps_the_singular_metric_checks(monkeypatch, w):
+    # the conformal K and a pack's kernels check nothing, so the metric they
+    # read must not be made: LeafMetric rejects it, on w as on the components
     m = torus_bump_metric(0.3, 16)
     comps = m.comps.copy()
     comps[3, 4, 0, 0] = comps[3, 4, 1, 1] = w
-    bad = LeafMetric(m.grid, comps)
-    assert _conformal_factor(bad.comps) is not None
-    with pytest.raises(SingularMetricError):
-        ricci(bad)
-    with pytest.raises(SingularMetricError):  # the pack whose K and Laplacian skip them
-        curvature(bad)
+    assert _conformal_factor(comps) is not None
+    want = _outcome(lambda: ref.check_metric(m.grid, comps))
+    assert want[0] is SingularMetricError
+    assert _outcome(lambda: LeafMetric(m.grid, comps)) == want
     monkeypatch.setattr(metric_module, "_conformal_factor", lambda comps: None)
-    with pytest.raises(SingularMetricError):  # as on the generic route
-        ricci(bad)
+    assert _outcome(lambda: LeafMetric(m.grid, comps)) == want  # as on the generic route
 
 
 @pytest.mark.parametrize("node", [(0, 0), (9, 4)])
@@ -260,17 +275,22 @@ def test_conformal_checks_on_w_raise_what_the_metric_checks_raise(node, w):
     # on w I the trace is w + w and the determinant w w bit for bit; w = inf
     # passes w > 0 but fails as a NaN eigenvalue, and 4 (1e155)^2 overflows
     m = torus_bump_metric(0.3, 16)
-    m.comps[node + (0, 0)] = m.comps[node + (1, 1)] = w
+    comps = m.comps.copy()
+    comps[node + (0, 0)] = comps[node + (1, 1)] = w
 
-    def outcome(kernel):
+    def outcome(check):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return kernel().tobytes()
+                return float(check())
         except SingularMetricError as exc:
             return str(exc)
 
-    want = outcome(lambda: curvature(m).K)  # checks the components, then inverts once
-    assert outcome(lambda: _gauss_curvature_conformal(m.grid, np.ascontiguousarray(m.comps[..., 0, 0]))) == want
+    want = outcome(lambda: ref.check_metric(m.grid, comps).min())  # on the four components
+    assert outcome(lambda: LeafMetric(m.grid, comps).smallest_eigenvalue) == want
+    if np.isnan(w):  # a NaN is not w I, so LeafMetric reads the components
+        assert _conformal_factor(comps) is None
+    else:
+        assert LeafMetric(m.grid, m.comps).w is not None and _conformal_factor(comps) is not None
 
 
 @pytest.mark.parametrize("case", ["sphere-48", "bump-16-g01"])
@@ -311,6 +331,64 @@ def test_pack_stores_its_tensors_grid_axes_first_and_builds_gamma_once(monkeypat
         assert tensor.shape == m.grid.shape + comps
 
 
+_BAD_VALUES = (0.0, -0.0, -1.0, np.nan, np.inf, 5e-324, 1e-160, 1e155)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(["sphere-48", "bump-16", "bump-33-g01"]), node=st.integers(0, 33 * 33 - 1),
+       entry=st.sampled_from(["g00 and g11", "g00", "g11", "g01 and g10"]), value=st.sampled_from(_BAD_VALUES))
+def test_a_metric_is_checked_where_it_is_made_as_its_components_are(case, node, entry, value):
+    # one bad node in a w I (bump-16, with g00 and g11), sheared or sphere
+    # metric: LeafMetric raises the class, message and node of the checks on
+    # the four components, in their order (shape, symmetry, zero determinant,
+    # smallest eigenvalue), or accepts the metric with their eigenvalue
+    m, _ = _kernel_case(case)
+    comps = m.comps.copy()
+    at = np.unravel_index(node % comps[..., 0, 0].size, m.grid.shape)
+    for ab in {"g00 and g11": [(0, 0), (1, 1)], "g00": [(0, 0)], "g11": [(1, 1)],
+               "g01 and g10": [(0, 1), (1, 0)]}[entry]:
+        comps[at + ab] = value
+    want = _outcome(lambda: ref.check_metric(m.grid, comps))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            made = LeafMetric(m.grid, comps)
+    except MetricError as exc:
+        assert (type(exc), str(exc)) == want
+        named = re.search(r"\(node (\d+)", str(exc))
+        assert named is None or exc.node == int(named.group(1))
+    else:
+        assert want is None
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert made.smallest_eigenvalue == ref.check_metric(m.grid, comps).min()
+        conformal = entry == "g00 and g11" or (entry == "g01 and g10" and value == 0.0)
+        assert (made.w is not None) == (case == "bump-16" and conformal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(["sphere-48", "bump-16", "bump-33-g01", "spd-17"]), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 1e-200, 1e100]), zeros=st.booleans(), with_pack=st.booleans())
+def test_grad_norm_sq_is_bit_identical_to_its_einsum(case, seed, scale, zeros, with_pack):
+    # the written-out contraction pairs and orders its sums as
+    # np.einsum("...ab,...a,...b->...") does, signed zeros and underflow included
+    rng = np.random.default_rng(seed)
+    if case == "spd-17":  # a random sheared positive-definite metric
+        grid = make_torus_grid(17)
+        a, b = rng.uniform(0.5, 2.0, (2,) + grid.shape)
+        comps = np.empty(grid.shape + (2, 2))
+        comps[..., 0, 0], comps[..., 1, 1] = a, b
+        comps[..., 0, 1] = comps[..., 1, 0] = rng.uniform(-0.6, 0.6, grid.shape) * np.sqrt(a * b)
+        m = LeafMetric(grid, comps)
+    else:
+        m, _ = _kernel_case(case)
+    u = scale * rng.normal(size=m.grid.shape)
+    if zeros:  # +-0.0 cells, whose differences can be -0.0
+        u[rng.random(u.shape) < 0.5] = 0.0
+        u[rng.random(u.shape) < 0.5] *= -1.0
+    df = np.stack([ref.partial_deriv(m.grid, u, d) for d in range(2)], axis=-1)
+    want = np.maximum(np.einsum("...ab,...a,...b->...", ref.inverse(m), df, df), 0.0)
+    assert grad_norm_sq(m, u, curvature(m) if with_pack else None).tobytes() == want.tobytes()
+
+
 def test_sphere_curvature_requires_a_diagonal_metric():
     m = sphere_metric(1.0, 16)
     comps = m.comps.copy()
@@ -321,18 +399,20 @@ def test_sphere_curvature_requires_a_diagonal_metric():
 
 def test_positive_definiteness_reports_node():
     m = flat_torus_metric(n=8)
-    m.comps[3, 4] = [[-1.0, 0.0], [0.0, 1.0]]
+    comps = m.comps.copy()
+    comps[3, 4] = [[-1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(SingularMetricError) as exc:
-        m.require_positive_definite()
-    assert "node" in str(exc.value)
+        LeafMetric(m.grid, comps)
+    assert "node 28" in str(exc.value) and exc.value.node == 28
 
 
 def test_positive_definiteness_rejects_nan():
     # NaN <= 0 is False, so a NaN eigenvalue must fail the check explicitly
     m = sphere_metric(1.0, 16)
-    m.comps[4, 1, 1] = np.nan
+    comps = m.comps.copy()
+    comps[4, 1, 1] = np.nan
     with pytest.raises(SingularMetricError, match="node 4"):
-        m.require_positive_definite()
+        LeafMetric(m.grid, comps)
 
 
 def test_inverse_closed_form():

@@ -3,9 +3,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from nullflow.nullgeom import (
+    DegenerateMetric,
     NullCurveFrame,
     NullStructureError,
-    assemble_degenerate_metric,
     distinguished_parameter,
     frenet_functions,
     radical_check,
@@ -24,7 +24,7 @@ def _frames(k=201, t_end=1.0):
 
 
 def test_block_matrix_layout():
-    dm = assemble_degenerate_metric(sphere_metric(1.0, 32))
+    dm = DegenerateMetric(sphere_metric(1.0, 32))
     mat = dm.matrix()
     th = dm.leaf.grid.axes[0]
     assert np.max(np.abs(mat[..., 0, :])) == 0.0
@@ -37,14 +37,14 @@ def test_block_matrix_layout():
     "metric", [sphere_metric(1.0, 32), flat_torus_metric(n=16), torus_bump_metric(0.2, 16)]
 )
 def test_rank_and_radical(metric):
-    dm = assemble_degenerate_metric(metric)
+    dm = DegenerateMetric(metric)
     assert np.all(dm.rank() == 2)
     E = radical_vector_field(dm)
     assert np.all(radical_check(dm, E))
 
 
 def test_radical_check_rejects_screen_and_mixed_vectors():
-    dm = assemble_degenerate_metric(flat_torus_metric(n=16))
+    dm = DegenerateMetric(flat_torus_metric(n=16))
     W1 = np.zeros(dm.leaf.grid.shape + (3,))
     W1[..., 1] = 1.0
     assert not np.any(radical_check(dm, W1))
@@ -53,7 +53,7 @@ def test_radical_check_rejects_screen_and_mixed_vectors():
 
 
 def test_screen_projection_idempotent():
-    dm = assemble_degenerate_metric(flat_torus_metric(n=16))
+    dm = DegenerateMetric(flat_torus_metric(n=16))
     v = np.zeros(dm.leaf.grid.shape + (3,))
     v[..., 0] = 1.0
     v[..., 1] = 2.0

@@ -33,7 +33,9 @@ def test_torus_bump_matches_closed_form():
     factor = torus_bump_conformal_factor(amp, x, y)
     assert np.allclose(m.comps[..., 0, 0], factor)
     assert np.allclose(m.comps[..., 1, 1], factor)
-    m.require_positive_definite()
+    # w I, whose eigenvalues are w itself: (2w)^2 - 4 w w is exactly 0
+    assert np.array_equal(m.w, m.comps[..., 0, 0])
+    assert m.smallest_eigenvalue == np.min(m.w)
 
 
 def test_invalid_scenario_inputs():
