@@ -83,8 +83,7 @@ def _cmd_verify(args) -> int:
     cfg = parse_config(Path(args.params).read_text())
     if cfg.estimates is None:
         raise ConfigError("the params config needs an estimates section")
-    metric = cfg.build_metric()
-    trajectory = read_trajectory_csv(args.trajectory, metric.grid)
+    trajectory = read_trajectory_csv(args.trajectory, cfg.build_metric().grid)
     rep = verify(trajectory, args.theorem, cfg.estimates, cert=build_cutoff())
     sys.stdout.write(render_json(estimate_report_doc(rep)))
     return EXIT_VIOLATION if rep.status == VIOLATED else EXIT_OK

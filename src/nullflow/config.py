@@ -17,7 +17,7 @@ failing constraint.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,14 +42,15 @@ class ConfigError(ValueError):
 class RunConfig:
     scenario: dict
     flow: FlowConfig
+    metric: LeafMetric = field(repr=False, compare=False)  # the scenario's, made by parse_config
     heat_initial: str | None = None
     estimates: EstimateParams | None = None
     theorems: tuple = ()
     seed: int = 0
 
     def build_metric(self) -> LeafMetric:
-        params = {k: v for k, v in self.scenario.items() if k != "name"}
-        return build_scenario_metric(self.scenario["name"], **params)
+        """The scenario metric parse_config made, shared: a LeafMetric is never edited in place."""
+        return self.metric
 
     def build_heat_initial(self, metric: LeafMetric) -> ScalarField | None:
         if self.heat_initial is None:
@@ -139,14 +140,14 @@ def parse_config(text: str) -> RunConfig:
     if type(seed) is not int or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
 
-    cfg = RunConfig(dict(scenario), flow, heat_initial, estimates, tuple(theorems), seed)
     try:
-        shape = cfg.build_metric().grid.shape
+        metric = build_scenario_metric(**scenario)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid scenario parameters: {exc}")
+    shape = metric.grid.shape
     if estimates is not None:  # a node index on a 1-D grid, [i, j] on a 2-D one
         c = estimates.center if len(shape) > 1 else (estimates.center,)
         if type(c) is not tuple or len(c) != len(shape) or any(
                 type(i) is not int or not 0 <= i < n for i, n in zip(c, shape)):
             raise ConfigError(f"estimates.center must be a node of the grid of shape {shape}")
-    return cfg
+    return RunConfig(dict(scenario), flow, metric, heat_initial, estimates, tuple(theorems), seed)

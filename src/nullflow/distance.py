@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import PERIODIC_2D, SPHERICAL_1D, LeafGrid
+from .grids import SPHERICAL_1D, LeafGrid
 from .metric import LeafMetric
 
 CUT_LOCUS_MARGIN = 3  # in units of the grid spacing
@@ -123,11 +123,8 @@ def geodesic_distance(metric: LeafMetric, center, limit: float = np.inf) -> Dist
     """Distance to the given center node; cut-locus band flagged invalid.  Nodes
     farther than ``limit`` read inf (the Dijkstra search stops there); the rest
     read the unbounded distance."""
-    grid = metric.grid
-    if grid.topology == SPHERICAL_1D:
+    if metric.grid.topology == SPHERICAL_1D:
         field = _distance_symmetric(metric, int(center))
-    elif grid.topology != PERIODIC_2D:
-        raise ValueError(f"unsupported topology {grid.topology}")
     elif _is_constant_diagonal(metric):
         field = _distance_flat_periodic(metric, tuple(center))
     else:

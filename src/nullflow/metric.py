@@ -101,9 +101,10 @@ def _min_eigenvalue(tr: np.ndarray, det: np.ndarray) -> float:
 
 @dataclass
 class LeafMetric:
-    """Symmetric positive-definite metric g'_ab per node, valid once made, with ``comps``
-    never edited in place after: ``w`` is its conformal factor if g' = w I off the sphere
-    chart, else None, and ``smallest_eigenvalue`` the least over the nodes."""
+    """Symmetric positive-definite metric g'_ab per node, diagonal on the sphere chart,
+    valid once made, with ``comps`` never edited in place after: ``w`` is its conformal
+    factor if g' = w I off the sphere chart, else None, and ``smallest_eigenvalue`` the
+    least over the nodes."""
 
     grid: LeafGrid
     comps: np.ndarray  # shape = grid.shape + (2, 2)
@@ -138,6 +139,11 @@ class LeafMetric:
         w = self.w = None if self.grid.topology == SPHERICAL_1D else _conformal_factor(g)
         tr, det = (g[..., 0, 0] + g[..., 1, 1], self.determinant()) if w is None else (w + w, w * w)
         self.smallest_eigenvalue = _min_eigenvalue(tr, det)
+        if self.grid.topology == SPHERICAL_1D:  # the chart's K and Laplacian read a diagonal metric
+            g01 = g[..., 0, 1]
+            node = int(np.argmax(np.abs(g01)))
+            if abs(g01.flat[node]) > 1e-12 * max(np.max(g[..., 0, 0]), np.max(g[..., 1, 1])):
+                raise MetricError(f"sphere chart metric not diagonal (node {node}, g01 {g01.flat[node]:.3e})", node)
 
     def determinant(self) -> np.ndarray:
         g = self.comps
@@ -209,15 +215,11 @@ def christoffel(metric: LeafMetric, ginv: np.ndarray | None = None) -> np.ndarra
 
 
 def _gauss_curvature_symmetric(metric: LeafMetric) -> np.ndarray:
-    g = metric.comps
-    a = g[..., 0, 0]
-    b = g[..., 1, 1]
-    if np.max(np.abs(g[..., 0, 1])) > 1e-12 * max(np.max(a), np.max(b)):
-        raise MetricError("spherical 1-D curvature requires a diagonal metric")
-    grid = metric.grid
+    """K of the sphere chart's a dx^2 + b dy^2; LeafMetric found the metric diagonal."""
+    a, b = metric.comps[..., 0, 0], metric.comps[..., 1, 1]
     root = np.sqrt(a * b)
-    inner = partial_deriv(grid, b, 0) / root
-    return -partial_deriv(grid, inner, 0) / (2.0 * root)
+    inner = partial_deriv(metric.grid, b, 0) / root
+    return -partial_deriv(metric.grid, inner, 0) / (2.0 * root)
 
 
 def _gauss_curvature_generic(pack: CurvaturePack) -> np.ndarray:

@@ -142,7 +142,8 @@ def _min_eigenvalue(comps):
 def check_metric(grid, comps):
     """The checks of a metric in their order, on its four components: shape,
     symmetry as np.allclose(g01, g10, atol=1e-14) decides it (a non-finite
-    component named by node), then :func:`_min_eigenvalue`, which it returns."""
+    component named by node), then :func:`_min_eigenvalue`, which it returns,
+    and on the sphere chart |g01| <= 1e-12 of the largest diagonal entry."""
     comps = np.asarray(comps, dtype=float)
     if comps.shape != grid.shape + (DIM, DIM):
         raise MetricError(f"metric component shape {comps.shape} invalid")
@@ -151,7 +152,12 @@ def check_metric(grid, comps):
         if bad.any():
             raise MetricError(f"metric components are not finite (node {int(np.argmax(bad))})")
         raise MetricError("metric components are not symmetric")
-    return _min_eigenvalue(comps)
+    lam = _min_eigenvalue(comps)
+    g01, top = comps[..., 0, 1], max(comps[..., 0, 0].max(), comps[..., 1, 1].max())
+    if grid.topology == SPHERICAL_1D and np.abs(g01).max() > 1e-12 * top:
+        node = int(np.argmax(np.abs(g01)))
+        raise MetricError(f"sphere chart metric not diagonal (node {node}, g01 {g01.flat[node]:.3e})")
+    return lam
 
 
 def _component_rate(grid, comps):

@@ -3,6 +3,7 @@ import ast
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -57,6 +58,48 @@ def test_benchmark_call_sites_exist():
     cli = importlib.import_module("nullflow.cli")
     assert cli.verify is importlib.import_module("nullflow.estimates").verify
     assert "__post_init__" in vars(importlib.import_module("nullflow.metric").LeafMetric)
+    # nullbench/setup_probe.py times these calls, by these names
+    nullflow = importlib.import_module("nullflow")
+    assert callable(nullflow.parse_config) and callable(nullflow.build_cutoff)
+    run_config = importlib.import_module("nullflow.config").RunConfig
+    assert list(inspect.signature(run_config.build_metric).parameters) == ["self"]
+    assert list(inspect.signature(run_config.build_heat_initial).parameters) == ["self", "metric"]
+
+
+def _raises(func, names) -> bool:
+    """Whether a raise statement in ``func`` names one of the exceptions ``names``."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in names:
+                return True
+    return False
+
+
+def test_only_leaf_metric_raises_a_metric_error():
+    # a metric is checked where it is made, so no kernel checks it again
+    tree = ast.parse((SRC / "metric.py").read_text())
+    funcs = [f for f in tree.body if isinstance(f, ast.FunctionDef)] + [
+        f for c in tree.body if isinstance(c, ast.ClassDef) and c.name != "LeafMetric"
+        for f in c.body if isinstance(f, ast.FunctionDef)]
+    assert [f.name for f in funcs if f.name != "_min_eigenvalue"
+            and _raises(f, {"MetricError", "SingularMetricError"})] == []
+
+
+def test_run_and_verify_make_their_scenario_metric_once(tmp_path, monkeypatch):
+    from nullflow import config
+    from nullflow.cli import main
+
+    made = []
+    build = config.build_scenario_metric
+    monkeypatch.setattr(config, "build_scenario_metric", lambda *a, **k: made.append(1) or build(*a, **k))
+    golden = str(SRC.parents[1] / "tests" / "data" / "golden_config.json")
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", golden, "--out", str(out)]) == 0
+        assert len(made) == 1
+        assert main(["verify", str(out / "trajectory.csv"), "--theorem", "li-yau", "--params", golden]) == 0
+    assert len(made) == 2
 
 
 _COLD_RUN = """

@@ -397,6 +397,23 @@ def test_sphere_curvature_requires_a_diagonal_metric():
         gauss_curvature(LeafMetric(m.grid, comps))
 
 
+
+@pytest.mark.parametrize("node", [0, 5, 15])
+def test_a_sphere_metric_is_checked_diagonal_where_it_is_made(node):
+    # the chart's K and Laplacian read a diagonal metric: g01 above 1e-12 of the
+    # largest diagonal entry is rejected, naming its node, and 1e-13 is accepted
+    m = sphere_metric(1.3, 16)
+    top = max(m.comps[..., 0, 0].max(), m.comps[..., 1, 1].max())
+    for g01, accepted in ((2e-12 * top, False), (-2e-12 * top, False), (1e-13 * top, True)):
+        comps = m.comps.copy()
+        comps[node, 0, 1] = comps[node, 1, 0] = g01
+        if accepted:
+            assert np.array_equal(gauss_curvature(LeafMetric(m.grid, comps)), gauss_curvature(m))
+            continue
+        with pytest.raises(MetricError, match=rf"not diagonal \(node {node}, g01 {g01:.3e}\)") as info:
+            LeafMetric(m.grid, comps)
+        assert info.value.node == node
+
 def test_positive_definiteness_reports_node():
     m = flat_torus_metric(n=8)
     comps = m.comps.copy()
