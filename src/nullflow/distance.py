@@ -10,7 +10,11 @@ Three routes, chosen by grid/metric structure:
   a 16-neighbour periodic graph built with numpy (first-order accurate with
   a small metrication overestimate; adequate for cube membership tests at
   desk scale).  The search stops at the caller's ``limit``, the cube
-  radius 2 rho for ``verify``, so it settles only the ball it reads.
+  radius 2 rho for ``verify``, so it settles only the ball it reads, and
+  the graph spans only a window of nodes that can be within ``limit``:
+  an edge v weighs at least sqrt(lambda_min) |v|, so along each axis the
+  window keeps the nodes within limit / sqrt(lambda_min) of the center,
+  plus two, and nothing outside it is weighed.
 
 Nodes near the cut locus are masked invalid rather than raising: distance
 there is only Lipschitz and its Laplacian is meaningless.
@@ -87,16 +91,33 @@ _NEIGHBOR_STEPS = [
 ]
 
 
+def _window(c: int, n: int, h: float, reach: float):
+    """The nodes of one periodic axis within ``reach`` of node c, plus two on
+    each side for the longest step, and c's index among them; the whole axis
+    when they would cover it."""
+    r = np.ceil(max(reach, 0.0) / h) + 2  # a negative limit is left to dijkstra to reject
+    if 2 * r + 1 < n:
+        return (c + np.arange(-int(r), int(r) + 1)) % n, int(r)
+    return np.arange(n), c
+
+
 def _distance_dijkstra(metric: LeafMetric, center: tuple, limit: float) -> DistanceField:
     from scipy.sparse import csr_matrix  # the only route that loads scipy
     from scipy.sparse.csgraph import dijkstra
     grid = metric.grid
-    nx, ny = grid.shape
     hx, hy = grid.spacings
-    # padded[p][2 + i, 2 + j] is component p at node (i, j), periodically
-    padded = [np.pad(metric.comps[..., a, b], 2, mode="wrap") for a, b in ((0, 0), (0, 1), (1, 1))]
+    # an edge v weighs at least sqrt(smallest_eigenvalue) |v| (the 1e-6 covers
+    # rounding), so a node more than ``reach`` from the center along an axis is
+    # farther than ``limit``; the graph is periodic within the window, and its
+    # wrapped edges leave only the window's two outer rows, past ``reach``
+    reach = limit / np.sqrt(metric.smallest_eigenvalue) * (1.0 + 1e-6)
+    (ix, ci), (iy, cj) = (_window(c, n, h, reach) for c, n, h in zip(center, grid.shape, grid.spacings))
+    comps = metric.comps[np.ix_(ix, iy)]
+    nx, ny = len(ix), len(iy)
+    # padded[p][2 + i, 2 + j] is component p at window node (i, j), periodically
+    padded = [np.pad(comps[..., a, b], 2, mode="wrap") for a, b in ((0, 0), (0, 1), (1, 1))]
     steps = len(_NEIGHBOR_STEPS)
-    weights = np.empty(grid.shape + (steps,))  # the CSR layout: row = node, one entry per step
+    weights = np.empty((nx, ny, steps))  # the CSR layout: row = node, one entry per step
     for s, (di, dj) in enumerate(_NEIGHBOR_STEPS[:steps // 2]):
         # each padded edge (i, j) -> (i + di, j + dj), measured by the mean of both metrics
         near = np.s_[max(0, -di):nx + 4 - max(0, di), max(0, -dj):ny + 4 - max(0, dj)]
@@ -115,8 +136,10 @@ def _distance_dijkstra(metric: LeafMetric, center: tuple, limit: float) -> Dista
     row_starts = np.arange(0, nx * ny * steps + 1, steps, dtype=np.int32)
     graph = csr_matrix((weights.ravel(), targets.ravel(), row_starts))
     # nodes farther than ``limit`` are never settled and stay at inf
-    dist = dijkstra(graph, indices=np.arange(nx * ny).reshape(nx, ny)[center], limit=limit)
-    return DistanceField(grid, dist.reshape(grid.shape), _periodic_mask(grid, center))
+    dist = dijkstra(graph, indices=np.arange(nx * ny).reshape(nx, ny)[ci, cj], limit=limit)
+    values = np.full(grid.shape, np.inf)
+    values[np.ix_(ix, iy)] = dist.reshape(nx, ny)
+    return DistanceField(grid, values, _periodic_mask(grid, center))
 
 
 def geodesic_distance(metric: LeafMetric, center, limit: float = np.inf) -> DistanceField:

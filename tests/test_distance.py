@@ -1,8 +1,12 @@
 import heapq
+import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullflow.config import parse_config
 from nullflow.distance import _NEIGHBOR_STEPS, _periodic_mask, geodesic_distance
@@ -129,19 +133,75 @@ def test_library_dijkstra_matches_heap_reference(eps, n):
         assert np.array_equal(d.valid, _periodic_mask(m.grid, center))
 
 
-@pytest.mark.parametrize("eps, n", [(e, n) for e in (0.0, 0.2) for n in (8, 16, 33)])
-def test_bounded_dijkstra_equals_unbounded_inside_the_ball(eps, n):
+@pytest.fixture
+def graph_sizes(monkeypatch):
+    """The node count of each graph handed to scipy's dijkstra, in call order."""
+    import scipy.sparse.csgraph as csgraph
+
+    sizes, dijkstra = [], csgraph.dijkstra
+
+    def recording(graph, *args, **kwargs):
+        sizes.append(graph.shape[0])
+        return dijkstra(graph, *args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", recording)
+    return sizes
+
+
+def _assert_bounded_equals_unbounded(m, center, limit):
+    full = geodesic_distance(m, center)
+    bounded = geodesic_distance(m, center, limit)
+    inside = full.values <= limit
+    assert np.array_equal(bounded.values[inside], full.values[inside])
+    assert np.all(np.isinf(bounded.values[~inside]))
+    assert np.array_equal(bounded.valid, full.valid)
+    return inside
+
+
+@pytest.mark.parametrize("eps, n", [(e, n) for e in (0.0, 0.2) for n in (8, 16, 33, 64, 128)])
+def test_bounded_dijkstra_equals_unbounded_inside_the_ball(eps, n, graph_sizes):
     m = _sheared_bump(0.3, n, eps)
-    for center in [(0, 0), (n - 1, n - 1), (n // 3, n // 2)]:
-        full = geodesic_distance(m, center)
+    # the four corners put the window across both seams of the torus
+    for center in [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1), (n // 3, n // 2)]:
+        full = geodesic_distance(m, center).values
         # the limit is one node's exact distance, which must be kept
-        limit = np.sort(full.values.ravel())[full.values.size // 5]
-        bounded = geodesic_distance(m, center, limit)
-        inside = full.values <= limit
-        assert np.count_nonzero(inside) > full.values.size // 5
-        assert np.array_equal(bounded.values[inside], full.values[inside])
-        assert np.all(np.isinf(bounded.values[~inside]))
-        assert np.array_equal(bounded.valid, full.valid)
+        limit = np.sort(full.ravel())[full.size // 5]
+        inside = _assert_bounded_equals_unbounded(m, center, limit)
+        assert np.count_nonzero(inside) > full.size // 5
+        # the unbounded calls weigh the whole torus; from n = 33 on, the bounded one
+        # weighs only the window of nodes that can be within the limit
+        assert graph_sizes[-3:-1] == [n * n, n * n]
+        assert graph_sizes[-1] < n * n or n < 33
+
+
+def _torus_config(name, seed):
+    spec = importlib.util.spec_from_file_location(
+        "nullbench_workloads", Path(__file__).parents[1] / "nullbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.torus_config(name, seed)
+
+
+@pytest.mark.parametrize("name", ["torus-verify-64", "torus-backward-128"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bounded_dijkstra_equals_unbounded_on_the_torus_workloads(name, seed, graph_sizes):
+    # seeds 1 and 2 put the cube center near the seams, so the window wraps
+    cfg = parse_config(json.dumps(_torus_config(name, seed)))
+    m0 = cfg.build_metric()
+    n = m0.grid.shape[0]
+    for m in run_flow(m0, cfg.flow, u0=cfg.build_heat_initial(m0)).metrics:
+        inside = _assert_bounded_equals_unbounded(m, cfg.estimates.center, 2.0 * cfg.estimates.rho)
+        assert np.any(inside)
+        assert graph_sizes[-2] == n * n > graph_sizes[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps=st.floats(0.0, 0.25), n=st.integers(8, 48), data=st.data())
+def test_bounded_dijkstra_equals_unbounded_on_a_sheared_bump(eps, n, data):
+    m = _sheared_bump(0.3, n, eps)
+    center = (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
+    limit = data.draw(st.floats(0.0, 8.0) | st.just(np.inf))
+    _assert_bounded_equals_unbounded(m, center, limit)
 
 
 def test_closed_form_routes_read_inf_beyond_the_limit():
@@ -149,3 +209,8 @@ def test_closed_form_routes_read_inf_beyond_the_limit():
         full = geodesic_distance(m, center).values
         bounded = geodesic_distance(m, center, 0.5).values
         assert np.array_equal(bounded, np.where(full <= 0.5, full, np.inf))
+
+
+def test_dijkstra_rejects_a_negative_limit():
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        geodesic_distance(_sheared_bump(0.3, 64, 0.2), (3, 5), -1.0)

@@ -389,22 +389,14 @@ def test_grad_norm_sq_is_bit_identical_to_its_einsum(case, seed, scale, zeros, w
     assert grad_norm_sq(m, u, curvature(m) if with_pack else None).tobytes() == want.tobytes()
 
 
-def test_sphere_curvature_requires_a_diagonal_metric():
-    m = sphere_metric(1.0, 16)
-    comps = m.comps.copy()
-    comps[5, 0, 1] = comps[5, 1, 0] = 1e-6
-    with pytest.raises(MetricError, match="diagonal"):
-        gauss_curvature(LeafMetric(m.grid, comps))
-
-
-
 @pytest.mark.parametrize("node", [0, 5, 15])
 def test_a_sphere_metric_is_checked_diagonal_where_it_is_made(node):
     # the chart's K and Laplacian read a diagonal metric: g01 above 1e-12 of the
-    # largest diagonal entry is rejected, naming its node, and 1e-13 is accepted
+    # largest diagonal entry is rejected, naming its node, as is a plain 1e-6, and
+    # 1e-13 is accepted
     m = sphere_metric(1.3, 16)
     top = max(m.comps[..., 0, 0].max(), m.comps[..., 1, 1].max())
-    for g01, accepted in ((2e-12 * top, False), (-2e-12 * top, False), (1e-13 * top, True)):
+    for g01, accepted in ((2e-12 * top, False), (-2e-12 * top, False), (1e-6, False), (1e-13 * top, True)):
         comps = m.comps.copy()
         comps[node, 0, 1] = comps[node, 1, 0] = g01
         if accepted:
@@ -413,6 +405,7 @@ def test_a_sphere_metric_is_checked_diagonal_where_it_is_made(node):
         with pytest.raises(MetricError, match=rf"not diagonal \(node {node}, g01 {g01:.3e}\)") as info:
             LeafMetric(m.grid, comps)
         assert info.value.node == node
+
 
 def test_positive_definiteness_reports_node():
     m = flat_torus_metric(n=8)
