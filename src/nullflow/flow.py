@@ -1,11 +1,12 @@
 """Time integration of the leaf-metric flow and coupled heat equations.
 
 The leaf metric evolves by dg'/dt = -2 Ric'(g') (forward) or +2 Ric'
-(backward).  Only forward steps are taken, with classical RK4, on w alone
-where g' = w I (every torus scenario; Ric' = K g' keeps the form), else on
-the 2x2 components, symmetrized; a backward run reverses a forward one.
-Each step ends in a LeafMetric, valid once made and never edited in place,
-so only the RK stage states, which are not metrics, are checked here.
+(backward).  Only forward steps are taken, with classical RK4, on the
+diagonal alone where Ric' = K g' keeps it so (w on g' = w I, (a, b) on
+the sphere chart), else on the 2x2 components; a backward run reverses a
+forward one.  Each step ends in a LeafMetric, valid once made and never
+edited in place, so only the RK stage states, which are not metrics, are
+checked here.
 A scalar density u can be co-evolved by the heat equation
 (Delta - d/dt)u = 0 or the conjugate heat equation
 (d/dt - Delta + Scal')u = 0, interleaved Strang-style so u sees
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import LeafGrid, ScalarField, field_values, finite_real
-from .metric import DIM, CurvaturePack, LeafMetric, MetricError, SingularMetricError
-from .metric import _gauss_curvature_conformal, _min_eigenvalue, laplace_beltrami, ricci
+from .grids import SPHERICAL_1D, ScalarField, field_values, finite_real
+from .metric import DIM, CurvaturePack, LeafMetric, MetricError, SingularMetricError, laplace_beltrami, ricci
+from .metric import _gauss_curvature_conformal, _gauss_curvature_symmetric, _min_eigenvalue
 from .metric import curvature as curvature_pack
 
 FORWARD = "forward"
@@ -96,39 +97,55 @@ class FlowTrajectory:
         return self.curvatures[k]
 
 
+def _rk4(state: np.ndarray, k1: np.ndarray, rate, dt: float) -> np.ndarray:
+    """One classical RK4 step of d state/dt = rate(state), from its rate k1 at ``state``."""
+    k2 = rate(state + 0.5 * dt * k1)
+    k3 = rate(state + 0.5 * dt * k2)
+    k4 = rate(state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def step_flow(metric: LeafMetric, dt: float, pack: CurvaturePack | None = None) -> LeafMetric:
     """One forward RK4 step of dg'/dt = -2 Ric'(g'); stage 1 reads K off ``pack``, the
-    metric's own CurvaturePack, when given.  On g' = w I the state is ``metric.w`` and
-    the rate -2 K w.  Stages 2-4 are checked as metrics are, but not for symmetry nor on
-    the sphere chart.  The step is bit for bit that of the components, taken on the
-    sphere chart and any other metric, but it writes +0.0 off the diagonal."""
+    metric's own CurvaturePack, when given.  Ric' = K g' keeps a diagonal metric diagonal,
+    so the state is the diagonal d alone, with the rate -2 K d: ``metric.w`` on g' = w I,
+    whose stages 2-4 are checked as metrics are, and the sphere chart's unchecked (a, b).
+    That is bit for bit the components' step, error included, on every metric with +0.0
+    off the diagonal, where it writes +0.0: a chart metric with a tiny accepted g01 (at
+    most 1e-12 of its largest g_aa) steps to +0.0.  Any other metric is stepped as its
+    components, symmetrized, each stage checked as metrics are but not for symmetry."""
     if dt <= 0:
         raise FlowError("dt must be positive")
-    grid, w = metric.grid, metric.w
-    if w is None:
-        state, rhs = metric.comps, lambda c: -2.0 * ricci(LeafMetric._stage(grid, c))
+    grid, w, g = metric.grid, metric.w, metric.comps
+    if w is None and grid.topology != SPHERICAL_1D:
         k1 = -2.0 * (ricci(metric) if pack is None else pack.ricci)
-    else:
-        def rhs(v):  # a stage's w, checked as a LeafMetric checks w I
-            _min_eigenvalue(v + v, v * v)
-            return -2.0 * (_gauss_curvature_conformal(grid, v) * v)
-
-        state = w
-        k1 = -2.0 * ((_gauss_curvature_conformal(grid, w) if pack is None else pack.K) * w)
-    k2 = rhs(state + 0.5 * dt * k1)
-    k3 = rhs(state + 0.5 * dt * k2)
-    k4 = rhs(state + dt * k3)
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if w is None:
+        out = _rk4(g, k1, lambda c: -2.0 * ricci(LeafMetric._stage(grid, c)), dt)
         return LeafMetric(grid, 0.5 * (out + np.swapaxes(out, -1, -2)))
-    # as symmetrized components: 0.5 (w + w), and +0.0 off the diagonal, where the
-    # rates -2 K (+-0) are NaN only at a K not finite, which only k4 can show
+    if w is None:  # the chart's (a, b), contiguous
+        state = np.diagonal(g, 0, -2, -1).T.copy()
+
+        def curvature(d):
+            return _gauss_curvature_symmetric(grid, d[0], d[1])
+    else:
+        state, curvature = w, lambda v: _gauss_curvature_conformal(grid, v)
+    ks = [curvature(state) if pack is None else pack.K]
+
+    def rate(d):
+        if w is not None:  # a stage's w, checked as a LeafMetric checks w I
+            _min_eigenvalue(d + d, d * d)
+        ks.append(curvature(d))
+        return -2.0 * (ks[-1] * d)
+
+    out = _rk4(state, -2.0 * (ks[0] * state), rate, dt)
+    # as symmetrized components: 0.5 (d + d) on the diagonal and +0.0 off it, where the rates
+    # -2 K (+0.0) are NaN only at a K not finite, and there d is not finite either
     out += out
     out *= 0.5
-    if not np.all(np.isfinite(k4)):
-        raise MetricError(f"metric components are not finite (node {int(np.argmax(~np.isfinite(out)))})")
     comps = np.zeros(grid.shape + (DIM, DIM))
-    comps[..., 0, 0] = comps[..., 1, 1] = out
+    comps[..., 0, 0], comps[..., 1, 1] = (out, out) if w is not None else out
+    if not np.isfinite(out).all() and not all(np.isfinite(k).all() for k in ks):
+        node = int(np.argmax(~np.isfinite(comps).all(axis=(-2, -1))))
+        raise MetricError(f"metric components are not finite (node {node})", node)
     return LeafMetric(grid, comps)
 
 
@@ -143,35 +160,20 @@ def _heat_rhs(pack: CurvaturePack, u: np.ndarray, scal: np.ndarray | None) -> np
     return lap if scal is None else lap - scal * u
 
 
-def _diffusion_rate(grid: LeafGrid, ginv: np.ndarray) -> float:
-    """Explicit-stability rate sum of g^aa / h_a^2 over active axes.
-
-    On 1-D reduced grids derivatives along the symmetry axis vanish, so
-    only axis 0 contributes.
-    """
-    return sum(
-        float(np.max(ginv[..., a, a])) / grid.spacings[a] ** 2
-        for a in range(grid.ndim_grid)
-    )
-
-
 def _heat_substep(pack: CurvaturePack, u: np.ndarray, dt: float, mode: str) -> np.ndarray:
     """Advance u by dt on the frozen metric of ``pack`` with RK4, CFL-limited
-    substeps that all share its inverse (and its Christoffel symbols off w I);
-    conjugate heat also reads Scal' = 2K, which plain heat never computes."""
+    substeps that share its inverse, diffusion rate and the Christoffel symbols its
+    Laplacian reads (none on w I, two on the sphere chart); conjugate heat also
+    reads Scal' = 2K, which plain heat never computes."""
     scal = pack.scal if mode == HEAT_CONJUGATE else None
-    rate = _diffusion_rate(pack.grid, pack.ginv)
+    rate = pack.diffusion_rate
     if scal is not None:
         rate += float(np.max(np.abs(scal)))
     dt_cfl = _CFL_NUMBER / rate
     nsub = max(1, int(np.ceil(dt / dt_cfl)))
     h = dt / nsub
     for _ in range(nsub):
-        k1 = _heat_rhs(pack, u, scal)
-        k2 = _heat_rhs(pack, u + 0.5 * h * k1, scal)
-        k3 = _heat_rhs(pack, u + 0.5 * h * k2, scal)
-        k4 = _heat_rhs(pack, u + h * k3, scal)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = _rk4(u, _heat_rhs(pack, u, scal), lambda v: _heat_rhs(pack, v, scal), h)
     if np.any(u <= 0.0):
         node = int(np.argmin(u))
         raise FlowError(f"heat solution lost positivity at node {node} (u = {u.flat[node]:.3e})")
@@ -232,7 +234,7 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
         if config.dt_controller == "cfl-adaptive":
             # the linearized flow diffuses with coefficient g^aa along each
             # active axis, so the explicit limit matches the heat stencil's
-            rate = _diffusion_rate(metric.grid, metric.inverse())
+            rate = curvature_pack(metric).diffusion_rate
             if rate > 0:
                 dt_step = min(dt_step, _CFL_NUMBER / rate)
             if dt_step < 1e-12 * config.t_end:

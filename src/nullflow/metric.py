@@ -14,7 +14,8 @@ a(x) dx^2 + b(x) dy^2) it comes from the surface-of-revolution formula
 
 which stays uniformly second-order accurate up to the excluded poles of
 the chart, where the generic route loses accuracy to the cot(theta)
-singularity of the Christoffel symbols.
+singularity of the Christoffel symbols.  The chart's Laplacian reads only
+Gamma^0_00 and Gamma^0_11, so its pack builds those two and no other.
 
 Every periodic scenario starts as g = w I, and the flow keeps that form bit
 for bit.  For such a metric (g01 and g10 zero, g00 == g11 at every node)
@@ -113,45 +114,40 @@ class LeafMetric:
         self.comps = np.asarray(self.comps, dtype=float)
         if self.comps.shape != self.grid.shape + (DIM, DIM):
             raise MetricError(f"metric component shape {self.comps.shape} invalid")
-        # the predicate of np.allclose(a, b, atol=1e-14), without its call overhead
         a, b = self.comps[..., 0, 1], self.comps[..., 1, 0]
-        with np.errstate(invalid="ignore"):  # inf - inf
-            close = (a == b) | ((np.abs(a - b) <= 1e-14 + 1e-5 * np.abs(b)) & np.isfinite(b))
-        if not np.all(close):
-            bad = ~np.isfinite(self.comps).all(axis=(-2, -1))
-            if bad.any():  # a non-finite component fails the test above, so name it
-                node = int(np.argmax(bad))
-                raise MetricError(f"metric components are not finite (node {node})", node)
-            raise MetricError("metric components are not symmetric")
+        if not (a == b).all():  # a NaN fails; then np.allclose(a, b, atol=1e-14)'s predicate
+            with np.errstate(invalid="ignore"):  # inf - inf
+                close = (a == b) | ((np.abs(a - b) <= 1e-14 + 1e-5 * np.abs(b)) & np.isfinite(b))
+            if not np.all(close):
+                bad = ~np.isfinite(self.comps).all(axis=(-2, -1))
+                if bad.any():  # a non-finite component fails the test above, so name it
+                    node = int(np.argmax(bad))
+                    raise MetricError(f"metric components are not finite (node {node})", node)
+                raise MetricError("metric components are not symmetric")
         self._classify()
 
     @classmethod
     def _stage(cls, grid: LeafGrid, comps: np.ndarray) -> "LeafMetric":
-        """An RK stage state of the flow: not checked for symmetry, nor at all on the sphere chart."""
+        """An RK stage state of the flow's components step: checked as a metric is, but not for symmetry."""
         metric = object.__new__(cls)
-        metric.grid, metric.comps, metric.w = grid, comps, None
-        if grid.topology != SPHERICAL_1D:
-            metric._classify()
+        metric.grid, metric.comps = grid, comps
+        metric._classify()
         return metric
 
     def _classify(self):
         g = self.comps
         w = self.w = None if self.grid.topology == SPHERICAL_1D else _conformal_factor(g)
-        tr, det = (g[..., 0, 0] + g[..., 1, 1], self.determinant()) if w is None else (w + w, w * w)
+        g00, g01, g11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]  # the form the kernels read
+        tr, det = (g00 + g11, g00 * g11 - g01 * g01) if w is None else (w + w, w * w)
         self.smallest_eigenvalue = _min_eigenvalue(tr, det)
         if self.grid.topology == SPHERICAL_1D:  # the chart's K and Laplacian read a diagonal metric
-            g01 = g[..., 0, 1]
             node = int(np.argmax(np.abs(g01)))
-            if abs(g01.flat[node]) > 1e-12 * max(np.max(g[..., 0, 0]), np.max(g[..., 1, 1])):
+            if abs(g01.flat[node]) > 1e-12 * max(np.max(g00), np.max(g11)):
                 raise MetricError(f"sphere chart metric not diagonal (node {node}, g01 {g01.flat[node]:.3e})", node)
 
-    def determinant(self) -> np.ndarray:
-        g = self.comps
-        return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-
     def inverse(self) -> np.ndarray:
-        det = self.determinant()
         g = self.comps
+        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
         inv = np.empty(det.shape + (DIM, DIM))
         inv[..., 0, 0] = g[..., 1, 1] / det
         inv[..., 1, 1] = g[..., 0, 0] / det
@@ -164,7 +160,8 @@ class CurvaturePack:
     """The geometry of one frozen metric, built once by :func:`curvature` for
     every operator on it: the inverse ``ginv`` (g^ab, shape grid + (a, b))
     and, on first read, the Christoffel symbols (Gamma^c_ab, shape
-    grid + (c, a, b)) and the Gauss curvature K.  The 2-D Ricci and scalar
+    grid + (c, a, b)), the sphere chart's Gamma^0_00 and Gamma^0_11 alone, the
+    Gauss curvature K and the CFL diffusion rate.  The 2-D Ricci and scalar
     curvatures are derived from K; Riemann, K (g_ac g_bd - g_ad g_bc), is not
     provided."""
 
@@ -176,9 +173,22 @@ class CurvaturePack:
     def christoffel(self) -> np.ndarray:
         return christoffel(self.metric, self.ginv)
 
+    @cached_property
+    def chart_christoffel(self) -> tuple:
+        """(Gamma^0_00, Gamma^0_11), bit for bit :attr:`christoffel`'s, for the chart's Laplacian."""
+        dg = [partial_deriv(self.grid, self.metric.comps, axis=d) for d in range(DIM)]  # d_d g_ab
+        return tuple(_christoffel_ab(dg, self.ginv, a, a, cs=(0,))[0] for a in range(DIM))
+
     @property
     def grid(self) -> LeafGrid:
         return self.metric.grid
+
+    @cached_property
+    def diffusion_rate(self) -> float:
+        """Explicit-stability rate, max g^aa / h_a^2 summed over the grid's axes (axis 0 alone
+        on the sphere chart, along whose symmetry axis derivatives vanish)."""
+        return sum(float(np.max(self.ginv[..., a, a])) / self.grid.spacings[a] ** 2
+                   for a in range(self.grid.ndim_grid))
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -207,19 +217,23 @@ def christoffel(metric: LeafMetric, ginv: np.ndarray | None = None) -> np.ndarra
     gamma = np.empty(metric.grid.shape + (DIM, DIM, DIM))
     for a in range(DIM):
         for b in range(DIM):
-            # the bracket d_a g_db + d_b g_da - d_d g_ab does not depend on c
-            b0, b1 = (dg[a][..., d, b] + dg[b][..., d, a] - dg[d][..., a, b] for d in range(DIM))
-            for c in range(DIM):
-                gamma[..., c, a, b] = 0.5 * (ginv[..., c, 0] * b0 + ginv[..., c, 1] * b1)
+            for c, symbol in enumerate(_christoffel_ab(dg, ginv, a, b)):
+                gamma[..., c, a, b] = symbol
     return gamma
 
 
-def _gauss_curvature_symmetric(metric: LeafMetric) -> np.ndarray:
-    """K of the sphere chart's a dx^2 + b dy^2; LeafMetric found the metric diagonal."""
-    a, b = metric.comps[..., 0, 0], metric.comps[..., 1, 1]
+def _christoffel_ab(dg: list, ginv: np.ndarray, a: int, b: int, cs=range(DIM)) -> list:
+    """Gamma^c_ab for each c in ``cs``, from dg[d] = d_d g and g^cd."""
+    # the bracket d_a g_db + d_b g_da - d_d g_ab does not depend on c
+    b0, b1 = (dg[a][..., d, b] + dg[b][..., d, a] - dg[d][..., a, b] for d in range(DIM))
+    return [0.5 * (ginv[..., c, 0] * b0 + ginv[..., c, 1] * b1) for c in cs]
+
+
+def _gauss_curvature_symmetric(grid: LeafGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K of the sphere chart's a dx^2 + b dy^2, the diagonal of a metric or of a flow stage."""
     root = np.sqrt(a * b)
-    inner = partial_deriv(metric.grid, b, 0) / root
-    return -partial_deriv(metric.grid, inner, 0) / (2.0 * root)
+    inner = partial_deriv(grid, b, 0) / root
+    return -partial_deriv(grid, inner, 0) / (2.0 * root)
 
 
 def _gauss_curvature_generic(pack: CurvaturePack) -> np.ndarray:
@@ -282,7 +296,7 @@ def gauss_curvature(metric: LeafMetric, pack: CurvaturePack | None = None) -> np
     if metric.w is not None:
         return _gauss_curvature_conformal(metric.grid, metric.w)
     if metric.grid.topology == SPHERICAL_1D:
-        return _gauss_curvature_symmetric(metric)
+        return _gauss_curvature_symmetric(metric.grid, metric.comps[..., 0, 0], metric.comps[..., 1, 1])
     return _gauss_curvature_generic(curvature(metric) if pack is None else pack)
 
 
@@ -350,9 +364,9 @@ def laplace_beltrami(metric: LeafMetric, field, pack: CurvaturePack | None = Non
     if grid.topology == SPHERICAL_1D:
         # d_1 f, d_11 f and d_01 f vanish, and so do g^01 and Gamma^0_01 of
         # the chart's diagonal metric
-        G, d0 = pack.christoffel, partial_deriv(grid, values, 0)
-        h00 = second_deriv(grid, values, 0) - G[..., 0, 0, 0] * d0
-        return g[..., 0, 0] * h00 + g[..., 1, 1] * (0.0 - G[..., 0, 1, 1] * d0)
+        (G000, G011), d0 = pack.chart_christoffel, partial_deriv(grid, values, 0)
+        h00 = second_deriv(grid, values, 0) - G000 * d0
+        return g[..., 0, 0] * h00 + g[..., 1, 1] * (0.0 - G011 * d0)
     return _trace(g, hessian(metric, values, pack.christoffel))
 
 

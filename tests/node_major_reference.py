@@ -4,7 +4,8 @@ with np.roll periodic stencils, a full Hessian tensor and einsum traces.
 nullflow.metric and nullflow.grids compute the same quantities on the same
 node-major arrays with slice stencils; the tests require the two routes to
 agree bit for bit.  ``step_flow`` is the flow's RK4 step on the
-2x2 components, which nullflow.flow takes on w alone for g = w I.
+2x2 components, which nullflow.flow takes on the diagonal alone for g = w I
+and on the sphere chart.
 """
 import numpy as np
 
@@ -125,10 +126,11 @@ def laplace_beltrami(metric, values):
 
 
 def _min_eigenvalue(comps):
-    """The smaller eigenvalue per node, from the four components; a zero
-    determinant fails first, then an eigenvalue <= 0 or NaN."""
+    """The smaller eigenvalue per node of the symmetric form g01 spans (g10 is
+    within the symmetry check's tolerance of it); a zero determinant fails
+    first, then an eigenvalue <= 0 or NaN."""
     g = comps
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 0, 1]
     if np.any(det == 0.0):
         raise SingularMetricError("singular metric matrix")
     tr = g[..., 0, 0] + g[..., 1, 1]
@@ -161,7 +163,13 @@ def check_metric(grid, comps):
 
 
 def _component_rate(grid, comps):
-    """-2 Ric' of the components on a periodic grid, after their checks."""
+    """-2 Ric' of the components: on the sphere chart unchecked, as its stage
+    states were, with K from nullflow.metric's chart formula; on a periodic
+    grid after their checks."""
+    if grid.topology == SPHERICAL_1D:
+        stage = object.__new__(LeafMetric)
+        stage.grid, stage.comps, stage.w = grid, comps, None
+        return -2.0 * ricci(stage)
     _min_eigenvalue(comps)
     w = _conformal_factor(comps)
     if w is None:
@@ -170,9 +178,9 @@ def _component_rate(grid, comps):
 
 
 def step_flow(metric, dt, pack=None):
-    """nullflow.flow.step_flow on a periodic grid as it stepped every metric:
-    RK4 on the (n0, n1, 2, 2) components, symmetrized after the step, each
-    stage's components checked."""
+    """nullflow.flow.step_flow as it stepped every metric: RK4 on the
+    grid + (2, 2) components, symmetrized after the step, each stage's
+    components checked off the sphere chart."""
     grid, g = metric.grid, metric.comps
     k1 = -2.0 * ricci(metric) if pack is None else -2.0 * pack.ricci
     k2 = _component_rate(grid, g + 0.5 * dt * k1)

@@ -713,6 +713,17 @@ def test_cli_run_produces_outputs_and_exit_zero(tmp_path, capsys):
     assert doc["theorems"][0]["status"] == "holds"
 
 
+def test_golden_run_writes_the_pinned_trajectory(tmp_path, capsys):
+    # report.json is pinned by golden_report.json; the CSV by its SHA-256, so a
+    # changed last bit or sign of zero in any stored metric or u shows too
+    import hashlib
+
+    out = tmp_path / "out"
+    assert main(["run", str(GOLDEN_CONFIG), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+    assert digest == (GOLDEN_CONFIG.parent / "golden_trajectory.sha256").read_text().strip()
+
+
 def test_cli_run_plots_one_margin_curve_per_judged_theorem(tmp_path, capsys):
     doc = json.loads(json.dumps(_TORUS_DOC))
     doc["theorems"] = ["harnack-global", "li-yau", "log-gradient-forward"]  # li-yau: alpha = 2

@@ -147,12 +147,14 @@ def _check_one_curvature_pack_per_sample(monkeypatch, heat):
         FlowConfig(direction="backward", t_end=0.1, dt_initial=1e-3, heat=heat, sample_every=20),
         u0=ScalarField(m.grid, 2.0 + np.cos(m.grid.axes[0])),
     )
-    assert len(calls) == len(gammas) == len(traj.times) == 6
+    # the chart's Laplacian reads Gamma^0_00 and Gamma^0_11 alone, which the pack
+    # builds without the full Christoffel symbols
+    assert len(calls) == len(traj.times) == 6 and gammas == []
     rep = verify(traj, "log-gradient-backward", EstimateParams(rho=0.5, center=16),
                  cert=build_cutoff(samples=10_001))
     assert rep.status == "holds"
     # verify reuses the heat solve's packs, so it builds none of its own
-    assert len(calls) == len(gammas) == len(traj.times)
+    assert len(calls) == len(traj.times) and gammas == []
 
 
 def test_conjugate_heat_builds_one_curvature_pack_per_sample(monkeypatch):
@@ -241,15 +243,20 @@ def test_heat_builds_christoffel_symbols_once_per_metric(monkeypatch):
     import nullflow.metric as metric_module
     from nullflow.config import parse_config
 
-    seen = []
-    build = metric_module.christoffel
-    monkeypatch.setattr(metric_module, "christoffel", lambda m, *ginv: seen.append(m) or build(m, *ginv))
+    seen, full = [], []
+    build, symbols = metric_module.christoffel, metric_module._christoffel_ab
+    monkeypatch.setattr(metric_module, "christoffel", lambda m, *ginv: full.append(m) or build(m, *ginv))
+    monkeypatch.setattr(metric_module, "_christoffel_ab",
+                        lambda dg, ginv, *ab, **cs: seen.append(ginv) or symbols(dg, ginv, *ab, **cs))
     cfg = parse_config((Path(__file__).parent / "data" / "golden_config.json").read_text())
     m = cfg.build_metric()
     run_flow(m, cfg.flow, u0=cfg.build_heat_initial(m))
-    # the heat runs to t = 0.3 in 600 steps of 5e-4, so it sees 601 metrics;
-    # rebuilding the operator at every RK stage made 4,800 calls
-    assert len(seen) == len({id(metric) for metric in seen}) == 601
+    # the heat runs to t = 0.3 in 600 steps of 5e-4, so it sees 601 metrics, each
+    # with one pack and its inverse; rebuilding the operator at every RK stage
+    # made 4,800 calls.  The chart's Laplacian reads Gamma^0_00 and Gamma^0_11
+    # alone, two brackets of a pack, and no metric builds all 8 symbols
+    assert len(seen) == 2 * len({id(ginv) for ginv in seen}) == 2 * 601
+    assert full == []
 
 
 def _sheared_bump(amp, n, eps):
@@ -318,6 +325,88 @@ def test_conformal_route_leaves_every_stored_bit_unchanged(monkeypatch, directio
         assert a.comps.tobytes() == b.comps.tobytes()
     for a, b in zip(fast.heat_fields, generic.heat_fields):
         assert a.values.tobytes() == b.values.tobytes()
+
+
+def _components_route(monkeypatch):
+    """Step the sphere chart as its components and give its heat Laplacian the
+    two symbols it reads out of the full Christoffel symbols, as both were."""
+    import nullflow.flow as flow
+    import nullflow.metric as metric_module
+
+    monkeypatch.setattr(flow, "step_flow", ref.step_flow)
+    monkeypatch.setattr(metric_module.CurvaturePack, "chart_christoffel", property(
+        lambda pack: (pack.christoffel[..., 0, 0, 0], pack.christoffel[..., 0, 1, 1])))
+
+
+_CHART_RUNS = {  # the golden run's flow, shortened where heat runs
+    "forward-heat": FlowConfig(t_end=0.05, dt_initial=5e-4, heat="heat", sample_every=20),
+    "forward-conjugate-heat": FlowConfig(t_end=0.05, dt_initial=5e-4, heat="conjugate-heat", sample_every=20),
+    "backward-conjugate-heat": FlowConfig(direction="backward", t_end=0.05, dt_initial=5e-4,
+                                          heat="conjugate-heat", sample_every=20),
+    "flow-to-singular": FlowConfig(t_end=1.0, dt_initial=5e-4, sample_every=100),
+}
+
+
+@pytest.mark.parametrize("n", [16, 48, 97])
+@pytest.mark.parametrize("run", list(_CHART_RUNS))
+def test_chart_route_leaves_every_stored_bit_unchanged(monkeypatch, run, n):
+    m = sphere_metric(1.0, n)
+    u0 = ScalarField(m.grid, 1.0 + 0.2 * np.cos(m.grid.axes[0]))
+    config = _CHART_RUNS[run]
+    runs = []
+    for _ in range(2):
+        runs.append(run_flow(m, config, u0=u0 if config.heat != "none" else None))
+        _components_route(monkeypatch)
+    diagonal, components = runs
+    assert diagonal.termination == components.termination
+    assert (diagonal.termination == "singular") == (run == "flow-to-singular")
+    assert np.float64(diagonal.singular_time or 0.0).tobytes() == np.float64(components.singular_time or 0.0).tobytes()
+    assert diagonal.times.tobytes() == components.times.tobytes() and len(diagonal.times) > 2
+    # bytes, so that a zero's sign counts as it does in the CSV
+    for a, b in zip(diagonal.metrics, components.metrics, strict=True):
+        assert a.comps.tobytes() == b.comps.tobytes()
+    if config.heat != "none":
+        for a, b in zip(diagonal.heat_fields, components.heat_fields, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_chart_k_not_finite_fails_as_the_component_step(monkeypatch, stage, value):
+    import nullflow.flow as flow
+    import nullflow.metric as metric_module
+
+    kernel = metric_module._gauss_curvature_symmetric
+    m = sphere_metric(1.0, 48)
+    outcomes = []
+    for step, module in ((step_flow, flow), (ref.step_flow, metric_module)):
+        calls = []
+
+        def bad_kernel(grid, a, b):
+            calls.append(1)
+            k = kernel(grid, a, b)
+            if len(calls) == stage:
+                k[17] = value
+            return k
+
+        monkeypatch.setattr(module, "_gauss_curvature_symmetric", bad_kernel)
+        with np.errstate(invalid="ignore"), pytest.raises(MetricError) as info:
+            step(m, 5e-4)
+        outcomes.append((type(info.value), str(info.value), info.value.node))
+        assert len(calls) == 4
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] is MetricError and "not finite" in outcomes[0][1]
+
+
+def test_a_tiny_off_diagonal_on_the_chart_steps_to_positive_zero():
+    # |g01| <= 1e-12 of the largest diagonal entry is accepted as diagonal, and
+    # the chart's step reads and writes the diagonal alone
+    twin = sphere_metric(1.0, 48)
+    comps = twin.comps.copy()
+    comps[..., 0, 1] = comps[..., 1, 0] = 1e-13
+    out = step_flow(LeafMetric(twin.grid, comps), 5e-4)
+    assert out.comps.tobytes() == step_flow(twin, 5e-4).comps.tobytes()
+    assert not np.signbit(out.comps[..., 0, 1]).any() and not out.comps[..., 0, 1].any()
 
 
 def test_final_state_near_the_last_sample_is_stored():

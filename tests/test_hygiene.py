@@ -181,6 +181,13 @@ _UNREACHED_BY_DESIGN = {
     "metric._gauss_curvature_generic": "K of a metric not w I: `nullflow verify` on a CSV with "
                                        "g12 != 0; ROADMAP item 4's shear gives it a config",
     "grids.mixed_deriv": "hessian's mixed derivative, wrapped by nullbench/tracing.py",
+    "metric.ricci": "the rate of the components step of a metric neither w I nor on the sphere "
+                    "chart, wrapped by nullbench/tracing.py; ROADMAP item 4's shear gives it a config",
+    "metric.CurvaturePack.ricci": "stage 1 of that components step, and bochner_residual's Ricci term",
+    "metric.LeafMetric._stage": "the RK stage states of that components step",
+    "metric.christoffel": "the Christoffel symbols of hessian and of the K of a metric not w I, "
+                          "wrapped by nullbench/tracing.py",
+    "metric.CurvaturePack.christoffel": "a pack's cached christoffel, for the same readers",
 }
 
 _TORUS = {

@@ -331,6 +331,49 @@ def test_pack_stores_its_tensors_grid_axes_first_and_builds_gamma_once(monkeypat
         assert tensor.shape == m.grid.shape + comps
 
 
+def test_the_chart_pack_builds_only_the_two_symbols_its_laplacian_reads(monkeypatch):
+    m, u = _kernel_case("sphere-48")
+    calls = []
+    build = metric_module.christoffel
+    monkeypatch.setattr(metric_module, "christoffel", lambda g, *ginv: calls.append(1) or build(g, *ginv))
+    pack = curvature(m)
+    lap = laplace_beltrami(m, u, pack)
+    assert calls == [] and "christoffel" not in vars(pack)
+    assert pack.chart_christoffel is pack.chart_christoffel
+    gamma = christoffel(m)
+    assert [g.tobytes() for g in pack.chart_christoffel] == [
+        gamma[..., 0, 0, 0].tobytes(), gamma[..., 0, 1, 1].tobytes()]
+    assert lap.tobytes() == laplace_beltrami(m, u).tobytes()
+
+
+def test_the_smallest_eigenvalue_is_that_of_the_symmetric_form():
+    # g10 within the symmetry tolerance of g01: the form every kernel reads,
+    # [[g00, g01], [g01, g11]], has least eigenvalue 1.0; with the determinant
+    # g00 g11 - g01 g10 the closed form would give 1.0000045, 4.5e-6 above it
+    grid = make_torus_grid(8)
+    comps = np.zeros(grid.shape + (2, 2))
+    comps[..., 0, 0] = comps[..., 1, 1] = 2.0
+    comps[..., 0, 1], comps[..., 1, 0] = 1.0, 1.0 - 9e-6
+    m = LeafMetric(grid, comps)
+    assert m.smallest_eigenvalue == np.linalg.eigvalsh([[2.0, 1.0], [1.0, 2.0]]).min() == 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(low=st.floats(0.5, 1.0), high=st.floats(2.0, 4.0), angle=st.floats(0.0, np.pi),
+       skew=st.floats(-5e-6, 5e-6), node=st.tuples(st.integers(0, 7), st.integers(0, 7)))
+def test_smallest_eigenvalue_matches_eigvalsh_of_the_symmetric_form(low, high, angle, skew, node):
+    # eigenvalues low and high apart, so that the closed form's discriminant
+    # does not cancel; g10 differs from g01 by at most 5e-6 of it
+    c, s = np.cos(angle), np.sin(angle)
+    g00, g01, g11 = low * c * c + high * s * s, (high - low) * c * s, low * s * s + high * c * c
+    grid = make_torus_grid(8)
+    comps = np.zeros(grid.shape + (2, 2))
+    comps[..., 0, 0] = comps[..., 1, 1] = 8.0  # every other node's eigenvalues are 8
+    comps[node] = [[g00, g01], [g01 * (1.0 + skew), g11]]
+    want = np.linalg.eigvalsh(np.array([[g00, g01], [g01, g11]])).min()
+    assert abs(LeafMetric(grid, comps).smallest_eigenvalue - want) <= 1e-12 * want
+
+
 _BAD_VALUES = (0.0, -0.0, -1.0, np.nan, np.inf, 5e-324, 1e-160, 1e155)
 
 
