@@ -4,6 +4,7 @@ of null manifolds, with gradient-estimate verification."""
 from .config import ConfigError, RunConfig, parse_config
 from .distance import DistanceField, geodesic_distance
 from .estimates import (
+    CurvatureBounds,
     CutoffCertificate,
     EstimateError,
     EstimateParams,
@@ -12,7 +13,6 @@ from .estimates import (
     verify,
 )
 from .flow import (
-    CurvatureBounds,
     FlowConfig,
     FlowError,
     FlowTrajectory,

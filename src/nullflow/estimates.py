@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distance import geodesic_distance
-from .flow import CurvatureBounds, FlowTrajectory, curvature_suprema
+from .flow import FlowTrajectory
 from .grids import field_values, finite_real
 from .metric import DIM, grad_norm_sq
 
@@ -60,6 +60,8 @@ HYPOTHESIS_VIOLATED = "hypothesis-violated"
 A_SLACK = 1e-9  # default A = (1 + A_SLACK) * sup u
 HYPOTHESIS_TOL = 1e-3  # curvature hypotheses checked to stencil noise
 CUTOFF_SAFETY = 1.05  # margin on the sampled cutoff constants
+CUTOFF_SAMPLES = 1_000_000  # np.linspace(0, 2, CUTOFF_SAMPLES) is the certified sample grid
+BOUND_SLACK = 1e-9  # relative slack of measured curvature bounds
 
 
 class EstimateError(ValueError):
@@ -88,16 +90,16 @@ def _smoothstep_d2(w):
 class CutoffCertificate:
     c1: float  # psi'' >= -c1
     c2: float  # (psi')^2 / psi <= c2 where psi > 0
-    samples: int
 
 
-def build_cutoff(samples: int = 1_000_000) -> CutoffCertificate:
-    """Certify the shipped cutoff constants over a dense sample grid."""
+def build_cutoff() -> CutoffCertificate:
+    """Certify the shipped cutoff constants over CUTOFF_SAMPLES samples of 0 <= s <= 2."""
     # np.linspace(0.0, 2.0, samples) a slice at a time: sample k < samples - 1 is k * step.
     # Off 1 < s < 2, psi' = psi'' = 0, so only k = half or half + 1 (the first above 1)
     # to k = samples - 2 (2 - step rounds below 2) can raise c1 and c2.  64 KB slices
     # bound the peak memory and are reused by the allocator; 512 KB ones were mapped afresh
-    step, half = 2.0 / max(samples - 1, 1), (samples - 1) // 2
+    samples = CUTOFF_SAMPLES
+    step, half = 2.0 / (samples - 1), (samples - 1) // 2
     lo = half + int(np.searchsorted(np.arange(half, half + 2) * step, 1.0, "right"))
     hi = samples - 1
     neg_d2 = ratio = 0.0
@@ -105,7 +107,7 @@ def build_cutoff(samples: int = 1_000_000) -> CutoffCertificate:
         w = 2.0 - np.arange(i, min(i + 8_192, hi), dtype=float) * step
         neg_d2 = max(neg_d2, float(np.max(-_smoothstep_d2(w))))
         ratio = max(ratio, float(np.max(_smoothstep_d1(w) ** 2 / _smoothstep(w))))  # psi > 0 for 0 < w < 1
-    return CutoffCertificate(neg_d2 * CUTOFF_SAFETY, ratio * CUTOFF_SAFETY, samples)
+    return CutoffCertificate(neg_d2 * CUTOFF_SAFETY, ratio * CUTOFF_SAFETY)
 
 
 def operational_constants(cert: CutoffCertificate) -> dict:
@@ -117,6 +119,56 @@ def operational_constants(cert: CutoffCertificate) -> dict:
         "c4": DIM * c3,
         "c_n": DIM * DIM * c3,
     }
+
+
+# --- curvature scales -----------------------------------------------------
+
+
+@dataclass
+class CurvatureBounds:
+    """Curvature scales (rho1, rho2, rho3) entering the estimate hypotheses:
+    Scal' >= -rho1, Ric' >= -rho2 g', and |grad Scal'| <= rho3."""
+
+    rho1: float = 0.0
+    rho2: float = 0.0
+    rho3: float = 0.0
+
+    def __post_init__(self):
+        if self.rho1 < 0 or self.rho2 < 0 or self.rho3 < 0:
+            raise EstimateError("curvature bounds must be nonnegative")
+
+    @classmethod
+    def from_suprema(cls, sups: dict) -> "CurvatureBounds":
+        """Smallest bounds covering :func:`curvature_suprema`, with slack."""
+        bump = 1.0 + BOUND_SLACK
+        return cls(
+            max(sups["neg_scal_sup"], 0.0) * bump,
+            max(sups["neg_ricci_eig_sup"], 0.0) * bump,
+            max(sups["grad_scal_sup"], 0.0) * bump,
+        )
+
+
+def curvature_suprema(trajectory: FlowTrajectory, masks) -> dict:
+    """Suprema of -Scal', -Ric', Ric' and |grad Scal'| over the samples.
+
+    In 2-D both g'-relative Ricci eigenvalues equal the Gauss curvature K,
+    so the Ricci suprema are max(-K) and max(K), and Scal' = 2K makes the
+    first twice the second.  Sample k is restricted to the nodes where
+    ``masks[k]`` is True; samples with an empty mask or past the end of
+    ``masks`` are skipped, and every supremum is -inf if all are.  A K or
+    |grad Scal'| not finite there is an error, since max(x, nan) is x.
+    """
+    sups = dict.fromkeys(("neg_ricci_eig_sup", "ricci_eig_sup", "grad_scal_sup"), -np.inf)
+    for k, mask in enumerate(masks):
+        if not np.any(mask):
+            continue
+        pack = trajectory.curvature(k)
+        K, grad_scal = pack.K[mask], pack.grad_scal[mask]
+        if not (np.isfinite(K).all() and np.isfinite(grad_scal).all()):
+            raise EstimateError(f"curvature or its gradient not finite in the cube of sample {k}")
+        for key, values in (("neg_ricci_eig_sup", -K), ("ricci_eig_sup", K), ("grad_scal_sup", grad_scal)):
+            sups[key] = max(sups[key], float(np.max(values)))
+    return {"neg_scal_sup": 2.0 * sups["neg_ricci_eig_sup"], **sups}
 
 
 # --- parameters -----------------------------------------------------------
@@ -184,41 +236,31 @@ def _harnack(log_grad_sq, u, u_t, alpha, t):
 # --- right-hand sides -----------------------------------------------------
 
 
+def _log_gradient_bound(A, u, *terms):
+    """(1 + ln(A/u))^2 times the sum of ``terms``, added left to right."""
+    u = np.asarray(field_values(u), dtype=float)
+    return (1.0 + np.log(A / u)) ** 2 * sum(terms)
+
+
+def _backward_bound(t, bounds: CurvatureBounds, rho, cert: CutoffCertificate, A, u, *rho3_terms):
+    """The backward log-gradient bound with ``rho3_terms`` as its rho3 part."""
+    tail = (rho * cert.c1 * np.sqrt(bounds.rho2) + cert.c2) / rho**2
+    return _log_gradient_bound(A, u, 1.0 / t, cert.c2 * bounds.rho1, 4.0 * bounds.rho2, *rho3_terms, tail)
+
+
 def bound_backward_thm(t, bounds: CurvatureBounds, rho, cert: CutoffCertificate, A, u):
     """Per-node RHS of the backward (conjugate-heat) log-gradient bound."""
-    u = np.asarray(field_values(u), dtype=float)
-    pref = (1.0 + np.log(A / u)) ** 2
-    factor = (
-        1.0 / t
-        + cert.c2 * bounds.rho1
-        + 4.0 * bounds.rho2
-        + 2.0 * bounds.rho3
-        + (rho * cert.c1 * np.sqrt(bounds.rho2) + cert.c2) / rho**2
-    )
-    return pref * factor
+    return _backward_bound(t, bounds, rho, cert, A, u, 2.0 * bounds.rho3)
 
 
 def bound_backward_thm_proof_variant(t, bounds: CurvatureBounds, rho, cert, A, u):
     """Variant with rho3 + sqrt(rho3) in place of 2 rho3 (recorded only)."""
-    u = np.asarray(field_values(u), dtype=float)
-    pref = (1.0 + np.log(A / u)) ** 2
-    factor = (
-        1.0 / t
-        + cert.c2 * bounds.rho1
-        + 4.0 * bounds.rho2
-        + bounds.rho3
-        + np.sqrt(bounds.rho3)
-        + (rho * cert.c1 * np.sqrt(bounds.rho2) + cert.c2) / rho**2
-    )
-    return pref * factor
+    return _backward_bound(t, bounds, rho, cert, A, u, bounds.rho3, np.sqrt(bounds.rho3))
 
 
 def bound_forward_thm(t, rho1, rho3, rho, cert: CutoffCertificate, A, u):
     """Per-node RHS of the forward (heat) log-gradient bound."""
-    u = np.asarray(field_values(u), dtype=float)
-    pref = (1.0 + np.log(A / u)) ** 2
-    factor = 1.0 / t + cert.c2 * rho1 + 2.0 * rho3 + cert.c2 / rho**2
-    return pref * factor
+    return _log_gradient_bound(A, u, 1.0 / t, cert.c2 * rho1, 2.0 * rho3, cert.c2 / rho**2)
 
 
 def bound_local_forward(t, bounds: CurvatureBounds, rho, alpha, p, q, c):
@@ -312,7 +354,7 @@ def verify(
     trajectory: FlowTrajectory,
     theorem: str,
     params: EstimateParams,
-    cert: CutoffCertificate | None = None,
+    cert: CutoffCertificate,
 ) -> EstimateReport:
     """Sweep one inequality over every admissible (node, time) pair.
 
@@ -329,8 +371,6 @@ def verify(
         raise EstimateError(f"unknown theorem id {theorem!r}; choose from {THEOREM_IDS}")
     if trajectory.heat_fields is None:
         raise EstimateError("trajectory carries no heat field to verify")
-    if cert is None:
-        cert = build_cutoff(samples=100_001)
 
     key = (tuple(np.atleast_1d(params.center).tolist()), params.rho)
     if key not in trajectory.sweeps:
@@ -345,7 +385,7 @@ def verify(
     # rho of Ric' <= rho g' in li-yau and alpha = 1 harnack-global
     rho_up = params.ricci_upper
     if rho_up is None:
-        rho_up = measured["ricci_eig_sup"] * (1.0 + 1e-9)
+        rho_up = measured["ricci_eig_sup"] * (1.0 + BOUND_SLACK)
     # the report must carry every constant entering the RHS
     constants.update(A=A, rho1=bounds.rho1, rho2=bounds.rho2, rho3=bounds.rho3)
 

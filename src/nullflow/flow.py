@@ -36,7 +36,6 @@ SINGULAR = "singular"
 STEP_UNDERFLOW = "step-underflow"
 
 _CFL_NUMBER = 0.2
-BOUND_SLACK = 1e-9  # relative slack of measured curvature bounds
 
 
 class FlowError(ValueError):
@@ -302,56 +301,3 @@ def _solve_on_trajectory(trajectory: FlowTrajectory, u0: ScalarField, mode: str)
         u = _heat_substep(trajectory.curvature(k), u, 0.5 * dt, mode)
         out.append(ScalarField(trajectory.grid, u.copy()))
     return out
-
-
-@dataclass
-class CurvatureBounds:
-    """Curvature scales (rho1, rho2, rho3) entering the estimate hypotheses:
-    Scal' >= -rho1, Ric' >= -rho2 g', and |grad Scal'| <= rho3."""
-
-    rho1: float = 0.0
-    rho2: float = 0.0
-    rho3: float = 0.0
-
-    def __post_init__(self):
-        if self.rho1 < 0 or self.rho2 < 0 or self.rho3 < 0:
-            raise FlowError("curvature bounds must be nonnegative")
-
-    @classmethod
-    def from_suprema(cls, sups: dict) -> "CurvatureBounds":
-        """Smallest bounds covering :func:`curvature_suprema`, with slack."""
-        bump = 1.0 + BOUND_SLACK
-        return cls(
-            max(sups["neg_scal_sup"], 0.0) * bump,
-            max(sups["neg_ricci_eig_sup"], 0.0) * bump,
-            max(sups["grad_scal_sup"], 0.0) * bump,
-        )
-
-
-def curvature_suprema(trajectory: FlowTrajectory, masks=None) -> dict:
-    """Suprema of -Scal', -Ric', Ric' and |grad Scal'| over the samples.
-
-    In 2-D both g'-relative Ricci eigenvalues equal the Gauss curvature K,
-    so the Ricci suprema are max(-K) and max(K).  ``masks`` restricts
-    sample k to the nodes where ``masks[k]`` is True; samples with an
-    empty mask or past the end of ``masks`` are skipped, and every
-    supremum is -inf if all are.
-    """
-    sups = dict.fromkeys(
-        ("neg_scal_sup", "neg_ricci_eig_sup", "ricci_eig_sup", "grad_scal_sup"), -np.inf
-    )
-    if masks is None:
-        masks = [np.ones(trajectory.grid.shape, dtype=bool)] * len(trajectory.metrics)
-    for k, mask in enumerate(masks):
-        if not np.any(mask):
-            continue
-        pack = trajectory.curvature(k)
-        K = pack.K[mask]
-        for key, values in (
-            ("neg_scal_sup", -pack.scal[mask]),
-            ("neg_ricci_eig_sup", -K),
-            ("ricci_eig_sup", K),
-            ("grad_scal_sup", pack.grad_scal[mask]),
-        ):
-            sups[key] = max(sups[key], float(np.max(values)))
-    return sups

@@ -26,7 +26,7 @@ from nullflow.scenarios import (
     torus_bump_metric,
 )
 
-CERT = build_cutoff(samples=100_001)
+CERT = build_cutoff()
 
 
 def _report(num, ok, detail):

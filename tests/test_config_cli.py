@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import io
 import json
 import tracemalloc
@@ -716,12 +718,39 @@ def test_cli_run_produces_outputs_and_exit_zero(tmp_path, capsys):
 def test_golden_run_writes_the_pinned_trajectory(tmp_path, capsys):
     # report.json is pinned by golden_report.json; the CSV by its SHA-256, so a
     # changed last bit or sign of zero in any stored metric or u shows too
-    import hashlib
-
     out = tmp_path / "out"
     assert main(["run", str(GOLDEN_CONFIG), "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
     assert digest == (GOLDEN_CONFIG.parent / "golden_trajectory.sha256").read_text().strip()
+
+
+def _torus_workload_config(name):
+    spec = importlib.util.spec_from_file_location(
+        "nullbench_workloads", Path(__file__).parents[1] / "nullbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.torus_config(name, 0)
+
+
+@pytest.mark.parametrize("name, files", [
+    ("golden", ["radius.svg", "margins.svg"]),
+    ("torus-verify-64", ["trajectory.csv"]),
+    ("torus-backward-128", ["trajectory.csv"]),
+])
+def test_runs_write_the_pinned_outputs(tmp_path, capsys, name, files):
+    # the reports are compared in full elsewhere; these digests show a changed
+    # last bit of a stored torus u or metric, or of a plotted golden value
+    if name == "golden":
+        config = GOLDEN_CONFIG
+    else:  # the seed-0 config of the benchmark workload
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_torus_workload_config(name)))
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    for file in files:
+        digest = hashlib.sha256((out / file).read_bytes()).hexdigest()
+        pinned = GOLDEN_CONFIG.parent / f"{name}_{Path(file).stem}.sha256"
+        assert digest == pinned.read_text().strip(), file
 
 
 def test_cli_run_plots_one_margin_curve_per_judged_theorem(tmp_path, capsys):

@@ -5,11 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nullflow.estimates as estimates
 from nullflow.config import parse_config
 from nullflow.estimates import (
     A_SLACK,
     THEOREM_IDS,
+    CurvatureBounds,
+    CutoffCertificate,
     EstimateError,
     EstimateParams,
     _harnack,
@@ -18,6 +23,7 @@ from nullflow.estimates import (
     _smoothstep_d2,
     bound_alpha_one,
     bound_backward_thm,
+    bound_backward_thm_proof_variant,
     bound_forward_thm,
     bound_global_forward,
     bound_local_forward,
@@ -26,13 +32,13 @@ from nullflow.estimates import (
     time_derivative,
     verify,
 )
-from nullflow.flow import CurvatureBounds, FlowConfig, FlowTrajectory, run_flow
+from nullflow.flow import FlowConfig, FlowTrajectory, run_flow
 from nullflow.grids import ScalarField
 from nullflow.metric import LeafMetric, grad_norm_sq
 from nullflow.report import estimate_report_doc, render_json
 from nullflow.scenarios import flat_torus_metric, sphere_metric
 
-CERT = build_cutoff(samples=100_001)
+CERT = build_cutoff()
 
 
 # --- cutoff ---------------------------------------------------------------
@@ -89,10 +95,13 @@ def test_cutoff_certificate_against_dense_oracle():
     assert CERT.c2 <= c2_oracle * 1.2
 
 
-# 1,001 and 2,001 samples put a node exactly on s = 1 and s = 2; 131,075
-# put one on s = 1 and fill exactly 8 slices; 777,778 end with a short slice
+# the certificate is made at CUTOFF_SAMPLES = 10^6 alone; the other sample
+# counts check the slice arithmetic: 1,001 and 2,001 samples put a node exactly
+# on s = 1 and s = 2; 131,075 put one on s = 1 and fill exactly 8 slices;
+# 777,778 end with a short slice
 @pytest.mark.parametrize("samples", [8, 1_001, 2_001, 10_001, 100_001, 131_075, 777_778, 1_000_000])
-def test_cutoff_certificate_equals_unsliced_computation(samples):
+def test_cutoff_certificate_equals_unsliced_computation(samples, monkeypatch):
+    monkeypatch.setattr(estimates, "CUTOFF_SAMPLES", samples)
     s = np.linspace(0.0, 2.0, samples)
     psi = cutoff_profile(s)
     pos = psi > 0.0
@@ -100,11 +109,11 @@ def test_cutoff_certificate_equals_unsliced_computation(samples):
     c2 = float(np.max(_cutoff_d1(s[pos]) ** 2 / psi[pos])) * 1.05
     tracemalloc.start()
     try:
-        cert = build_cutoff(samples=samples)
+        cert = build_cutoff()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (cert.c1, cert.c2, cert.samples) == (c1, c2, samples)
+    assert (cert.c1, cert.c2) == (c1, c2)
     assert peak < 3e6  # the whole linspace alone is 8 MB at 10^6 samples
 
 
@@ -228,6 +237,12 @@ def test_bound_local_substitution():
         bound_local_forward(1.0, CurvatureBounds(0, 0, 0), 1.0, 1.0, 2.0, 2.0, c)
 
 
+@pytest.mark.parametrize("rhos", [(-1.0, 0.0, 0.0), (0.0, -1e-300, 0.0), (0.0, 0.0, -np.inf)])
+def test_negative_curvature_bounds_are_an_estimate_error(rhos):
+    with pytest.raises(EstimateError, match="curvature bounds must be nonnegative"):
+        CurvatureBounds(*rhos)
+
+
 def test_bound_global_substitution():
     assert abs(bound_global_forward(1.0, 0.0, 0.0, 2.0, 4.0, 4.0) - 4.0) < 1e-12
     # nonnegative-Ricci branch at alpha = 1, p = q = 2: 1/t + 2 rho
@@ -247,6 +262,42 @@ def test_bounds_monotone_in_t_and_rho():
     u = np.array([1.0])
     vals = [bound_backward_thm(1.0, CurvatureBounds(r, r, r), 1.0, CERT, 1.0, u)[0] for r in rhos]
     assert np.all(np.diff(vals) > 0)
+
+
+def _log_gradient_bounds_as_written_out(t, b, rho, cert, A, u):
+    """The backward bound, its proof variant and the forward bound, each
+    with its own prefactor and sum, term by term."""
+    pref = (1.0 + np.log(A / u)) ** 2
+    tail = (rho * cert.c1 * np.sqrt(b.rho2) + cert.c2) / rho**2
+    return (
+        pref * (1.0 / t + cert.c2 * b.rho1 + 4.0 * b.rho2 + 2.0 * b.rho3 + tail),
+        pref * (1.0 / t + cert.c2 * b.rho1 + 4.0 * b.rho2 + b.rho3 + np.sqrt(b.rho3) + tail),
+        pref * (1.0 / t + cert.c2 * b.rho1 + 2.0 * b.rho3 + cert.c2 / rho**2),
+    )
+
+
+_scale = st.floats(0.0, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.floats(1e-6, 1e3),
+    rhos=st.tuples(_scale, _scale, _scale),
+    rho=st.floats(1e-3, 1e3),
+    cs=st.tuples(_scale, _scale),
+    u=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=8),
+    a_over_sup_u=st.floats(1.0, 1e3),
+)
+def test_log_gradient_bounds_share_one_prefactor_bit_for_bit(t, rhos, rho, cs, u, a_over_sup_u):
+    b, cert, u = CurvatureBounds(*rhos), CutoffCertificate(*cs), np.array(u)
+    A = max(float(np.max(u)) * a_over_sup_u, float(np.max(u)))
+    got = (
+        bound_backward_thm(t, b, rho, cert, A, u),
+        bound_backward_thm_proof_variant(t, b, rho, cert, A, u),
+        bound_forward_thm(t, b.rho1, b.rho3, rho, cert, A, u),
+    )
+    for g, want in zip(got, _log_gradient_bounds_as_written_out(t, b, rho, cert, A, u)):
+        assert g.tobytes() == want.tobytes()
 
 
 # --- verification sweeps --------------------------------------------------
@@ -453,6 +504,56 @@ def test_verify_with_cached_packs_never_inverts_a_metric(monkeypatch):
     for tid in THEOREM_IDS:  # g^-1 comes from the sample's pack in K, |grad Scal'| and the LHS
         verify(traj, tid, cfg.estimates, cert=CERT)
     assert inverted == []
+
+
+def _poison_curvature(monkeypatch, attr, sample, node):
+    """Make ``attr`` (K or grad_scal) of the pack of ``sample`` NaN at ``node``."""
+    curvature = FlowTrajectory.curvature
+
+    def poisoned(self, k):
+        pack = curvature(self, k)
+        if k == sample:
+            values = getattr(pack, attr).copy()
+            values.flat[node] = np.nan
+            vars(pack)[attr] = values  # a cached_property reads the instance dict first
+        return pack
+
+    monkeypatch.setattr(FlowTrajectory, "curvature", poisoned)
+
+
+_NAN_DOC = dict(_TORUS_HEAT, scenario={"name": "torus-bump", "amp": 0.3, "resolution": 32},
+                estimates={"alpha": 2.0, "p": 4.0, "q": 4.0, "rho": 0.8, "center": [10, 10]},
+                theorems=list(THEOREM_IDS))
+
+
+@pytest.mark.parametrize("attr", ["K", "grad_scal"])
+def test_non_finite_curvature_in_the_cube_fails_every_theorem(monkeypatch, attr):
+    # max(x, nan) is x, so a NaN K or |grad Scal'| at an admissible node used
+    # to leave the suprema, and every verdict, as if it were not there
+    cfg = parse_config(json.dumps(_NAN_DOC))
+    metric = cfg.build_metric()
+    traj = run_flow(metric, cfg.flow, u0=cfg.build_heat_initial(metric))
+    _poison_curvature(monkeypatch, attr, 2, 10 * 32 + 10)
+    for tid in THEOREM_IDS:
+        with pytest.raises(EstimateError, match="not finite in the cube of sample 2"):
+            verify(traj, tid, cfg.estimates, cert=CERT)
+
+
+@pytest.mark.parametrize("attr", ["K", "grad_scal"])
+def test_cli_exits_two_on_a_non_finite_curvature_in_the_cube(tmp_path, monkeypatch, capsys, attr):
+    from nullflow.cli import main
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_NAN_DOC))
+    clean = tmp_path / "clean"
+    assert main(["run", str(config), "--out", str(clean)]) == 0
+    _poison_curvature(monkeypatch, attr, 2, 10 * 32 + 10)
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    for tid in THEOREM_IDS:
+        csv = str(clean / "trajectory.csv")
+        assert main(["verify", csv, "--theorem", tid, "--params", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("not finite in the cube of sample 2") == 1 + len(THEOREM_IDS)
 
 
 @pytest.mark.parametrize("flow", [

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import node_major_reference as ref
 
+from nullflow.estimates import CurvatureBounds, curvature_suprema
 from nullflow.flow import (
-    CurvatureBounds,
     FlowConfig,
     FlowError,
     FlowTrajectory,
@@ -16,7 +16,6 @@ from nullflow.flow import (
     HEAT_PLAIN,
     _check_singular,
     _solve_on_trajectory,
-    curvature_suprema,
     run_flow,
     step_flow,
 )
@@ -150,8 +149,7 @@ def _check_one_curvature_pack_per_sample(monkeypatch, heat):
     # the chart's Laplacian reads Gamma^0_00 and Gamma^0_11 alone, which the pack
     # builds without the full Christoffel symbols
     assert len(calls) == len(traj.times) == 6 and gammas == []
-    rep = verify(traj, "log-gradient-backward", EstimateParams(rho=0.5, center=16),
-                 cert=build_cutoff(samples=10_001))
+    rep = verify(traj, "log-gradient-backward", EstimateParams(rho=0.5, center=16), cert=build_cutoff())
     assert rep.status == "holds"
     # verify reuses the heat solve's packs, so it builds none of its own
     assert len(calls) == len(traj.times) and gammas == []
@@ -296,7 +294,7 @@ def test_torus_run_and_verify_build_no_christoffel_symbols(monkeypatch, heat):
         # on g = w I, K and the flat Laplacian read no Christoffel symbol: not in
         # the RK stages, the heat substeps, stage 1 from the heat pack, nor verify
         params = EstimateParams(alpha=2.0, p=4.0, q=4.0, rho=0.8, center=(3, 12))
-        cert = build_cutoff(samples=10_001)
+        cert = build_cutoff()
         for theorem in THEOREM_IDS:
             verify(traj, theorem, params, cert=cert)
         assert len(traj.curvatures) == len(traj.times) == 3
@@ -640,13 +638,13 @@ def test_heat_solution_positive_along_collapse():
 
 def test_measured_bounds_flat_torus_zero():
     traj = _static_trajectory(flat_torus_metric(n=16), 1.0, 3)
-    b = CurvatureBounds.from_suprema(curvature_suprema(traj))
+    b = CurvatureBounds.from_suprema(curvature_suprema(traj, [np.ones(traj.grid.shape, bool)] * 3))
     assert b.rho1 < 1e-12 and b.rho2 < 1e-12 and b.rho3 < 1e-10
 
 
 def test_sphere_ricci_stays_nonnegative_along_flow():
     traj = run_flow(sphere_metric(1.0, 48), FlowConfig(t_end=0.3, dt_initial=1e-3, sample_every=50))
-    b = CurvatureBounds.from_suprema(curvature_suprema(traj))
+    b = CurvatureBounds.from_suprema(curvature_suprema(traj, [np.ones(traj.grid.shape, bool)] * len(traj.times)))
     assert b.rho2 < 1e-2  # no appreciable negative Ricci appears
 
 
@@ -709,6 +707,26 @@ def test_k_route_matches_ricci_eigen_oracle(amps, eps, coeffs, density, seed):
     scale = max(float(np.max(np.abs(traj.curvature(k).K))) for k in range(2))
     for key in want:
         assert np.isclose(got[key], want[key], rtol=1e-12, atol=1e-12 * scale), key
-    # no masks means every node of every sample
-    full = [np.ones(m.grid.shape, dtype=bool) for m in metrics]
-    assert curvature_suprema(traj) == curvature_suprema(traj, full)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    amps=st.lists(st.floats(0.05, 0.5), min_size=1, max_size=3),
+    n=st.integers(8, 24),
+    eps=st.floats(0.0, 0.2),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_neg_scal_sup_is_twice_neg_ricci_eig_sup_bit_for_bit(amps, n, eps, density, seed):
+    # sup -Scal' is read off K as 2 sup -K; it must equal the masked pass over
+    # Scal' = 2K that it replaces, sign of zero included
+    metrics = [_sheared_bump(amp, n, eps) for amp in amps]
+    traj = FlowTrajectory(np.linspace(0.0, 0.1, len(metrics)), metrics, None, "reached-t_end")
+    rng = np.random.default_rng(seed)
+    masks = [rng.random(m.grid.shape) < density for m in metrics]
+    want = -np.inf
+    for k, mask in enumerate(masks):
+        if np.any(mask):
+            want = max(want, float(np.max(-traj.curvature(k).scal[mask])))
+    got = curvature_suprema(traj, masks)["neg_scal_sup"]
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
