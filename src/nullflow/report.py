@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from itertools import chain, islice, repeat, tee
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .metric import LeafMetric, MetricError
 SCHEMA_VERSION = 1
 _CSV_HEADER = "t,node,g11,g12,g22,u"
 _META_KEYS = ("termination", "singular_time", "heat_valid_until")
-_SLICE_ROWS = 4096  # rows per write and floats per column formatted: only a slice is held
+_SLICE_ROWS = 4096  # rows per write, and per chunk of whole samples formatted at once (one at least)
 _SCAN_BYTES = 1 << 18  # bytes per slice of the reader's row scan
 
 
@@ -31,52 +31,50 @@ def _fmt(x) -> str:
 # --- trajectory CSV -------------------------------------------------------
 
 
-def _reprs(column):
-    """The repr of each float of ``column``, which is _fmt, from a slice of
-    Python floats at a time."""
-    return chain.from_iterable(map(repr, column[i:i + _SLICE_ROWS].tolist())
-                               for i in range(0, len(column), _SLICE_ROWS))
+def _cell_text(values):
+    """The repr of each float of ``values``, as an object array of its shape.
+    Each distinct 64-bit pattern is formatted once (so +0.0 and -0.0
+    differ): the patterns are sorted, and each cell gathers its text."""
+    bits = values.view(np.int64).ravel()
+    order = bits.argsort(kind="stable")
+    ranked = bits[order]
+    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))  # where a new pattern starts
+    inverse = np.empty_like(order)
+    inverse[order] = first.cumsum() - 1
+    text = np.array(list(map(repr, ranked[first].view(np.float64).tolist())), dtype=object)
+    return text[inverse].reshape(values.shape)
 
 
-def _column_cells(columns) -> list:
-    """Lazy text of each value column, keyed by its bytes (so +0.0 and -0.0
-    differ): a constant column is one repr repeated, and a column bitwise
-    equal to an earlier one shares that column's text through a tee."""
-    cells, first = [], {}
-    for c in columns:
-        key = c.tobytes()
-        if key == key[:c.itemsize] * len(c):
-            cells.append(repeat(_fmt(c[0]), len(c)))
-        elif key in first:
-            i = first[key]
-            cells[i], copy = tee(cells[i])
-            cells.append(copy)
-        else:
-            first[key] = len(cells)
-            cells.append(_reprs(c))
-    return cells
+def _chunk_rows(trajectory, ks, nodes):
+    """The CSV rows of the samples ``ks``."""
+    n, heats = len(nodes), trajectory.heat_fields
+
+    def values(k):  # g11, g12, g22 and u of sample k
+        g = trajectory.metrics[k].comps
+        return [g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]] + ([heats[k].values] if heats is not None else [])
+
+    cells = _cell_text(np.array([values(k) for k in ks])).reshape(len(ks), -1, n).tolist()
+    for k, columns in zip(ks, cells):
+        if heats is None:
+            columns.append(repeat("", n))
+        yield from map(",".join, zip(repeat(_fmt(trajectory.times[k]), n), nodes, *columns))
 
 
 def write_trajectory_csv(path, trajectory: FlowTrajectory):
     """A ``#`` JSON line with the metadata (termination, singular_time,
     heat_valid_until), then the long format: one row per (time sample,
     node) with the metric components and the heat field (empty when
-    absent).  Rows are written in slices of ``_SLICE_ROWS``."""
+    absent).  Samples are formatted in chunks of as many as fit in
+    ``_SLICE_ROWS`` rows (at least one), and rows are written in slices
+    of ``_SLICE_ROWS``."""
     meta = {key: getattr(trajectory, key) for key in _META_KEYS}
-    heats = trajectory.heat_fields
-    n = int(np.prod(trajectory.grid.shape))
+    n_samples, n = len(trajectory.times), int(np.prod(trajectory.grid.shape))
     nodes = list(map(str, range(n)))
+    per_chunk = max(1, _SLICE_ROWS // n)
     with open(path, "w") as fh:
         fh.write(f"# {json.dumps(_round_trip(meta))}\n{_CSV_HEADER}\n")
-        for k, t in enumerate(trajectory.times):
-            g = trajectory.metrics[k].comps.reshape(-1, 2, 2)
-            columns = [g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]]
-            if heats is not None:
-                columns.append(heats[k].values.ravel())
-            cells = _column_cells(columns)
-            if heats is None:
-                cells.append(repeat("", n))
-            rows = map(",".join, zip(repeat(_fmt(t), n), nodes, *cells))
+        for k0 in range(0, n_samples, per_chunk):
+            rows = _chunk_rows(trajectory, range(k0, min(k0 + per_chunk, n_samples)), nodes)
             while block := "\n".join(islice(rows, _SLICE_ROWS)):
                 fh.write(block)
                 fh.write("\n")

@@ -440,6 +440,114 @@ def test_trajectory_csv_shares_text_only_between_bitwise_equal_columns(tmp_path)
     check()
 
 
+@st.composite
+def _pooled_trajectories(draw):
+    """A torus trajectory whose cells g11, g12, g22 and u all come from one
+    pool shared by nodes, columns and samples: +0.0, -0.0, 5e-324, 1.0 and
+    two random numbers a and b in [2, 4].  n = 8 with 1-5 samples puts
+    several samples in one chunk; n = 65 (4,225 rows) puts one sample in a
+    chunk and crosses a write slice.  u may be absent.  The metric stays
+    positive definite: g11 and g22 are 1.0, a or b, and g12 is +0.0, -0.0,
+    5e-324, or 1.0 where g11 g22 > 1."""
+    n = draw(st.sampled_from([8, 65]))
+    grid = make_torus_grid(n)
+    times = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5 if n == 8 else 2,
+                                 unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array([0.0, -0.0, 5e-324, 1.0, *rng.uniform(2.0, 4.0, 2)])
+
+    def cells(choices):
+        return pool[rng.choice(choices, grid.shape)]
+
+    metrics = []
+    for _ in times:
+        g11, g22, g12 = cells([3, 4, 5]), cells([3, 4, 5]), cells([0, 1, 2, 3])
+        g12[(g12 == 1.0) & (g11 * g22 <= 1.0)] = -0.0
+        metrics.append(LeafMetric(grid, np.stack([np.stack([g11, g12], -1), np.stack([g12, g22], -1)], -2)))
+    heats = [ScalarField(grid, cells(range(6))) for _ in times] if draw(st.booleans()) else None
+    return FlowTrajectory(np.array(times), metrics, heats, REACHED_T_END)
+
+
+def test_trajectory_csv_formats_values_shared_across_columns_and_samples(tmp_path):
+    path = tmp_path / "traj.csv"
+
+    @settings(max_examples=40, deadline=None)
+    @given(traj=_pooled_trajectories())
+    def check(traj):
+        write_trajectory_csv(path, traj)
+        assert path.read_text() == _reference_csv(traj)
+
+    check()
+
+
+def _count_reprs(monkeypatch):
+    """Count the floats the report module formats from now on."""
+    calls = []
+
+    def counting_repr(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(report_module, "repr", counting_repr, raising=False)
+    return calls
+
+
+def test_trajectory_csv_formats_each_distinct_float_of_a_chunk_once(tmp_path, monkeypatch):
+    from nullflow.scenarios import torus_bump_metric
+
+    m = torus_bump_metric(0.3, 32)
+    x, _ = m.grid.coordinate_fields()
+    traj = run_flow(m, FlowConfig(t_end=0.02, dt_initial=1e-3, heat="heat", sample_every=4),
+                    u0=ScalarField(m.grid, 2.0 + np.cos(x)))
+    per_chunk = report_module._SLICE_ROWS // 32**2  # samples of 1,024 rows
+    assert len(traj.times) > per_chunk  # more than one chunk
+    distinct = 0
+    for k0 in range(0, len(traj.times), per_chunk):
+        ks = range(k0, min(k0 + per_chunk, len(traj.times)))
+        values = [traj.metrics[k].comps[..., [0, 0, 1], [0, 1, 1]] for k in ks]
+        values += [traj.heat_fields[k].values for k in ks]
+        distinct += len(np.unique(np.concatenate([v.ravel() for v in values]).view(np.int64)))
+    calls = _count_reprs(monkeypatch)
+    write_trajectory_csv(tmp_path / "traj.csv", traj)
+    # one repr per distinct bit pattern of each chunk, and one per sample time:
+    # 2,766, where formatting each distinct column of a sample once made one
+    # repr per w and per u cell (12,288), as the leaf and u are mirror-symmetric
+    assert len(calls) == distinct + len(traj.times)
+    assert len(calls) < 0.4 * 2 * traj.times.size * 32**2
+
+
+def test_golden_trajectory_csv_formats_no_more_floats_than_one_per_distinct_column(
+        tmp_path, monkeypatch):
+    cfg = parse_config(GOLDEN_CONFIG.read_text())
+    m = cfg.build_metric()
+    traj = run_flow(m, cfg.flow, u0=cfg.build_heat_initial(m))
+    calls = _count_reprs(monkeypatch)
+    write_trajectory_csv(tmp_path / "traj.csv", traj)
+    # a writer that formats each distinct column of a sample once makes
+    # 1,403 value reprs here; the golden file holds 1,218 distinct floats
+    assert len(calls) - len(traj.times) <= 1403
+
+
+def test_write_trajectory_csv_holds_less_than_its_file(tmp_path):
+    """Writing the seed-0 torus-verify-64 run (6 samples at n = 64, 1.95 MB)
+    peaked at 1.46 MB (numpy 2.4, CPython 3.11): one chunk of samples is
+    formatted at a time, its distinct floats once.  Holding the text of
+    every row, or the cells of the whole file, peaks above the file size."""
+    cfg = parse_config(json.dumps(_torus_workload_config("torus-verify-64")))
+    m = cfg.build_metric()
+    traj = run_flow(m, cfg.flow, u0=cfg.build_heat_initial(m))
+    assert (len(traj.times), traj.grid.shape) == (6, (64, 64))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, traj)  # first-call imports and caches are not the writer's
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(path, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
+
+
 def test_read_trajectory_csv_keeps_no_strings_per_row(tmp_path):
     """Reading a 6-sample torus n = 64 trajectory (24,576 rows, 2.07 MB)
     peaked at 2.6 times the file size (numpy 2.4, CPython 3.11); a reader
