@@ -92,21 +92,33 @@ class CutoffCertificate:
     c2: float  # (psi')^2 / psi <= c2 where psi > 0
 
 
+def _grid_max(f, lo: int, hi: int, step: float) -> float:
+    """max(0.0, f(2 - k step) over lo <= k < hi), from every 1,024th k, then every k within
+    1,024 of the best: exact where f's positive part rises to one peak and falls on the grid."""
+    coarse = np.arange(lo, hi, 1_024)
+    kc = int(coarse[np.argmax(f(2.0 - coarse * step))])
+    fine = np.arange(max(lo, kc - 1_024), min(hi, kc + 1_025))
+    return max(float(np.max(f(2.0 - fine * step))), 0.0)
+
+
 def build_cutoff() -> CutoffCertificate:
-    """Certify the shipped cutoff constants over CUTOFF_SAMPLES samples of 0 <= s <= 2."""
-    # np.linspace(0.0, 2.0, samples) a slice at a time: sample k < samples - 1 is k * step.
-    # Off 1 < s < 2, psi' = psi'' = 0, so only k = half or half + 1 (the first above 1)
-    # to k = samples - 2 (2 - step rounds below 2) can raise c1 and c2.  64 KB slices
-    # bound the peak memory and are reused by the allocator; 512 KB ones were mapped afresh
+    """Certify the shipped cutoff constants over CUTOFF_SAMPLES samples of 0 <= s <= 2.
+
+    Sample k < CUTOFF_SAMPLES - 1 is k * step, and off 1 < s < 2, psi' = psi'' = 0, so only
+    k in [lo, hi) can raise c1 and c2.  Their maxima there are found bit for bit: -psi'' =
+    -60 w (1 - w)(1 - 2 w) is <= 0 for w <= 1/2 and has one maximum on (1/2, 1), at
+    w = (3 + sqrt(3))/6, and (psi')^2/psi = 900 w (1 - w)^4 / (10 - 15 w + 6 w^2) one near
+    w = 0.2733, its derivative having the sign of 10 - 50 w + 54 w^2 - 18 w^3, with one root
+    in (0, 1).  So the sample argmax lies strictly between the coarse neighbours of the coarse
+    argmax: near the peak, values a coarse stride apart differ by about 1e-4 relative, and
+    rounding (about 1e-15) cannot move the peak across a coarse cell.
+    """
     samples = CUTOFF_SAMPLES
     step, half = 2.0 / (samples - 1), (samples - 1) // 2
     lo = half + int(np.searchsorted(np.arange(half, half + 2) * step, 1.0, "right"))
-    hi = samples - 1
-    neg_d2 = ratio = 0.0
-    for i in range(lo, hi, 8_192):
-        w = 2.0 - np.arange(i, min(i + 8_192, hi), dtype=float) * step
-        neg_d2 = max(neg_d2, float(np.max(-_smoothstep_d2(w))))
-        ratio = max(ratio, float(np.max(_smoothstep_d1(w) ** 2 / _smoothstep(w))))  # psi > 0 for 0 < w < 1
+    hi = samples - 1  # 2 - step rounds below 2
+    neg_d2 = _grid_max(lambda w: -_smoothstep_d2(w), lo, hi, step)
+    ratio = _grid_max(lambda w: _smoothstep_d1(w) ** 2 / _smoothstep(w), lo, hi, step)  # psi > 0 for 0 < w < 1
     return CutoffCertificate(neg_d2 * CUTOFF_SAFETY, ratio * CUTOFF_SAFETY)
 
 

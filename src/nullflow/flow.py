@@ -22,7 +22,7 @@ import numpy as np
 
 from .grids import SPHERICAL_1D, ScalarField, field_values, finite_real
 from .metric import DIM, CurvaturePack, LeafMetric, MetricError, SingularMetricError, laplace_beltrami, ricci
-from .metric import _gauss_curvature_conformal, _gauss_curvature_symmetric, _min_eigenvalue
+from .metric import _conformal_min_eigenvalue, _gauss_curvature_conformal, _gauss_curvature_symmetric
 from .metric import curvature as curvature_pack
 
 FORWARD = "forward"
@@ -131,7 +131,7 @@ def step_flow(metric: LeafMetric, dt: float, pack: CurvaturePack | None = None) 
 
     def rate(d):
         if w is not None:  # a stage's w, checked as a LeafMetric checks w I
-            _min_eigenvalue(d + d, d * d)
+            _conformal_min_eigenvalue(d)
         ks.append(curvature(d))
         return -2.0 * (ks[-1] * d)
 

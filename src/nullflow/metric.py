@@ -100,6 +100,14 @@ def _min_eigenvalue(tr: np.ndarray, det: np.ndarray) -> float:
     return low
 
 
+def _conformal_min_eigenvalue(w: np.ndarray) -> float:
+    """_min_eigenvalue(w + w, w * w) bit for bit: where w w and (2 w)^2 are normal, tr tr - 4 det is 0."""
+    low = w.min()
+    if 1e-150 < low and w.max() < 1e150:
+        return float(low)
+    return _min_eigenvalue(w + w, w * w)
+
+
 @dataclass
 class LeafMetric:
     """Symmetric positive-definite metric g'_ab per node, diagonal on the sphere chart,
@@ -138,9 +146,9 @@ class LeafMetric:
         g = self.comps
         w = self.w = None if self.grid.topology == SPHERICAL_1D else _conformal_factor(g)
         g00, g01, g11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]  # the form the kernels read
-        tr, det = (g00 + g11, g00 * g11 - g01 * g01) if w is None else (w + w, w * w)
-        self.smallest_eigenvalue = _min_eigenvalue(tr, det)
-        if self.grid.topology == SPHERICAL_1D:  # the chart's K and Laplacian read a diagonal metric
+        self.smallest_eigenvalue = (_min_eigenvalue(g00 + g11, g00 * g11 - g01 * g01) if w is None
+                                    else _conformal_min_eigenvalue(w))
+        if self.grid.topology == SPHERICAL_1D and g01.any():  # the chart's K and Laplacian read a diagonal metric
             node = int(np.argmax(np.abs(g01)))
             if abs(g01.flat[node]) > 1e-12 * max(np.max(g00), np.max(g11)):
                 raise MetricError(f"sphere chart metric not diagonal (node {node}, g01 {g01.flat[node]:.3e})", node)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nullflow.estimates as estimates
@@ -115,6 +115,52 @@ def test_cutoff_certificate_equals_unsliced_computation(samples, monkeypatch):
         tracemalloc.stop()
     assert (cert.c1, cert.c2) == (c1, c2)
     assert peak < 3e6  # the whole linspace alone is 8 MB at 10^6 samples
+
+
+@settings(max_examples=40, deadline=None)
+@given(samples=st.integers(8, 3_000_000))
+@example(samples=3_000_000)
+def test_cutoff_certificate_equals_the_full_grid_maxima(samples):
+    # the coarse-to-fine search finds the maxima of the unsliced computation
+    # above, bit for bit, at any sample count
+    s = np.linspace(0.0, 2.0, samples)
+    psi = cutoff_profile(s)
+    pos = psi > 0.0
+    c1 = max(float(np.max(-_cutoff_d2(s))), 0.0) * 1.05
+    c2 = float(np.max(_cutoff_d1(s[pos]) ** 2 / psi[pos])) * 1.05
+    del s, psi, pos
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimates, "CUTOFF_SAMPLES", samples)
+        cert = build_cutoff()
+    assert (cert.c1, cert.c2) == (c1, c2)
+
+
+def test_cutoff_certificate_reads_a_few_thousand_samples(monkeypatch):
+    # a scan of every sample on 1 < s < 2 would read 499,999 at 10^6
+    sizes = []
+    d2 = estimates._smoothstep_d2
+    monkeypatch.setattr(estimates, "_smoothstep_d2", lambda w: sizes.append(np.size(w)) or d2(w))
+    build_cutoff()
+    assert 0 < sum(sizes) <= 10_000
+
+
+def test_cutoff_functions_have_one_peak_each():
+    # the facts build_cutoff's search rests on: d/dw of (psi')^2/psi =
+    # 900 w (1 - w)^4 / (10 - 15 w + 6 w^2) has the sign of
+    # 10 - 50 w + 54 w^2 - 18 w^3 on (0, 1), which has one root there;
+    # -psi'' = -60 w (1 - w)(1 - 2 w) peaks at w = (3 + sqrt(3))/6, where it
+    # is the certified c1 / 1.05
+    roots = np.roots([-18.0, 54.0, -50.0, 10.0])
+    inside = [r.real for r in roots if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0]
+    assert len(inside) == 1 and abs(inside[0] - 0.2733) < 1e-4
+    w = np.linspace(1e-3, 1.0 - 1e-3, 9_999)
+    ratio = _smoothstep_d1(w) ** 2 / _smoothstep(w)
+    rising = 10.0 - 50.0 * w + 54.0 * w**2 - 18.0 * w**3 > 0.0
+    same = rising[:-1] == rising[1:]  # all but the step across the root
+    assert np.count_nonzero(~same) == 1
+    assert np.array_equal((np.diff(ratio) > 0.0)[same], rising[:-1][same])
+    peak = (3.0 + np.sqrt(3.0)) / 6.0
+    assert CERT.c1 == pytest.approx(-_smoothstep_d2(peak) * 1.05, rel=1e-9)
 
 
 def test_operational_constants_structure():

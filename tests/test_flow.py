@@ -439,9 +439,9 @@ def test_each_metric_is_checked_once_and_each_rk_stage_once(monkeypatch):
     m = torus_bump_metric(0.253175, 64)
     x, y = m.grid.coordinate_fields()
     made, checks = [], []
-    check, validate = metric_module._min_eigenvalue, LeafMetric.__post_init__
+    check, validate = metric_module._conformal_min_eigenvalue, LeafMetric.__post_init__
     for module in (metric_module, flow):
-        monkeypatch.setattr(module, "_min_eigenvalue", lambda tr, det: checks.append(1) or check(tr, det))
+        monkeypatch.setattr(module, "_conformal_min_eigenvalue", lambda w: checks.append(1) or check(w))
     monkeypatch.setattr(LeafMetric, "__post_init__", lambda self: made.append(1) or validate(self))
     config = FlowConfig(t_end=0.1, dt_initial=0.002, heat="heat", sample_every=10)
     traj = run_flow(m, config, u0=ScalarField(m.grid, 2.0 + np.sin(x) * np.cos(y)))

@@ -13,8 +13,10 @@ from nullflow.metric import (
     MetricError,
     SingularMetricError,
     _conformal_factor,
+    _conformal_min_eigenvalue,
     _gauss_curvature_conformal,
     _gauss_curvature_generic,
+    _min_eigenvalue,
     _trace,
     bochner_residual,
     christoffel,
@@ -291,6 +293,34 @@ def test_conformal_checks_on_w_raise_what_the_metric_checks_raise(node, w):
         assert _conformal_factor(comps) is None
     else:
         assert LeafMetric(m.grid, m.comps).w is not None and _conformal_factor(comps) is not None
+
+
+_EDGE_W = (5e-324, 1e-160, 1e-150, 1e150, 1e154, -1.0, 0.0, -0.0, np.nan, np.inf, -np.inf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scale=st.floats(1e-160, 1e160), node=st.integers(0, 63),
+       value=st.one_of(st.sampled_from(_EDGE_W), st.floats(), st.none()))
+def test_the_smallest_eigenvalue_of_w_is_the_closed_form_bit_for_bit(scale, node, value):
+    # min w on w I, and otherwise the closed form on trace w + w and determinant
+    # w w: the same bits, or the same error class, message and node
+    w = scale * torus_bump_metric(0.3, 8).w
+    if value is not None:
+        w.flat[node] = value
+
+    def outcome(check):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.float64(check()).tobytes()
+        except SingularMetricError as exc:
+            return type(exc), str(exc), exc.node
+
+    want = outcome(lambda: _min_eigenvalue(w + w, w * w))
+    assert outcome(lambda: _conformal_min_eigenvalue(w)) == want
+    comps = np.zeros(w.shape + (2, 2))
+    comps[..., 0, 0] = comps[..., 1, 1] = w
+    if _conformal_factor(comps) is not None:
+        assert outcome(lambda: LeafMetric(make_torus_grid(8), comps).smallest_eigenvalue) == want
 
 
 @pytest.mark.parametrize("case", ["sphere-48", "bump-16-g01"])
