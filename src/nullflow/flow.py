@@ -173,7 +173,11 @@ def _heat_substep(pack: CurvaturePack, u: np.ndarray, dt: float, mode: str) -> n
     h = dt / nsub
     for _ in range(nsub):
         u = _rk4(u, _heat_rhs(pack, u, scal), lambda v: _heat_rhs(pack, v, scal), h)
-    if np.any(u <= 0.0):
+    if not (u.min() > 0.0 and u.max() < np.inf):  # a NaN fails both
+        bad = ~np.isfinite(u)
+        if bad.any():
+            node = int(np.argmax(bad))
+            raise FlowError(f"heat solution is not finite at node {node} (u = {u.flat[node]})")
         node = int(np.argmin(u))
         raise FlowError(f"heat solution lost positivity at node {node} (u = {u.flat[node]:.3e})")
     return u

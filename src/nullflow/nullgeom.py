@@ -28,6 +28,7 @@ import numpy as np
 from .metric import DIM, LeafMetric
 
 RADICAL_TOL = 1e-12
+AMBIENT_DIM = DIM + 1  # the radical coordinate, then the leaf's
 
 
 class NullStructureError(ValueError):
@@ -40,14 +41,9 @@ class DegenerateMetric:
 
     leaf: LeafMetric
 
-    @property
-    def total_dimension(self):
-        return DIM + 1
-
     def matrix(self) -> np.ndarray:
         """Assembled (n+1)x(n+1) matrix per node, radical block zero."""
-        m = self.total_dimension
-        out = np.zeros(self.leaf.grid.shape + (m, m))
+        out = np.zeros(self.leaf.grid.shape + (AMBIENT_DIM, AMBIENT_DIM))
         out[..., 1:, 1:] = self.leaf.comps
         return out
 
@@ -55,15 +51,14 @@ class DegenerateMetric:
         """Numerical rank per node via SVD thresholding."""
         mat = self.matrix()
         s = np.linalg.svd(mat, compute_uv=False)
-        cutoff = s[..., :1] * self.total_dimension * np.finfo(float).eps
+        cutoff = s[..., :1] * AMBIENT_DIM * np.finfo(float).eps
         cutoff = np.maximum(cutoff, RADICAL_TOL)
         return np.sum(s > cutoff, axis=-1)
 
 
 def radical_vector_field(metric: DegenerateMetric) -> np.ndarray:
     """The coordinate field along the radical direction, d/d(radical)."""
-    m = metric.total_dimension
-    v = np.zeros(metric.leaf.grid.shape + (m,))
+    v = np.zeros(metric.leaf.grid.shape + (AMBIENT_DIM,))
     v[..., 0] = 1.0
     return v
 
@@ -71,8 +66,7 @@ def radical_vector_field(metric: DegenerateMetric) -> np.ndarray:
 def radical_check(metric: DegenerateMetric, vector: np.ndarray, tol: float = RADICAL_TOL) -> np.ndarray:
     """True per node where g(vector, X) = 0 for every coordinate basis X."""
     vector = np.asarray(vector, dtype=float)
-    m = metric.total_dimension
-    if vector.shape != metric.leaf.grid.shape + (m,):
+    if vector.shape != metric.leaf.grid.shape + (AMBIENT_DIM,):
         raise NullStructureError(f"vector field shape {vector.shape} invalid")
     pairing = np.einsum("...ab,...b->...a", metric.matrix(), vector)
     return np.max(np.abs(pairing), axis=-1) <= tol
@@ -84,9 +78,8 @@ def screen_projection(metric: DegenerateMetric, vector: np.ndarray) -> np.ndarra
     Idempotent by construction; the radical field projects to zero.
     """
     vector = np.asarray(vector, dtype=float)
-    m = metric.total_dimension
-    if vector.shape[-1] != m:
-        raise NullStructureError(f"expected {m}-vectors, got {vector.shape[-1]}")
+    if vector.shape[-1] != AMBIENT_DIM:
+        raise NullStructureError(f"expected {AMBIENT_DIM}-vectors, got {vector.shape[-1]}")
     out = vector.copy()
     out[..., 0] = 0.0
     return out
@@ -113,13 +106,12 @@ class NullCurveFrame:
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=float)
-        self.E = np.asarray(self.E, dtype=float)
-        self.W1 = np.asarray(self.W1, dtype=float)
-        self.W2 = np.asarray(self.W2, dtype=float)
         k = len(self.params)
+        if k < 3:
+            raise NullStructureError(f"need at least 3 parameter samples, got {k}")
         for name in ("E", "W1", "W2"):
-            v = getattr(self, name)
-            if v.shape != (k, 3):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            if getattr(self, name).shape != (k, 3):
                 raise NullStructureError(f"{name} must have shape ({k}, 3)")
         if np.any(np.diff(self.params) <= 0):
             raise NullStructureError("parameter samples must be strictly increasing")
@@ -144,53 +136,30 @@ class NullCurveFrame:
             raise NullStructureError("screen frame not orthonormal")
 
 
-def _param_deriv(params: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Second-order derivative of vector samples along the parameter."""
-    out = np.empty_like(samples)
-    t = params
-    out[1:-1] = (samples[2:] - samples[:-2]) / (t[2:] - t[:-2])[:, None]
-    out[0] = (-3 * samples[0] + 4 * samples[1] - samples[2]) / (t[2] - t[0])
-    out[-1] = (3 * samples[-1] - 4 * samples[-2] + samples[-3]) / (t[-1] - t[-3])
-    return out
-
-
 def frenet_functions(frame: NullCurveFrame, derivative=None):
     """Fit (htilde, k1, k2, k3) from the frame's covariant derivatives.
 
     In the flat ambient the covariant derivative along the curve is the
-    parameter derivative of the component samples; pass ``derivative`` to
-    supply analytic derivatives instead of the built-in finite differences.
-    ``derivative(name, params)`` must return (k, 3) samples for name in
-    {"E", "W1", "W2"}.
+    parameter derivative of the component samples: ``np.gradient`` with
+    ``edge_order=2``, second order on any strictly increasing samples (the
+    rule u_t takes).  Pass ``derivative`` to supply analytic derivatives
+    instead; ``derivative(name, params)`` must return (k, 3) samples for
+    name in {"E", "W1", "W2"}.  Each sample's basis [E | W1 | W2] is solved
+    for the three derivatives at once.
     """
     t = frame.params
+    names = ("E", "W1", "W2")
     if derivative is None:
-        dE = _param_deriv(t, frame.E)
-        dW1 = _param_deriv(t, frame.W1)
-        dW2 = _param_deriv(t, frame.W2)
+        derivs = [np.gradient(getattr(frame, n), t, axis=0, edge_order=2) for n in names]
     else:
-        dE = np.asarray(derivative("E", t), dtype=float)
-        dW1 = np.asarray(derivative("W1", t), dtype=float)
-        dW2 = np.asarray(derivative("W2", t), dtype=float)
-
-    k = len(t)
-    htilde = np.empty(k)
-    k1 = np.empty(k)
-    k2 = np.empty(k)
-    k3 = np.empty(k)
-    for i in range(k):
-        basis = np.stack([frame.E[i], frame.W1[i], frame.W2[i]], axis=1)
-        if abs(np.linalg.det(basis)) < 1e-12:
-            raise NullStructureError(f"degenerate frame at sample {i}")
-        # D_E E = htilde E;  D_E W1 = -k1 E + k3 W2;  D_E W2 = -k2 E - k3 W1
-        ce = np.linalg.solve(basis, dE[i])
-        c1 = np.linalg.solve(basis, dW1[i])
-        c2 = np.linalg.solve(basis, dW2[i])
-        htilde[i] = ce[0]
-        k1[i] = -c1[0]
-        k2[i] = -c2[0]
-        k3[i] = c1[2]
-    return htilde, k1, k2, k3
+        derivs = [np.asarray(derivative(n, t), dtype=float) for n in names]
+    basis = np.stack([getattr(frame, n) for n in names], axis=2)
+    bad = np.abs(np.linalg.det(basis)) < 1e-12
+    if bad.any():
+        raise NullStructureError(f"degenerate frame at sample {int(np.argmax(bad))}")
+    # D_E E = htilde E;  D_E W1 = -k1 E + k3 W2;  D_E W2 = -k2 E - k3 W1
+    ce, c1, c2 = np.moveaxis(np.linalg.solve(basis, np.stack(derivs, axis=2)), 2, 0)
+    return ce[:, 0], -c1[:, 0], -c2[:, 0], c1[:, 2]
 
 
 @dataclass

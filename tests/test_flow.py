@@ -584,6 +584,57 @@ def test_heat_positivity_enforced():
         run_flow(m, FlowConfig(t_end=0.1, dt_initial=0.01, heat="heat"), u0=ScalarField(m.grid, u0))
 
 
+_NON_FINITE_HEAT_RUNS = {  # a NaN would reach a stored sample; an inf, on the sphere, none
+    "torus-nan": (
+        {"name": "torus-bump", "amp": 0.3, "resolution": 16},
+        {"t_end": 0.1, "dt_initial": 0.002, "heat": "heat", "sample_every": 10},
+        np.nan,
+    ),
+    "sphere-inf": (
+        {"name": "round-sphere", "radius": 1.0, "resolution": 16},
+        {"t_end": 1.0, "dt_initial": 0.002, "heat": "heat", "sample_every": 1000},
+        np.inf,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_HEAT_RUNS))
+def test_a_non_finite_heat_field_fails_at_the_half_step_that_made_it(monkeypatch, tmp_path, capsys, case):
+    # a non-finite value put into the 9th Laplacian call, at node 0: every node its
+    # stencil spreads to comes after it, so node 0 is the first non-finite one
+    import json
+
+    import nullflow.flow as flow
+    from nullflow.cli import main
+    from nullflow.config import parse_config
+
+    scenario, flow_doc, value = _NON_FINITE_HEAT_RUNS[case]
+    doc = {"scenario": scenario, "flow": flow_doc, "heat_initial": "cosine-mode"}
+    calls, halves = [], []
+    laplacian, substep = flow.laplace_beltrami, flow._heat_substep
+
+    def poisoned(metric, u, pack):
+        out = laplacian(metric, u, pack)
+        calls.append(1)
+        if len(calls) == 9:
+            out.flat[0] = value
+        return out
+
+    monkeypatch.setattr(flow, "laplace_beltrami", poisoned)
+    monkeypatch.setattr(flow, "_heat_substep", lambda *a: halves.append(len(calls)) or substep(*a))
+    cfg = parse_config(json.dumps(doc))
+    metric = cfg.build_metric()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(invalid="ignore"):  # the stages after an inf take inf - inf
+        with pytest.raises(FlowError, match=r"heat solution is not finite at node 0 \(u = (nan|inf)\)$"):
+            run_flow(metric, cfg.flow, u0=cfg.build_heat_initial(metric))
+        assert halves[-1] < 9 <= len(calls)  # the half step that took the 9th call raised
+        calls.clear()
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "heat solution is not finite at node 0" in capsys.readouterr().err
+
+
 def test_conjugate_heat_reduces_to_heat_on_flat_torus():
     m = flat_torus_metric(n=32)
     x, _ = m.grid.coordinate_fields()

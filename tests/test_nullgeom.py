@@ -16,11 +16,21 @@ from nullflow.scenarios import flat_torus_metric, sphere_metric, torus_bump_metr
 
 
 def _frames(k=201, t_end=1.0):
-    t = np.linspace(0.0, t_end, k)
+    return _frames_at(np.linspace(0.0, t_end, k))
+
+
+def _frames_at(t):
+    k = len(t)
     E = np.tile([1.0, 0.0, 0.0], (k, 1))
     W1 = np.tile([0.0, 1.0, 0.0], (k, 1))
     W2 = np.tile([0.0, 0.0, 1.0], (k, 1))
     return t, E, W1, W2
+
+
+def _nonuniform_frames():
+    # t = s + 0.3 s^2 is strictly increasing and its spacing grows 1.6-fold
+    s = np.linspace(0.0, 1.0, 201)
+    return _frames_at(s + 0.3 * s**2)
 
 
 def test_block_matrix_layout():
@@ -173,3 +183,35 @@ def test_reparametrized_curve_has_zero_htilde():
     W2 = np.tile([0.0, 0.0, 1.0], (k, 1))
     h, _, _, _ = frenet_functions(NullCurveFrame(pi, E, W1, W2))
     assert np.max(np.abs(h)) < 1e-6
+
+
+def test_frenet_quadratic_tangent_is_exact_on_nonuniform_samples():
+    # E = (1 + t^2) e1: D_E E = 2t e1, so htilde = 2t / (1 + t^2); the
+    # second-order rule is exact on a quadratic at every sample, ends included
+    t, E, W1, W2 = _nonuniform_frames()
+    h, k1, k2, k3 = frenet_functions(NullCurveFrame(t, (1.0 + t**2)[:, None] * E, W1, W2))
+    assert np.max(np.abs(h - 2.0 * t / (1.0 + t**2))) < 1e-12
+    for arr in (k1, k2, k3):
+        assert np.max(np.abs(arr)) < 1e-12
+
+
+def test_frenet_exponential_tangent_is_second_order_on_nonuniform_samples():
+    t, E, W1, W2 = _nonuniform_frames()
+    h, k1, k2, k3 = frenet_functions(NullCurveFrame(t, np.exp(t)[:, None] * E, W1, W2))
+    assert np.max(np.abs(h - 1.0)) < 1e-4  # the end samples included
+    for arr in (k1, k2, k3):
+        assert np.max(np.abs(arr)) < 1e-12
+
+
+def test_frame_needs_three_samples():
+    t, E, W1, W2 = _frames(k=2)
+    with pytest.raises(NullStructureError, match="at least 3"):
+        NullCurveFrame(t, E, W1, W2)
+    frenet_functions(NullCurveFrame(*_frames(k=3)))
+
+
+def test_degenerate_basis_names_its_first_sample():
+    t, E, W1, W2 = _nonuniform_frames()
+    E[[7, 9]] = 0.0  # a zero tangent is null and orthogonal to the screen
+    with pytest.raises(NullStructureError, match="degenerate frame at sample 7$"):
+        frenet_functions(NullCurveFrame(t, E, W1, W2))
