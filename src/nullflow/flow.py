@@ -36,6 +36,14 @@ SINGULAR = "singular"
 STEP_UNDERFLOW = "step-underflow"
 
 _CFL_NUMBER = 0.2
+# Heat substeps on g = w I: w^-1 Delta0 (the periodic 5-point Delta0) is self-adjoint in
+# the w-weighted inner product, so its spectrum is real, in [-4 diffusion_rate, 0], and
+# conjugate heat's -Scal' shifts it by at most max|Scal'|.  RK4's amplification R(z) lies
+# in (0, 1) on the real z in (-2.785, 0), and a substep h with h (diffusion_rate +
+# max|Scal'|) <= 0.6 keeps h (4 diffusion_rate + max|Scal'|) <= 2.4 within it.  The sphere
+# chart's Laplacian has a first-order term, so its spectrum is not proven real: its
+# substeps, the generic components' and the cfl-adaptive flow step keep _CFL_NUMBER.
+_CONFORMAL_HEAT_CFL = 0.6
 
 
 class FlowError(ValueError):
@@ -163,16 +171,20 @@ def _heat_substep(pack: CurvaturePack, u: np.ndarray, dt: float, mode: str) -> n
     """Advance u by dt on the frozen metric of ``pack`` with RK4, CFL-limited
     substeps that share its inverse, diffusion rate and the Christoffel symbols its
     Laplacian reads (none on w I, two on the sphere chart); conjugate heat also
-    reads Scal' = 2K, which plain heat never computes."""
+    reads Scal' = 2K, which plain heat never computes.  A substep h keeps
+    h (diffusion_rate + max|Scal'|) at or below _CONFORMAL_HEAT_CFL on w I, where RK4
+    is provably stable, and _CFL_NUMBER elsewhere.  A NaN or inf in u raises
+    FlowError, and numpy prints no warning for it first."""
     scal = pack.scal if mode == HEAT_CONJUGATE else None
     rate = pack.diffusion_rate
     if scal is not None:
         rate += float(np.max(np.abs(scal)))
-    dt_cfl = _CFL_NUMBER / rate
+    dt_cfl = (_CFL_NUMBER if pack.metric.w is None else _CONFORMAL_HEAT_CFL) / rate
     nsub = max(1, int(np.ceil(dt / dt_cfl)))
     h = dt / nsub
-    for _ in range(nsub):
-        u = _rk4(u, _heat_rhs(pack, u, scal), lambda v: _heat_rhs(pack, v, scal), h)
+    with np.errstate(invalid="ignore", over="ignore"):  # the check below fails a NaN or inf
+        for _ in range(nsub):
+            u = _rk4(u, _heat_rhs(pack, u, scal), lambda v: _heat_rhs(pack, v, scal), h)
     if not (u.min() > 0.0 and u.max() < np.inf):  # a NaN fails both
         bad = ~np.isfinite(u)
         if bad.any():

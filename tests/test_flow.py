@@ -635,6 +635,105 @@ def test_a_non_finite_heat_field_fails_at_the_half_step_that_made_it(monkeypatch
     assert "heat solution is not finite at node 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_HEAT_RUNS))
+def test_a_non_finite_heat_field_fails_without_a_numpy_warning(monkeypatch, case, value):
+    import json
+    import warnings
+
+    import nullflow.flow as flow
+    from nullflow.config import parse_config
+
+    scenario, flow_doc, _ = _NON_FINITE_HEAT_RUNS[case]
+    cfg = parse_config(json.dumps({"scenario": scenario, "flow": flow_doc, "heat_initial": "cosine-mode"}))
+    metric = cfg.build_metric()
+    calls, laplacian = [], flow.laplace_beltrami
+
+    def poisoned(metric, u, pack):
+        out = laplacian(metric, u, pack)
+        calls.append(1)
+        if len(calls) == 9:
+            out.flat[0] = value
+        return out
+
+    monkeypatch.setattr(flow, "laplace_beltrami", poisoned)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(FlowError, match=r"heat solution is not finite at node 0 \(u = (nan|inf)\)$"):
+            run_flow(metric, cfg.flow, u0=cfg.build_heat_initial(metric))
+    assert [str(w.message) for w in seen] == []
+
+
+def _rk4_amplification(z):
+    return 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+
+
+def _count_laplacians(monkeypatch):
+    import nullflow.flow as flow
+
+    calls, laplacian = [], flow.laplace_beltrami
+    monkeypatch.setattr(flow, "laplace_beltrami", lambda *a: calls.append(1) or laplacian(*a))
+    return calls
+
+
+def test_conformal_heat_substeps_damp_the_stiffest_mode_by_rk4s_factor(monkeypatch):
+    # on g = w I with w constant, 2 + eps (-1)^(i+j) is an eigenvector of w^-1 Delta0 with
+    # the stiffest eigenvalue, -8 / (w h^2) = -4 diffusion_rate; each RK4 substep of size s
+    # multiplies its amplitude by R(-4 s rate), which the substep limit keeps in (0, 1)
+    from nullflow.flow import _heat_substep
+
+    w, grid = 2.5, flat_torus_metric(n=32).grid
+    pack = curvature(LeafMetric(grid, w * np.broadcast_to(np.eye(2), grid.shape + (2, 2))))
+    eigenvalue = -8.0 / (w * grid.spacings[0] ** 2)
+    assert eigenvalue == pytest.approx(-4.0 * pack.diffusion_rate, rel=1e-15)
+    i, j = np.indices(grid.shape)
+    board = (-1.0) ** (i + j)
+    dt = 5.5 * 0.6 / pack.diffusion_rate
+    calls = _count_laplacians(monkeypatch)
+    u = _heat_substep(pack, 2.0 + 0.5 * board, dt, HEAT_PLAIN)
+    assert len(calls) == 4 * 6  # six RK4 substeps, where a limit of 0.2 / rate took 17
+    factor = _rk4_amplification(eigenvalue * dt / 6)
+    assert 0.0 < factor < 1.0
+    assert np.max(np.abs(u - (2.0 + 0.5 * factor**6 * board))) <= 1e-12 * 0.5 * factor**6
+
+
+@pytest.mark.parametrize("heat", [HEAT_PLAIN, HEAT_CONJUGATE])
+def test_conformal_heat_substeps_split_into_fifths_agree(heat):
+    # one half step of 11 substeps against five of 3 (another size), at the torus
+    # workloads' largest resolution: RK4's error at the limit, which falls as the
+    # substep's fourth power and so as n^-8, is far below REL_TOL there (measured
+    # 3.8e-14 for heat and 2.1e-13 for conjugate heat; 8e-9 at n = 32)
+    from nullflow.flow import _heat_substep
+
+    m = torus_bump_metric(0.3, 128)
+    pack = curvature(m)
+    x, y = m.grid.coordinate_fields()
+    u0 = 2.0 + np.sin(x) * np.cos(y)
+    rate = pack.diffusion_rate + (float(np.max(np.abs(pack.scal))) if heat == HEAT_CONJUGATE else 0.0)
+    dt = 10.5 * 0.6 / rate
+    whole = _heat_substep(pack, u0, dt, heat)
+    parts = u0
+    for _ in range(5):
+        parts = _heat_substep(pack, parts, dt / 5, heat)
+    assert not np.array_equal(whole, parts)
+    assert np.max(np.abs(whole - parts) / np.abs(whole)) <= 1e-11
+
+
+@pytest.mark.parametrize("name, laplacians", [("torus-verify-64", 400), ("torus-backward-128", 160)])
+def test_seed_zero_torus_heat_takes_the_pinned_number_of_laplacians(monkeypatch, name, laplacians):
+    # a count, not a timing: 800 and 448 at a substep limit of 0.2 / rate
+    import json
+
+    from nullflow.config import parse_config
+    from test_invariants import _torus_config
+
+    cfg = parse_config(json.dumps(_torus_config(name)))
+    metric = cfg.build_metric()
+    calls = _count_laplacians(monkeypatch)
+    run_flow(metric, cfg.flow, u0=cfg.build_heat_initial(metric))
+    assert len(calls) == laplacians
+
+
 def test_conjugate_heat_reduces_to_heat_on_flat_torus():
     m = flat_torus_metric(n=32)
     x, _ = m.grid.coordinate_fields()
