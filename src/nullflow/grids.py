@@ -10,13 +10,16 @@ Two grid kinds are supported:
   depend on theta only; derivatives along the symmetry coordinate vanish
   identically.
 
-All stencils are second-order central differences; the spherical grid
-extends fields across its poles by even reflection.
+All stencils are second-order central differences.  The spherical grid
+reflects fields evenly across its poles: a stencil gathers each node's
+neighbours through a pair of index arrays built once per grid, in which
+the node past either end is that end node itself.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -58,9 +61,13 @@ class LeafGrid:
     def shape(self):
         return tuple(len(ax) for ax in self.axes)
 
-    @property
-    def ndim_grid(self):
-        return len(self.axes)
+    @cached_property
+    def reflected_neighbours(self) -> tuple:
+        """(next, previous) node per node along the sphere chart's axis, min(i + 1, n - 1)
+        and max(i - 1, 0): even reflection across a pole between cell centres maps the
+        node past either end onto that end node."""
+        i = np.arange(self.shape[0])
+        return np.minimum(i + 1, i[-1]), np.maximum(i - 1, 0)
 
     def coordinate_fields(self):
         """Coordinate values broadcast to the grid shape."""
@@ -122,15 +129,6 @@ def field_values(field, grid: LeafGrid | None = None) -> np.ndarray:
     return np.asarray(field, dtype=float)
 
 
-def _extend_even(values: np.ndarray) -> np.ndarray:
-    """Two ghost nodes on each end by even reflection across the poles.
-
-    Valid for rotationally symmetric scalars on a collapsed-pole chart
-    (smooth such quantities are even across both poles).
-    """
-    return np.concatenate([values[1::-1], values, values[:-3:-1]], axis=0)
-
-
 # (node, next, previous) along a periodic axis: the interior, then the two
 # wrapped edges; stencils write them into one output laid out as their input
 _PERIODIC = ((slice(1, -1), slice(2, None), slice(None, -2)), (0, 1, -1), (-1, 0, -2))
@@ -149,8 +147,8 @@ def partial_deriv(grid: LeafGrid, values: np.ndarray, axis: int) -> np.ndarray:
     # 1-D reductions: derivatives along the symmetry coordinate vanish
     if axis == 1:
         return np.zeros_like(values)
-    ext = _extend_even(values)
-    return (ext[2:] - ext[:-2])[1:-1] / (2.0 * grid.spacings[0])
+    nxt, prv = grid.reflected_neighbours
+    return (values[nxt] - values[prv]) / (2.0 * grid.spacings[0])
 
 
 def second_deriv(grid: LeafGrid, values: np.ndarray, axis: int) -> np.ndarray:
@@ -166,8 +164,8 @@ def second_deriv(grid: LeafGrid, values: np.ndarray, axis: int) -> np.ndarray:
         return out
     if axis == 1:
         return np.zeros_like(values)
-    ext = _extend_even(values)
-    return (ext[2:] - 2.0 * ext[1:-1] + ext[:-2])[1:-1] / grid.spacings[0] ** 2
+    nxt, prv = grid.reflected_neighbours
+    return (values[nxt] - 2.0 * values + values[prv]) / grid.spacings[0] ** 2
 
 
 def periodic_laplacian(grid: LeafGrid, values: np.ndarray) -> np.ndarray:

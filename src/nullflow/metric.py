@@ -15,7 +15,8 @@ a(x) dx^2 + b(x) dy^2) it comes from the surface-of-revolution formula
 which stays uniformly second-order accurate up to the excluded poles of
 the chart, where the generic route loses accuracy to the cot(theta)
 singularity of the Christoffel symbols.  The chart's Laplacian reads only
-Gamma^0_00 and Gamma^0_11, so its pack builds those two and no other.
+g^00, g^11, Gamma^0_00 and Gamma^0_11, so its pack builds those four from a
+and b, and neither inverts the metric nor builds another symbol.
 
 Every periodic scenario starts as g = w I, and the flow keeps that form bit
 for bit.  For such a metric (g01 and g10 zero, g00 == g11 at every node)
@@ -166,26 +167,38 @@ class LeafMetric:
 
 class CurvaturePack:
     """The geometry of one frozen metric, built once by :func:`curvature` for
-    every operator on it: the inverse ``ginv`` (g^ab, shape grid + (a, b))
-    and, on first read, the Christoffel symbols (Gamma^c_ab, shape
-    grid + (c, a, b)), the sphere chart's Gamma^0_00 and Gamma^0_11 alone, the
-    Gauss curvature K and the CFL diffusion rate.  The 2-D Ricci and scalar
+    every operator on it, each part on first read: the inverse ``ginv`` (g^ab,
+    shape grid + (a, b)), the Christoffel symbols (Gamma^c_ab, shape
+    grid + (c, a, b)), the sphere chart's heat coefficients alone, the Gauss
+    curvature K and the CFL diffusion rate.  The 2-D Ricci and scalar
     curvatures are derived from K; Riemann, K (g_ac g_bd - g_ad g_bc), is not
     provided."""
 
-    def __init__(self, metric: LeafMetric, ginv: np.ndarray):
+    def __init__(self, metric: LeafMetric):
         self.metric = metric
-        self.ginv = ginv
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return self.metric.inverse()
 
     @cached_property
     def christoffel(self) -> np.ndarray:
         return christoffel(self.metric, self.ginv)
 
     @cached_property
-    def chart_christoffel(self) -> tuple:
-        """(Gamma^0_00, Gamma^0_11), bit for bit :attr:`christoffel`'s, for the chart's Laplacian."""
-        dg = [partial_deriv(self.grid, self.metric.comps, axis=d) for d in range(DIM)]  # d_d g_ab
-        return tuple(_christoffel_ab(dg, self.ginv, a, a, cs=(0,))[0] for a in range(DIM))
+    def chart_coefficients(self) -> tuple:
+        """(g^00, g^11, Gamma^0_00, Gamma^0_11) of the sphere chart's a dx^2 + b dy^2, contiguous,
+        for its Laplacian and diffusion rate.  With g01 = +0.0, as every scenario and flow step
+        writes it, they are bit for bit the diagonal of ``ginv`` and those entries of
+        :attr:`christoffel`, read without inverting the metric: there the determinant
+        a b - (+0.0) is a b, the brackets (da + da) - da and (0.0 + 0.0) - db are da (never
+        -0.0, as a > 0) and 0.0 - db, and each term in g^01 = -0.0 adds -0.0."""
+        g = self.metric.comps
+        a, b = g[..., 0, 0], g[..., 1, 1]
+        det = a * b
+        g00 = b / det
+        return (g00, a / det, 0.5 * (g00 * partial_deriv(self.grid, a, 0)),
+                0.5 * (g00 * (0.0 - partial_deriv(self.grid, b, 0))))
 
     @property
     def grid(self) -> LeafGrid:
@@ -195,8 +208,9 @@ class CurvaturePack:
     def diffusion_rate(self) -> float:
         """Explicit-stability rate, max g^aa / h_a^2 summed over the grid's axes (axis 0 alone
         on the sphere chart, along whose symmetry axis derivatives vanish)."""
-        return sum(float(np.max(self.ginv[..., a, a])) / self.grid.spacings[a] ** 2
-                   for a in range(self.grid.ndim_grid))
+        diagonal = (self.chart_coefficients[:1] if self.grid.topology == SPHERICAL_1D
+                    else [self.ginv[..., a, a] for a in range(DIM)])
+        return sum(float(np.max(gaa)) / h ** 2 for gaa, h in zip(diagonal, self.grid.spacings))
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -225,16 +239,11 @@ def christoffel(metric: LeafMetric, ginv: np.ndarray | None = None) -> np.ndarra
     gamma = np.empty(metric.grid.shape + (DIM, DIM, DIM))
     for a in range(DIM):
         for b in range(DIM):
-            for c, symbol in enumerate(_christoffel_ab(dg, ginv, a, b)):
-                gamma[..., c, a, b] = symbol
+            # the bracket d_a g_db + d_b g_da - d_d g_ab does not depend on c
+            b0, b1 = (dg[a][..., d, b] + dg[b][..., d, a] - dg[d][..., a, b] for d in range(DIM))
+            for c in range(DIM):
+                gamma[..., c, a, b] = 0.5 * (ginv[..., c, 0] * b0 + ginv[..., c, 1] * b1)
     return gamma
-
-
-def _christoffel_ab(dg: list, ginv: np.ndarray, a: int, b: int, cs=range(DIM)) -> list:
-    """Gamma^c_ab for each c in ``cs``, from dg[d] = d_d g and g^cd."""
-    # the bracket d_a g_db + d_b g_da - d_d g_ab does not depend on c
-    b0, b1 = (dg[a][..., d, b] + dg[b][..., d, a] - dg[d][..., a, b] for d in range(DIM))
-    return [0.5 * (ginv[..., c, 0] * b0 + ginv[..., c, 1] * b1) for c in cs]
 
 
 def _gauss_curvature_symmetric(grid: LeafGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -309,8 +318,9 @@ def gauss_curvature(metric: LeafMetric, pack: CurvaturePack | None = None) -> np
 
 
 def curvature(metric: LeafMetric) -> CurvaturePack:
-    """The geometry pack of ``metric``; its one inversion serves Gamma, K and the kernels."""
-    return CurvaturePack(metric, metric.inverse())
+    """The geometry pack of ``metric``; its one inversion, if any reader needs it, serves Gamma,
+    K and the kernels."""
+    return CurvaturePack(metric)
 
 
 def ricci(metric: LeafMetric) -> np.ndarray:
@@ -366,16 +376,16 @@ def laplace_beltrami(metric: LeafMetric, field, pack: CurvaturePack | None = Non
     skips the terms that vanish on its diagonal metric."""
     values = field_values(field, metric.grid)
     pack = curvature(metric) if pack is None else pack
-    grid, g = metric.grid, pack.ginv
+    grid = metric.grid
     if metric.w is not None:
-        return g[..., 0, 0] * periodic_laplacian(grid, values)
+        return pack.ginv[..., 0, 0] * periodic_laplacian(grid, values)
     if grid.topology == SPHERICAL_1D:
         # d_1 f, d_11 f and d_01 f vanish, and so do g^01 and Gamma^0_01 of
         # the chart's diagonal metric
-        (G000, G011), d0 = pack.chart_christoffel, partial_deriv(grid, values, 0)
+        (g00, g11, G000, G011), d0 = pack.chart_coefficients, partial_deriv(grid, values, 0)
         h00 = second_deriv(grid, values, 0) - G000 * d0
-        return g[..., 0, 0] * h00 + g[..., 1, 1] * (0.0 - G011 * d0)
-    return _trace(g, hessian(metric, values, pack.christoffel))
+        return g00 * h00 + g11 * (0.0 - G011 * d0)
+    return _trace(pack.ginv, hessian(metric, values, pack.christoffel))
 
 
 def bochner_residual(metric: LeafMetric, field) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Reference kernels on node-major tensors (components on the last axes),
-with np.roll periodic stencils, a full Hessian tensor and einsum traces.
+with np.roll periodic stencils, sphere chart stencils on a copy extended by
+two reflected ghost nodes at each pole, a full Hessian tensor and einsum
+traces.
 
 nullflow.metric and nullflow.grids compute the same quantities on the same
 node-major arrays with slice stencils; the tests require the two routes to
@@ -9,7 +11,7 @@ and on the sphere chart.
 """
 import numpy as np
 
-from nullflow.grids import PERIODIC_2D, SPHERICAL_1D, _extend_even
+from nullflow.grids import PERIODIC_2D, SPHERICAL_1D
 from nullflow.metric import (
     DIM,
     LeafMetric,
@@ -19,6 +21,13 @@ from nullflow.metric import (
     _gauss_curvature_conformal,
     ricci,
 )
+
+
+def _extend_even(values):
+    """Two ghost nodes on each end by even reflection across the poles: the
+    smooth rotationally symmetric quantities of a collapsed-pole chart are
+    even across both."""
+    return np.concatenate([values[1::-1], values, values[:-3:-1]], axis=0)
 
 
 def partial_deriv(grid, values, axis):

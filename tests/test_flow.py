@@ -9,6 +9,8 @@ import node_major_reference as ref
 
 from nullflow.estimates import CurvatureBounds, curvature_suprema
 from nullflow.flow import (
+    _CFL_NUMBER,
+    _CONFORMAL_HEAT_CFL,
     FlowConfig,
     FlowError,
     FlowTrajectory,
@@ -177,22 +179,32 @@ def test_conjugate_heat_inverts_each_sample_metric_once(monkeypatch):
     assert len(calls) == len({id(metric) for metric in calls}) == 6
 
 
-def _reference_heat_substep(metric, u, dt, conjugate):
-    """The per-stage algorithm: Laplace-Beltrami, and with it the Christoffel
-    symbols and the inverse metric, rebuilt at every RK stage, on the
-    node-major reference kernels (np.roll stencils, Hessian and einsum)."""
+def _reference_heat_substep(metric, u, dt, conjugate, substeps):
+    """The per-stage algorithm: Laplace-Beltrami, and with it the inverse metric
+    and any Christoffel symbols, rebuilt at every RK stage, on the node-major
+    reference kernels (np.roll stencils, Hessian and einsum).  On g = w I it
+    takes the flat form gi (d_00 v + d_11 v), as the program does: the Hessian's
+    trace differs from it in the last bit at some nodes.  The substeps are sized
+    as the program sizes them, at _CONFORMAL_HEAT_CFL on g = w I and _CFL_NUMBER
+    elsewhere, and their count is appended to ``substeps``."""
+    grid = metric.grid
     scal = 2.0 * ref.gauss_curvature(metric) if conjugate else None
+    conformal = ref._conformal_factor(metric.comps) is not None
 
     def rhs(v):
-        lap = ref.laplace_beltrami(metric, v)
+        if conformal:
+            lap = ref.inverse(metric)[..., 0, 0] * (ref.second_deriv(grid, v, 0) + ref.second_deriv(grid, v, 1))
+        else:
+            lap = ref.laplace_beltrami(metric, v)
         return lap if scal is None else lap - scal * v
 
     ginv = ref.inverse(metric)
-    grid = metric.grid
-    rate = sum(float(np.max(ginv[..., a, a])) / grid.spacings[a] ** 2 for a in range(grid.ndim_grid))
+    rate = sum(float(np.max(ginv[..., a, a])) / grid.spacings[a] ** 2 for a in range(len(grid.spacings)))
     if scal is not None:
         rate += float(np.max(np.abs(scal)))
-    nsub = max(1, int(np.ceil(dt / (0.2 / rate))))
+    cfl = _CONFORMAL_HEAT_CFL if conformal else _CFL_NUMBER
+    nsub = max(1, int(np.ceil(dt / (cfl / rate))))
+    substeps.append(nsub)
     h = dt / nsub
     for _ in range(nsub):
         k1 = rhs(u)
@@ -203,24 +215,23 @@ def _reference_heat_substep(metric, u, dt, conjugate):
     return u
 
 
-@pytest.mark.parametrize("direction,heat", [
-    ("forward", "heat"), ("forward", "conjugate-heat"), ("backward", "conjugate-heat"),
-])
-def test_shared_heat_operator_is_bit_identical_to_per_stage_rebuild(direction, heat):
-    m = torus_bump_metric(0.3, 16)
+def _check_shared_heat_operator(direction, heat, n, dt_initial, t_end):
+    """A torus-bump heat run at n and dt_initial to t_end, its u at every sample
+    against the per-stage reference; returns the reference's substep counts."""
+    m = torus_bump_metric(0.3, n)
     x, _ = m.grid.coordinate_fields()
     u0 = 2.0 + np.sin(x)
-    config = FlowConfig(direction=direction, t_end=0.02, dt_initial=2e-3, heat=heat, sample_every=5)
+    config = FlowConfig(direction=direction, t_end=t_end, dt_initial=dt_initial, heat=heat, sample_every=5)
     traj = run_flow(m, config, u0=ScalarField(m.grid, u0))
     conjugate = heat == "conjugate-heat"
-    expected = [u0]
+    expected, substeps = [u0], []
     if direction == "forward":  # Strang halves around every flow step, as run_flow takes them
         metric, u, t, step = m, u0, 0.0, 0
         while t < config.t_end - 1e-15:
             dt = min(config.dt_initial, config.t_end - t)
-            u = _reference_heat_substep(metric, u, 0.5 * dt, conjugate)
+            u = _reference_heat_substep(metric, u, 0.5 * dt, conjugate, substeps)
             metric = step_flow(metric, dt)
-            u = _reference_heat_substep(metric, u, 0.5 * dt, conjugate)
+            u = _reference_heat_substep(metric, u, 0.5 * dt, conjugate, substeps)
             t += dt
             step += 1
             if step % config.sample_every == 0:
@@ -229,32 +240,53 @@ def test_shared_heat_operator_is_bit_identical_to_per_stage_rebuild(direction, h
         u = u0
         for k in range(1, len(traj.times)):
             dt = traj.times[k] - traj.times[k - 1]
-            u = _reference_heat_substep(traj.metrics[k - 1], u, 0.5 * dt, conjugate)
-            u = _reference_heat_substep(traj.metrics[k], u, 0.5 * dt, conjugate)
+            u = _reference_heat_substep(traj.metrics[k - 1], u, 0.5 * dt, conjugate, substeps)
+            u = _reference_heat_substep(traj.metrics[k], u, 0.5 * dt, conjugate, substeps)
             expected.append(u)
     assert len(traj.heat_fields) == len(expected) == 3
     for got, want in zip(traj.heat_fields, expected):
         assert np.array_equal(got.values, want)
+    return substeps
+
+
+_SHARED_HEAT_RUNS = [("forward", "heat"), ("forward", "conjugate-heat"), ("backward", "conjugate-heat")]
+
+
+@pytest.mark.parametrize("direction,heat", _SHARED_HEAT_RUNS)
+def test_shared_heat_operator_is_bit_identical_to_per_stage_rebuild(direction, heat):
+    _check_shared_heat_operator(direction, heat, 16, 2e-3, 0.02)
+
+
+@pytest.mark.parametrize("direction,heat", _SHARED_HEAT_RUNS)
+def test_shared_heat_operator_is_bit_identical_over_several_conformal_substeps(direction, heat):
+    # every half step takes at least two substeps at _CONFORMAL_HEAT_CFL (six at _CFL_NUMBER
+    # forward), where n = 16 at dt 2e-3 takes one at either
+    assert min(_check_shared_heat_operator(direction, heat, 32, 0.03, 0.3)) >= 2
 
 
 def test_heat_builds_christoffel_symbols_once_per_metric(monkeypatch):
+    from functools import cached_property
+
     import nullflow.metric as metric_module
     from nullflow.config import parse_config
 
-    seen, full = [], []
-    build, symbols = metric_module.christoffel, metric_module._christoffel_ab
+    seen, full, inverted = [], [], []
+    build, coefficients = metric_module.christoffel, metric_module.CurvaturePack.chart_coefficients.func
     monkeypatch.setattr(metric_module, "christoffel", lambda m, *ginv: full.append(m) or build(m, *ginv))
-    monkeypatch.setattr(metric_module, "_christoffel_ab",
-                        lambda dg, ginv, *ab, **cs: seen.append(ginv) or symbols(dg, ginv, *ab, **cs))
+    spy = cached_property(lambda pack: seen.append(pack) or coefficients(pack))
+    spy.__set_name__(metric_module.CurvaturePack, "chart_coefficients")
+    monkeypatch.setattr(metric_module.CurvaturePack, "chart_coefficients", spy)
+    inverse = LeafMetric.inverse
+    monkeypatch.setattr(LeafMetric, "inverse", lambda self: inverted.append(self) or inverse(self))
     cfg = parse_config((Path(__file__).parent / "data" / "golden_config.json").read_text())
     m = cfg.build_metric()
     run_flow(m, cfg.flow, u0=cfg.build_heat_initial(m))
     # the heat runs to t = 0.3 in 600 steps of 5e-4, so it sees 601 metrics, each
-    # with one pack and its inverse; rebuilding the operator at every RK stage
-    # made 4,800 calls.  The chart's Laplacian reads Gamma^0_00 and Gamma^0_11
-    # alone, two brackets of a pack, and no metric builds all 8 symbols
-    assert len(seen) == 2 * len({id(ginv) for ginv in seen}) == 2 * 601
-    assert full == []
+    # with one pack; rebuilding the operator at every RK stage made 4,800 calls.
+    # The chart's Laplacian reads g^00, g^11, Gamma^0_00 and Gamma^0_11 alone, which
+    # a pack builds once from a and b, so no metric is inverted or builds all 8 symbols
+    assert len(seen) == len({id(pack) for pack in seen}) == 601
+    assert full == [] and inverted == []
 
 
 def _sheared_bump(amp, n, eps):
@@ -326,14 +358,16 @@ def test_conformal_route_leaves_every_stored_bit_unchanged(monkeypatch, directio
 
 
 def _components_route(monkeypatch):
-    """Step the sphere chart as its components and give its heat Laplacian the
-    two symbols it reads out of the full Christoffel symbols, as both were."""
+    """Step the sphere chart as its components and give its heat Laplacian and
+    diffusion rate the inverse's diagonal and the two symbols they read out of
+    ``ginv`` and the full Christoffel symbols, as all were."""
     import nullflow.flow as flow
     import nullflow.metric as metric_module
 
     monkeypatch.setattr(flow, "step_flow", ref.step_flow)
-    monkeypatch.setattr(metric_module.CurvaturePack, "chart_christoffel", property(
-        lambda pack: (pack.christoffel[..., 0, 0, 0], pack.christoffel[..., 0, 1, 1])))
+    monkeypatch.setattr(metric_module.CurvaturePack, "chart_coefficients", property(
+        lambda pack: (pack.ginv[..., 0, 0], pack.ginv[..., 1, 1],
+                      pack.christoffel[..., 0, 0, 0], pack.christoffel[..., 0, 1, 1])))
 
 
 _CHART_RUNS = {  # the golden run's flow, shortened where heat runs

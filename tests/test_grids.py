@@ -123,6 +123,21 @@ def test_sphere_stencils_uniformly_second_order():
     assert np.log2(errs[1] / errs[2]) > 1.9
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(8, 64), trailing=st.sampled_from([(), (2, 2)]), data=st.data())
+def test_sphere_stencils_bit_identical_to_the_reflected_copy(n, trailing, data):
+    # gathering each node's reflected neighbours takes the same operands in the
+    # same order as differencing a copy with two ghost nodes per pole
+    cells = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300]), st.floats(-1e306, 1e306))
+    values = data.draw(hnp.arrays(float, (n,) + trailing, elements=cells))
+    g = make_sphere_grid(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # the large magnitudes overflow to inf
+        for got, want in ((partial_deriv(g, values, 0), ref.partial_deriv(g, values, 0)),
+                          (second_deriv(g, values, 0), ref.second_deriv(g, values, 0))):
+            assert got.shape == values.shape
+            assert got.tobytes() == want.tobytes()  # zeros' signs and NaNs included
+
+
 def test_symmetry_axis_derivatives_vanish():
     g = make_sphere_grid(16)
     f = np.cos(g.axes[0])

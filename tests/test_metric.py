@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import node_major_reference as ref
 import nullflow.metric as metric_module
+from nullflow.flow import run_flow
 from nullflow.grids import ScalarField, make_sphere_grid, make_torus_grid
 from nullflow.metric import (
     LeafMetric,
@@ -331,11 +332,17 @@ def test_curvature_inverts_its_metric_once(monkeypatch, case, with_K):
     inverse = LeafMetric.inverse
     monkeypatch.setattr(LeafMetric, "inverse", lambda self: calls.append(1) or inverse(self))
     pack = curvature(m)
+    assert calls == []  # a pack inverts its metric when a reader first needs g^ab
     if with_K:  # K, computed on first use, and the kernels reuse the pack's inverse
         K = pack.K
         lap = laplace_beltrami(m, u, pack)
-    assert len(calls) == 1
+        pack.diffusion_rate
+    # the chart's K, Laplacian and diffusion rate read a and b, and never g^ab
+    assert len(calls) == (1 if with_K and case == "bump-16-g01" else 0)
     assert ("K" in vars(pack)) == with_K
+    pack.ginv
+    grad_norm_sq(m, u, pack)
+    assert len(calls) == 1  # verify's |grad f|^2 reads g^ab of the pack, inverted once
     monkeypatch.undo()
     assert np.array_equal(pack.ginv, m.inverse())
     assert np.array_equal(pack.christoffel, christoffel(m))
@@ -368,12 +375,40 @@ def test_the_chart_pack_builds_only_the_two_symbols_its_laplacian_reads(monkeypa
     monkeypatch.setattr(metric_module, "christoffel", lambda g, *ginv: calls.append(1) or build(g, *ginv))
     pack = curvature(m)
     lap = laplace_beltrami(m, u, pack)
-    assert calls == [] and "christoffel" not in vars(pack)
-    assert pack.chart_christoffel is pack.chart_christoffel
-    gamma = christoffel(m)
-    assert [g.tobytes() for g in pack.chart_christoffel] == [
-        gamma[..., 0, 0, 0].tobytes(), gamma[..., 0, 1, 1].tobytes()]
+    rate = pack.diffusion_rate
+    assert calls == [] and "christoffel" not in vars(pack) and "ginv" not in vars(pack)
+    assert pack.chart_coefficients is pack.chart_coefficients
+    assert all(c.flags.c_contiguous and c.shape == m.grid.shape for c in pack.chart_coefficients)
+    _assert_chart_coefficients(m, pack)
+    assert rate == float(np.max(m.inverse()[..., 0, 0])) / m.grid.spacings[0] ** 2
     assert lap.tobytes() == laplace_beltrami(m, u).tobytes()
+
+
+def _assert_chart_coefficients(m, pack):
+    """The chart pack's g^00, g^11, Gamma^0_00 and Gamma^0_11 are bit for bit
+    ``inverse()``'s diagonal and ``christoffel()``'s two symbols, zeros' signs included."""
+    ginv, gamma = m.inverse(), christoffel(m)
+    want = (ginv[..., 0, 0], ginv[..., 1, 1], gamma[..., 0, 0, 0], gamma[..., 0, 1, 1])
+    assert [c.tobytes() for c in pack.chart_coefficients] == [c.tobytes() for c in want]
+
+
+@pytest.mark.parametrize("heat", ["heat", "conjugate-heat"])
+def test_the_chart_coefficients_match_the_inverse_and_christoffel_symbols_along_a_golden_flow(heat):
+    import json
+    from pathlib import Path
+
+    from nullflow.config import parse_config
+
+    doc = json.loads((Path(__file__).parent / "data" / "golden_config.json").read_text())
+    doc["flow"].update(t_end=0.05, heat=heat, sample_every=10)
+    del doc["flow"]["heat_t_max"]
+    cfg = parse_config(json.dumps(doc))
+    m = cfg.build_metric()
+    traj = run_flow(m, cfg.flow, u0=cfg.build_heat_initial(m))
+    assert len(traj.metrics) == 11 and traj.metrics[0] is m
+    for k, metric in enumerate(traj.metrics):
+        assert not metric.comps[..., 0, 1].any() and not np.signbit(metric.comps[..., 0, 1]).any()
+        _assert_chart_coefficients(metric, traj.curvature(k))
 
 
 def test_the_smallest_eigenvalue_is_that_of_the_symmetric_form():
