@@ -44,6 +44,7 @@ _CFL_NUMBER = 0.2
 # chart's Laplacian has a first-order term, so its spectrum is not proven real: its
 # substeps, the generic components' and the cfl-adaptive flow step keep _CFL_NUMBER.
 _CONFORMAL_HEAT_CFL = 0.6
+_EPS = float(np.finfo(float).eps)
 
 
 class FlowError(ValueError):
@@ -153,7 +154,7 @@ def step_flow(metric: LeafMetric, dt: float, pack: CurvaturePack | None = None) 
     if not np.isfinite(out).all() and not all(np.isfinite(k).all() for k in ks):
         node = int(np.argmax(~np.isfinite(comps).all(axis=(-2, -1))))
         raise MetricError(f"metric components are not finite (node {node})", node)
-    return LeafMetric(grid, comps)
+    return LeafMetric(grid, comps, None if w is None else out)
 
 
 def _check_singular(metric: LeafMetric, threshold: float):
@@ -274,7 +275,7 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
         t += dt_step
         step += 1
         # a remainder within the clock's accumulated rounding is no time left
-        if config.t_end - t <= step * np.finfo(float).eps * config.t_end:
+        if config.t_end - t <= step * _EPS * config.t_end:
             t = config.t_end
         if step % config.sample_every == 0:
             store()

@@ -10,10 +10,12 @@ Two grid kinds are supported:
   depend on theta only; derivatives along the symmetry coordinate vanish
   identically.
 
-All stencils are second-order central differences.  The spherical grid
-reflects fields evenly across its poles: a stencil gathers each node's
-neighbours through a pair of index arrays built once per grid, in which
-the node past either end is that end node itself.
+All stencils are second-order central differences.  A periodic stencil is
+one pass of contiguous slices over its input read as a C-ordered flat array
+(:func:`_periodic_stencil`).  The spherical grid reflects fields evenly
+across its poles: a stencil gathers each node's neighbours through a pair
+of index arrays built once per grid, in which the node past either end is
+that end node itself.
 """
 from __future__ import annotations
 
@@ -129,21 +131,33 @@ def field_values(field, grid: LeafGrid | None = None) -> np.ndarray:
     return np.asarray(field, dtype=float)
 
 
-# (node, next, previous) along a periodic axis: the interior, then the two
-# wrapped edges; stencils write them into one output laid out as their input
-_PERIODIC = ((slice(1, -1), slice(2, None), slice(None, -2)), (0, 1, -1), (-1, 0, -2))
+def _periodic_stencil(values, axis: int, stencil, scale: float) -> np.ndarray:
+    """``stencil(out, v, v_next, v_previous)`` / ``scale`` at every node of a periodic grid, C-contiguous:
+    one pass over the C-ordered flat input, where the next node along ``axis`` is a fixed shift s
+    away (a row, or one node's trailing components), then again at the two wrapped edges of the
+    axis, whose neighbours s away are not theirs."""
+    v = np.ascontiguousarray(values, dtype=float)
+    flat, s, out = v.reshape(-1), v[0].size if axis == 0 else v[0, 0].size, np.empty(v.shape)
+    stencil(out.reshape(-1)[s:-s], flat[s:-s], flat[2 * s:], flat[:-2 * s])
+    v, o = v.swapaxes(0, axis), out.swapaxes(0, axis)
+    for i, nxt, prv in ((0, 1, -1), (-1, 0, -2)):
+        stencil(o[i], v[i], v[nxt], v[prv])
+    out /= scale
+    return out
+
+
+def _second_difference(out, v, nxt, prv):
+    np.multiply(v, -2.0, out=out)  # so out + v[i+1] is exactly v[i+1] - 2 v[i]
+    out += nxt
+    out += prv
 
 
 def partial_deriv(grid: LeafGrid, values: np.ndarray, axis: int) -> np.ndarray:
     """First derivative along a coordinate axis, second order."""
-    values = np.asarray(values, dtype=float)
     if grid.topology == PERIODIC_2D:
-        out = np.empty_like(values)
-        v, o = values.swapaxes(0, axis), out.swapaxes(0, axis)
-        for i, nxt, prv in _PERIODIC:
-            np.subtract(v[nxt], v[prv], out=o[i])
-        out /= 2.0 * grid.spacings[axis]
-        return out
+        return _periodic_stencil(values, axis, lambda o, v, nxt, prv: np.subtract(nxt, prv, out=o),
+                                 2.0 * grid.spacings[axis])
+    values = np.asarray(values, dtype=float)
     # 1-D reductions: derivatives along the symmetry coordinate vanish
     if axis == 1:
         return np.zeros_like(values)
@@ -153,15 +167,9 @@ def partial_deriv(grid: LeafGrid, values: np.ndarray, axis: int) -> np.ndarray:
 
 def second_deriv(grid: LeafGrid, values: np.ndarray, axis: int) -> np.ndarray:
     """Pure second derivative along one axis (3-point stencil)."""
-    values = np.asarray(values, dtype=float)
     if grid.topology == PERIODIC_2D:
-        out = values * -2.0  # so out + v[i+1] is exactly v[i+1] - 2 v[i]
-        v, o = values.swapaxes(0, axis), out.swapaxes(0, axis)
-        for i, nxt, prv in _PERIODIC:
-            o[i] += v[nxt]
-            o[i] += v[prv]
-        out /= grid.spacings[axis] ** 2
-        return out
+        return _periodic_stencil(values, axis, _second_difference, grid.spacings[axis] ** 2)
+    values = np.asarray(values, dtype=float)
     if axis == 1:
         return np.zeros_like(values)
     nxt, prv = grid.reflected_neighbours
@@ -169,25 +177,11 @@ def second_deriv(grid: LeafGrid, values: np.ndarray, axis: int) -> np.ndarray:
 
 
 def periodic_laplacian(grid: LeafGrid, values: np.ndarray) -> np.ndarray:
-    """second_deriv(grid, f, 0) + second_deriv(grid, f, 1) on a periodic grid, bit for
-    bit: a 5-point stencil whose neighbours are contiguous slices of a wrap-padded
-    flat copy of f.  It also runs over the padding columns, left out of the view returned."""
-    v = np.asarray(values, dtype=float)
-    n0, n1 = v.shape
-    pad = np.empty((n0 + 2, n1 + 2))
-    pad[1:-1, 1:-1] = v
-    pad[1:-1, 0], pad[1:-1, -1] = v[:, -1], v[:, 0]
-    pad[0], pad[-1] = pad[-2], pad[1]
-    flat, row = pad.ravel(), n1 + 2
-    center = flat[row:-row] * -2.0
-    out = center + flat[2 * row:]
-    out += flat[:-2 * row]
-    out /= grid.spacings[0] ** 2
-    center += flat[row + 1:1 - row]
-    center += flat[row - 1:-1 - row]
-    center /= grid.spacings[1] ** 2
-    out += center
-    return out.reshape(n0, row)[:, 1:-1]
+    """The 5-point Laplacian d_00 f + d_11 f on a periodic grid: second_deriv(grid, f, 0)
+    + second_deriv(grid, f, 1), C-contiguous."""
+    out = second_deriv(grid, values, 0)
+    out += second_deriv(grid, values, 1)
+    return out
 
 
 def mixed_deriv(grid: LeafGrid, values: np.ndarray) -> np.ndarray:

@@ -25,8 +25,8 @@ p = gi d_0 w / 2 and q = gi d_1 w / 2.  :func:`gauss_curvature`, the one place
 that picks K's route, then drops the Christoffel route's products by
 g^01 = +-0 and its pairs that cancel exactly, which can change only the sign
 of an exact zero.  In 2-D sqrt(g) g^ab is conformally invariant, so the
-Laplacian is flat, gi (d_00 f + d_11 f), and a pack of g = w I builds its
-Christoffel symbols only if a Hessian reads them.
+Laplacian is flat, gi (d_00 f + d_11 f), and a pack of g = w I reads gi off w
+and builds its Christoffel symbols only if a Hessian reads them.
 
 A LeafMetric is checked and classified once, where it is made, and its
 ``comps`` are never edited in place after, so no kernel checks its metric
@@ -39,7 +39,7 @@ Gamma^c_ab grid + (2, 2, 2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -111,18 +111,22 @@ def _conformal_min_eigenvalue(w: np.ndarray) -> float:
 
 @dataclass
 class LeafMetric:
-    """Symmetric positive-definite metric g'_ab per node, diagonal on the sphere chart,
-    valid once made, with ``comps`` never edited in place after: ``w`` is its conformal
-    factor if g' = w I off the sphere chart, else None, and ``smallest_eigenvalue`` the
-    least over the nodes."""
+    """Symmetric positive-definite metric g'_ab per node, diagonal on the sphere chart, valid once
+    made, with ``comps`` never edited in place after: ``w`` is its conformal factor if g' = w I off
+    the sphere chart, else None (a caller that wrote ``comps`` as w I from a contiguous w, as the
+    flow step does, passes it, and only w is checked), and ``smallest_eigenvalue`` the least."""
 
     grid: LeafGrid
     comps: np.ndarray  # shape = grid.shape + (2, 2)
+    w: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.comps = np.asarray(self.comps, dtype=float)
         if self.comps.shape != self.grid.shape + (DIM, DIM):
             raise MetricError(f"metric component shape {self.comps.shape} invalid")
+        if self.w is not None:  # the checks below would find w I from comps, then check w alone
+            self.smallest_eigenvalue = _conformal_min_eigenvalue(self.w)
+            return
         a, b = self.comps[..., 0, 1], self.comps[..., 1, 0]
         if not (a == b).all():  # a NaN fails; then np.allclose(a, b, atol=1e-14)'s predicate
             with np.errstate(invalid="ignore"):  # inf - inf
@@ -166,13 +170,12 @@ class LeafMetric:
 
 
 class CurvaturePack:
-    """The geometry of one frozen metric, built once by :func:`curvature` for
-    every operator on it, each part on first read: the inverse ``ginv`` (g^ab,
-    shape grid + (a, b)), the Christoffel symbols (Gamma^c_ab, shape
-    grid + (c, a, b)), the sphere chart's heat coefficients alone, the Gauss
-    curvature K and the CFL diffusion rate.  The 2-D Ricci and scalar
-    curvatures are derived from K; Riemann, K (g_ac g_bd - g_ad g_bc), is not
-    provided."""
+    """The geometry of one frozen metric, built once by :func:`curvature` for every operator on
+    it, each part on first read: the inverse ``ginv`` (g^ab, shape grid + (a, b)), the Christoffel
+    symbols (Gamma^c_ab, shape grid + (c, a, b)), the Gauss curvature K and the CFL diffusion rate.
+    The heat Laplacian, its rate and |grad f|^2 read ``inverse_diagonal``, which g = w I and the
+    sphere chart build without ``ginv`` or a Christoffel symbol.  The 2-D Ricci and scalar
+    curvatures are derived from K; Riemann, K (g_ac g_bd - g_ad g_bc), is not provided."""
 
     def __init__(self, metric: LeafMetric):
         self.metric = metric
@@ -200,6 +203,16 @@ class CurvaturePack:
         return (g00, a / det, 0.5 * (g00 * partial_deriv(self.grid, a, 0)),
                 0.5 * (g00 * (0.0 - partial_deriv(self.grid, b, 0))))
 
+    @cached_property
+    def inverse_diagonal(self) -> tuple:
+        """(g^00, g^11): on g = w I both w / (w w), one contiguous array, bit for bit ``ginv``'s
+        (its determinant is w w - 0 0); the sphere chart's :attr:`chart_coefficients`; else ``ginv``'s."""
+        if self.metric.w is not None:
+            return (self.metric.w / (self.metric.w * self.metric.w),) * DIM
+        if self.grid.topology == SPHERICAL_1D:
+            return self.chart_coefficients[:2]
+        return self.ginv[..., 0, 0], self.ginv[..., 1, 1]
+
     @property
     def grid(self) -> LeafGrid:
         return self.metric.grid
@@ -208,9 +221,7 @@ class CurvaturePack:
     def diffusion_rate(self) -> float:
         """Explicit-stability rate, max g^aa / h_a^2 summed over the grid's axes (axis 0 alone
         on the sphere chart, along whose symmetry axis derivatives vanish)."""
-        diagonal = (self.chart_coefficients[:1] if self.grid.topology == SPHERICAL_1D
-                    else [self.ginv[..., a, a] for a in range(DIM)])
-        return sum(float(np.max(gaa)) / h ** 2 for gaa, h in zip(diagonal, self.grid.spacings))
+        return sum(float(np.max(gaa)) / h ** 2 for gaa, h in zip(self.inverse_diagonal, self.grid.spacings))
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -328,26 +339,26 @@ def ricci(metric: LeafMetric) -> np.ndarray:
     return gauss_curvature(metric)[..., None, None] * metric.comps
 
 
-def _inverse_and_differential(metric: LeafMetric, field, pack: CurvaturePack | None):
-    """g^ab (the pack's, when given) and d_a f, both node-major."""
-    values = field_values(field, metric.grid)
-    ginv = metric.inverse() if pack is None else pack.ginv
-    df = np.stack([partial_deriv(metric.grid, values, axis=d) for d in range(DIM)], axis=-1)
-    return ginv, df
-
-
 def gradient(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np.ndarray:
     """Contravariant gradient (grad f)^a = g^ab d_b f, shape grid + (2,)."""
-    ginv, df = _inverse_and_differential(metric, field, pack)
-    return np.einsum("...ab,...b->...a", ginv, df)
+    values = field_values(field, metric.grid)
+    df = np.stack([partial_deriv(metric.grid, values, axis=d) for d in range(DIM)], axis=-1)
+    return np.einsum("...ab,...b->...a", metric.inverse() if pack is None else pack.ginv, df)
 
 
 def grad_norm_sq(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np.ndarray:
     """||grad f||^2 = g^ab d_a f d_b f >= 0, summed in the order of
-    np.einsum("...ab,...a,...b->...")."""
-    g, df = _inverse_and_differential(metric, field, pack)
-    d0, d1 = df[..., 0], df[..., 1]
-    out = ((g[..., 0, 0] * d0 * d0 + g[..., 0, 1] * d0 * d1) + g[..., 1, 0] * d1 * d0) + g[..., 1, 1] * d1 * d1
+    np.einsum("...ab,...a,...b->...").  On g = w I and the sphere chart it reads the pack's
+    g^00 and g^11 alone, with g^01 = g^10 = 0.0: the sign of a zero term cannot change the
+    sum, whose first term is never -0.0, and a NaN or inf d f still makes its node NaN."""
+    pack = curvature(metric) if pack is None else pack
+    values = field_values(field, metric.grid)
+    d0, d1 = (partial_deriv(metric.grid, values, axis=d) for d in range(DIM))
+    if metric.w is None and metric.grid.topology != SPHERICAL_1D:
+        g00, g01, g10, g11 = (pack.ginv[..., a, b] for a in range(DIM) for b in range(DIM))
+    else:
+        (g00, g11), g01, g10 = pack.inverse_diagonal, 0.0, 0.0
+    out = ((g00 * d0 * d0 + g01 * d0 * d1) + g10 * d1 * d0) + g11 * d1 * d1
     return np.maximum(out, 0.0)
 
 
@@ -378,12 +389,14 @@ def laplace_beltrami(metric: LeafMetric, field, pack: CurvaturePack | None = Non
     pack = curvature(metric) if pack is None else pack
     grid = metric.grid
     if metric.w is not None:
-        return pack.ginv[..., 0, 0] * periodic_laplacian(grid, values)
+        return pack.inverse_diagonal[0] * periodic_laplacian(grid, values)
     if grid.topology == SPHERICAL_1D:
-        # d_1 f, d_11 f and d_01 f vanish, and so do g^01 and Gamma^0_01 of
-        # the chart's diagonal metric
-        (g00, g11, G000, G011), d0 = pack.chart_coefficients, partial_deriv(grid, values, 0)
-        h00 = second_deriv(grid, values, 0) - G000 * d0
+        # d_1 f, d_11 f, d_01 f, g^01 and Gamma^0_01 vanish on the chart; d_0 f and d_00 f are
+        # partial_deriv's and second_deriv's stencils on u's reflected neighbours, gathered once
+        (g00, g11, G000, G011), (nxt, prv) = pack.chart_coefficients, grid.reflected_neighbours
+        up, down, h = values[nxt], values[prv], grid.spacings[0]
+        d0 = (up - down) / (2.0 * h)
+        h00 = (up - 2.0 * values + down) / h ** 2 - G000 * d0
         return g00 * h00 + g11 * (0.0 - G011 * d0)
     return _trace(pack.ginv, hessian(metric, values, pack.christoffel))
 
@@ -397,7 +410,7 @@ def bochner_residual(metric: LeafMetric, field) -> np.ndarray:
     """
     values = field_values(field, metric.grid)
     pack = curvature(metric)
-    ginv, df = _inverse_and_differential(metric, values, pack)
+    ginv, df = pack.ginv, np.stack([partial_deriv(metric.grid, values, d) for d in range(DIM)], axis=-1)
     gradsq = grad_norm_sq(metric, values, pack)
     lhs = laplace_beltrami(metric, gradsq, pack)
     hess = hessian(metric, values, gamma=pack.christoffel)

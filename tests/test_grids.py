@@ -109,6 +109,40 @@ def test_periodic_laplacian_bit_identical_to_two_second_derivatives(grid, data):
     assert periodic_laplacian(grid, values).tobytes() == want.tobytes()  # zeros' signs included
 
 
+def _laid_out(values, layout):
+    """``values`` as a C-ordered array, a Fortran-ordered one, or a swapaxes view."""
+    if layout == "fortran":
+        return np.asfortranarray(values)
+    if layout == "swapaxes":
+        return np.ascontiguousarray(values.swapaxes(0, 1)).swapaxes(0, 1)
+    return values
+
+
+@pytest.mark.parametrize("layout", ["C", "fortran", "swapaxes"])
+@pytest.mark.parametrize("trailing", [(), (2, 2), (2, 2, 2)])
+@pytest.mark.parametrize("n0,n1", [(8, 12), (12, 8)])
+def test_periodic_stencils_bit_identical_to_the_reference_on_any_layout(n0, n1, trailing, layout):
+    # axis 1 is a shift of the flat array by the trailing size, so the rows'
+    # ends must not leak into each other, whatever the input's memory order
+    grid = _uneven_grid(n0, n1)
+    rng = np.random.default_rng(n0 * 100 + len(trailing))
+    values = rng.standard_normal((n0, n1) + trailing) * 10.0 ** rng.integers(-300, 300, (n0, n1) + trailing)
+    values[rng.random(values.shape) < 0.2] = 0.0
+    values[rng.random(values.shape) < 0.2] *= -1.0
+    values = _laid_out(values, layout)
+    assert values.flags.c_contiguous == (layout == "C")
+    want = {"partial": [ref.partial_deriv(grid, values, axis) for axis in (0, 1)],
+            "second": [ref.second_deriv(grid, values, axis) for axis in (0, 1)]}
+    got = {"partial": [partial_deriv(grid, values, axis) for axis in (0, 1)],
+           "second": [second_deriv(grid, values, axis) for axis in (0, 1)]}
+    want["laplacian"] = [want["second"][0] + want["second"][1]]
+    got["laplacian"] = [periodic_laplacian(grid, values)]
+    for kind in want:
+        for g, w in zip(got[kind], want[kind]):
+            assert g.shape == values.shape and g.flags.c_contiguous
+            assert g.tobytes() == np.ascontiguousarray(w).tobytes(), kind  # zeros' signs included
+
+
 def test_sphere_stencils_uniformly_second_order():
     # even-symmetric scalar: the pole ghosts must not degrade the order
     errs = []

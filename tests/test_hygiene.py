@@ -188,6 +188,9 @@ _UNREACHED_BY_DESIGN = {
     "metric.christoffel": "the Christoffel symbols of hessian and of the K of a metric not w I, "
                           "wrapped by nullbench/tracing.py",
     "metric.CurvaturePack.christoffel": "a pack's cached christoffel, for the same readers",
+    "metric.LeafMetric.inverse": "g^ab of a metric neither w I nor on the sphere chart, for the "
+                                 "readers above; w I and the chart read theirs off a pack",
+    "metric.CurvaturePack.ginv": "a pack's cached inverse, for the same readers",
 }
 
 _TORUS = {

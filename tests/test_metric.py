@@ -324,6 +324,31 @@ def test_the_smallest_eigenvalue_of_w_is_the_closed_form_bit_for_bit(scale, node
         assert outcome(lambda: LeafMetric(make_torus_grid(8), comps).smallest_eigenvalue) == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(scale=st.floats(1e-160, 1e160), node=st.integers(0, 63),
+       value=st.one_of(st.sampled_from(_EDGE_W), st.floats(), st.none()))
+def test_a_metric_given_its_conformal_factor_is_checked_as_its_components_are(scale, node, value):
+    # the flow step writes comps as w I from w and passes w, which alone is then checked:
+    # the same error class, message and node as checking the components, or the same
+    # smallest eigenvalue and w
+    w = scale * torus_bump_metric(0.3, 8).w
+    if value is not None:
+        w.flat[node] = value
+    comps = np.zeros(w.shape + (2, 2))
+    comps[..., 0, 0] = comps[..., 1, 1] = w
+
+    def outcome(make):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                made = make()
+        except MetricError as exc:
+            return type(exc), str(exc), exc.node
+        return np.float64(made.smallest_eigenvalue).tobytes(), None if made.w is None else made.w.tobytes()
+
+    grid = make_torus_grid(8)
+    assert outcome(lambda: LeafMetric(grid, comps, w)) == outcome(lambda: LeafMetric(grid, comps))
+
+
 @pytest.mark.parametrize("case", ["sphere-48", "bump-16-g01"])
 @pytest.mark.parametrize("with_K", [False, True])
 def test_curvature_inverts_its_metric_once(monkeypatch, case, with_K):
@@ -342,7 +367,9 @@ def test_curvature_inverts_its_metric_once(monkeypatch, case, with_K):
     assert ("K" in vars(pack)) == with_K
     pack.ginv
     grad_norm_sq(m, u, pack)
-    assert len(calls) == 1  # verify's |grad f|^2 reads g^ab of the pack, inverted once
+    # the first read of g^ab inverts once; verify's |grad f|^2 reads it on the sheared metric
+    # and g^00 of the chart's coefficients on the sphere
+    assert len(calls) == 1
     monkeypatch.undo()
     assert np.array_equal(pack.ginv, m.inverse())
     assert np.array_equal(pack.christoffel, christoffel(m))
@@ -495,6 +522,25 @@ def test_grad_norm_sq_is_bit_identical_to_its_einsum(case, seed, scale, zeros, w
     df = np.stack([ref.partial_deriv(m.grid, u, d) for d in range(2)], axis=-1)
     want = np.maximum(np.einsum("...ab,...a,...b->...", ref.inverse(m), df, df), 0.0)
     assert grad_norm_sq(m, u, curvature(m) if with_pack else None).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("case", ["sphere-48", "bump-16"])
+def test_grad_norm_sq_is_nan_where_d_f_is_not_finite(monkeypatch, case, bad):
+    # on the chart and on w I |grad f|^2 reads g^00 alone, without inverting the metric;
+    # the einsum's products by g^01 = +-0 are NaN where d f is NaN or inf, and so is it
+    m, u = _kernel_case(case)
+    u = u.copy()
+    u.flat[[0, 7]] = bad
+    with np.errstate(invalid="ignore"):
+        df = np.stack([ref.partial_deriv(m.grid, u, d) for d in range(2)], axis=-1)
+        want = np.maximum(np.einsum("...ab,...a,...b->...", ref.inverse(m), df, df), 0.0)
+        monkeypatch.setattr(LeafMetric, "inverse", None)
+        got = grad_norm_sq(m, u, curvature(m))
+    assert (~np.isfinite(df).all(axis=-1)).sum() >= 2
+    assert np.array_equal(np.isnan(got), ~np.isfinite(df).all(axis=-1))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
 
 
 @pytest.mark.parametrize("node", [0, 5, 15])
