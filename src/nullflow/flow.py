@@ -5,14 +5,14 @@ The leaf metric evolves by dg'/dt = -2 Ric'(g') (forward) or +2 Ric'
 diagonal alone where Ric' = K g' keeps it so (w on g' = w I, (a, b) on
 the sphere chart), else on the 2x2 components; a backward run reverses a
 forward one.  Each step ends in a LeafMetric, valid once made and never
-edited in place, so only the RK stage states, which are not metrics, are
-checked here.
+edited in place, so only the RK stage states of w, which are not metrics,
+are checked here, by the metric's own rule.
 A scalar density u can be co-evolved by the heat equation
 (Delta - d/dt)u = 0 or the conjugate heat equation
 (d/dt - Delta + Scal')u = 0, interleaved Strang-style so u sees
 time-centered metrics.  Integration stops early with a recorded singular
-time when a step's metric is not positive definite or its smallest
-eigenvalue falls below the threshold (the shrinking-sphere collapse).
+time when an eigenvalue of a step's metric (or checked stage) is <= 0 or below
+the threshold (the shrinking-sphere collapse); a NaN or inf is a MetricError.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import SPHERICAL_1D, ScalarField, field_values, finite_real
-from .metric import DIM, CurvaturePack, LeafMetric, MetricError, SingularMetricError, laplace_beltrami, ricci
-from .metric import _conformal_min_eigenvalue, _gauss_curvature_conformal, _gauss_curvature_symmetric
+from .metric import DIM, CurvaturePack, LeafMetric, SingularMetricError, laplace_beltrami, ricci
+from .metric import _gauss_curvature_conformal, _gauss_curvature_symmetric, _min_eigenvalue
 from .metric import curvature as curvature_pack
 
 FORWARD = "forward"
@@ -121,13 +121,14 @@ def step_flow(metric: LeafMetric, dt: float, pack: CurvaturePack | None = None) 
     That is bit for bit the components' step, error included, on every metric with +0.0
     off the diagonal, where it writes +0.0: a chart metric with a tiny accepted g01 (at
     most 1e-12 of its largest g_aa) steps to +0.0.  Any other metric is stepped as its
-    components, symmetrized, each stage checked as metrics are but not for symmetry."""
+    components, each stage and the result symmetrized as LeafMetrics: bit for bit where
+    g01 == g10, while a g10 only within the symmetry tolerance could drift past it."""
     if dt <= 0:
         raise FlowError("dt must be positive")
     grid, w, g = metric.grid, metric.w, metric.comps
     if w is None and grid.topology != SPHERICAL_1D:
         k1 = -2.0 * (ricci(metric) if pack is None else pack.ricci)
-        out = _rk4(g, k1, lambda c: -2.0 * ricci(LeafMetric._stage(grid, c)), dt)
+        out = _rk4(g, k1, lambda c: -2.0 * ricci(LeafMetric(grid, 0.5 * (c + np.swapaxes(c, -1, -2)))), dt)
         return LeafMetric(grid, 0.5 * (out + np.swapaxes(out, -1, -2)))
     if w is None:  # the chart's (a, b), contiguous
         state = np.diagonal(g, 0, -2, -1).T.copy()
@@ -136,24 +137,20 @@ def step_flow(metric: LeafMetric, dt: float, pack: CurvaturePack | None = None) 
             return _gauss_curvature_symmetric(grid, d[0], d[1])
     else:
         state, curvature = w, lambda v: _gauss_curvature_conformal(grid, v)
-    ks = [curvature(state) if pack is None else pack.K]
+    k1 = curvature(state) if pack is None else pack.K
 
     def rate(d):
         if w is not None:  # a stage's w, checked as a LeafMetric checks w I
-            _conformal_min_eigenvalue(d)
-        ks.append(curvature(d))
-        return -2.0 * (ks[-1] * d)
+            _min_eigenvalue(d, d)
+        return -2.0 * (curvature(d) * d)
 
-    out = _rk4(state, -2.0 * (ks[0] * state), rate, dt)
+    out = _rk4(state, -2.0 * (k1 * state), rate, dt)
     # as symmetrized components: 0.5 (d + d) on the diagonal and +0.0 off it, where the rates
     # -2 K (+0.0) are NaN only at a K not finite, and there d is not finite either
     out += out
     out *= 0.5
     comps = np.zeros(grid.shape + (DIM, DIM))
     comps[..., 0, 0], comps[..., 1, 1] = (out, out) if w is not None else out
-    if not np.isfinite(out).all() and not all(np.isfinite(k).all() for k in ks):
-        node = int(np.argmax(~np.isfinite(comps).all(axis=(-2, -1))))
-        raise MetricError(f"metric components are not finite (node {node})", node)
     return LeafMetric(grid, comps, None if w is None else out)
 
 

@@ -30,8 +30,9 @@ and builds its Christoffel symbols only if a Hessian reads them.
 
 A LeafMetric is checked and classified once, where it is made, and its
 ``comps`` are never edited in place after, so no kernel checks its metric
-again.  On w I the checks read w alone: the trace w + w and the determinant
-w w are bit for bit those of the components, so they fail at the same nodes.
+again.  Its smallest eigenvalue follows one rule, min(g00, g11) exactly
+where g01 == 0 (on w I that is w), and :func:`_min_eigenvalue` is the one
+check of it.
 
 Every tensor is stored node-major, grid axes first and components last, as
 ``LeafMetric.comps``: g^ab, Ricci and the Hessian have shape grid + (2, 2),
@@ -85,28 +86,35 @@ class SingularMetricError(MetricError):
     pass
 
 
-def _min_eigenvalue(tr: np.ndarray, det: np.ndarray) -> float:
-    """The smallest of the smaller eigenvalues of symmetric 2x2 matrices, from
-    their traces and determinants, checked: a zero determinant, then an
-    eigenvalue <= 0 or NaN, raises SingularMetricError."""
-    if np.any(det == 0.0):
-        raise SingularMetricError("singular metric matrix", int(np.argmax(det == 0.0)))
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-    lam = 0.5 * (tr - disc)
-    low = float(lam.min())
-    if not low > 0.0:  # a NaN eigenvalue fails too
-        node = int(np.argmin(lam))
-        raise SingularMetricError(
-            f"metric not positive definite (node {node}, eigenvalue {lam.flat[node]:.3e})", node)
-    return low
+def _smallest_eigenvalues(g00, g01, g11) -> np.ndarray:
+    """Per node, the smaller eigenvalue of [[g00, g01], [g01, g11]]: min(g00, g11), exactly, where
+    g01 == 0, else det / lam_max on the entries scaled by their largest magnitude, where nothing
+    cancels or overflows, and at most min(g00, g11), so that rounding never hides an entry <= 0."""
+    lam = np.minimum(g00, g11)
+    if g01.any():
+        off = g01 != 0.0
+        a, b, c = g00[off], g11[off], g01[off]
+        s = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+        with np.errstate(all="ignore"):  # where this is not finite, the check fails
+            a, b, c = a / s, b / s, c / s
+            top = 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
+            lam[off] = np.minimum(lam[off], (a * b - c * c) / top * s)
+    return lam
 
 
-def _conformal_min_eigenvalue(w: np.ndarray) -> float:
-    """_min_eigenvalue(w + w, w * w) bit for bit: where w w and (2 w)^2 are normal, tr tr - 4 det is 0."""
-    low = w.min()
-    if 1e-150 < low and w.max() < 1e150:
+def _min_eigenvalue(lam: np.ndarray, comps: np.ndarray) -> float:
+    """The least of ``lam``, the smallest eigenvalue of each node's metric ``comps`` (w, or its
+    2x2 components), checked: a component not finite raises MetricError, then an eigenvalue <= 0
+    (or a NaN) SingularMetricError, each naming its first node."""
+    low = lam.min()
+    if low > 0.0 and comps.max() < np.inf:
         return float(low)
-    return _min_eigenvalue(w + w, w * w)
+    bad = ~np.isfinite(comps.reshape(lam.size, -1)).all(axis=1)
+    if bad.any():
+        node = int(np.argmax(bad))
+        raise MetricError(f"metric components are not finite (node {node})", node)
+    node = int(np.argmin(lam))
+    raise SingularMetricError(f"metric not positive definite (node {node}, eigenvalue {lam.flat[node]:.3e})", node)
 
 
 @dataclass
@@ -121,39 +129,26 @@ class LeafMetric:
     w: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        self.comps = np.asarray(self.comps, dtype=float)
-        if self.comps.shape != self.grid.shape + (DIM, DIM):
-            raise MetricError(f"metric component shape {self.comps.shape} invalid")
-        if self.w is not None:  # the checks below would find w I from comps, then check w alone
-            self.smallest_eigenvalue = _conformal_min_eigenvalue(self.w)
-            return
-        a, b = self.comps[..., 0, 1], self.comps[..., 1, 0]
-        if not (a == b).all():  # a NaN fails; then np.allclose(a, b, atol=1e-14)'s predicate
-            with np.errstate(invalid="ignore"):  # inf - inf
-                close = (a == b) | ((np.abs(a - b) <= 1e-14 + 1e-5 * np.abs(b)) & np.isfinite(b))
-            if not np.all(close):
-                bad = ~np.isfinite(self.comps).all(axis=(-2, -1))
-                if bad.any():  # a non-finite component fails the test above, so name it
-                    node = int(np.argmax(bad))
-                    raise MetricError(f"metric components are not finite (node {node})", node)
-                raise MetricError("metric components are not symmetric")
-        self._classify()
-
-    @classmethod
-    def _stage(cls, grid: LeafGrid, comps: np.ndarray) -> "LeafMetric":
-        """An RK stage state of the flow's components step: checked as a metric is, but not for symmetry."""
-        metric = object.__new__(cls)
-        metric.grid, metric.comps = grid, comps
-        metric._classify()
-        return metric
-
-    def _classify(self):
-        g = self.comps
-        w = self.w = None if self.grid.topology == SPHERICAL_1D else _conformal_factor(g)
+        g = self.comps = np.asarray(self.comps, dtype=float)
+        if g.shape != self.grid.shape + (DIM, DIM):
+            raise MetricError(f"metric component shape {g.shape} invalid")
+        chart = self.grid.topology == SPHERICAL_1D
+        if self.w is None:  # else the caller wrote comps as w I from w, which alone is checked
+            a, b = g[..., 0, 1], g[..., 1, 0]
+            if not (a == b).all():  # a NaN fails; then np.allclose(a, b, atol=1e-14)'s predicate
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    close = (a == b) | ((np.abs(a - b) <= 1e-14 + 1e-5 * np.abs(b)) & np.isfinite(b))
+                if not np.all(close):
+                    bad = ~np.isfinite(g).all(axis=(-2, -1))
+                    if bad.any():  # a non-finite component fails the test above, so name it
+                        node = int(np.argmax(bad))
+                        raise MetricError(f"metric components are not finite (node {node})", node)
+                    raise MetricError("metric components are not symmetric")
+            self.w = None if chart else _conformal_factor(g)
         g00, g01, g11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]  # the form the kernels read
-        self.smallest_eigenvalue = (_min_eigenvalue(g00 + g11, g00 * g11 - g01 * g01) if w is None
-                                    else _conformal_min_eigenvalue(w))
-        if self.grid.topology == SPHERICAL_1D and g01.any():  # the chart's K and Laplacian read a diagonal metric
+        self.smallest_eigenvalue = (_min_eigenvalue(self.w, self.w) if self.w is not None
+                                    else _min_eigenvalue(_smallest_eigenvalues(g00, g01, g11), g))
+        if chart and g01.any():  # the chart's K and Laplacian read a diagonal metric
             node = int(np.argmax(np.abs(g01)))
             if abs(g01.flat[node]) > 1e-12 * max(np.max(g00), np.max(g11)):
                 raise MetricError(f"sphere chart metric not diagonal (node {node}, g01 {g01.flat[node]:.3e})", node)
@@ -389,7 +384,8 @@ def laplace_beltrami(metric: LeafMetric, field, pack: CurvaturePack | None = Non
     pack = curvature(metric) if pack is None else pack
     grid = metric.grid
     if metric.w is not None:
-        return pack.inverse_diagonal[0] * periodic_laplacian(grid, values)
+        lap = periodic_laplacian(grid, values)
+        return np.multiply(lap, pack.inverse_diagonal[0], out=lap)
     if grid.topology == SPHERICAL_1D:
         # d_1 f, d_11 f, d_01 f, g^01 and Gamma^0_01 vanish on the chart; d_0 f and d_00 f are
         # partial_deriv's and second_deriv's stencils on u's reflected neighbours, gathered once

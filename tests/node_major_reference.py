@@ -136,14 +136,21 @@ def laplace_beltrami(metric, values):
 
 def _min_eigenvalue(comps):
     """The smaller eigenvalue per node of the symmetric form g01 spans (g10 is
-    within the symmetry check's tolerance of it); a zero determinant fails
-    first, then an eigenvalue <= 0 or NaN."""
+    within the symmetry check's tolerance of it), checked: a component not
+    finite fails first, then an eigenvalue <= 0 or NaN.  It is min(g00, g11)
+    where g01 == 0, else det / lam_max of the form scaled by its largest
+    |entry|, and never above min(g00, g11)."""
     g = comps
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 0, 1]
-    if np.any(det == 0.0):
-        raise SingularMetricError("singular metric matrix")
-    tr = g[..., 0, 0] + g[..., 1, 1]
-    lam = 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+    bad = ~np.isfinite(g).all(axis=(-2, -1))
+    if bad.any():
+        raise MetricError(f"metric components are not finite (node {int(np.argmax(bad))})")
+    g00, g01, g11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+    scale = np.abs(np.stack([g00, g11, g01])).max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b, c = g00 / scale, g11 / scale, g01 / scale
+        lam_max = 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
+        lam = np.where(g01 == 0.0, np.minimum(g00, g11),
+                       np.minimum(np.minimum(g00, g11), (a * b - c * c) / lam_max * scale))
     if not np.all(lam > 0.0):
         node = int(np.argmin(lam))
         raise SingularMetricError(f"metric not positive definite (node {node}, eigenvalue {lam.flat[node]:.3e})")

@@ -322,7 +322,7 @@ def _trajectories(draw):
     (n = 8), with or without heat, in each termination state: times in
     [0, 1e300]; u log-uniform over 5e-324..1e300 (both ends present in each
     field); a positive-definite metric s (a, c; c, b) with a node scale s
-    log-uniform over 1e-150..1e150 (both ends present), a and b in [0.5, 2]
+    log-uniform over 1e-300..1e300 (both ends present), a and b in [0.5, 2]
     and |c| <= 0.4 of either sign (times 1e-13 on the sphere, whose chart
     needs a diagonal metric to 1e-12), and g12 = 5e-324 and -0.0 at two nodes."""
     kind, n = draw(st.sampled_from([("torus", 8), ("torus", 9), ("torus", 16), ("sphere", 8)]))
@@ -338,7 +338,7 @@ def _trajectories(draw):
     metrics = []
     for _ in times:
         # s^2 (ab - c^2) >= 0.09 s^2, and the eigenvalues differ by a factor below 5
-        scale, comps = cells(1e-150, 1e150), np.empty(grid.shape + (2, 2))
+        scale, comps = cells(1e-300, 1e300), np.empty(grid.shape + (2, 2))
         comps[..., 0, 0], comps[..., 1, 1] = (scale * rng.uniform(0.5, 2.0, grid.shape) for _ in range(2))
         g12 = scale * rng.uniform(-0.4, 0.4, grid.shape) * (1e-13 if kind == "sphere" else 1.0)
         g12.flat[rng.choice(g12.size, 2, replace=False)] = (5e-324, -0.0)
@@ -910,6 +910,40 @@ def test_cli_exit_two_on_too_few_live_heat_samples(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "at least 3 live heat samples, the trajectory has 2" in err
     assert "Shape of array too small" not in err
+
+
+def test_cli_run_exits_two_on_a_nan_metric_where_a_collapse_ends_singular(tmp_path, capsys, monkeypatch):
+    # the golden run ends singular on an eigenvalue of its step's metric; a NaN put
+    # into the third step's metric is no collapse: the run fails, naming its node,
+    # and writes nothing
+    import nullflow.flow as flow
+    from nullflow.metric import MetricError
+
+    step, steps, raised = flow.step_flow, [], []
+
+    def recorded_step(metric, dt, pack=None):
+        try:
+            out = step(metric, dt, pack)
+        except MetricError as exc:
+            raised.append(str(exc))
+            raise
+        steps.append(1)
+        if nan_at == len(steps):
+            comps = out.comps.copy()
+            comps[5, 1, 1] = np.nan
+            return LeafMetric(out.grid, comps)
+        return out
+
+    monkeypatch.setattr(flow, "step_flow", recorded_step)
+    nan_at = None
+    assert main(["run", str(GOLDEN_CONFIG), "--out", str(tmp_path / "golden")]) == 0
+    assert "termination: singular" in capsys.readouterr().out
+    assert raised == ["metric not positive definite (node 14, eigenvalue -1.206e+01)"]
+    nan_at, out = 3, tmp_path / "nan"
+    steps.clear()
+    assert main(["run", str(GOLDEN_CONFIG), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: metric components are not finite (node 5)\n"
+    assert len(steps) == 3 and list(out.iterdir()) == []
 
 
 _BACKWARD_FLOW = {"direction": "backward", "t_end": 0.1, "dt_initial": 1e-3,

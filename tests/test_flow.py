@@ -22,7 +22,7 @@ from nullflow.flow import (
     step_flow,
 )
 from nullflow.grids import ScalarField
-from nullflow.metric import LeafMetric, MetricError, SingularMetricError, curvature, gradient
+from nullflow.metric import LeafMetric, MetricError, curvature, gradient
 from nullflow.scenarios import flat_torus_metric, sphere_metric, torus_bump_metric
 
 
@@ -72,17 +72,18 @@ def test_singularity_detection_near_half():
     assert abs(traj.singular_time - 0.5) < 1e-2
 
 
-def test_nan_metric_is_singular_at_once_and_never_stored(monkeypatch):
+def test_nan_metric_is_an_error_at_once_and_never_stored(monkeypatch):
     import nullflow.flow as flow
 
-    # NaN <= 0 is False, so a NaN eigenvalue must fail the check explicitly; it
-    # passes the symmetry check, so LeafMetric's eigenvalue check rejects it
+    # a NaN is not a collapse: it passes the symmetry check, and LeafMetric's
+    # eigenvalue check rejects it as not finite, naming its node
     _check_singular(sphere_metric(1.0, 16), 1e-6)
     m = sphere_metric(1.0, 16)
     comps = m.comps.copy()
     comps[4, 1, 1] = np.nan
-    with pytest.raises(SingularMetricError, match="node 4"):
+    with pytest.raises(MetricError, match=r"not finite \(node 4\)") as info:
         LeafMetric(m.grid, comps)
+    assert type(info.value) is MetricError
 
     steps = []
     step = flow.step_flow
@@ -97,11 +98,9 @@ def test_nan_metric_is_singular_at_once_and_never_stored(monkeypatch):
         return out
 
     monkeypatch.setattr(flow, "step_flow", nan_third_step)
-    traj = run_flow(sphere_metric(1.0, 16), FlowConfig(t_end=0.1, dt_initial=1e-3, sample_every=1))
-    assert traj.termination == "singular"
-    assert traj.singular_time == 1e-3 + 1e-3 + 1e-3  # not a step later
-    assert len(traj.metrics) == 3
-    assert all(np.all(np.isfinite(m.comps)) for m in traj.metrics)
+    with pytest.raises(MetricError, match=r"not finite \(node 5\)") as info:
+        run_flow(sphere_metric(1.0, 16), FlowConfig(t_end=0.1, dt_initial=1e-3, sample_every=1))
+    assert type(info.value) is MetricError and info.value.node == 5 and len(steps) == 3
 
 
 def test_flow_times_strictly_increasing_and_metrics_pd():
@@ -474,9 +473,9 @@ def test_each_metric_is_checked_once_and_each_rk_stage_once(monkeypatch):
     m = torus_bump_metric(0.253175, 64)
     x, y = m.grid.coordinate_fields()
     made, checks = [], []
-    check, validate = metric_module._conformal_min_eigenvalue, LeafMetric.__post_init__
+    check, validate = metric_module._min_eigenvalue, LeafMetric.__post_init__
     for module in (metric_module, flow):
-        monkeypatch.setattr(module, "_conformal_min_eigenvalue", lambda w: checks.append(1) or check(w))
+        monkeypatch.setattr(module, "_min_eigenvalue", lambda lam, comps: checks.append(1) or check(lam, comps))
     monkeypatch.setattr(LeafMetric, "__post_init__", lambda self: made.append(1) or validate(self))
     config = FlowConfig(t_end=0.1, dt_initial=0.002, heat="heat", sample_every=10)
     traj = run_flow(m, config, u0=ScalarField(m.grid, 2.0 + np.sin(x) * np.cos(y)))
@@ -496,12 +495,11 @@ def test_step_flow_validates_only_its_result(monkeypatch):
             validated.clear()
             m = step_flow(m, 1e-3)
             assert len(validated) == 1
-    # a NaN step still fails closed on the checked result; the torus steps w,
-    # so the NaN comes through the conformal K: at stage 4 it reaches the
+    # a NaN step still fails closed, as not finite: the torus steps w, so the
+    # NaN comes through the conformal K; at stage 4 it reaches the checked
     # result, and at an earlier stage the next stage's check on w
     kernel = flow._gauss_curvature_conformal
-    for nan_at, error, message in ((4, MetricError, r"not finite \(node 0\)"),
-                                   (3, SingularMetricError, r"node 0, eigenvalue nan")):
+    for nan_at in (4, 3):
         calls = []
 
         def nan_kernel(grid, w):
@@ -509,8 +507,9 @@ def test_step_flow_validates_only_its_result(monkeypatch):
             return np.full(w.shape, np.nan) if len(calls) == nan_at else kernel(grid, w)
 
         monkeypatch.setattr(flow, "_gauss_curvature_conformal", nan_kernel)
-        with pytest.raises(error, match=message):
+        with pytest.raises(MetricError, match=r"not finite \(node 0\)") as info:
             step_flow(m, 1e-3)
+        assert type(info.value) is MetricError and len(calls) == nan_at
 
 
 def _step_outcome(step, m, dt, with_pack):
@@ -552,8 +551,10 @@ def test_scalar_step_is_bit_identical_to_the_component_step(n, seed, amp, scale,
 def test_scalar_step_fails_as_the_component_step_at_one_bad_node(node, n, seed, amp, scale, dt, with_pack):
     node = (node[0] % n, node[1] % n)
     grid = torus_bump_metric(0.3, n).grid
-    # 1e-160 squared is subnormal, and 4 (1e155)^2 overflows; the metric is
-    # checked on w when made, and the reference checks its components first
+    # the metric is checked on w when made, and the reference checks its
+    # components first; 5e-324, 1e-160 and 1e155 are valid, but 5e-324 squared
+    # is 0.0, so its g^00 = w / (w w) divides by zero, 1e-160 squared is
+    # subnormal and (1e155)^2 overflows, and the step fails on what follows
     for value in (0.0, -0.0, -1.0, np.nan, np.inf, 5e-324, 1e-160, 1e155):
         comps = _random_w_comps(n, seed, amp, scale)
         comps[node + (0, 0)] = comps[node + (1, 1)] = value
@@ -562,7 +563,7 @@ def test_scalar_step_fails_as_the_component_step_at_one_bad_node(node, n, seed, 
             ref.check_metric(grid, comps)
             return LeafMetric(grid, comps)
 
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             got = _step_outcome(step_flow, lambda: LeafMetric(grid, comps), dt, with_pack)
             assert got == _step_outcome(ref.step_flow, checked, dt, with_pack)
 
@@ -575,6 +576,21 @@ def test_a_negative_zero_off_the_diagonal_steps_as_its_positive_zero_twin():
     m = LeafMetric(twin.grid, comps)
     assert m.w is not None
     assert step_flow(m, 1e-3).comps.tobytes() == step_flow(twin, 1e-3).comps.tobytes()
+
+
+def test_a_metric_symmetric_only_within_the_tolerance_steps():
+    # g10 = 1e-14 beside g01 = 0 passes np.allclose's atol; where K < 0 the metric
+    # grows, and a stage state not symmetrized would grow g10 past that atol
+    twin = torus_bump_metric(0.3, 16)
+    k = curvature(twin).K
+    node = np.unravel_index(np.argmin(k), k.shape)
+    comps = twin.comps.copy()
+    comps[node + (1, 0)] = 1e-14
+    m = LeafMetric(twin.grid, comps)
+    assert m.w is None and k[node] < 0.0
+    out = step_flow(m, 1e-3)
+    assert np.array_equal(out.comps[..., 0, 1], out.comps[..., 1, 0])
+    assert np.allclose(out.comps, step_flow(twin, 1e-3).comps, rtol=1e-12, atol=1e-13)
 
 
 def test_cfl_adaptive_controller_runs():

@@ -184,7 +184,6 @@ _UNREACHED_BY_DESIGN = {
     "metric.ricci": "the rate of the components step of a metric neither w I nor on the sphere "
                     "chart, wrapped by nullbench/tracing.py; ROADMAP item 4's shear gives it a config",
     "metric.CurvaturePack.ricci": "stage 1 of that components step, and bochner_residual's Ricci term",
-    "metric.LeafMetric._stage": "the RK stage states of that components step",
     "metric.christoffel": "the Christoffel symbols of hessian and of the K of a metric not w I, "
                           "wrapped by nullbench/tracing.py",
     "metric.CurvaturePack.christoffel": "a pack's cached christoffel, for the same readers",

@@ -1,5 +1,6 @@
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,10 +15,8 @@ from nullflow.metric import (
     MetricError,
     SingularMetricError,
     _conformal_factor,
-    _conformal_min_eigenvalue,
     _gauss_curvature_conformal,
     _gauss_curvature_generic,
-    _min_eigenvalue,
     _trace,
     bochner_residual,
     christoffel,
@@ -257,7 +256,7 @@ def test_a_metric_one_bit_off_w_I_takes_the_generic_route(monkeypatch, node, cha
     assert calls == [1]
 
 
-@pytest.mark.parametrize("w", [-0.5, 0.0, 1e-170])  # 1e-170 squared is 0.0
+@pytest.mark.parametrize("w", [-0.5, 0.0, -1e-170])
 def test_conformal_ricci_keeps_the_singular_metric_checks(monkeypatch, w):
     # the conformal K and a pack's kernels check nothing, so the metric they
     # read must not be made: LeafMetric rejects it, on w as on the components
@@ -273,23 +272,30 @@ def test_conformal_ricci_keeps_the_singular_metric_checks(monkeypatch, w):
 
 
 @pytest.mark.parametrize("node", [(0, 0), (9, 4)])
-@pytest.mark.parametrize("w", [0.0, -0.0, -1.0, np.nan, np.inf, 5e-324, 1e-160, 1e155])
+@pytest.mark.parametrize("w", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 5e-324, 1e-160, 1e155])
 def test_conformal_checks_on_w_raise_what_the_metric_checks_raise(node, w):
-    # on w I the trace is w + w and the determinant w w bit for bit; w = inf
-    # passes w > 0 but fails as a NaN eigenvalue, and 4 (1e155)^2 overflows
+    # on w I the smaller eigenvalue of each node is w: a finite w > 0 (5e-324,
+    # 1e-160 and 1e155 too) is accepted, a w <= 0 is singular and a NaN or
+    # +-inf is not finite, as the checks on the four components find
     m = torus_bump_metric(0.3, 16)
     comps = m.comps.copy()
     comps[node + (0, 0)] = comps[node + (1, 1)] = w
 
     def outcome(check):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return float(check())
-        except SingularMetricError as exc:
-            return str(exc)
+            return float(check())
+        except MetricError as exc:
+            return type(exc), str(exc), exc.node
 
     want = outcome(lambda: ref.check_metric(m.grid, comps).min())  # on the four components
-    assert outcome(lambda: LeafMetric(m.grid, comps).smallest_eigenvalue) == want
+    got = outcome(lambda: LeafMetric(m.grid, comps).smallest_eigenvalue)
+    if np.isfinite(w) and w > 0.0:
+        field = m.w.copy()
+        field[node] = w
+        assert got == want == field.min()
+    else:
+        assert got[:2] == want[:2] and got[2] == np.ravel_multi_index(node, m.grid.shape)
+        assert got[0] is (SingularMetricError if np.isfinite(w) else MetricError)
     if np.isnan(w):  # a NaN is not w I, so LeafMetric reads the components
         assert _conformal_factor(comps) is None
     else:
@@ -302,26 +308,25 @@ _EDGE_W = (5e-324, 1e-160, 1e-150, 1e150, 1e154, -1.0, 0.0, -0.0, np.nan, np.inf
 @settings(max_examples=150, deadline=None)
 @given(scale=st.floats(1e-160, 1e160), node=st.integers(0, 63),
        value=st.one_of(st.sampled_from(_EDGE_W), st.floats(), st.none()))
-def test_the_smallest_eigenvalue_of_w_is_the_closed_form_bit_for_bit(scale, node, value):
-    # min w on w I, and otherwise the closed form on trace w + w and determinant
-    # w w: the same bits, or the same error class, message and node
+def test_the_smallest_eigenvalue_of_w_I_is_min_w_bit_for_bit(scale, node, value):
+    # given w or only the components w I: min w, bit for bit, when every w is finite
+    # and above 0; else a NaN or +-inf fails as MetricError at its first node, then
+    # a w <= 0 as SingularMetricError at the least w's node
     w = scale * torus_bump_metric(0.3, 8).w
     if value is not None:
         w.flat[node] = value
-
-    def outcome(check):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return np.float64(check()).tobytes()
-        except SingularMetricError as exc:
-            return type(exc), str(exc), exc.node
-
-    want = outcome(lambda: _min_eigenvalue(w + w, w * w))
-    assert outcome(lambda: _conformal_min_eigenvalue(w)) == want
     comps = np.zeros(w.shape + (2, 2))
     comps[..., 0, 0] = comps[..., 1, 1] = w
-    if _conformal_factor(comps) is not None:
-        assert outcome(lambda: LeafMetric(make_torus_grid(8), comps).smallest_eigenvalue) == want
+    grid, finite = make_torus_grid(8), np.isfinite(w)
+    for make in (lambda: LeafMetric(grid, comps), lambda: LeafMetric(grid, comps, w)):
+        if finite.all() and w.min() > 0.0:
+            assert np.float64(make().smallest_eigenvalue).tobytes() == w.min().tobytes()
+            continue
+        error, at = ((MetricError, int(np.argmax(~finite))) if not finite.all()
+                     else (SingularMetricError, int(np.argmin(w))))
+        with pytest.raises(MetricError, match=rf"\(node {at}\b") as info:
+            make()
+        assert type(info.value) is error and info.value.node == at
 
 
 @settings(max_examples=150, deadline=None)
@@ -451,11 +456,12 @@ def test_the_smallest_eigenvalue_is_that_of_the_symmetric_form():
 
 
 @settings(max_examples=100, deadline=None)
-@given(low=st.floats(0.5, 1.0), high=st.floats(2.0, 4.0), angle=st.floats(0.0, np.pi),
-       skew=st.floats(-5e-6, 5e-6), node=st.tuples(st.integers(0, 7), st.integers(0, 7)))
-def test_smallest_eigenvalue_matches_eigvalsh_of_the_symmetric_form(low, high, angle, skew, node):
-    # eigenvalues low and high apart, so that the closed form's discriminant
-    # does not cancel; g10 differs from g01 by at most 5e-6 of it
+@given(low=st.floats(0.5, 1.0), gap=st.one_of(st.floats(1.0, 7.0), st.floats(1e-12, 1e-3), st.just(0.0)),
+       angle=st.floats(0.0, np.pi), skew=st.floats(-5e-6, 5e-6), node=st.tuples(st.integers(0, 7), st.integers(0, 7)))
+def test_smallest_eigenvalue_matches_eigvalsh_of_the_symmetric_form(low, gap, angle, skew, node):
+    # eigenvalues low and low (1 + gap), apart, nearly equal or equal, rotated by
+    # angle; g10 differs from g01 by at most 5e-6 of it
+    high = low * (1.0 + gap)
     c, s = np.cos(angle), np.sin(angle)
     g00, g01, g11 = low * c * c + high * s * s, (high - low) * c * s, low * s * s + high * c * c
     grid = make_torus_grid(8)
@@ -464,6 +470,61 @@ def test_smallest_eigenvalue_matches_eigvalsh_of_the_symmetric_form(low, high, a
     comps[node] = [[g00, g01], [g01 * (1.0 + skew), g11]]
     want = np.linalg.eigvalsh(np.array([[g00, g01], [g01, g11]])).min()
     assert abs(LeafMetric(grid, comps).smallest_eigenvalue - want) <= 1e-12 * want
+
+
+def _smallest_eigenvalue_of(g00, g01, g11):
+    """``smallest_eigenvalue`` of the metric [[g00, g01], [g01, g11]] at every node of an 8 x 8 torus."""
+    grid = make_torus_grid(8)
+    comps = np.empty(grid.shape + (2, 2))
+    comps[...] = [[g00, g01], [g01, g11]]
+    return LeafMetric(grid, comps).smallest_eigenvalue
+
+
+def _exact_smallest_eigenvalue(g00, g01, g11):
+    """The smaller eigenvalue of [[g00, g01], [g01, g11]] to 50 digits, det / lam_max of the
+    exact entries, and (|g00 g11| + g01^2) / det, the condition of det."""
+    with mpmath.workdps(50):
+        a, b, c = mpmath.mpf(g00), mpmath.mpf(g11), mpmath.mpf(g01)
+        det = a * b - c * c
+        return det / ((a + b) / 2 + mpmath.sqrt(((a - b) / 2) ** 2 + c * c)), (abs(a * b) + c * c) / det
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g00=st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e), g11=st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e),
+       kind=st.sampled_from(["diagonal", "near-equal", "near-singular"]), size=st.floats(-12.0, -1.0),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_smallest_eigenvalue_is_its_50_digit_value_to_the_rounding_of_det(g00, g11, kind, size, sign):
+    # g00 and g11 log-uniform over 1e-150..1e150; g01 exactly 0, 10^size of the diagonal
+    # with g11 = g00 (near-equal eigenvalues), or (1 - 10^size) sqrt(g00 g11) (near-singular).
+    # On the entries scaled by the largest |entry| (rounding u = eps / 2 each), the two
+    # products and the difference give det within 3u (|ab| + c^2) + u |det|; lam_max, a sum
+    # of halves and a hypot of positive terms, within 7u; the division and the rescale 2u.
+    # So the relative error is at most 3u X + 10u <= 6.5 eps X, with X = (|ab| + c^2) / det >= 1
+    if kind == "near-equal":
+        g11, g01 = g00, sign * 10.0 ** size * g00
+    else:
+        g01 = 0.0 if kind == "diagonal" else sign * (1.0 - 10.0 ** size) * np.sqrt(g00 * g11)
+    got = _smallest_eigenvalue_of(g00, g01, g11)
+    if g01 == 0.0:
+        assert np.float64(got).tobytes() == np.float64(min(g00, g11)).tobytes()
+        return
+    want, condition = _exact_smallest_eigenvalue(g00, g01, g11)
+    assert abs(mpmath.mpf(got) - want) <= 6.5 * _EPS * condition * want
+
+
+@pytest.mark.parametrize("g00, g11", [(1e8, 1e-9), (1e150, 1e-150), (1e154, 1e154), (1e-150, 1e150)])
+def test_a_diagonal_metric_is_valid_with_its_smaller_entry_as_eigenvalue(g00, g11):
+    # eigenvalues apart by 1e17 or 1e300, or an unscaled trace that squares past the largest float
+    assert np.float64(_smallest_eigenvalue_of(g00, 0.0, g11)).tobytes() == np.float64(min(g00, g11)).tobytes()
+
+
+@pytest.mark.parametrize("g01", [4.3284e-6, 1e-9])
+def test_nearly_equal_eigenvalues_are_within_2_ulp_of_their_50_digit_value(g01):
+    got = _smallest_eigenvalue_of(1.0, g01, 1.0)
+    assert abs(mpmath.mpf(got) - _exact_smallest_eigenvalue(1.0, g01, 1.0)[0]) <= 2 * np.spacing(got)
 
 
 _BAD_VALUES = (0.0, -0.0, -1.0, np.nan, np.inf, 5e-324, 1e-160, 1e155)
@@ -475,7 +536,7 @@ _BAD_VALUES = (0.0, -0.0, -1.0, np.nan, np.inf, 5e-324, 1e-160, 1e155)
 def test_a_metric_is_checked_where_it_is_made_as_its_components_are(case, node, entry, value):
     # one bad node in a w I (bump-16, with g00 and g11), sheared or sphere
     # metric: LeafMetric raises the class, message and node of the checks on
-    # the four components, in their order (shape, symmetry, zero determinant,
+    # the four components, in their order (shape, symmetry, finiteness,
     # smallest eigenvalue), or accepts the metric with their eigenvalue
     m, _ = _kernel_case(case)
     comps = m.comps.copy()
@@ -571,12 +632,13 @@ def test_positive_definiteness_reports_node():
 
 
 def test_positive_definiteness_rejects_nan():
-    # NaN <= 0 is False, so a NaN eigenvalue must fail the check explicitly
+    # NaN <= 0 is False, so a NaN must fail explicitly: as not finite, not as singular
     m = sphere_metric(1.0, 16)
     comps = m.comps.copy()
     comps[4, 1, 1] = np.nan
-    with pytest.raises(SingularMetricError, match="node 4"):
+    with pytest.raises(MetricError, match=r"not finite \(node 4\)") as info:
         LeafMetric(m.grid, comps)
+    assert type(info.value) is MetricError and info.value.node == 4
 
 
 def test_inverse_closed_form():
