@@ -2,11 +2,12 @@
 
 The leaf metric evolves by dg'/dt = -2 Ric'(g') (forward) or +2 Ric'
 (backward).  Only forward steps are taken, with classical RK4, on the
-diagonal alone where Ric' = K g' keeps it so (w on g' = w I, (a, b) on
-the sphere chart), else on the 2x2 components; a backward run reverses a
-forward one.  Each step ends in a LeafMetric, valid once made and never
-edited in place, so only the RK stage states of w, which are not metrics,
-are checked here, by the metric's own rule.
+conformal factor alone where Ric' = K g' keeps g' = w g_0 so (every
+scenario: the flat g_0 on the torus, the round one on the sphere chart,
+where dw/dt = Delta_0 log w - 2), else on the 2x2 components; a backward
+run reverses a forward one.  Each step ends in a LeafMetric, valid once
+made and never edited in place, so only the RK stage states of w, which
+are not metrics, are checked here, by the metric's own rule.
 A scalar density u can be co-evolved by the heat equation
 (Delta - d/dt)u = 0 or the conjugate heat equation
 (d/dt - Delta + Scal')u = 0, interleaved Strang-style so u sees
@@ -20,9 +21,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import SPHERICAL_1D, ScalarField, field_values, finite_real
+from .grids import ScalarField, field_values, finite_real
 from .metric import DIM, CurvaturePack, LeafMetric, SingularMetricError, laplace_beltrami, ricci
-from .metric import _gauss_curvature_conformal, _gauss_curvature_symmetric, _min_eigenvalue
+from .metric import _min_eigenvalue, conformal_curvature
 from .metric import curvature as curvature_pack
 
 FORWARD = "forward"
@@ -36,13 +37,14 @@ SINGULAR = "singular"
 STEP_UNDERFLOW = "step-underflow"
 
 _CFL_NUMBER = 0.2
-# Heat substeps on g = w I: w^-1 Delta0 (the periodic 5-point Delta0) is self-adjoint in
-# the w-weighted inner product, so its spectrum is real, in [-4 diffusion_rate, 0], and
-# conjugate heat's -Scal' shifts it by at most max|Scal'|.  RK4's amplification R(z) lies
+# Heat substeps on g = w g_0: w^-1 Delta0 is self-adjoint in the w-weighted (on the sphere
+# chart w sin(theta)-weighted) inner product, so its spectrum is real, and by Gershgorin
+# in [-4 diffusion_rate, 0]: the rows of the periodic 5-point Delta0 sum to 8 / h^2, those
+# of the chart's flux form to 2 (s_{i+1/2} + s_{i-1/2}) / (s_i h^2) <= 4 / h^2, s = sin(theta).
+# Conjugate heat's -Scal' shifts it by at most max|Scal'|.  RK4's amplification R(z) lies
 # in (0, 1) on the real z in (-2.785, 0), and a substep h with h (diffusion_rate +
-# max|Scal'|) <= 0.6 keeps h (4 diffusion_rate + max|Scal'|) <= 2.4 within it.  The sphere
-# chart's Laplacian has a first-order term, so its spectrum is not proven real: its
-# substeps, the generic components' and the cfl-adaptive flow step keep _CFL_NUMBER.
+# max|Scal'|) <= 0.6 keeps h (4 diffusion_rate + max|Scal'|) <= 2.4 within it.  The
+# generic components' substeps and the cfl-adaptive flow step keep _CFL_NUMBER.
 _CONFORMAL_HEAT_CFL = 0.6
 _EPS = float(np.finfo(float).eps)
 
@@ -115,43 +117,29 @@ def _rk4(state: np.ndarray, k1: np.ndarray, rate, dt: float) -> np.ndarray:
 
 def step_flow(metric: LeafMetric, dt: float, pack: CurvaturePack | None = None) -> LeafMetric:
     """One forward RK4 step of dg'/dt = -2 Ric'(g'); stage 1 reads K off ``pack``, the
-    metric's own CurvaturePack, when given.  Ric' = K g' keeps a diagonal metric diagonal,
-    so the state is the diagonal d alone, with the rate -2 K d: ``metric.w`` on g' = w I,
-    whose stages 2-4 are checked as metrics are, and the sphere chart's unchecked (a, b).
-    That is bit for bit the components' step, error included, on every metric with +0.0
-    off the diagonal, where it writes +0.0: a chart metric with a tiny accepted g01 (at
-    most 1e-12 of its largest g_aa) steps to +0.0.  Any other metric is stepped as its
-    components, each stage and the result symmetrized as LeafMetrics: bit for bit where
-    g01 == g10, while a g10 only within the symmetry tolerance could drift past it."""
+    metric's own CurvaturePack, when given.  Ric' = K g' keeps g' = w g_0 so, and there the
+    state is ``metric.w`` alone, with the rate -2 K w, whose stages 2-4 are checked as metrics
+    are; the result is written as w g_0.  Any other metric is stepped as its components, each
+    stage and the result symmetrized as LeafMetrics: bit for bit where g01 == g10, while a g10
+    only within the symmetry tolerance could drift past it."""
     if dt <= 0:
         raise FlowError("dt must be positive")
     grid, w, g = metric.grid, metric.w, metric.comps
-    if w is None and grid.topology != SPHERICAL_1D:
+    if w is None:
         k1 = -2.0 * (ricci(metric) if pack is None else pack.ricci)
         out = _rk4(g, k1, lambda c: -2.0 * ricci(LeafMetric(grid, 0.5 * (c + np.swapaxes(c, -1, -2)))), dt)
         return LeafMetric(grid, 0.5 * (out + np.swapaxes(out, -1, -2)))
-    if w is None:  # the chart's (a, b), contiguous
-        state = np.diagonal(g, 0, -2, -1).T.copy()
-
-        def curvature(d):
-            return _gauss_curvature_symmetric(grid, d[0], d[1])
-    else:
-        state, curvature = w, lambda v: _gauss_curvature_conformal(grid, v)
-    k1 = curvature(state) if pack is None else pack.K
+    k1 = conformal_curvature(grid, w) if pack is None else pack.K
 
     def rate(d):
-        if w is not None:  # a stage's w, checked as a LeafMetric checks w I
-            _min_eigenvalue(d, d)
-        return -2.0 * (curvature(d) * d)
+        _min_eigenvalue(d, d)  # a stage's w, checked as a LeafMetric checks w
+        return -2.0 * (conformal_curvature(grid, d) * d)
 
-    out = _rk4(state, -2.0 * (k1 * state), rate, dt)
-    # as symmetrized components: 0.5 (d + d) on the diagonal and +0.0 off it, where the rates
-    # -2 K (+0.0) are NaN only at a K not finite, and there d is not finite either
-    out += out
-    out *= 0.5
+    out = _rk4(w, -2.0 * (k1 * w), rate, dt)
     comps = np.zeros(grid.shape + (DIM, DIM))
-    comps[..., 0, 0], comps[..., 1, 1] = (out, out) if w is not None else out
-    return LeafMetric(grid, comps, None if w is None else out)
+    comps[..., 0, 0] = out
+    np.multiply(out, grid.background_g11, out=comps[..., 1, 1])
+    return LeafMetric(grid, comps, out)
 
 
 def _check_singular(metric: LeafMetric, threshold: float):
@@ -168,10 +156,10 @@ def _heat_rhs(pack: CurvaturePack, u: np.ndarray, scal: np.ndarray | None) -> np
 def _heat_substep(pack: CurvaturePack, u: np.ndarray, dt: float, mode: str) -> np.ndarray:
     """Advance u by dt on the frozen metric of ``pack`` with RK4, CFL-limited
     substeps that share its inverse, diffusion rate and the Christoffel symbols its
-    Laplacian reads (none on w I, two on the sphere chart); conjugate heat also
-    reads Scal' = 2K, which plain heat never computes.  A substep h keeps
-    h (diffusion_rate + max|Scal'|) at or below _CONFORMAL_HEAT_CFL on w I, where RK4
-    is provably stable, and _CFL_NUMBER elsewhere.  A NaN or inf in u raises
+    Laplacian reads (none on w g_0); conjugate heat also reads Scal' = 2K, which
+    plain heat never computes.  A substep h keeps h (diffusion_rate + max|Scal'|) at
+    or below _CONFORMAL_HEAT_CFL on w g_0, where RK4 is provably stable, and
+    _CFL_NUMBER elsewhere.  A NaN or inf in u raises
     FlowError, and numpy prints no warning for it first."""
     scal = pack.scal if mode == HEAT_CONJUGATE else None
     rate = pack.diffusion_rate

@@ -15,7 +15,8 @@ one pass of contiguous slices over its input read as a C-ordered flat array
 (:func:`_periodic_stencil`).  The spherical grid reflects fields evenly
 across its poles: a stencil gathers each node's neighbours through a pair
 of index arrays built once per grid, in which the node past either end is
-that end node itself.
+that end node itself.  Each grid has a background metric g_0 = dx^2 + g11_0 dy^2,
+flat or round, whose Laplacian is :func:`background_laplacian`.
 """
 from __future__ import annotations
 
@@ -70,6 +71,17 @@ class LeafGrid:
         node past either end onto that end node."""
         i = np.arange(self.shape[0])
         return np.minimum(i + 1, i[-1]), np.maximum(i - 1, 0)
+
+    @cached_property
+    def background_g11(self):
+        """g11_0 of the background metric g_0 = dx^2 + g11_0 dy^2, computed once: 1.0 on a
+        periodic grid, sin^2 theta per node on the sphere chart, each at most 1."""
+        return 1.0 if self.topology == PERIODIC_2D else np.sin(self.axes[0]) ** 2
+
+    @cached_property
+    def _round_sines(self) -> tuple:  # (sin theta_{i+1/2} / h at the n - 1 interior faces, h sin theta_i)
+        h = self.spacings[0]
+        return np.sin(np.arange(1, self.shape[0]) * h) / h, h * np.sin(self.axes[0])
 
     def coordinate_fields(self):
         """Coordinate values broadcast to the grid shape."""
@@ -181,6 +193,22 @@ def periodic_laplacian(grid: LeafGrid, values: np.ndarray) -> np.ndarray:
     + second_deriv(grid, f, 1), C-contiguous."""
     out = second_deriv(grid, values, 0)
     out += second_deriv(grid, values, 1)
+    return out
+
+
+def background_laplacian(grid: LeafGrid, values: np.ndarray) -> np.ndarray:
+    """Delta_0 f of the grid's background metric: :func:`periodic_laplacian` on a periodic grid;
+    on the sphere chart the round metric's, in flux form (F_{i+1/2} - F_{i-1/2}) / (h sin theta_i)
+    with F_{i+1/2} = (sin theta_{i+1/2} / h) (f_{i+1} - f_i), whose fluxes through the poles are
+    exactly 0 (not sin(pi) = 1.2e-16), so Delta_0 of a constant is exactly 0."""
+    if grid.topology == PERIODIC_2D:
+        return periodic_laplacian(grid, values)
+    face, cell = grid._round_sines
+    flux = np.zeros(len(cell) + 1)
+    inner = np.subtract(values[1:], values[:-1], out=flux[1:-1])
+    inner *= face
+    out = np.subtract(flux[1:], flux[:-1])
+    out /= cell
     return out
 
 

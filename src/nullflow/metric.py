@@ -3,36 +3,31 @@
 The leaf is a 2-D Riemannian manifold discretized on a structured grid.
 In two dimensions every curvature is carried by the Gauss curvature K:
 Ric = K g, Scal = 2K and Rm = K (g_ac g_bd - g_ad g_bc), so K is the only
-curvature computed here and the rest are derived from it.  On periodic
-grids K comes from the finite-difference Christoffel / Ricci construction,
-Ric_sn = sum_m R^m_{smn}, whose m = n summand is exactly 0.0 (an array
-minus itself), so only m = 1 - n and the half of the d_d Gamma^c_ab it
-reads are computed.  On spherical 1-D grids (diagonal metrics
-a(x) dx^2 + b(x) dy^2) it comes from the surface-of-revolution formula
+curvature computed here and the rest are derived from it.
 
-    K = -(1 / (2 sqrt(ab))) d/dx ( b' / sqrt(ab) ),
+Every scenario starts conformal to its grid's background metric g_0 (the
+flat one on the torus, the round one on the sphere chart), and the flow
+keeps it so, since Ric = K g scales g at each node.  A metric g = w g_0
+(g01 and g10 zero, g11 == g00 g11_0 bit for bit) is carried by w alone,
+with K = (K_0 - Delta_0 log w / 2) / w and Delta_g = w^-1 Delta_0
+(Chow & Knopf, The Ricci Flow: An Introduction, 2004, ch. 5), where Delta_0
+is :func:`~nullflow.grids.background_laplacian`.  On the sphere chart
+K_0 = 1 and K is that formula, exact on a uniform w; a chart metric of any
+other form is rejected where it is made.  On the torus K keeps the
+Christoffel route's operations on Gamma = +-p, +-q, with
+gi = g^00 = g^11 = w / (w w), p = gi d_0 w / 2 and q = gi d_1 w / 2, which
+drops its products by g^01 = +-0 and its pairs that cancel exactly.
 
-which stays uniformly second-order accurate up to the excluded poles of
-the chart, where the generic route loses accuracy to the cot(theta)
-singularity of the Christoffel symbols.  The chart's Laplacian reads only
-g^00, g^11, Gamma^0_00 and Gamma^0_11, so its pack builds those four from a
-and b, and neither inverts the metric nor builds another symbol.
-
-Every periodic scenario starts as g = w I, and the flow keeps that form bit
-for bit.  For such a metric (g01 and g10 zero, g00 == g11 at every node)
-every Christoffel symbol is +-p or +-q, with gi = g^00 = g^11 = w / (w w),
-p = gi d_0 w / 2 and q = gi d_1 w / 2.  :func:`gauss_curvature`, the one place
-that picks K's route, then drops the Christoffel route's products by
-g^01 = +-0 and its pairs that cancel exactly, which can change only the sign
-of an exact zero.  In 2-D sqrt(g) g^ab is conformally invariant, so the
-Laplacian is flat, gi (d_00 f + d_11 f), and a pack of g = w I reads gi off w
-and builds its Christoffel symbols only if a Hessian reads them.
+A periodic metric not of that form takes K from the finite-difference
+Christoffel / Ricci construction, Ric_sn = sum_m R^m_{smn}, whose m = n
+summand is exactly 0.0 (an array minus itself), so only m = 1 - n and the
+half of the d_d Gamma^c_ab it reads are computed.
 
 A LeafMetric is checked and classified once, where it is made, and its
 ``comps`` are never edited in place after, so no kernel checks its metric
 again.  Its smallest eigenvalue follows one rule, min(g00, g11) exactly
-where g01 == 0 (on w I that is w), and :func:`_min_eigenvalue` is the one
-check of it.
+where g01 == 0 (on w g_0 that is w g11_0, as g11_0 <= 1), and
+:func:`_min_eigenvalue` is the one check of it.
 
 Every tensor is stored node-major, grid axes first and components last, as
 ``LeafMetric.comps``: g^ab, Ricci and the Hessian have shape grid + (2, 2),
@@ -46,12 +41,13 @@ from functools import cached_property
 import numpy as np
 
 from .grids import (
+    PERIODIC_2D,
     SPHERICAL_1D,
     LeafGrid,
+    background_laplacian,
     field_values,
     mixed_deriv,
     partial_deriv,
-    periodic_laplacian,
     second_deriv,
 )
 
@@ -65,13 +61,15 @@ def _trace(g, t) -> np.ndarray:
             + (g[..., 0, 1] * t[..., 0, 1] + g[..., 1, 1] * t[..., 1, 1]))
 
 
-def _conformal_factor(comps: np.ndarray) -> np.ndarray | None:
-    """w, contiguous, when ``comps`` is exactly w I: g01 and g10 zero and g00 ==
-    g11 at every node (a NaN fails); None otherwise."""
-    w = comps[..., 0, 0]
-    if np.any(comps[..., 0, 1]) or np.any(comps[..., 1, 0]) or not np.array_equal(w, comps[..., 1, 1]):
-        return None
-    return np.ascontiguousarray(w)
+def _not_conformal(comps: np.ndarray, g11_0=1.0) -> np.ndarray:
+    """Per node, whether ``comps`` is not exactly w g_0 there, for the background
+    g_0 = diag(1, g11_0): g01 or g10 not zero, or g11 != g00 g11_0 (a NaN is not)."""
+    return (comps[..., 0, 1] != 0.0) | (comps[..., 1, 0] != 0.0) | (comps[..., 1, 1] != comps[..., 0, 0] * g11_0)
+
+
+def _conformal_factor(comps: np.ndarray, g11_0=1.0) -> np.ndarray | None:
+    """w, contiguous, when ``comps`` is exactly w g_0 at every node; None otherwise."""
+    return None if _not_conformal(comps, g11_0).any() else np.ascontiguousarray(comps[..., 0, 0])
 
 
 class MetricError(ValueError):
@@ -89,7 +87,8 @@ class SingularMetricError(MetricError):
 def _smallest_eigenvalues(g00, g01, g11) -> np.ndarray:
     """Per node, the smaller eigenvalue of [[g00, g01], [g01, g11]]: min(g00, g11), exactly, where
     g01 == 0, else det / lam_max on the entries scaled by their largest magnitude, where nothing
-    cancels or overflows, and at most min(g00, g11), so that rounding never hides an entry <= 0."""
+    cancels or overflows (mean - radius where lam_max = mean + radius <= 0, as det / lam_max is
+    0 / 0 at lam_max == 0), and at most min(g00, g11), so that rounding never hides an entry <= 0."""
     lam = np.minimum(g00, g11)
     if g01.any():
         off = g01 != 0.0
@@ -97,8 +96,10 @@ def _smallest_eigenvalues(g00, g01, g11) -> np.ndarray:
         s = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
         with np.errstate(all="ignore"):  # where this is not finite, the check fails
             a, b, c = a / s, b / s, c / s
-            top = 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
-            lam[off] = np.minimum(lam[off], (a * b - c * c) / top * s)
+            mean, radius = 0.5 * (a + b), np.hypot(0.5 * (a - b), c)
+            top = mean + radius
+            low = np.where(top > 0.0, (a * b - c * c) / top, mean - radius)
+            lam[off] = np.minimum(lam[off], low * s)
     return lam
 
 
@@ -119,10 +120,11 @@ def _min_eigenvalue(lam: np.ndarray, comps: np.ndarray) -> float:
 
 @dataclass
 class LeafMetric:
-    """Symmetric positive-definite metric g'_ab per node, diagonal on the sphere chart, valid once
-    made, with ``comps`` never edited in place after: ``w`` is its conformal factor if g' = w I off
-    the sphere chart, else None (a caller that wrote ``comps`` as w I from a contiguous w, as the
-    flow step does, passes it, and only w is checked), and ``smallest_eigenvalue`` the least."""
+    """Symmetric positive-definite metric g'_ab per node, valid once made, with ``comps`` never
+    edited in place after: ``w`` is its conformal factor if g' = w g_0 for the grid's background
+    g_0, else None (a caller that wrote ``comps`` as w g_0 from a contiguous w, as the flow step
+    does, passes it, and only w is checked), and ``smallest_eigenvalue`` the least.  A sphere
+    chart metric must be w g_0, and a periodic one not of that form takes the generic route."""
 
     grid: LeafGrid
     comps: np.ndarray  # shape = grid.shape + (2, 2)
@@ -132,8 +134,8 @@ class LeafMetric:
         g = self.comps = np.asarray(self.comps, dtype=float)
         if g.shape != self.grid.shape + (DIM, DIM):
             raise MetricError(f"metric component shape {g.shape} invalid")
-        chart = self.grid.topology == SPHERICAL_1D
-        if self.w is None:  # else the caller wrote comps as w I from w, which alone is checked
+        chart, g11_0 = self.grid.topology == SPHERICAL_1D, self.grid.background_g11
+        if self.w is None:  # else the caller wrote comps as w g_0 from w, which alone is checked
             a, b = g[..., 0, 1], g[..., 1, 0]
             if not (a == b).all():  # a NaN fails; then np.allclose(a, b, atol=1e-14)'s predicate
                 with np.errstate(invalid="ignore"):  # inf - inf
@@ -144,14 +146,15 @@ class LeafMetric:
                         node = int(np.argmax(bad))
                         raise MetricError(f"metric components are not finite (node {node})", node)
                     raise MetricError("metric components are not symmetric")
-            self.w = None if chart else _conformal_factor(g)
+            self.w = _conformal_factor(g, g11_0)
         g00, g01, g11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]  # the form the kernels read
-        self.smallest_eigenvalue = (_min_eigenvalue(self.w, self.w) if self.w is not None
-                                    else _min_eigenvalue(_smallest_eigenvalues(g00, g01, g11), g))
-        if chart and g01.any():  # the chart's K and Laplacian read a diagonal metric
-            node = int(np.argmax(np.abs(g01)))
-            if abs(g01.flat[node]) > 1e-12 * max(np.max(g00), np.max(g11)):
-                raise MetricError(f"sphere chart metric not diagonal (node {node}, g01 {g01.flat[node]:.3e})", node)
+        # w g_0's eigenvalues are w and g11 = w g11_0 <= w, with g11 == w off the chart
+        lam = _smallest_eigenvalues(g00, g01, g11) if self.w is None else g11 if chart else self.w
+        self.smallest_eigenvalue = _min_eigenvalue(lam, g if self.w is None else self.w)
+        if chart and self.w is None:  # every kernel reads a chart metric as w g_0
+            node = int(np.argmax(_not_conformal(g, g11_0)))
+            raise MetricError("sphere chart metric not w g_round: g12 != 0 or g22 != g11 sin^2(theta) "
+                              f"(node {node})", node)
 
     def inverse(self) -> np.ndarray:
         g = self.comps
@@ -168,8 +171,8 @@ class CurvaturePack:
     """The geometry of one frozen metric, built once by :func:`curvature` for every operator on
     it, each part on first read: the inverse ``ginv`` (g^ab, shape grid + (a, b)), the Christoffel
     symbols (Gamma^c_ab, shape grid + (c, a, b)), the Gauss curvature K and the CFL diffusion rate.
-    The heat Laplacian, its rate and |grad f|^2 read ``inverse_diagonal``, which g = w I and the
-    sphere chart build without ``ginv`` or a Christoffel symbol.  The 2-D Ricci and scalar
+    The heat Laplacian, its rate and |grad f|^2 read ``inverse_diagonal``, which g = w g_0 builds
+    without ``ginv`` or a Christoffel symbol.  The 2-D Ricci and scalar
     curvatures are derived from K; Riemann, K (g_ac g_bd - g_ad g_bc), is not provided."""
 
     def __init__(self, metric: LeafMetric):
@@ -184,29 +187,14 @@ class CurvaturePack:
         return christoffel(self.metric, self.ginv)
 
     @cached_property
-    def chart_coefficients(self) -> tuple:
-        """(g^00, g^11, Gamma^0_00, Gamma^0_11) of the sphere chart's a dx^2 + b dy^2, contiguous,
-        for its Laplacian and diffusion rate.  With g01 = +0.0, as every scenario and flow step
-        writes it, they are bit for bit the diagonal of ``ginv`` and those entries of
-        :attr:`christoffel`, read without inverting the metric: there the determinant
-        a b - (+0.0) is a b, the brackets (da + da) - da and (0.0 + 0.0) - db are da (never
-        -0.0, as a > 0) and 0.0 - db, and each term in g^01 = -0.0 adds -0.0."""
-        g = self.metric.comps
-        a, b = g[..., 0, 0], g[..., 1, 1]
-        det = a * b
-        g00 = b / det
-        return (g00, a / det, 0.5 * (g00 * partial_deriv(self.grid, a, 0)),
-                0.5 * (g00 * (0.0 - partial_deriv(self.grid, b, 0))))
-
-    @cached_property
     def inverse_diagonal(self) -> tuple:
-        """(g^00, g^11): on g = w I both w / (w w), one contiguous array, bit for bit ``ginv``'s
-        (its determinant is w w - 0 0); the sphere chart's :attr:`chart_coefficients`; else ``ginv``'s."""
-        if self.metric.w is not None:
-            return (self.metric.w / (self.metric.w * self.metric.w),) * DIM
-        if self.grid.topology == SPHERICAL_1D:
-            return self.chart_coefficients[:2]
-        return self.ginv[..., 0, 0], self.ginv[..., 1, 1]
+        """(g^00, g^11): on g = w g_0, gi = w / (w w), one contiguous array, and gi / g11_0 (gi
+        itself off the chart: bit for bit ``ginv``'s, whose determinant is w w - 0 0); else ``ginv``'s."""
+        w = self.metric.w
+        if w is None:
+            return self.ginv[..., 0, 0], self.ginv[..., 1, 1]
+        gi = w / (w * w)
+        return (gi, gi) if self.grid.topology == PERIODIC_2D else (gi, gi / self.grid.background_g11)
 
     @property
     def grid(self) -> LeafGrid:
@@ -250,13 +238,6 @@ def christoffel(metric: LeafMetric, ginv: np.ndarray | None = None) -> np.ndarra
             for c in range(DIM):
                 gamma[..., c, a, b] = 0.5 * (ginv[..., c, 0] * b0 + ginv[..., c, 1] * b1)
     return gamma
-
-
-def _gauss_curvature_symmetric(grid: LeafGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """K of the sphere chart's a dx^2 + b dy^2, the diagonal of a metric or of a flow stage."""
-    root = np.sqrt(a * b)
-    inner = partial_deriv(grid, b, 0) / root
-    return -partial_deriv(grid, inner, 0) / (2.0 * root)
 
 
 def _gauss_curvature_generic(pack: CurvaturePack) -> np.ndarray:
@@ -312,14 +293,25 @@ def _gauss_curvature_conformal(grid: LeafGrid, w: np.ndarray) -> np.ndarray:
     return k
 
 
+def conformal_curvature(grid: LeafGrid, w: np.ndarray) -> np.ndarray:
+    """K of g = w g_0: :func:`_gauss_curvature_conformal` on the torus, and on the sphere chart
+    (1 - Delta_0 log w / 2) / w, exactly 1 / w on a uniform w.  It checks nothing: w is a
+    metric's, or an RK stage's that the flow checked."""
+    if grid.topology == PERIODIC_2D:
+        return _gauss_curvature_conformal(grid, w)
+    k = background_laplacian(grid, np.log(w))
+    k *= -0.5
+    k += 1.0
+    k /= w
+    return k
+
+
 def gauss_curvature(metric: LeafMetric, pack: CurvaturePack | None = None) -> np.ndarray:
     """Gauss curvature K per node, the one place that picks its route: the
-    surface-of-revolution formula on spherical charts, the conformal one on
-    g = w I exactly, else the Christoffel route on ``pack`` (built if not given)."""
+    conformal one on g = w g_0 exactly, else the Christoffel route on ``pack``
+    (built if not given)."""
     if metric.w is not None:
-        return _gauss_curvature_conformal(metric.grid, metric.w)
-    if metric.grid.topology == SPHERICAL_1D:
-        return _gauss_curvature_symmetric(metric.grid, metric.comps[..., 0, 0], metric.comps[..., 1, 1])
+        return conformal_curvature(metric.grid, metric.w)
     return _gauss_curvature_generic(curvature(metric) if pack is None else pack)
 
 
@@ -343,13 +335,13 @@ def gradient(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np
 
 def grad_norm_sq(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np.ndarray:
     """||grad f||^2 = g^ab d_a f d_b f >= 0, summed in the order of
-    np.einsum("...ab,...a,...b->...").  On g = w I and the sphere chart it reads the pack's
-    g^00 and g^11 alone, with g^01 = g^10 = 0.0: the sign of a zero term cannot change the
-    sum, whose first term is never -0.0, and a NaN or inf d f still makes its node NaN."""
+    np.einsum("...ab,...a,...b->...").  On g = w g_0 it reads the pack's g^00 and g^11 alone,
+    with g^01 = g^10 = 0.0: the sign of a zero term cannot change the sum, whose first term
+    is never -0.0, and a NaN or inf d f still makes its node NaN."""
     pack = curvature(metric) if pack is None else pack
     values = field_values(field, metric.grid)
     d0, d1 = (partial_deriv(metric.grid, values, axis=d) for d in range(DIM))
-    if metric.w is None and metric.grid.topology != SPHERICAL_1D:
+    if metric.w is None:
         g00, g01, g10, g11 = (pack.ginv[..., a, b] for a in range(DIM) for b in range(DIM))
     else:
         (g00, g11), g01, g10 = pack.inverse_diagonal, 0.0, 0.0
@@ -377,23 +369,14 @@ def hessian(metric: LeafMetric, field, gamma: np.ndarray | None = None) -> np.nd
 
 def laplace_beltrami(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np.ndarray:
     """Delta f = g^ab f_ab, the trace of :func:`hessian`, on ``pack`` (built from
-    ``metric`` if not given).  On g = w I it takes the flat form
-    gi (d_00 f + d_11 f), which reads no Christoffel symbol; the sphere chart
-    skips the terms that vanish on its diagonal metric."""
+    ``metric`` if not given).  On g = w g_0 it is w^-1 Delta_0 f (in 2-D sqrt(g) g^ab
+    is conformally invariant), g^00 times the background Laplacian, which reads no
+    Christoffel symbol."""
     values = field_values(field, metric.grid)
     pack = curvature(metric) if pack is None else pack
-    grid = metric.grid
     if metric.w is not None:
-        lap = periodic_laplacian(grid, values)
+        lap = background_laplacian(metric.grid, values)
         return np.multiply(lap, pack.inverse_diagonal[0], out=lap)
-    if grid.topology == SPHERICAL_1D:
-        # d_1 f, d_11 f, d_01 f, g^01 and Gamma^0_01 vanish on the chart; d_0 f and d_00 f are
-        # partial_deriv's and second_deriv's stencils on u's reflected neighbours, gathered once
-        (g00, g11, G000, G011), (nxt, prv) = pack.chart_coefficients, grid.reflected_neighbours
-        up, down, h = values[nxt], values[prv], grid.spacings[0]
-        d0 = (up - down) / (2.0 * h)
-        h00 = (up - 2.0 * values + down) / h ** 2 - G000 * d0
-        return g00 * h00 + g11 * (0.0 - G011 * d0)
     return _trace(pack.ginv, hessian(metric, values, pack.christoffel))
 
 

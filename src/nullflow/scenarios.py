@@ -27,10 +27,9 @@ def sphere_metric(radius: float, n: int = DEFAULT_RESOLUTION) -> LeafMetric:
     if not (finite_real(radius) and radius > 0):
         raise ScenarioError(f"sphere radius must be a finite number above 0, got {radius!r}")
     grid = make_sphere_grid(n)
-    theta = grid.axes[0]
     comps = np.zeros(grid.shape + (DIM, DIM))
     comps[..., 0, 0] = radius**2
-    comps[..., 1, 1] = radius**2 * np.sin(theta) ** 2
+    comps[..., 1, 1] = radius**2 * grid.background_g11  # r^2 g_round, as LeafMetric checks it
     return LeafMetric(grid, comps)
 
 

@@ -5,9 +5,11 @@ traces.
 
 nullflow.metric and nullflow.grids compute the same quantities on the same
 node-major arrays with slice stencils; the tests require the two routes to
-agree bit for bit.  ``step_flow`` is the flow's RK4 step on the
-2x2 components, which nullflow.flow takes on the diagonal alone for g = w I
-and on the sphere chart.
+agree bit for bit.  ``step_flow`` is the flow's RK4 step on the 2x2
+components of a periodic metric, which nullflow.flow takes on w alone for
+g = w I.  A sphere chart metric is w g_round, and its K, Laplacian and flow
+step read w = g00 alone, with the round metric's Laplacian in flux form
+(:func:`round_laplacian`).
 """
 import numpy as np
 
@@ -60,6 +62,31 @@ def mixed_deriv(grid, values):
     return partial_deriv(grid, partial_deriv(grid, values, 0), 1)
 
 
+def round_laplacian(grid, values):
+    """Delta_0 f of the round metric on the chart, (F_{i+1/2} - F_{i-1/2}) / (h sin theta_i)
+    with F_{i+1/2} = sin theta_{i+1/2} (f_{i+1} - f_i) / h and both fluxes through the poles 0."""
+    h, n = grid.spacings[0], grid.shape[0]
+    face = np.sin(np.arange(1, n) * h) / h
+    flux = np.concatenate([[0.0], np.diff(values) * face, [0.0]])
+    return np.diff(flux) / (h * np.sin(grid.axes[0]))
+
+
+def round_curvature(grid, w):
+    """K of w g_round, (1 - Delta_0 log w / 2) / w."""
+    return (1.0 - 0.5 * round_laplacian(grid, np.log(w))) / w
+
+
+def _check_w(w):
+    """A stage's w checked as a metric w g_0 is: not finite fails first, then w <= 0 or NaN."""
+    bad = ~np.isfinite(w)
+    if bad.any():
+        node = int(np.argmax(bad))
+        raise MetricError(f"metric components are not finite (node {node})", node)
+    if not np.all(w > 0.0):
+        node = int(np.argmin(w))
+        raise SingularMetricError(f"metric not positive definite (node {node}, eigenvalue {w[node]:.3e})", node)
+
+
 def inverse(metric):
     g = metric.comps
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
@@ -89,11 +116,8 @@ def christoffel(metric):
 
 def gauss_curvature(metric):
     grid = metric.grid
-    if grid.topology == SPHERICAL_1D:  # surface-of-revolution formula
-        a, b = metric.comps[..., 0, 0], metric.comps[..., 1, 1]
-        root = np.sqrt(a * b)
-        inner = partial_deriv(grid, b, 0) / root
-        return -partial_deriv(grid, inner, 0) / (2.0 * root)
+    if grid.topology == SPHERICAL_1D:
+        return round_curvature(grid, metric.comps[..., 0, 0])
     gamma = christoffel(metric)
     dgamma = [partial_deriv(grid, gamma, axis=d) for d in range(DIM)]
     ric = np.zeros(grid.shape + (DIM, DIM))
@@ -131,6 +155,9 @@ def hessian(metric, values):
 
 
 def laplace_beltrami(metric, values):
+    if metric.grid.topology == SPHERICAL_1D:  # w^-1 Delta_0 f, with g^00 = w / (w w) as on w I
+        w = metric.comps[..., 0, 0]
+        return round_laplacian(metric.grid, values) * (w / (w * w))
     return np.einsum("...ab,...ab->...", inverse(metric), hessian(metric, values))
 
 
@@ -139,7 +166,7 @@ def _min_eigenvalue(comps):
     within the symmetry check's tolerance of it), checked: a component not
     finite fails first, then an eigenvalue <= 0 or NaN.  It is min(g00, g11)
     where g01 == 0, else det / lam_max of the form scaled by its largest
-    |entry|, and never above min(g00, g11)."""
+    |entry| (lam_min itself where lam_max <= 0), and never above min(g00, g11)."""
     g = comps
     bad = ~np.isfinite(g).all(axis=(-2, -1))
     if bad.any():
@@ -149,8 +176,8 @@ def _min_eigenvalue(comps):
     with np.errstate(divide="ignore", invalid="ignore"):
         a, b, c = g00 / scale, g11 / scale, g01 / scale
         lam_max = 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
-        lam = np.where(g01 == 0.0, np.minimum(g00, g11),
-                       np.minimum(np.minimum(g00, g11), (a * b - c * c) / lam_max * scale))
+        low = np.where(lam_max > 0.0, (a * b - c * c) / lam_max, 0.5 * (a + b) - np.hypot(0.5 * (a - b), c))
+        lam = np.where(g01 == 0.0, np.minimum(g00, g11), np.minimum(np.minimum(g00, g11), low * scale))
     if not np.all(lam > 0.0):
         node = int(np.argmin(lam))
         raise SingularMetricError(f"metric not positive definite (node {node}, eigenvalue {lam.flat[node]:.3e})")
@@ -161,7 +188,7 @@ def check_metric(grid, comps):
     """The checks of a metric in their order, on its four components: shape,
     symmetry as np.allclose(g01, g10, atol=1e-14) decides it (a non-finite
     component named by node), then :func:`_min_eigenvalue`, which it returns,
-    and on the sphere chart |g01| <= 1e-12 of the largest diagonal entry."""
+    and on the sphere chart that g01 == g10 == 0 and g11 == g00 sin^2(theta) at every node."""
     comps = np.asarray(comps, dtype=float)
     if comps.shape != grid.shape + (DIM, DIM):
         raise MetricError(f"metric component shape {comps.shape} invalid")
@@ -171,21 +198,17 @@ def check_metric(grid, comps):
             raise MetricError(f"metric components are not finite (node {int(np.argmax(bad))})")
         raise MetricError("metric components are not symmetric")
     lam = _min_eigenvalue(comps)
-    g01, top = comps[..., 0, 1], max(comps[..., 0, 0].max(), comps[..., 1, 1].max())
-    if grid.topology == SPHERICAL_1D and np.abs(g01).max() > 1e-12 * top:
-        node = int(np.argmax(np.abs(g01)))
-        raise MetricError(f"sphere chart metric not diagonal (node {node}, g01 {g01.flat[node]:.3e})")
+    if grid.topology == SPHERICAL_1D:
+        off = ((comps[..., 0, 1] != 0.0) | (comps[..., 1, 0] != 0.0)
+               | (comps[..., 1, 1] != comps[..., 0, 0] * np.sin(grid.axes[0]) ** 2))
+        if off.any():
+            raise MetricError("sphere chart metric not w g_round: g12 != 0 or g22 != g11 sin^2(theta) "
+                              f"(node {int(np.argmax(off))})")
     return lam
 
 
 def _component_rate(grid, comps):
-    """-2 Ric' of the components: on the sphere chart unchecked, as its stage
-    states were, with K from nullflow.metric's chart formula; on a periodic
-    grid after their checks."""
-    if grid.topology == SPHERICAL_1D:
-        stage = object.__new__(LeafMetric)
-        stage.grid, stage.comps, stage.w = grid, comps, None
-        return -2.0 * ricci(stage)
+    """-2 Ric' of a periodic metric's components, after their checks."""
     _min_eigenvalue(comps)
     w = _conformal_factor(comps)
     if w is None:
@@ -193,11 +216,34 @@ def _component_rate(grid, comps):
     return -2.0 * (_gauss_curvature_conformal(grid, w)[..., None, None] * comps)
 
 
+def _chart_rate(grid, w):
+    """-2 K w of a chart stage's w, after its check."""
+    _check_w(w)
+    return -2.0 * (round_curvature(grid, w) * w)
+
+
+def _step_chart(metric, dt, pack):
+    """RK4 on w = g00 of a sphere chart metric, each stage's w checked; the
+    result is written as w g_round."""
+    grid, w = metric.grid, metric.comps[..., 0, 0]
+    k1 = -2.0 * ((round_curvature(grid, w) if pack is None else pack.K) * w)
+    k2 = _chart_rate(grid, w + 0.5 * dt * k1)
+    k3 = _chart_rate(grid, w + 0.5 * dt * k2)
+    k4 = _chart_rate(grid, w + dt * k3)
+    out = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    comps = np.zeros(metric.comps.shape)
+    comps[..., 0, 0] = out
+    comps[..., 1, 1] = out * np.sin(grid.axes[0]) ** 2
+    return LeafMetric(grid, comps)
+
+
 def step_flow(metric, dt, pack=None):
-    """nullflow.flow.step_flow as it stepped every metric: RK4 on the
+    """nullflow.flow.step_flow as it stepped every periodic metric: RK4 on the
     grid + (2, 2) components, symmetrized after the step, each stage's
-    components checked off the sphere chart."""
+    components checked; a sphere chart metric steps its w (:func:`_step_chart`)."""
     grid, g = metric.grid, metric.comps
+    if grid.topology == SPHERICAL_1D:
+        return _step_chart(metric, dt, pack)
     k1 = -2.0 * ricci(metric) if pack is None else -2.0 * pack.ricci
     k2 = _component_rate(grid, g + 0.5 * dt * k1)
     k3 = _component_rate(grid, g + 0.5 * dt * k2)

@@ -323,8 +323,9 @@ def _trajectories(draw):
     [0, 1e300]; u log-uniform over 5e-324..1e300 (both ends present in each
     field); a positive-definite metric s (a, c; c, b) with a node scale s
     log-uniform over 1e-300..1e300 (both ends present), a and b in [0.5, 2]
-    and |c| <= 0.4 of either sign (times 1e-13 on the sphere, whose chart
-    needs a diagonal metric to 1e-12), and g12 = 5e-324 and -0.0 at two nodes."""
+    and |c| <= 0.4 of either sign, and g12 = 5e-324 and -0.0 at two nodes; on
+    the sphere, whose chart metric is w g_round, g22 = g11 sin^2(theta) and
+    g12 = 0.0, -0.0 at two nodes."""
     kind, n = draw(st.sampled_from([("torus", 8), ("torus", 9), ("torus", 16), ("sphere", 8)]))
     grid = make_torus_grid(n) if kind == "torus" else make_sphere_grid(n)
     times = sorted(draw(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=3, unique=True)))
@@ -340,9 +341,11 @@ def _trajectories(draw):
         # s^2 (ab - c^2) >= 0.09 s^2, and the eigenvalues differ by a factor below 5
         scale, comps = cells(1e-300, 1e300), np.empty(grid.shape + (2, 2))
         comps[..., 0, 0], comps[..., 1, 1] = (scale * rng.uniform(0.5, 2.0, grid.shape) for _ in range(2))
-        g12 = scale * rng.uniform(-0.4, 0.4, grid.shape) * (1e-13 if kind == "sphere" else 1.0)
-        g12.flat[rng.choice(g12.size, 2, replace=False)] = (5e-324, -0.0)
+        g12 = scale * rng.uniform(-0.4, 0.4, grid.shape) * (0.0 if kind == "sphere" else 1.0)
+        g12.flat[rng.choice(g12.size, 2, replace=False)] = (0.0 if kind == "sphere" else 5e-324, -0.0)
         comps[..., 0, 1] = comps[..., 1, 0] = g12
+        if kind == "sphere":
+            comps[..., 1, 1] = comps[..., 0, 0] * np.sin(grid.axes[0]) ** 2
         metrics.append(LeafMetric(grid, comps))
     heat = draw(st.booleans())
     termination = draw(st.sampled_from([REACHED_T_END, SINGULAR, STEP_UNDERFLOW]))
@@ -913,7 +916,8 @@ def test_cli_exit_two_on_too_few_live_heat_samples(tmp_path, capsys):
 
 
 def test_cli_run_exits_two_on_a_nan_metric_where_a_collapse_ends_singular(tmp_path, capsys, monkeypatch):
-    # the golden run ends singular on an eigenvalue of its step's metric; a NaN put
+    # the golden run ends singular on an eigenvalue of its last step: w = r^2 - 2t stays
+    # uniform, and its stage 4 at t = 0.5 is a rounding below 0 at every node; a NaN put
     # into the third step's metric is no collapse: the run fails, naming its node,
     # and writes nothing
     import nullflow.flow as flow
@@ -938,7 +942,7 @@ def test_cli_run_exits_two_on_a_nan_metric_where_a_collapse_ends_singular(tmp_pa
     nan_at = None
     assert main(["run", str(GOLDEN_CONFIG), "--out", str(tmp_path / "golden")]) == 0
     assert "termination: singular" in capsys.readouterr().out
-    assert raised == ["metric not positive definite (node 14, eigenvalue -1.206e+01)"]
+    assert raised == ["metric not positive definite (node 0, eigenvalue -8.812e-16)"]
     nan_at, out = 3, tmp_path / "nan"
     steps.clear()
     assert main(["run", str(GOLDEN_CONFIG), "--out", str(out)]) == 2
@@ -1056,29 +1060,33 @@ def test_cli_verify_rejects_a_frozen_sample_not_positive_definite_naming_its_lin
 
 @pytest.mark.parametrize("sample", [2, -1], ids=["live", "frozen"])
 def test_cli_verify_rejects_a_sheared_sphere_sample_naming_its_line(tmp_path, capsys, sample):
-    # g12 = 1e-6 at node 24 of a golden sample: the sphere chart's metric must
-    # be diagonal, so the reader rejects it, live or past heat_valid_until
+    # g12 = 1e-6, or g22 one ulp off g11 sin^2(theta), at node 24 of a golden sample: the
+    # sphere chart's metric must be w g_round, so the reader rejects it, live or past
+    # heat_valid_until
     cfg = str(GOLDEN_CONFIG)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 0
     path = out / "trajectory.csv"
-    lines = path.read_text().splitlines()
+    written = path.read_text().splitlines()
     n_nodes = 48
-    blocks = (len(lines) - 2) // n_nodes
+    blocks = (len(written) - 2) // n_nodes
     k = sample % blocks
-    heat_valid_until = json.loads(lines[0][2:])["heat_valid_until"]
+    heat_valid_until = json.loads(written[0][2:])["heat_valid_until"]
     r = 2 + k * n_nodes + 24
-    cells = lines[r].split(",")
-    assert int(cells[1]) == 24 and (float(cells[0]) <= heat_valid_until) == (sample == 2)
-    cells[3] = "1e-06"
-    lines[r] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    code = main(["verify", str(path), "--theorem", "li-yau", "--params", cfg])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out == "" and err.startswith(
-        f"error: line {r + 1}: sphere chart metric not diagonal (node 24, ")
+    for column, value in ((3, "1e-06"), (4, repr(float(np.nextafter(float(written[r].split(",")[4]), 1.0))))):
+        lines = list(written)
+        cells = lines[r].split(",")
+        assert int(cells[1]) == 24 and (float(cells[0]) <= heat_valid_until) == (sample == 2)
+        cells[column] = value
+        lines[r] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["verify", str(path), "--theorem", "li-yau", "--params", cfg])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and err == (f"error: line {r + 1}: sphere chart metric not w g_round: "
+                                     "g12 != 0 or g22 != g11 sin^2(theta) (node 24)\n")
+
 
 def test_cli_determinism_across_runs_and_threads(tmp_path):
     cfg = _write_cfg(tmp_path, _base_doc())

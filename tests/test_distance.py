@@ -39,6 +39,7 @@ def _non_uniform_speed_metric():
     theta = base.grid.axes[0]
     comps = base.comps.copy()
     comps[..., 0, 0] = (1.0 + 0.5 * np.sin(3.0 * theta)) ** 2 + np.random.default_rng(3).random(40)
+    comps[..., 1, 1] = comps[..., 0, 0] * np.sin(theta) ** 2  # w g_round, as every chart metric is
     return LeafMetric(base.grid, comps)
 
 

@@ -147,8 +147,7 @@ def _check_one_curvature_pack_per_sample(monkeypatch, heat):
         FlowConfig(direction="backward", t_end=0.1, dt_initial=1e-3, heat=heat, sample_every=20),
         u0=ScalarField(m.grid, 2.0 + np.cos(m.grid.axes[0])),
     )
-    # the chart's Laplacian reads Gamma^0_00 and Gamma^0_11 alone, which the pack
-    # builds without the full Christoffel symbols
+    # on w g_round K and the Laplacian read w alone, and no Christoffel symbol
     assert len(calls) == len(traj.times) == 6 and gammas == []
     rep = verify(traj, "log-gradient-backward", EstimateParams(rho=0.5, center=16), cert=build_cutoff())
     assert rep.status == "holds"
@@ -271,11 +270,11 @@ def test_heat_builds_christoffel_symbols_once_per_metric(monkeypatch):
     from nullflow.config import parse_config
 
     seen, full, inverted = [], [], []
-    build, coefficients = metric_module.christoffel, metric_module.CurvaturePack.chart_coefficients.func
+    build, coefficients = metric_module.christoffel, metric_module.CurvaturePack.inverse_diagonal.func
     monkeypatch.setattr(metric_module, "christoffel", lambda m, *ginv: full.append(m) or build(m, *ginv))
     spy = cached_property(lambda pack: seen.append(pack) or coefficients(pack))
-    spy.__set_name__(metric_module.CurvaturePack, "chart_coefficients")
-    monkeypatch.setattr(metric_module.CurvaturePack, "chart_coefficients", spy)
+    spy.__set_name__(metric_module.CurvaturePack, "inverse_diagonal")
+    monkeypatch.setattr(metric_module.CurvaturePack, "inverse_diagonal", spy)
     inverse = LeafMetric.inverse
     monkeypatch.setattr(LeafMetric, "inverse", lambda self: inverted.append(self) or inverse(self))
     cfg = parse_config((Path(__file__).parent / "data" / "golden_config.json").read_text())
@@ -283,8 +282,8 @@ def test_heat_builds_christoffel_symbols_once_per_metric(monkeypatch):
     run_flow(m, cfg.flow, u0=cfg.build_heat_initial(m))
     # the heat runs to t = 0.3 in 600 steps of 5e-4, so it sees 601 metrics, each
     # with one pack; rebuilding the operator at every RK stage made 4,800 calls.
-    # The chart's Laplacian reads g^00, g^11, Gamma^0_00 and Gamma^0_11 alone, which
-    # a pack builds once from a and b, so no metric is inverted or builds all 8 symbols
+    # On w g_round the Laplacian and its rate read g^00 = w / (w w) alone, which a
+    # pack builds once from w, so no metric is inverted or builds a Christoffel symbol
     assert len(seen) == len({id(pack) for pack in seen}) == 601
     assert full == [] and inverted == []
 
@@ -347,7 +346,7 @@ def test_conformal_route_leaves_every_stored_bit_unchanged(monkeypatch, directio
     for _ in range(2):
         runs.append(run_flow(m, config, u0=ScalarField(m.grid, 2.0 + np.sin(x))))
         # then every metric takes the generic Christoffel route
-        monkeypatch.setattr(metric_module, "_conformal_factor", lambda comps: None)
+        monkeypatch.setattr(metric_module, "_conformal_factor", lambda *args: None)
     fast, generic = runs
     assert fast.times.tobytes() == generic.times.tobytes() and len(fast.times) == 3
     # bytes, so that a zero's sign counts as it does in the CSV
@@ -357,17 +356,13 @@ def test_conformal_route_leaves_every_stored_bit_unchanged(monkeypatch, directio
         assert a.values.tobytes() == b.values.tobytes()
 
 
-def _components_route(monkeypatch):
-    """Step the sphere chart as its components and give its heat Laplacian and
-    diffusion rate the inverse's diagonal and the two symbols they read out of
-    ``ginv`` and the full Christoffel symbols, as all were."""
+def _reference_route(monkeypatch):
+    """Step the sphere chart and take its heat Laplacian on the node-major
+    reference kernels: RK4 on w with the chart K, and w^-1 Delta_0 u."""
     import nullflow.flow as flow
-    import nullflow.metric as metric_module
 
     monkeypatch.setattr(flow, "step_flow", ref.step_flow)
-    monkeypatch.setattr(metric_module.CurvaturePack, "chart_coefficients", property(
-        lambda pack: (pack.ginv[..., 0, 0], pack.ginv[..., 1, 1],
-                      pack.christoffel[..., 0, 0, 0], pack.christoffel[..., 0, 1, 1])))
+    monkeypatch.setattr(flow, "laplace_beltrami", lambda metric, u, pack=None: ref.laplace_beltrami(metric, u))
 
 
 _CHART_RUNS = {  # the golden run's flow, shortened where heat runs
@@ -382,63 +377,80 @@ _CHART_RUNS = {  # the golden run's flow, shortened where heat runs
 @pytest.mark.parametrize("n", [16, 48, 97])
 @pytest.mark.parametrize("run", list(_CHART_RUNS))
 def test_chart_route_leaves_every_stored_bit_unchanged(monkeypatch, run, n):
-    m = sphere_metric(1.0, n)
-    u0 = ScalarField(m.grid, 1.0 + 0.2 * np.cos(m.grid.axes[0]))
+    # the flow's w step and flux-form Laplacian against the node-major reference's, on
+    # the round sphere, whose w stays uniform, and on w = 1 + 0.2 cos(theta), whose does not
+    round_sphere = sphere_metric(1.0, n)
+    comps = round_sphere.comps.copy()
+    comps[..., 0, 0] = 1.0 + 0.2 * np.cos(round_sphere.grid.axes[0])
+    comps[..., 1, 1] = comps[..., 0, 0] * round_sphere.grid.background_g11
+    u0 = ScalarField(round_sphere.grid, 1.0 + 0.2 * np.cos(round_sphere.grid.axes[0]))
     config = _CHART_RUNS[run]
-    runs = []
-    for _ in range(2):
-        runs.append(run_flow(m, config, u0=u0 if config.heat != "none" else None))
-        _components_route(monkeypatch)
-    diagonal, components = runs
-    assert diagonal.termination == components.termination
-    assert (diagonal.termination == "singular") == (run == "flow-to-singular")
-    assert np.float64(diagonal.singular_time or 0.0).tobytes() == np.float64(components.singular_time or 0.0).tobytes()
-    assert diagonal.times.tobytes() == components.times.tobytes() and len(diagonal.times) > 2
-    # bytes, so that a zero's sign counts as it does in the CSV
-    for a, b in zip(diagonal.metrics, components.metrics, strict=True):
-        assert a.comps.tobytes() == b.comps.tobytes()
-    if config.heat != "none":
-        for a, b in zip(diagonal.heat_fields, components.heat_fields, strict=True):
-            assert a.values.tobytes() == b.values.tobytes()
+    for m in (round_sphere, LeafMetric(round_sphere.grid, comps)):
+        runs = []
+        for _ in range(2):
+            runs.append(run_flow(m, config, u0=u0 if config.heat != "none" else None))
+            _reference_route(monkeypatch)
+        monkeypatch.undo()
+        chart, reference = runs
+        assert chart.termination == reference.termination
+        assert (chart.termination == "singular") == (run == "flow-to-singular")
+        assert np.float64(chart.singular_time or 0.0).tobytes() == np.float64(reference.singular_time or 0.0).tobytes()
+        assert chart.times.tobytes() == reference.times.tobytes() and len(chart.times) > 2
+        # bytes, so that a zero's sign counts as it does in the CSV
+        for a, b in zip(chart.metrics, reference.metrics, strict=True):
+            assert a.comps.tobytes() == b.comps.tobytes()
+        if config.heat != "none":
+            for a, b in zip(chart.heat_fields, reference.heat_fields, strict=True):
+                assert a.values.tobytes() == b.values.tobytes()
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3, 4])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_a_chart_k_not_finite_fails_as_the_component_step(monkeypatch, stage, value):
+    # a non-finite K at one node and RK stage fails the step as the reference's
+    # does: the next stage's check on w, or at stage 4 the result's, names the node
     import nullflow.flow as flow
-    import nullflow.metric as metric_module
 
-    kernel = metric_module._gauss_curvature_symmetric
     m = sphere_metric(1.0, 48)
     outcomes = []
-    for step, module in ((step_flow, flow), (ref.step_flow, metric_module)):
-        calls = []
+    for step, module, name in ((step_flow, flow, "conformal_curvature"), (ref.step_flow, ref, "round_curvature")):
+        kernel, calls = getattr(module, name), []
 
-        def bad_kernel(grid, a, b):
+        def bad_kernel(grid, w, kernel=kernel, calls=calls):
             calls.append(1)
-            k = kernel(grid, a, b)
+            k = kernel(grid, w)
             if len(calls) == stage:
                 k[17] = value
             return k
 
-        monkeypatch.setattr(module, "_gauss_curvature_symmetric", bad_kernel)
+        monkeypatch.setattr(module, name, bad_kernel)
         with np.errstate(invalid="ignore"), pytest.raises(MetricError) as info:
             step(m, 5e-4)
         outcomes.append((type(info.value), str(info.value), info.value.node))
-        assert len(calls) == 4
+        assert len(calls) == stage
     assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] is MetricError and "not finite" in outcomes[0][1]
+    assert outcomes[0] == (MetricError, "metric components are not finite (node 17)", 17)
 
 
-def test_a_tiny_off_diagonal_on_the_chart_steps_to_positive_zero():
-    # |g01| <= 1e-12 of the largest diagonal entry is accepted as diagonal, and
-    # the chart's step reads and writes the diagonal alone
-    twin = sphere_metric(1.0, 48)
-    comps = twin.comps.copy()
-    comps[..., 0, 1] = comps[..., 1, 0] = 1e-13
-    out = step_flow(LeafMetric(twin.grid, comps), 5e-4)
-    assert out.comps.tobytes() == step_flow(twin, 5e-4).comps.tobytes()
-    assert not np.signbit(out.comps[..., 0, 1]).any() and not out.comps[..., 0, 1].any()
+def test_chart_heat_substeps_reach_the_conformal_stability_limit(monkeypatch):
+    # w^-1 Delta_0 in flux form has a real spectrum within 4 diffusion_rate, so the chart's
+    # heat substeps are taken at _CONFORMAL_HEAT_CFL: at n = 96, dt 2e-3 the run reaches
+    # t_end (the chart's former (a, b) flow blew up at t = 0.27), and plain heat stays
+    # within 1e-4 of u = 2 + (1 - 2t) cos(theta)
+    import nullflow.flow as flow
+
+    calls = []
+    laplacian = flow.laplace_beltrami
+    monkeypatch.setattr(flow, "laplace_beltrami", lambda *args: calls.append(1) or laplacian(*args))
+    m = sphere_metric(1.0, 96)
+    theta = m.grid.axes[0]
+    for heat in ("conjugate-heat", "heat"):
+        calls.clear()
+        traj = run_flow(m, FlowConfig(t_end=0.3, dt_initial=2e-3, heat=heat, sample_every=10),
+                        u0=ScalarField(m.grid, 2.0 + np.cos(theta)))
+        assert traj.termination == "reached-t_end" and traj.times[-1] == 0.3
+        assert len(calls) == 3392
+    assert np.max(np.abs(traj.heat_fields[-1].values - (2.0 + 0.4 * np.cos(theta)))) < 1e-4
 
 
 def test_final_state_near_the_last_sample_is_stored():
@@ -490,26 +502,29 @@ def test_step_flow_validates_only_its_result(monkeypatch):
     validated = []
     check = LeafMetric.__post_init__
     monkeypatch.setattr(LeafMetric, "__post_init__", lambda self: validated.append(1) or check(self))
+    metrics = []
     for m in (sphere_metric(1.0, 32), torus_bump_metric(0.3, 16)):
         for _ in range(3):
             validated.clear()
             m = step_flow(m, 1e-3)
             assert len(validated) == 1
-    # a NaN step still fails closed, as not finite: the torus steps w, so the
+        metrics.append(m)
+    # a NaN step still fails closed, as not finite: both topologies step w, so the
     # NaN comes through the conformal K; at stage 4 it reaches the checked
     # result, and at an earlier stage the next stage's check on w
-    kernel = flow._gauss_curvature_conformal
-    for nan_at in (4, 3):
-        calls = []
+    kernel = flow.conformal_curvature
+    for m in metrics:
+        for nan_at in (4, 3, 1):
+            calls = []
 
-        def nan_kernel(grid, w):
-            calls.append(1)
-            return np.full(w.shape, np.nan) if len(calls) == nan_at else kernel(grid, w)
+            def nan_kernel(grid, w):
+                calls.append(1)
+                return np.full(w.shape, np.nan) if len(calls) == nan_at else kernel(grid, w)
 
-        monkeypatch.setattr(flow, "_gauss_curvature_conformal", nan_kernel)
-        with pytest.raises(MetricError, match=r"not finite \(node 0\)") as info:
-            step_flow(m, 1e-3)
-        assert type(info.value) is MetricError and len(calls) == nan_at
+            monkeypatch.setattr(flow, "conformal_curvature", nan_kernel)
+            with pytest.raises(MetricError, match=r"not finite \(node 0\)") as info:
+                step_flow(m, 1e-3)
+            assert type(info.value) is MetricError and len(calls) == nan_at
 
 
 def _step_outcome(step, m, dt, with_pack):

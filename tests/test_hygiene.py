@@ -175,20 +175,22 @@ _UNREACHED_BY_DESIGN = {
     "metric.bochner_residual": "an identity residual of acceptance criterion 5",
     "metric.ricci_identity_residual": "an identity residual of acceptance criterion 5",
     "metric.gradient": "ricci_identity_residual's gradient",
-    "metric.hessian": "the Hessian of both residuals and of the periodic Laplacian of a metric not w I",
-    "metric._trace": "the trace of that Hessian in the periodic Laplacian of a metric not w I, "
+    "metric.hessian": "the Hessian of both residuals and of the periodic Laplacian of a metric not w g_0",
+    "metric._trace": "the trace of that Hessian in the periodic Laplacian of a metric not w g_0, "
                      "and of ricci_identity_residual",
-    "metric._gauss_curvature_generic": "K of a metric not w I: `nullflow verify` on a CSV with "
-                                       "g12 != 0; ROADMAP item 4's shear gives it a config",
+    "metric._smallest_eigenvalues": "the smallest eigenvalue of a metric not w g_0: safety code for "
+                                    "`nullflow verify` on a CSV with g12 != 0 or g22 != g11 off the sphere",
+    "metric._gauss_curvature_generic": "K of a metric not w g_0: `nullflow verify` on a CSV with "
+                                       "g12 != 0; ROADMAP item 6's shear gives it a config",
     "grids.mixed_deriv": "hessian's mixed derivative, wrapped by nullbench/tracing.py",
-    "metric.ricci": "the rate of the components step of a metric neither w I nor on the sphere "
-                    "chart, wrapped by nullbench/tracing.py; ROADMAP item 4's shear gives it a config",
+    "metric.ricci": "the rate of the components step of a metric not w g_0, wrapped by "
+                    "nullbench/tracing.py; ROADMAP item 6's shear gives it a config",
     "metric.CurvaturePack.ricci": "stage 1 of that components step, and bochner_residual's Ricci term",
-    "metric.christoffel": "the Christoffel symbols of hessian and of the K of a metric not w I, "
+    "metric.christoffel": "the Christoffel symbols of hessian and of the K of a metric not w g_0, "
                           "wrapped by nullbench/tracing.py",
     "metric.CurvaturePack.christoffel": "a pack's cached christoffel, for the same readers",
-    "metric.LeafMetric.inverse": "g^ab of a metric neither w I nor on the sphere chart, for the "
-                                 "readers above; w I and the chart read theirs off a pack",
+    "metric.LeafMetric.inverse": "g^ab of a metric not w g_0, for the readers above; w g_0 reads "
+                                 "its g^00 and g^11 off a pack",
     "metric.CurvaturePack.ginv": "a pack's cached inverse, for the same readers",
 }
 

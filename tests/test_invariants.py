@@ -1,5 +1,5 @@
-"""What a correct run keeps: the torus's area and Gauss-Bonnet, the sphere's
-collapse time, and second-order convergence of the torus fields to a Fourier
+"""What a correct run keeps: the torus's area and Gauss-Bonnet, the round
+sphere's K = 1 / w and collapse time, and second-order convergence of the torus fields to a Fourier
 reference solve.
 
 Under dg/dt = -2K g the area obeys dA/dt = -4 pi chi (Hamilton, "The Ricci
@@ -47,6 +47,7 @@ def test_torus_keeps_its_area_and_zero_total_curvature(name):
 
 
 def test_golden_sphere_collapse_time_is_the_same_at_every_sample():
+    # the unit sphere collapses at r^2 / 2
     traj = _run(json.loads(GOLDEN_CONFIG.read_text()))
     collapse = []
     for k, metric in enumerate(traj.metrics):
@@ -54,7 +55,18 @@ def test_golden_sphere_collapse_time_is_the_same_at_every_sample():
         dA = np.sqrt(metric.comps[..., 0, 0] * metric.comps[..., 1, 1]) * traj.grid.spacings[0]
         collapse.append(traj.times[k] + np.sum(dA) / (2.0 * np.sum(traj.curvature(k).K * dA)))
     assert len(collapse) > 5
-    assert max(collapse) - min(collapse) < 1e-6
+    assert max(abs(t - 0.5) for t in collapse) <= 1e-12
+
+
+def test_golden_round_sphere_has_k_one_over_w_at_every_sample():
+    # w g_round with a uniform w: Delta_0 log w is exactly 0, so K = 1 / w, the flow
+    # keeps w uniform to the bit, and the run ends singular at r^2 / 2
+    traj = _run(json.loads(GOLDEN_CONFIG.read_text()))
+    assert len(traj.metrics) == 10 and traj.termination == "singular"
+    assert traj.singular_time == pytest.approx(0.5, abs=1e-12)
+    for k, metric in enumerate(traj.metrics):
+        assert np.all(metric.w == metric.w[0]) and metric.w[0] == pytest.approx(1.0 - 2.0 * traj.times[k], abs=1e-12)
+        assert np.array_equal(traj.curvature(k).K * metric.w, np.ones(traj.grid.shape))
 
 
 def test_torus_fields_converge_to_the_fourier_reference_at_order_two():

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 import node_major_reference as ref
 import nullflow.metric as metric_module
-from nullflow.flow import run_flow
-from nullflow.grids import ScalarField, make_sphere_grid, make_torus_grid
+from nullflow.grids import ScalarField, make_torus_grid
 from nullflow.metric import (
     LeafMetric,
     MetricError,
@@ -92,10 +91,11 @@ def _outcome(make):
     (-3.0, -3.0 * (1 + 1e-5)), (1e300, -1e300),
 ])
 def test_symmetry_check_agrees_with_allclose(a, b):
-    grid = make_sphere_grid(8)
+    # on a periodic grid, where a metric not w I is accepted, so the symmetry check decides
+    grid = make_torus_grid(8)
     comps = np.zeros(grid.shape + (2, 2))
     comps[..., 0, 0] = comps[..., 1, 1] = 1.0
-    comps[3, 0, 1], comps[3, 1, 0] = a, b
+    comps[0, 3, 0, 1], comps[0, 3, 1, 0] = a, b
     if np.allclose(a, b, atol=1e-14):
         # symmetric, so positive definiteness decides: an inf pair or
         # |g01| >= 1 fails it at node 3, as the components' checks do
@@ -152,7 +152,7 @@ def test_kernels_bit_identical_to_node_major_reference(case):
     lap = ref.laplace_beltrami(m, u)
     pack = curvature(m)
     for got in (laplace_beltrami(m, u), laplace_beltrami(m, u, pack)):
-        if m.w is not None:  # bump-16 and bump-33 take the flat form
+        if case.startswith("bump") and m.w is not None:  # bump-16 and bump-33 take the flat form
             _assert_flat_laplacian(m, u, got, [lap])
         else:
             assert np.array_equal(got, lap)
@@ -267,7 +267,7 @@ def test_conformal_ricci_keeps_the_singular_metric_checks(monkeypatch, w):
     want = _outcome(lambda: ref.check_metric(m.grid, comps))
     assert want[0] is SingularMetricError
     assert _outcome(lambda: LeafMetric(m.grid, comps)) == want
-    monkeypatch.setattr(metric_module, "_conformal_factor", lambda comps: None)
+    monkeypatch.setattr(metric_module, "_conformal_factor", lambda *args: None)
     assert _outcome(lambda: LeafMetric(m.grid, comps)) == want  # as on the generic route
 
 
@@ -367,13 +367,13 @@ def test_curvature_inverts_its_metric_once(monkeypatch, case, with_K):
         K = pack.K
         lap = laplace_beltrami(m, u, pack)
         pack.diffusion_rate
-    # the chart's K, Laplacian and diffusion rate read a and b, and never g^ab
+    # on w g_0 K, the Laplacian and the diffusion rate read w, and never g^ab
     assert len(calls) == (1 if with_K and case == "bump-16-g01" else 0)
     assert ("K" in vars(pack)) == with_K
     pack.ginv
     grad_norm_sq(m, u, pack)
     # the first read of g^ab inverts once; verify's |grad f|^2 reads it on the sheared metric
-    # and g^00 of the chart's coefficients on the sphere
+    # and the pack's g^00 = w / (w w) on the sphere
     assert len(calls) == 1
     monkeypatch.undo()
     assert np.array_equal(pack.ginv, m.inverse())
@@ -398,49 +398,6 @@ def test_pack_stores_its_tensors_grid_axes_first_and_builds_gamma_once(monkeypat
     for tensor, comps in ((pack.ginv, (2, 2)), (pack.christoffel, (2, 2, 2))):
         assert tensor.flags.c_contiguous
         assert tensor.shape == m.grid.shape + comps
-
-
-def test_the_chart_pack_builds_only_the_two_symbols_its_laplacian_reads(monkeypatch):
-    m, u = _kernel_case("sphere-48")
-    calls = []
-    build = metric_module.christoffel
-    monkeypatch.setattr(metric_module, "christoffel", lambda g, *ginv: calls.append(1) or build(g, *ginv))
-    pack = curvature(m)
-    lap = laplace_beltrami(m, u, pack)
-    rate = pack.diffusion_rate
-    assert calls == [] and "christoffel" not in vars(pack) and "ginv" not in vars(pack)
-    assert pack.chart_coefficients is pack.chart_coefficients
-    assert all(c.flags.c_contiguous and c.shape == m.grid.shape for c in pack.chart_coefficients)
-    _assert_chart_coefficients(m, pack)
-    assert rate == float(np.max(m.inverse()[..., 0, 0])) / m.grid.spacings[0] ** 2
-    assert lap.tobytes() == laplace_beltrami(m, u).tobytes()
-
-
-def _assert_chart_coefficients(m, pack):
-    """The chart pack's g^00, g^11, Gamma^0_00 and Gamma^0_11 are bit for bit
-    ``inverse()``'s diagonal and ``christoffel()``'s two symbols, zeros' signs included."""
-    ginv, gamma = m.inverse(), christoffel(m)
-    want = (ginv[..., 0, 0], ginv[..., 1, 1], gamma[..., 0, 0, 0], gamma[..., 0, 1, 1])
-    assert [c.tobytes() for c in pack.chart_coefficients] == [c.tobytes() for c in want]
-
-
-@pytest.mark.parametrize("heat", ["heat", "conjugate-heat"])
-def test_the_chart_coefficients_match_the_inverse_and_christoffel_symbols_along_a_golden_flow(heat):
-    import json
-    from pathlib import Path
-
-    from nullflow.config import parse_config
-
-    doc = json.loads((Path(__file__).parent / "data" / "golden_config.json").read_text())
-    doc["flow"].update(t_end=0.05, heat=heat, sample_every=10)
-    del doc["flow"]["heat_t_max"]
-    cfg = parse_config(json.dumps(doc))
-    m = cfg.build_metric()
-    traj = run_flow(m, cfg.flow, u0=cfg.build_heat_initial(m))
-    assert len(traj.metrics) == 11 and traj.metrics[0] is m
-    for k, metric in enumerate(traj.metrics):
-        assert not metric.comps[..., 0, 1].any() and not np.signbit(metric.comps[..., 0, 1]).any()
-        _assert_chart_coefficients(metric, traj.curvature(k))
 
 
 def test_the_smallest_eigenvalue_is_that_of_the_symmetric_form():
@@ -527,6 +484,18 @@ def test_nearly_equal_eigenvalues_are_within_2_ulp_of_their_50_digit_value(g01):
     assert abs(mpmath.mpf(got) - _exact_smallest_eigenvalue(1.0, g01, 1.0)[0]) <= 2 * np.spacing(got)
 
 
+@pytest.mark.parametrize("g00, g01, g11, eigenvalue", [
+    (-1.0, 1.0, -1.0, "-2.000e+00"),  # eigenvalues 0 and -2: lam_max rounds to exactly 0
+    (-3.0, 1.0, -3.0, "-4.000e+00"),  # eigenvalues -2 and -4: lam_max < 0
+    (-1.0, -2e-300, -4.0, "-4.000e+00"),
+])
+def test_a_node_whose_largest_eigenvalue_is_not_positive_names_its_smallest(g00, g01, g11, eigenvalue):
+    # det / lam_max is 0 / 0 or the larger eigenvalue there, so the smaller one is taken directly
+    with pytest.raises(SingularMetricError, match=re.escape(f"(node 0, eigenvalue {eigenvalue})") + "$") as info:
+        _smallest_eigenvalue_of(g00, g01, g11)
+    assert info.value.node == 0
+
+
 _BAD_VALUES = (0.0, -0.0, -1.0, np.nan, np.inf, 5e-324, 1e-160, 1e155)
 
 
@@ -537,7 +506,8 @@ def test_a_metric_is_checked_where_it_is_made_as_its_components_are(case, node, 
     # one bad node in a w I (bump-16, with g00 and g11), sheared or sphere
     # metric: LeafMetric raises the class, message and node of the checks on
     # the four components, in their order (shape, symmetry, finiteness,
-    # smallest eigenvalue), or accepts the metric with their eigenvalue
+    # smallest eigenvalue, on the sphere w g_round), or accepts the metric with
+    # their eigenvalue
     m, _ = _kernel_case(case)
     comps = m.comps.copy()
     at = np.unravel_index(node % comps[..., 0, 0].size, m.grid.shape)
@@ -557,11 +527,11 @@ def test_a_metric_is_checked_where_it_is_made_as_its_components_are(case, node, 
         with np.errstate(over="ignore", invalid="ignore"):
             assert made.smallest_eigenvalue == ref.check_metric(m.grid, comps).min()
         conformal = entry == "g00 and g11" or (entry == "g01 and g10" and value == 0.0)
-        assert (made.w is not None) == (case == "bump-16" and conformal)
+        assert (made.w is not None) == (case == "sphere-48" or (case == "bump-16" and conformal))
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=st.sampled_from(["sphere-48", "bump-16", "bump-33-g01", "spd-17"]), seed=st.integers(0, 2**32 - 1),
+@given(case=st.sampled_from(["bump-16", "bump-33-g01", "spd-17"]), seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([1.0, 1e-200, 1e100]), zeros=st.booleans(), with_pack=st.booleans())
 def test_grad_norm_sq_is_bit_identical_to_its_einsum(case, seed, scale, zeros, with_pack):
     # the written-out contraction pairs and orders its sums as
@@ -588,14 +558,16 @@ def test_grad_norm_sq_is_bit_identical_to_its_einsum(case, seed, scale, zeros, w
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("case", ["sphere-48", "bump-16"])
 def test_grad_norm_sq_is_nan_where_d_f_is_not_finite(monkeypatch, case, bad):
-    # on the chart and on w I |grad f|^2 reads g^00 alone, without inverting the metric;
+    # on w g_0 |grad f|^2 reads the pack's g^00 and g^11 alone, without inverting the metric;
     # the einsum's products by g^01 = +-0 are NaN where d f is NaN or inf, and so is it
     m, u = _kernel_case(case)
     u = u.copy()
     u.flat[[0, 7]] = bad
+    ginv = np.zeros(m.grid.shape + (2, 2))
+    ginv[..., 0, 0], ginv[..., 1, 1] = curvature(m).inverse_diagonal
     with np.errstate(invalid="ignore"):
         df = np.stack([ref.partial_deriv(m.grid, u, d) for d in range(2)], axis=-1)
-        want = np.maximum(np.einsum("...ab,...a,...b->...", ref.inverse(m), df, df), 0.0)
+        want = np.maximum(np.einsum("...ab,...a,...b->...", ginv, df, df), 0.0)
         monkeypatch.setattr(LeafMetric, "inverse", None)
         got = grad_norm_sq(m, u, curvature(m))
     assert (~np.isfinite(df).all(axis=-1)).sum() >= 2
@@ -606,20 +578,34 @@ def test_grad_norm_sq_is_nan_where_d_f_is_not_finite(monkeypatch, case, bad):
 
 @pytest.mark.parametrize("node", [0, 5, 15])
 def test_a_sphere_metric_is_checked_diagonal_where_it_is_made(node):
-    # the chart's K and Laplacian read a diagonal metric: g01 above 1e-12 of the
-    # largest diagonal entry is rejected, naming its node, as is a plain 1e-6, and
-    # 1e-13 is accepted
+    # every kernel reads a chart metric as w g_round: a g01 of any size, 1e-13 of the
+    # largest entry as well as a plain 1e-6, is rejected, naming its node
     m = sphere_metric(1.3, 16)
-    top = max(m.comps[..., 0, 0].max(), m.comps[..., 1, 1].max())
-    for g01, accepted in ((2e-12 * top, False), (-2e-12 * top, False), (1e-6, False), (1e-13 * top, True)):
+    top = m.comps[..., 0, 0].max()
+    for g01 in (2e-12 * top, -2e-12 * top, 1e-13 * top, 1e-6):
         comps = m.comps.copy()
         comps[node, 0, 1] = comps[node, 1, 0] = g01
-        if accepted:
-            assert np.array_equal(gauss_curvature(LeafMetric(m.grid, comps)), gauss_curvature(m))
-            continue
-        with pytest.raises(MetricError, match=rf"not diagonal \(node {node}, g01 {g01:.3e}\)") as info:
+        with pytest.raises(MetricError, match=rf"not w g_round: .*\(node {node}\)") as info:
             LeafMetric(m.grid, comps)
-        assert info.value.node == node
+        assert type(info.value) is MetricError and info.value.node == node
+
+
+@pytest.mark.parametrize("node", [0, 5, 15])
+def test_a_sphere_metric_is_checked_w_g_round_where_it_is_made(node):
+    # g11 one ulp off g00 sin^2(theta) is rejected, naming its node; g11 written
+    # as g00 sin^2(theta) is accepted
+    m = sphere_metric(1.3, 16)
+    assert m.w is not None and np.array_equal(m.comps[..., 1, 1], m.w * np.sin(m.grid.axes[0]) ** 2)
+    for up in (True, False):
+        comps = m.comps.copy()
+        comps[node, 1, 1] = np.nextafter(comps[node, 1, 1], np.inf if up else 0.0)
+        with pytest.raises(MetricError, match=rf"not w g_round: .*\(node {node}\)") as info:
+            LeafMetric(m.grid, comps)
+        assert type(info.value) is MetricError and info.value.node == node
+    comps = m.comps.copy()
+    comps[node, 0, 0] = 2.0
+    comps[node, 1, 1] = 2.0 * np.sin(m.grid.axes[0][node]) ** 2
+    assert LeafMetric(m.grid, comps).w[node] == 2.0
 
 
 def test_positive_definiteness_reports_node():
