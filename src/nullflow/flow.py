@@ -108,11 +108,26 @@ class FlowTrajectory:
 
 
 def _rk4(state: np.ndarray, k1: np.ndarray, rate, dt: float) -> np.ndarray:
-    """One classical RK4 step of d state/dt = rate(state), from its rate k1 at ``state``."""
-    k2 = rate(state + 0.5 * dt * k1)
-    k3 = rate(state + 0.5 * dt * k2)
-    k4 = rate(state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical RK4 step of d state/dt = rate(state) from its rate k1 at ``state``, in the
+    textbook order of operations and so bit for bit (a + b == b + a), but accumulated in place: the
+    stages refill one buffer, and k2 takes the sum, each k scaled once its stage is formed.  ``state``
+    and ``k1`` are never written; ``rate`` returns a fresh array and keeps no reference to its input."""
+    stage = k1 * (0.5 * dt)
+    stage += state
+    acc = rate(stage)  # k2, then the weighted sum
+    np.multiply(acc, 0.5 * dt, out=stage)
+    stage += state
+    acc *= 2.0
+    acc += k1
+    k3 = rate(stage)
+    np.multiply(k3, dt, out=stage)
+    stage += state
+    acc += np.multiply(k3, 2.0, out=k3)
+    del k3  # freed before k4 is made
+    acc += rate(stage)
+    acc *= dt / 6.0
+    acc += state
+    return acc
 
 
 def step_flow(metric: LeafMetric, dt: float, pack: CurvaturePack | None = None) -> LeafMetric:
@@ -129,28 +144,26 @@ def step_flow(metric: LeafMetric, dt: float, pack: CurvaturePack | None = None) 
         k1 = -2.0 * (ricci(metric) if pack is None else pack.ricci)
         out = _rk4(g, k1, lambda c: -2.0 * ricci(LeafMetric(grid, 0.5 * (c + np.swapaxes(c, -1, -2)))), dt)
         return LeafMetric(grid, 0.5 * (out + np.swapaxes(out, -1, -2)))
-    k1 = conformal_curvature(grid, w) if pack is None else pack.K
+    k1 = (conformal_curvature(grid, w) if pack is None else pack.K) * w  # the pack's K is kept
+    k1 *= -2.0
 
     def rate(d):
         _min_eigenvalue(d, d)  # a stage's w, checked as a LeafMetric checks w
-        return -2.0 * (conformal_curvature(grid, d) * d)
+        k = conformal_curvature(grid, d)
+        k *= d
+        k *= -2.0
+        return k
 
-    out = _rk4(w, -2.0 * (k1 * w), rate, dt)
+    out = _rk4(w, k1, rate, dt)
     comps = np.zeros(grid.shape + (DIM, DIM))
     comps[..., 0, 0] = out
     np.multiply(out, grid.background_g11, out=comps[..., 1, 1])
     return LeafMetric(grid, comps, out)
 
 
-def _check_singular(metric: LeafMetric, threshold: float):
-    lam = metric.smallest_eigenvalue
-    if lam < threshold:
-        raise SingularMetricError(f"metric singular (eigenvalue {lam:.3e} below {threshold:.3e})")
-
-
 def _heat_rhs(pack: CurvaturePack, u: np.ndarray, scal: np.ndarray | None) -> np.ndarray:
     lap = laplace_beltrami(pack.metric, u, pack)
-    return lap if scal is None else lap - scal * u
+    return lap if scal is None else np.subtract(lap, scal * u, out=lap)
 
 
 def _heat_substep(pack: CurvaturePack, u: np.ndarray, dt: float, mode: str) -> np.ndarray:
@@ -196,7 +209,17 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
     is its well-posed direction.
     """
     if config.direction == BACKWARD:
-        return _run_backward(initial, config, u0)
+        fwd = run_flow(initial, replace(config, direction=FORWARD, heat=HEAT_NONE))
+        if fwd.termination != REACHED_T_END:
+            raise FlowError("backward run unreachable: the auxiliary forward integration "
+                            f"terminated {fwd.termination} before t_end")
+        # the auxiliary run is discarded, so its samples need no copy
+        traj = FlowTrajectory(config.t_end - fwd.times[::-1], fwd.metrics[::-1], None, REACHED_T_END)
+        if config.heat != HEAT_NONE:
+            if u0 is None:
+                raise FlowError("heat coupling requires initial data u0")
+            traj.heat_fields = _solve_on_trajectory(traj, u0, config.heat)
+        return traj
     if config.heat != HEAT_NONE:
         if u0 is None:
             raise FlowError("heat coupling requires initial data u0")
@@ -247,7 +270,8 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
                 h_dt = min(dt_step, heat_t_max - t)
                 u = _heat_substep(pack, u, 0.5 * h_dt, config.heat)
             new_metric = step_flow(metric, dt_step, pack)
-            _check_singular(new_metric, threshold)
+            if new_metric.smallest_eigenvalue < threshold:  # the collapse, caught below
+                raise SingularMetricError(f"metric eigenvalue below the singular threshold {threshold:.3e}")
             pack = curvature_pack(new_metric) if heat_active else None
             if heat_active:
                 u = _heat_substep(pack, u, 0.5 * h_dt, config.heat)
@@ -273,23 +297,6 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
         np.asarray(times), metrics, heats, termination, singular_time,
         heat_valid_until=valid_until, curvatures=packs,
     )
-
-
-def _run_backward(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None) -> FlowTrajectory:
-    fwd = run_flow(initial, replace(config, direction=FORWARD, heat=HEAT_NONE))
-    if fwd.termination != REACHED_T_END:
-        raise FlowError(
-            "backward run unreachable: the auxiliary forward integration "
-            f"terminated {fwd.termination} before t_end"
-        )
-    times = config.t_end - fwd.times[::-1]
-    metrics = fwd.metrics[::-1]  # the auxiliary run is discarded, so its samples need no copy
-    traj = FlowTrajectory(times, metrics, None, REACHED_T_END)
-    if config.heat != HEAT_NONE:
-        if u0 is None:
-            raise FlowError("heat coupling requires initial data u0")
-        traj.heat_fields = _solve_on_trajectory(traj, u0, config.heat)
-    return traj
 
 
 def _solve_on_trajectory(trajectory: FlowTrajectory, u0: ScalarField, mode: str) -> list:

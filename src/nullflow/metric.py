@@ -86,20 +86,20 @@ class SingularMetricError(MetricError):
 
 def _smallest_eigenvalues(g00, g01, g11) -> np.ndarray:
     """Per node, the smaller eigenvalue of [[g00, g01], [g01, g11]]: min(g00, g11), exactly, where
-    g01 == 0, else det / lam_max on the entries scaled by their largest magnitude, where nothing
-    cancels or overflows (mean - radius where lam_max = mean + radius <= 0, as det / lam_max is
-    0 / 0 at lam_max == 0), and at most min(g00, g11), so that rounding never hides an entry <= 0."""
+    g01 == 0, else det / lam_max = min (max / lam_max) - g01 (g01 / lam_max), lam_max from the entries
+    scaled by their largest |entry|, so nothing overflows or underflows (mean - radius where lam_max <= 0,
+    as det / lam_max is 0 / 0 at 0); at most min(g00, g11), so rounding never hides an entry <= 0."""
     lam = np.minimum(g00, g11)
     if g01.any():
         off = g01 != 0.0
         a, b, c = g00[off], g11[off], g01[off]
         s = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
         with np.errstate(all="ignore"):  # where this is not finite, the check fails
-            a, b, c = a / s, b / s, c / s
-            mean, radius = 0.5 * (a + b), np.hypot(0.5 * (a - b), c)
+            x, y, z = a / s, b / s, c / s
+            mean, radius = 0.5 * (x + y), np.hypot(0.5 * (x - y), z)
             top = mean + radius
-            low = np.where(top > 0.0, (a * b - c * c) / top, mean - radius)
-            lam[off] = np.minimum(lam[off], low * s)
+            low = np.where(top > 0.0, lam[off] * (np.maximum(x, y) / top) - c * (z / top), (mean - radius) * s)
+            lam[off] = np.minimum(lam[off], low)
     return lam
 
 

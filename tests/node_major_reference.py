@@ -165,8 +165,9 @@ def _min_eigenvalue(comps):
     """The smaller eigenvalue per node of the symmetric form g01 spans (g10 is
     within the symmetry check's tolerance of it), checked: a component not
     finite fails first, then an eigenvalue <= 0 or NaN.  It is min(g00, g11)
-    where g01 == 0, else det / lam_max of the form scaled by its largest
-    |entry| (lam_min itself where lam_max <= 0), and never above min(g00, g11)."""
+    where g01 == 0, else det / lam_max = min (max / lam_max) - g01 (g01 / lam_max)
+    with lam_max of the form scaled by its largest |entry| (lam_min itself where
+    lam_max <= 0), and never above min(g00, g11)."""
     g = comps
     bad = ~np.isfinite(g).all(axis=(-2, -1))
     if bad.any():
@@ -176,8 +177,10 @@ def _min_eigenvalue(comps):
     with np.errstate(divide="ignore", invalid="ignore"):
         a, b, c = g00 / scale, g11 / scale, g01 / scale
         lam_max = 0.5 * (a + b) + np.hypot(0.5 * (a - b), c)
-        low = np.where(lam_max > 0.0, (a * b - c * c) / lam_max, 0.5 * (a + b) - np.hypot(0.5 * (a - b), c))
-        lam = np.where(g01 == 0.0, np.minimum(g00, g11), np.minimum(np.minimum(g00, g11), low * scale))
+        small = np.minimum(g00, g11)
+        det_over_max = small * (np.maximum(a, b) / lam_max) - g01 * (c / lam_max)
+        low = np.where(lam_max > 0.0, det_over_max, (0.5 * (a + b) - np.hypot(0.5 * (a - b), c)) * scale)
+        lam = np.where(g01 == 0.0, small, np.minimum(small, low))
     if not np.all(lam > 0.0):
         node = int(np.argmin(lam))
         raise SingularMetricError(f"metric not positive definite (node {node}, eigenvalue {lam.flat[node]:.3e})")

@@ -1,9 +1,11 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import node_major_reference as ref
 
@@ -16,7 +18,8 @@ from nullflow.flow import (
     FlowTrajectory,
     HEAT_CONJUGATE,
     HEAT_PLAIN,
-    _check_singular,
+    _heat_substep,
+    _rk4,
     _solve_on_trajectory,
     run_flow,
     step_flow,
@@ -77,7 +80,6 @@ def test_nan_metric_is_an_error_at_once_and_never_stored(monkeypatch):
 
     # a NaN is not a collapse: it passes the symmetry check, and LeafMetric's
     # eigenvalue check rejects it as not finite, naming its node
-    _check_singular(sphere_metric(1.0, 16), 1e-6)
     m = sphere_metric(1.0, 16)
     comps = m.comps.copy()
     comps[4, 1, 1] = np.nan
@@ -119,6 +121,78 @@ def test_rk4_order_under_dt_halving():
         ref = run_flow(torus_bump_metric(0.5, 16), FlowConfig(t_end=0.2, dt_initial=dt / 16, sample_every=10**9))
         errs.append(np.max(np.abs(traj.metrics[-1].comps - ref.metrics[-1].comps)))
     assert np.log2(errs[0] / errs[1]) > 3.5
+
+
+def _textbook_rk4(state, k1, rate, dt):
+    """The allocating RK4 expression that ``flow._rk4`` accumulates in place."""
+    k2 = rate(state + 0.5 * dt * k1)
+    k3 = rate(state + 0.5 * dt * k2)
+    k4 = rate(state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _nonlinear_rate(v):
+    # a fresh array at every stage, nonlinear so the stages differ; a zero keeps its sign, as in sin
+    return np.sin(v) - v * v * 1e-3
+
+
+_RK4_VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+_RK4_SHAPES = st.integers(1, 6).flatmap(lambda n: st.sampled_from([(n,), (n, n), (n, n, 2, 2)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=arrays(np.float64, _RK4_SHAPES, elements=_RK4_VALUES), data=st.data(),
+       dt=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0)), linear=st.booleans())
+def test_rk4_in_place_is_the_textbook_expression_bit_for_bit(state, data, dt, linear):
+    # states shaped (n,), (n, n) and (n, n, 2, 2), with +-0.0 among finite values
+    k1 = data.draw(arrays(np.float64, state.shape, elements=_RK4_VALUES))
+    rate = np.negative if linear else _nonlinear_rate
+    kept = state.tobytes(), k1.tobytes()
+    got = _rk4(state, k1, rate, dt)
+    assert (state.tobytes(), k1.tobytes()) == kept
+    assert got.tobytes() == _textbook_rk4(state, k1, rate, dt).tobytes()
+
+
+def test_rk4_allocates_at_most_three_state_sized_arrays_and_keeps_one():
+    # a count that repeats exactly, not a timing: the stage buffer, the sum in k2 and the
+    # rate's fresh k3 or k4 (the textbook expression peaks at 6.00 state-sized arrays)
+    state = np.random.default_rng(0).uniform(0.5, 2.0, (128, 128))
+    k1 = -state
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = _rk4(state, k1, lambda v: -v, 1e-3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (peak - base) / state.nbytes <= 3.25
+    assert 1.0 <= (kept - base) / state.nbytes <= 1.25
+    assert out.shape == state.shape
+
+
+@pytest.mark.parametrize("make", [lambda: torus_bump_metric(0.3, 16), lambda: sphere_metric(1.0, 24)])
+@pytest.mark.parametrize("with_pack", [True, False])
+def test_step_flow_writes_neither_its_metric_nor_the_packs_k(make, with_pack):
+    m = make()
+    pack = curvature(m) if with_pack else None
+    before = [m.w.tobytes(), m.comps.tobytes()] + ([pack.K.tobytes()] if with_pack else [])
+    out = step_flow(m, 1e-3, pack)
+    assert [m.w.tobytes(), m.comps.tobytes()] + ([pack.K.tobytes()] if with_pack else []) == before
+    assert not np.shares_memory(out.w, m.w)
+
+
+@pytest.mark.parametrize("make", [lambda: torus_bump_metric(0.3, 16), lambda: sphere_metric(1.0, 24)])
+@pytest.mark.parametrize("mode", [HEAT_PLAIN, HEAT_CONJUGATE])
+def test_heat_substep_leaves_its_input_unchanged(make, mode):
+    m = make()
+    u = 2.0 + np.cos(m.grid.coordinate_fields()[0])
+    before = u.tobytes()
+    out = _heat_substep(curvature(m), u, 2e-3, mode)
+    assert u.tobytes() == before
+    assert not np.shares_memory(out, u) and out.tobytes() != before
 
 
 def test_backward_run_grows_sphere():
@@ -746,8 +820,6 @@ def test_conformal_heat_substeps_damp_the_stiffest_mode_by_rk4s_factor(monkeypat
     # on g = w I with w constant, 2 + eps (-1)^(i+j) is an eigenvector of w^-1 Delta0 with
     # the stiffest eigenvalue, -8 / (w h^2) = -4 diffusion_rate; each RK4 substep of size s
     # multiplies its amplitude by R(-4 s rate), which the substep limit keeps in (0, 1)
-    from nullflow.flow import _heat_substep
-
     w, grid = 2.5, flat_torus_metric(n=32).grid
     pack = curvature(LeafMetric(grid, w * np.broadcast_to(np.eye(2), grid.shape + (2, 2))))
     eigenvalue = -8.0 / (w * grid.spacings[0] ** 2)
@@ -769,8 +841,6 @@ def test_conformal_heat_substeps_split_into_fifths_agree(heat):
     # workloads' largest resolution: RK4's error at the limit, which falls as the
     # substep's fourth power and so as n^-8, is far below REL_TOL there (measured
     # 3.8e-14 for heat and 2.1e-13 for conjugate heat; 8e-9 at n = 32)
-    from nullflow.flow import _heat_substep
-
     m = torus_bump_metric(0.3, 128)
     pack = curvature(m)
     x, y = m.grid.coordinate_fields()

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -482,6 +483,46 @@ def test_a_diagonal_metric_is_valid_with_its_smaller_entry_as_eigenvalue(g00, g1
 def test_nearly_equal_eigenvalues_are_within_2_ulp_of_their_50_digit_value(g01):
     got = _smallest_eigenvalue_of(1.0, g01, 1.0)
     assert abs(mpmath.mpf(got) - _exact_smallest_eigenvalue(1.0, g01, 1.0)[0]) <= 2 * np.spacing(got)
+
+
+@pytest.mark.parametrize("g00, g11", [(1e300, 1e-300), (1e-300, 1e300)])
+def test_entries_600_decades_apart_keep_their_smallest_eigenvalue(g00, g11):
+    # det = 1 - 1e-600 > 0 and lam_min is about 1e-300: scaled by the largest entry,
+    # the small diagonal entry would underflow to 0 and the metric be rejected
+    a, b, c = Fraction(g00), Fraction(g11), Fraction(1e-300)
+    assert a * b - c * c > 0
+    got = _smallest_eigenvalue_of(g00, 1e-300, g11)
+    want, condition = _exact_smallest_eigenvalue(g00, 1e-300, g11)
+    assert abs(mpmath.mpf(got) - want) <= 6.5 * _EPS * condition * want
+
+
+_DECADES = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g00=_DECADES, g11=_DECADES, g01=_DECADES, kind=st.sampled_from(["free", "near-singular"]),
+       size=st.floats(-11.0, -1.0), signs=st.tuples(*[st.sampled_from([1.0, 1.0, 1.0, -1.0])] * 2),
+       side=st.sampled_from([1.0, -1.0]))
+def test_definiteness_is_decided_exactly_across_600_decades(g00, g11, g01, kind, size, signs, side):
+    # entries log-uniform over 1e-300..1e300, g00 or g11 negative a quarter of the time each, and
+    # g01 free or (1 +- 10^size) sqrt(g00 g11), just either side of a zero determinant.  Judged on
+    # the exact entries: accepted where det > 1e-12 (ab + c^2), g00 > 0 and det / (a + b), a lower
+    # bound on lam_min, is at least 1e-300; rejected where g00 <= 0 or det < -1e-12 (ab + c^2)
+    g00, g11 = signs[0] * g00, signs[1] * g11
+    if kind == "near-singular":
+        g01 = side * (1.0 + side * 10.0 ** size) * np.sqrt(abs(g00)) * np.sqrt(abs(g11))
+    a, b, c = Fraction(g00), Fraction(g11), Fraction(g01)
+    det, tol = a * b - c * c, Fraction(1, 10**12) * (a * b + c * c)
+    try:
+        got = _smallest_eigenvalue_of(g00, g01, g11)
+    except SingularMetricError:
+        assert not (det > tol and a > 0 and det / (a + b) >= Fraction(1, 10**300))
+        return
+    assert not (a <= 0 or det < -tol)
+    assert 0.0 < got <= min(g00, g11)
+    if det > tol:
+        want, condition = _exact_smallest_eigenvalue(g00, g01, g11)
+        assert abs(mpmath.mpf(got) - want) <= 6.5 * _EPS * condition * want
 
 
 @pytest.mark.parametrize("g00, g01, g11, eigenvalue", [
