@@ -42,7 +42,7 @@ def _distance_symmetric(metric: LeafMetric, center: int) -> DistanceField:
     grid = metric.grid
     theta = grid.axes[0]
     h = grid.spacings[0]
-    speed = np.sqrt(metric.comps[..., 0, 0])
+    speed = np.sqrt(metric.w)  # a chart metric is w g_round
     # scipy's cumulative_trapezoid(speed, theta, initial=0.0), operation for operation
     arc = np.concatenate(([0.0], np.cumsum(np.diff(theta) * (speed[1:] + speed[:-1]) / 2.0)))
     d = np.abs(arc - arc[center])
@@ -54,11 +54,10 @@ def _distance_symmetric(metric: LeafMetric, center: int) -> DistanceField:
     return DistanceField(grid, d, theta >= theta[0] + margin)
 
 
-def _is_constant_diagonal(metric: LeafMetric) -> bool:
-    g = metric.comps
-    if np.max(np.abs(g[..., 0, 1])) > 1e-13:
+def _is_constant_diagonal(g00, g01, g11) -> bool:
+    if np.max(np.abs(g01)) > 1e-13:
         return False
-    return all(np.ptp(c) < 1e-13 * max(1.0, np.max(c)) for c in (g[..., 0, 0], g[..., 1, 1]))
+    return all(np.ptp(c) < 1e-13 * max(1.0, np.max(c)) for c in (g00, g11))
 
 
 def _min_image_offsets(grid: LeafGrid, center: tuple):
@@ -76,10 +75,9 @@ def _periodic_mask(grid: LeafGrid, center: tuple) -> np.ndarray:
     return (np.abs(dx) < lx / 2 - CUT_LOCUS_MARGIN * hx) & (np.abs(dy) < ly / 2 - CUT_LOCUS_MARGIN * hy)
 
 
-def _distance_flat_periodic(metric: LeafMetric, center: tuple) -> DistanceField:
+def _distance_flat_periodic(metric: LeafMetric, g: tuple, center: tuple) -> DistanceField:
     dx, dy, _, _ = _min_image_offsets(metric.grid, center)
-    g = metric.comps[0, 0]
-    d = np.sqrt(g[0, 0] * dx**2 + g[1, 1] * dy**2)
+    d = np.sqrt(g[0][0, 0] * dx**2 + g[2][0, 0] * dy**2)
     return DistanceField(metric.grid, d, _periodic_mask(metric.grid, center))
 
 
@@ -101,7 +99,7 @@ def _window(c: int, n: int, h: float, reach: float):
     return np.arange(n), c
 
 
-def _distance_dijkstra(metric: LeafMetric, center: tuple, limit: float) -> DistanceField:
+def _distance_dijkstra(metric: LeafMetric, g: tuple, center: tuple, limit: float) -> DistanceField:
     from scipy.sparse import csr_matrix  # the only route that loads scipy
     from scipy.sparse.csgraph import dijkstra
     grid = metric.grid
@@ -112,10 +110,9 @@ def _distance_dijkstra(metric: LeafMetric, center: tuple, limit: float) -> Dista
     # wrapped edges leave only the window's two outer rows, past ``reach``
     reach = limit / np.sqrt(metric.smallest_eigenvalue) * (1.0 + 1e-6)
     (ix, ci), (iy, cj) = (_window(c, n, h, reach) for c, n, h in zip(center, grid.shape, grid.spacings))
-    comps = metric.comps[np.ix_(ix, iy)]
     nx, ny = len(ix), len(iy)
-    # padded[p][2 + i, 2 + j] is component p at window node (i, j), periodically
-    padded = [np.pad(comps[..., a, b], 2, mode="wrap") for a, b in ((0, 0), (0, 1), (1, 1))]
+    # padded[p][2 + i, 2 + j] is g00, g01 or g11 at window node (i, j), periodically
+    padded = [np.pad(c[np.ix_(ix, iy)], 2, mode="wrap") for c in g]
     steps = len(_NEIGHBOR_STEPS)
     weights = np.empty((nx, ny, steps))  # the CSR layout: row = node, one entry per step
     for s, (di, dj) in enumerate(_NEIGHBOR_STEPS[:steps // 2]):
@@ -148,9 +145,9 @@ def geodesic_distance(metric: LeafMetric, center, limit: float = np.inf) -> Dist
     read the unbounded distance."""
     if metric.grid.topology == SPHERICAL_1D:
         field = _distance_symmetric(metric, int(center))
-    elif _is_constant_diagonal(metric):
-        field = _distance_flat_periodic(metric, tuple(center))
+    elif _is_constant_diagonal(*(g := metric.entries)):  # g00, g01 and g11, read once
+        field = _distance_flat_periodic(metric, g, tuple(center))
     else:
-        return _distance_dijkstra(metric, tuple(center), limit)
+        return _distance_dijkstra(metric, g, tuple(center), limit)
     field.values[field.values > limit] = np.inf
     return field

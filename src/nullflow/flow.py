@@ -1,13 +1,12 @@
 """Time integration of the leaf-metric flow and coupled heat equations.
 
 The leaf metric evolves by dg'/dt = -2 Ric'(g') (forward) or +2 Ric'
-(backward).  Only forward steps are taken, with classical RK4, on the
-conformal factor alone where Ric' = K g' keeps g' = w g_0 so (every
-scenario: the flat g_0 on the torus, the round one on the sphere chart,
-where dw/dt = Delta_0 log w - 2), else on the 2x2 components; a backward
-run reverses a forward one.  Each step ends in a LeafMetric, valid once
-made and never edited in place, so only the RK stage states of w, which
-are not metrics, are checked here, by the metric's own rule.
+(backward).  Only forward steps are taken, with classical RK4, in the
+metric's own form: the conformal factor alone where Ric' = K g' keeps
+g' = w g_0 so (every scenario: the flat g_0 on the torus, the round one on
+the sphere chart, where dw/dt = Delta_0 log w - 2), else the 2x2
+components; a backward run reverses a forward one.  Each RK stage and each
+step ends in a LeafMetric, so each is checked by the metric's own rule.
 A scalar density u can be co-evolved by the heat equation
 (Delta - d/dt)u = 0 or the conjugate heat equation
 (d/dt - Delta + Scal')u = 0, interleaved Strang-style so u sees
@@ -22,8 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import ScalarField, field_values, finite_real
-from .metric import DIM, CurvaturePack, LeafMetric, SingularMetricError, laplace_beltrami, ricci
-from .metric import _min_eigenvalue, conformal_curvature
+from .metric import CurvaturePack, LeafMetric, SingularMetricError, laplace_beltrami, ricci
 from .metric import curvature as curvature_pack
 
 FORWARD = "forward"
@@ -34,7 +32,6 @@ HEAT_CONJUGATE = "conjugate-heat"
 
 REACHED_T_END = "reached-t_end"
 SINGULAR = "singular"
-STEP_UNDERFLOW = "step-underflow"
 
 _CFL_NUMBER = 0.2
 # Heat substeps on g = w g_0: w^-1 Delta0 is self-adjoint in the w-weighted (on the sphere
@@ -43,8 +40,8 @@ _CFL_NUMBER = 0.2
 # of the chart's flux form to 2 (s_{i+1/2} + s_{i-1/2}) / (s_i h^2) <= 4 / h^2, s = sin(theta).
 # Conjugate heat's -Scal' shifts it by at most max|Scal'|.  RK4's amplification R(z) lies
 # in (0, 1) on the real z in (-2.785, 0), and a substep h with h (diffusion_rate +
-# max|Scal'|) <= 0.6 keeps h (4 diffusion_rate + max|Scal'|) <= 2.4 within it.  The
-# generic components' substeps and the cfl-adaptive flow step keep _CFL_NUMBER.
+# max|Scal'|) <= 0.6 keeps h (4 diffusion_rate + max|Scal'|) <= 2.4 within it.  The heat
+# substeps on a metric not of that form keep _CFL_NUMBER.
 _CONFORMAL_HEAT_CFL = 0.6
 _EPS = float(np.finfo(float).eps)
 
@@ -58,7 +55,6 @@ class FlowConfig:
     direction: str = FORWARD
     t_end: float = 0.45
     dt_initial: float = 1e-4
-    dt_controller: str = "fixed"  # fixed | cfl-adaptive
     eps_singular_rel: float = 1e-6  # threshold relative to the initial min eigenvalue
     heat: str = HEAT_NONE
     heat_t_max: float | None = None  # stop heat stepping early (stiff near collapse)
@@ -71,8 +67,6 @@ class FlowConfig:
             value = getattr(self, key)
             if not (finite_real(value) and value > 0):
                 raise FlowError(f"{key} must be a finite number above 0, got {value!r}")
-        if self.dt_controller not in ("fixed", "cfl-adaptive"):
-            raise FlowError(f"unknown dt controller {self.dt_controller!r}")
         if self.heat not in (HEAT_NONE, HEAT_PLAIN, HEAT_CONJUGATE):
             raise FlowError(f"unknown heat coupling {self.heat!r}")
         if type(self.sample_every) is not int or self.sample_every < 1:
@@ -131,34 +125,22 @@ def _rk4(state: np.ndarray, k1: np.ndarray, rate, dt: float) -> np.ndarray:
 
 
 def step_flow(metric: LeafMetric, dt: float, pack: CurvaturePack | None = None) -> LeafMetric:
-    """One forward RK4 step of dg'/dt = -2 Ric'(g'); stage 1 reads K off ``pack``, the
-    metric's own CurvaturePack, when given.  Ric' = K g' keeps g' = w g_0 so, and there the
-    state is ``metric.w`` alone, with the rate -2 K w, whose stages 2-4 are checked as metrics
-    are; the result is written as w g_0.  Any other metric is stepped as its components, each
-    stage and the result symmetrized as LeafMetrics: bit for bit where g01 == g10, while a g10
-    only within the symmetry tolerance could drift past it."""
+    """One forward RK4 step of dg'/dt = -2 Ric'(g') in the metric's own form: the state is
+    ``metric.w`` where g' = w g_0, which Ric' = K g' keeps so, else ``metric.comps``, and the
+    rate is -2 ``ricci`` of each stage made a LeafMetric, so checked as every metric is.
+    Stage 1 reads K off ``pack``, the metric's own CurvaturePack, when given."""
     if dt <= 0:
         raise FlowError("dt must be positive")
-    grid, w, g = metric.grid, metric.w, metric.comps
-    if w is None:
-        k1 = -2.0 * (ricci(metric) if pack is None else pack.ricci)
-        out = _rk4(g, k1, lambda c: -2.0 * ricci(LeafMetric(grid, 0.5 * (c + np.swapaxes(c, -1, -2)))), dt)
-        return LeafMetric(grid, 0.5 * (out + np.swapaxes(out, -1, -2)))
-    k1 = (conformal_curvature(grid, w) if pack is None else pack.K) * w  # the pack's K is kept
-    k1 *= -2.0
+    grid, state = metric.grid, metric.comps if metric.w is None else metric.w
 
-    def rate(d):
-        _min_eigenvalue(d, d)  # a stage's w, checked as a LeafMetric checks w
-        k = conformal_curvature(grid, d)
-        k *= d
+    def rate(m, pack=None):
+        k = ricci(m, pack)
+        if k.ndim < state.ndim:  # a components stage exactly w g_0, on the torus: (K w) I
+            k = k[..., None, None] * np.eye(2)
         k *= -2.0
         return k
 
-    out = _rk4(w, k1, rate, dt)
-    comps = np.zeros(grid.shape + (DIM, DIM))
-    comps[..., 0, 0] = out
-    np.multiply(out, grid.background_g11, out=comps[..., 1, 1])
-    return LeafMetric(grid, comps, out)
+    return LeafMetric(grid, _rk4(state, rate(metric, pack), lambda s: rate(LeafMetric(grid, s)), dt))
 
 
 def _heat_rhs(pack: CurvaturePack, u: np.ndarray, scal: np.ndarray | None) -> np.ndarray:
@@ -198,8 +180,7 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
     """Integrate the flow (optionally co-evolving u) and sample the state.
 
     Samples are stored every ``sample_every`` steps plus the final state.
-    Termination reasons: reached-t_end, singular (with the singular time),
-    or step-underflow for a collapsed adaptive step.
+    Termination reasons: reached-t_end or singular (with the singular time).
 
     Backward runs (dg'/dt = +2 Ric') are realized as the time reversal of
     a forward integration: stepping the backward equation explicitly is
@@ -233,7 +214,6 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
     heat_t_max = config.heat_t_max if config.heat_t_max is not None else config.t_end
 
     t = 0.0
-    dt = config.dt_initial
     metric = initial
     # the geometry of ``metric`` while heat runs, else None; each step's second
     # heat half builds the next one
@@ -254,16 +234,7 @@ def run_flow(initial: LeafMetric, config: FlowConfig, u0: ScalarField | None = N
     singular_time = None
     step = 0
     while t < config.t_end:
-        dt_step = min(dt, config.t_end - t)
-        if config.dt_controller == "cfl-adaptive":
-            # the linearized flow diffuses with coefficient g^aa along each
-            # active axis, so the explicit limit matches the heat stencil's
-            rate = curvature_pack(metric).diffusion_rate
-            if rate > 0:
-                dt_step = min(dt_step, _CFL_NUMBER / rate)
-            if dt_step < 1e-12 * config.t_end:
-                termination = STEP_UNDERFLOW
-                break
+        dt_step = min(config.dt_initial, config.t_end - t)
         heat_active = u is not None and t < heat_t_max
         try:
             if heat_active:

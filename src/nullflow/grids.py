@@ -60,7 +60,7 @@ class LeafGrid:
             if h <= 0:
                 raise GridError("grid spacing must be positive")
 
-    @property
+    @cached_property
     def shape(self):
         return tuple(len(ax) for ax in self.axes)
 

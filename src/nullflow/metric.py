@@ -23,19 +23,20 @@ Christoffel / Ricci construction, Ric_sn = sum_m R^m_{smn}, whose m = n
 summand is exactly 0.0 (an array minus itself), so only m = 1 - n and the
 half of the d_d Gamma^c_ab it reads are computed.
 
-A LeafMetric is checked and classified once, where it is made, and its
-``comps`` are never edited in place after, so no kernel checks its metric
-again.  Its smallest eigenvalue follows one rule, min(g00, g11) exactly
-where g01 == 0 (on w g_0 that is w g11_0, as g11_0 <= 1), and
-:func:`_min_eigenvalue` is the one check of it.
+A LeafMetric decides its form, checks and classifies itself once, where it
+is made, from w or from its components, and is never edited in place after,
+so no kernel checks its metric again.  Its smallest eigenvalue follows one
+rule, min(g00, g11) exactly where g01 == 0 (on w g_0 that is w g11_0, as
+g11_0 <= 1), and :func:`_min_eigenvalue` is the one check of it.
 
 Every tensor is stored node-major, grid axes first and components last, as
 ``LeafMetric.comps``: g^ab, Ricci and the Hessian have shape grid + (2, 2),
-Gamma^c_ab grid + (2, 2, 2).
+Gamma^c_ab grid + (2, 2, 2).  :func:`ricci` keeps the metric's own form:
+the factor K w of Ric = (K w) g_0 on w g_0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,11 +66,6 @@ def _not_conformal(comps: np.ndarray, g11_0=1.0) -> np.ndarray:
     """Per node, whether ``comps`` is not exactly w g_0 there, for the background
     g_0 = diag(1, g11_0): g01 or g10 not zero, or g11 != g00 g11_0 (a NaN is not)."""
     return (comps[..., 0, 1] != 0.0) | (comps[..., 1, 0] != 0.0) | (comps[..., 1, 1] != comps[..., 0, 0] * g11_0)
-
-
-def _conformal_factor(comps: np.ndarray, g11_0=1.0) -> np.ndarray | None:
-    """w, contiguous, when ``comps`` is exactly w g_0 at every node; None otherwise."""
-    return None if _not_conformal(comps, g11_0).any() else np.ascontiguousarray(comps[..., 0, 0])
 
 
 class MetricError(ValueError):
@@ -118,24 +114,23 @@ def _min_eigenvalue(lam: np.ndarray, comps: np.ndarray) -> float:
     raise SingularMetricError(f"metric not positive definite (node {node}, eigenvalue {lam.flat[node]:.3e})", node)
 
 
-@dataclass
+@dataclass(eq=False)
 class LeafMetric:
-    """Symmetric positive-definite metric g'_ab per node, valid once made, with ``comps`` never
-    edited in place after: ``w`` is its conformal factor if g' = w g_0 for the grid's background
-    g_0, else None (a caller that wrote ``comps`` as w g_0 from a contiguous w, as the flow step
-    does, passes it, and only w is checked), and ``smallest_eigenvalue`` the least.  A sphere
-    chart metric must be w g_0, and a periodic one not of that form takes the generic route."""
+    """Symmetric positive-definite metric g'_ab per node, valid once made and never edited in
+    place after.  ``values`` is its conformal factor w (shape grid.shape) for g' = w g_0, g_0 the
+    grid's background, or its 2x2 components (shape grid.shape + (2, 2)); components exactly
+    w g_0 keep w alone, and components accepted within the symmetry tolerance keep their mean
+    (g + g^T) / 2.  ``w`` is None where g' is not w g_0, ``entries`` and ``comps`` build w g_0
+    on each read, and ``smallest_eigenvalue`` is the least.  A sphere chart metric must be
+    w g_0, and a periodic one not of that form takes the generic route."""
 
     grid: LeafGrid
-    comps: np.ndarray  # shape = grid.shape + (2, 2)
-    w: np.ndarray | None = field(default=None, compare=False, repr=False)
+    values: InitVar[np.ndarray]
 
-    def __post_init__(self):
-        g = self.comps = np.asarray(self.comps, dtype=float)
-        if g.shape != self.grid.shape + (DIM, DIM):
-            raise MetricError(f"metric component shape {g.shape} invalid")
-        chart, g11_0 = self.grid.topology == SPHERICAL_1D, self.grid.background_g11
-        if self.w is None:  # else the caller wrote comps as w g_0 from w, which alone is checked
+    def __post_init__(self, values):
+        grid, g = self.grid, np.asarray(values, dtype=float)
+        shape, g11_0 = grid.shape, grid.background_g11
+        if g.shape == shape + (DIM, DIM):
             a, b = g[..., 0, 1], g[..., 1, 0]
             if not (a == b).all():  # a NaN fails; then np.allclose(a, b, atol=1e-14)'s predicate
                 with np.errstate(invalid="ignore"):  # inf - inf
@@ -146,15 +141,37 @@ class LeafMetric:
                         node = int(np.argmax(bad))
                         raise MetricError(f"metric components are not finite (node {node})", node)
                     raise MetricError("metric components are not symmetric")
-            self.w = _conformal_factor(g, g11_0)
-        g00, g01, g11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]  # the form the kernels read
-        # w g_0's eigenvalues are w and g11 = w g11_0 <= w, with g11 == w off the chart
-        lam = _smallest_eigenvalues(g00, g01, g11) if self.w is None else g11 if chart else self.w
-        self.smallest_eigenvalue = _min_eigenvalue(lam, g if self.w is None else self.w)
-        if chart and self.w is None:  # every kernel reads a chart metric as w g_0
+                off, g = a != b, g.copy()  # the mean of each pair that differs, halved first so it never overflows
+                g[..., 0, 1][off] = g[..., 1, 0][off] = 0.5 * a[off] + 0.5 * b[off]
+            if not _not_conformal(g, g11_0).any():
+                g = np.ascontiguousarray(g[..., 0, 0])
+        elif g.shape != shape:
+            raise MetricError(f"metric shape {g.shape} invalid")
+        conformal, chart = g.shape == shape, grid.topology == SPHERICAL_1D
+        self.w, self._comps = (g, None) if conformal else (None, g)
+        # w g_0's eigenvalues are w and w g11_0 <= w, with g11_0 = 1 off the chart
+        lam = ((g * g11_0 if chart else g) if conformal
+               else _smallest_eigenvalues(g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]))
+        self.smallest_eigenvalue = _min_eigenvalue(lam, g)
+        if chart and not conformal:  # every kernel reads a chart metric as w g_0
             node = int(np.argmax(_not_conformal(g, g11_0)))
             raise MetricError("sphere chart metric not w g_round: g12 != 0 or g22 != g11 sin^2(theta) "
                               f"(node {node})", node)
+
+    @property
+    def entries(self) -> tuple:
+        """(g00, g01, g11), each of shape grid.shape: on w g_0 w, +0.0 and w g11_0, built on each read."""
+        if self.w is None:
+            return self._comps[..., 0, 0], self._comps[..., 0, 1], self._comps[..., 1, 1]
+        return self.w, np.zeros_like(self.w), self.w * self.grid.background_g11
+
+    @property
+    def comps(self) -> np.ndarray:
+        """The components g_ab, shape grid + (2, 2), on w g_0 built from ``entries`` on each read."""
+        if self.w is None:
+            return self._comps
+        g00, g01, g11 = self.entries
+        return np.stack([g00, g01, g01, g11], axis=-1).reshape(self.grid.shape + (DIM, DIM))
 
     def inverse(self) -> np.ndarray:
         g = self.comps
@@ -172,8 +189,8 @@ class CurvaturePack:
     it, each part on first read: the inverse ``ginv`` (g^ab, shape grid + (a, b)), the Christoffel
     symbols (Gamma^c_ab, shape grid + (c, a, b)), the Gauss curvature K and the CFL diffusion rate.
     The heat Laplacian, its rate and |grad f|^2 read ``inverse_diagonal``, which g = w g_0 builds
-    without ``ginv`` or a Christoffel symbol.  The 2-D Ricci and scalar
-    curvatures are derived from K; Riemann, K (g_ac g_bd - g_ad g_bc), is not provided."""
+    without ``ginv`` or a Christoffel symbol.  The 2-D scalar curvature is derived from K, and
+    :func:`ricci` reads K off a pack; Riemann, K (g_ac g_bd - g_ad g_bc), is not provided."""
 
     def __init__(self, metric: LeafMetric):
         self.metric = metric
@@ -214,11 +231,6 @@ class CurvaturePack:
     def grad_scal(self) -> np.ndarray:
         """|grad Scal'| per node."""
         return np.sqrt(grad_norm_sq(self.metric, self.scal, self))
-
-    @property
-    def ricci(self) -> np.ndarray:
-        """Ric_ab = K g_ab, shape + (a, b)."""
-        return self.K[..., None, None] * self.metric.comps
 
     @property
     def scal(self) -> np.ndarray:
@@ -321,9 +333,17 @@ def curvature(metric: LeafMetric) -> CurvaturePack:
     return CurvaturePack(metric)
 
 
-def ricci(metric: LeafMetric) -> np.ndarray:
-    """Ricci tensor K g (the flow's right-hand side)."""
-    return gauss_curvature(metric)[..., None, None] * metric.comps
+def ricci(metric: LeafMetric, pack: CurvaturePack | None = None) -> np.ndarray:
+    """Ric = K g (the flow's right-hand side) in the metric's own form, a fresh array: the factor
+    K w on g = w g_0, since Ric = (K w) g_0, else K g_ab, shape grid + (a, b).  K is read off
+    ``pack``, the metric's own, when given, and never written."""
+    if metric.w is None:
+        return (gauss_curvature(metric) if pack is None else pack.K)[..., None, None] * metric.comps
+    if pack is not None:
+        return pack.K * metric.w
+    k = gauss_curvature(metric)  # fresh, so scaled in place
+    k *= metric.w
+    return k
 
 
 def gradient(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np.ndarray:
@@ -397,8 +417,7 @@ def bochner_residual(metric: LeafMetric, field) -> np.ndarray:
     lap = laplace_beltrami(metric, values, pack)
     dlap = np.stack([partial_deriv(metric.grid, lap, d) for d in range(DIM)], axis=-1)
     cross = np.einsum("...ab,...a,...b->...", ginv, df, dlap)
-    ric_term = np.einsum("...ac,...bd,...cd,...a,...b->...", ginv, ginv, pack.ricci, df, df)
-    return lhs - 2.0 * hess_sq - 2.0 * cross - 2.0 * ric_term
+    return lhs - 2.0 * hess_sq - 2.0 * cross - 2.0 * (pack.K * gradsq)  # Ric(grad f, grad f) = K |grad f|^2
 
 
 def ricci_identity_residual(metric: LeafMetric, field) -> np.ndarray:
@@ -428,6 +447,6 @@ def ricci_identity_residual(metric: LeafMetric, field) -> np.ndarray:
     lap = _trace(ginv, hess)
     dlap = np.stack([partial_deriv(grid, lap, d) for d in range(DIM)], axis=-1)
     gradf = gradient(metric, values, pack)
-    ric_low = np.einsum("...ij,...j->...i", pack.ricci, gradf)
-    resid = div_hess - dlap - ric_low
+    df = np.stack([partial_deriv(grid, values, d) for d in range(DIM)], axis=-1)
+    resid = div_hess - dlap - pack.K[..., None] * df  # Ric_ij (grad f)^j = K d_i f
     return np.einsum("...i,...i->...", gradf, resid)

@@ -13,7 +13,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .flow import REACHED_T_END, SINGULAR, STEP_UNDERFLOW, FlowTrajectory
+from .flow import REACHED_T_END, SINGULAR, FlowTrajectory
 from .grids import ScalarField
 from .metric import LeafMetric, MetricError
 
@@ -50,8 +50,7 @@ def _chunk_rows(trajectory, ks, nodes):
     n, heats = len(nodes), trajectory.heat_fields
 
     def values(k):  # g11, g12, g22 and u of sample k
-        g = trajectory.metrics[k].comps
-        return [g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]] + ([heats[k].values] if heats is not None else [])
+        return list(trajectory.metrics[k].entries) + ([heats[k].values] if heats is not None else [])
 
     cells = _cell_text(np.array([values(k) for k in ks])).reshape(len(ks), -1, n).tolist()
     for k, columns in zip(ks, cells):
@@ -86,7 +85,7 @@ def _read_meta(line: str) -> dict:
         meta = json.loads(line[2:]) if line.startswith("# ") else None
         ok = (
             sorted(meta) == sorted(_META_KEYS)
-            and meta["termination"] in (REACHED_T_END, SINGULAR, STEP_UNDERFLOW)
+            and meta["termination"] in (REACHED_T_END, SINGULAR)
             and all(x is None or type(x) in (int, float) and np.isfinite(x)
                     for x in (meta["singular_time"], meta["heat_valid_until"]))
         )
@@ -273,7 +272,7 @@ def sphere_radius_plot(trajectory: FlowTrajectory, R0: float) -> str:
     """Numeric radius overlaid on the closed-form sqrt(R0^2 - 2t)."""
     times = trajectory.times
     mid = trajectory.grid.shape[0] // 2
-    r_num = [float(np.sqrt(m.comps[mid, 0, 0])) for m in trajectory.metrics]
+    r_num = [float(np.sqrt(m.w[mid])) for m in trajectory.metrics]
     r_exact = np.sqrt(np.maximum(R0**2 - 2.0 * times, 0.0))
     return line_plot_svg(
         "leaf radius under the flow", "t", "r(t)",

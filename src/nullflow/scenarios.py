@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import finite_real, make_sphere_grid, make_torus_grid
-from .metric import DIM, LeafMetric
+from .metric import LeafMetric
 
 SCENARIOS = ("round-sphere", "flat-torus", "torus-bump")
 
@@ -27,20 +27,14 @@ def sphere_metric(radius: float, n: int = DEFAULT_RESOLUTION) -> LeafMetric:
     if not (finite_real(radius) and radius > 0):
         raise ScenarioError(f"sphere radius must be a finite number above 0, got {radius!r}")
     grid = make_sphere_grid(n)
-    comps = np.zeros(grid.shape + (DIM, DIM))
-    comps[..., 0, 0] = radius**2
-    comps[..., 1, 1] = radius**2 * grid.background_g11  # r^2 g_round, as LeafMetric checks it
-    return LeafMetric(grid, comps)
+    return LeafMetric(grid, np.full(grid.shape, radius**2))  # r^2 g_round
 
 
 def flat_torus_metric(side: float = 2.0 * np.pi, n: int = DEFAULT_RESOLUTION) -> LeafMetric:
     if not (finite_real(side) and side > 0):
         raise ScenarioError(f"torus side must be a finite number above 0, got {side!r}")
     grid = make_torus_grid(n, side=side)
-    comps = np.zeros(grid.shape + (DIM, DIM))
-    comps[..., 0, 0] = 1.0
-    comps[..., 1, 1] = 1.0
-    return LeafMetric(grid, comps)
+    return LeafMetric(grid, np.ones(grid.shape))
 
 
 def torus_bump_conformal_factor(amp: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -52,11 +46,7 @@ def torus_bump_metric(amp: float, n: int = DEFAULT_RESOLUTION) -> LeafMetric:
         raise ScenarioError(f"bump amplitude must be a finite number with |amp| < 1, got {amp!r}")
     grid = make_torus_grid(n)
     x, y = grid.coordinate_fields()
-    factor = torus_bump_conformal_factor(amp, x, y)
-    comps = np.zeros(grid.shape + (DIM, DIM))
-    comps[..., 0, 0] = factor
-    comps[..., 1, 1] = factor
-    return LeafMetric(grid, comps)
+    return LeafMetric(grid, torus_bump_conformal_factor(amp, x, y))
 
 
 def build_scenario_metric(name: str, **params) -> LeafMetric:

@@ -9,7 +9,10 @@ agree bit for bit.  ``step_flow`` is the flow's RK4 step on the 2x2
 components of a periodic metric, which nullflow.flow takes on w alone for
 g = w I.  A sphere chart metric is w g_round, and its K, Laplacian and flow
 step read w = g00 alone, with the round metric's Laplacian in flux form
-(:func:`round_laplacian`).
+(:func:`round_laplacian`).  ``two_branch_step`` steps a metric w g_0 and any
+other metric in two separate RK4 loops, on w with a bare check of each
+stage's w, and on the symmetrized components; nullflow.flow's one RK4 path
+in the metric's own form must agree with it bit for bit.
 """
 import numpy as np
 
@@ -19,10 +22,10 @@ from nullflow.metric import (
     LeafMetric,
     MetricError,
     SingularMetricError,
-    _conformal_factor,
     _gauss_curvature_conformal,
-    ricci,
+    conformal_curvature,
 )
+from nullflow.metric import gauss_curvature as program_gauss_curvature
 
 
 def _extend_even(values):
@@ -77,14 +80,20 @@ def round_curvature(grid, w):
 
 
 def _check_w(w):
-    """A stage's w checked as a metric w g_0 is: not finite fails first, then w <= 0 or NaN."""
+    """A stage's w checked for w > 0 at every node: not finite fails first, then w <= 0 or NaN."""
     bad = ~np.isfinite(w)
     if bad.any():
         node = int(np.argmax(bad))
         raise MetricError(f"metric components are not finite (node {node})", node)
     if not np.all(w > 0.0):
         node = int(np.argmin(w))
-        raise SingularMetricError(f"metric not positive definite (node {node}, eigenvalue {w[node]:.3e})", node)
+        raise SingularMetricError(f"metric not positive definite (node {node}, eigenvalue {w.flat[node]:.3e})", node)
+
+
+def _conformal_factor(comps):
+    """w = g00 where the periodic ``comps`` are exactly w I at every node, else None."""
+    off = (comps[..., 0, 1] != 0.0) | (comps[..., 1, 0] != 0.0) | (comps[..., 1, 1] != comps[..., 0, 0])
+    return None if off.any() else comps[..., 0, 0]
 
 
 def inverse(metric):
@@ -190,8 +199,9 @@ def _min_eigenvalue(comps):
 def check_metric(grid, comps):
     """The checks of a metric in their order, on its four components: shape,
     symmetry as np.allclose(g01, g10, atol=1e-14) decides it (a non-finite
-    component named by node), then :func:`_min_eigenvalue`, which it returns,
-    and on the sphere chart that g01 == g10 == 0 and g11 == g00 sin^2(theta) at every node."""
+    component named by node), then, on the mean g01 / 2 + g10 / 2 where they differ,
+    :func:`_min_eigenvalue`, which it returns, and on the sphere chart that
+    g01 == g10 == 0 and g11 == g00 sin^2(theta) at every node."""
     comps = np.asarray(comps, dtype=float)
     if comps.shape != grid.shape + (DIM, DIM):
         raise MetricError(f"metric component shape {comps.shape} invalid")
@@ -200,6 +210,10 @@ def check_metric(grid, comps):
         if bad.any():
             raise MetricError(f"metric components are not finite (node {int(np.argmax(bad))})")
         raise MetricError("metric components are not symmetric")
+    off = comps[..., 0, 1] != comps[..., 1, 0]
+    if off.any():
+        comps = comps.copy()
+        comps[off, 0, 1] = comps[off, 1, 0] = 0.5 * comps[off, 0, 1] + 0.5 * comps[off, 1, 0]
     lam = _min_eigenvalue(comps)
     if grid.topology == SPHERICAL_1D:
         off = ((comps[..., 0, 1] != 0.0) | (comps[..., 1, 0] != 0.0)
@@ -215,7 +229,7 @@ def _component_rate(grid, comps):
     _min_eigenvalue(comps)
     w = _conformal_factor(comps)
     if w is None:
-        return -2.0 * ricci(LeafMetric(grid, comps))
+        return -2.0 * (program_gauss_curvature(LeafMetric(grid, comps))[..., None, None] * comps)
     return -2.0 * (_gauss_curvature_conformal(grid, w)[..., None, None] * comps)
 
 
@@ -247,9 +261,47 @@ def step_flow(metric, dt, pack=None):
     grid, g = metric.grid, metric.comps
     if grid.topology == SPHERICAL_1D:
         return _step_chart(metric, dt, pack)
-    k1 = -2.0 * ricci(metric) if pack is None else -2.0 * pack.ricci
+    k1 = -2.0 * ((program_gauss_curvature(metric) if pack is None else pack.K)[..., None, None] * g)
     k2 = _component_rate(grid, g + 0.5 * dt * k1)
     k3 = _component_rate(grid, g + 0.5 * dt * k2)
     k4 = _component_rate(grid, g + dt * k3)
     out = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return LeafMetric(grid, 0.5 * (out + np.swapaxes(out, -1, -2)))
+
+
+def textbook_rk4(state, k1, rate, dt):
+    """The allocating RK4 expression that ``flow._rk4`` accumulates in place."""
+    k2 = rate(state + 0.5 * dt * k1)
+    k3 = rate(state + 0.5 * dt * k2)
+    k4 = rate(state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def two_branch_step(metric, dt, pack=None):
+    """The flow step in two RK4 branches: on g = w g_0 the state is w, with the
+    rate -2 K w of the conformal K, each stage's w checked by :func:`_check_w`, and the result
+    written as w and w g11_0 on the diagonal; on any other metric the state is the components,
+    with the rate -2 K g of the stage symmetrized, 0.5 (c + c^T), and made a LeafMetric, and
+    the result symmetrized.  Stage 1 reads K off ``pack`` when given."""
+    grid = metric.grid
+    if metric.w is None:
+        def rate(c):
+            sym = 0.5 * (c + np.swapaxes(c, -1, -2))
+            return -2.0 * (program_gauss_curvature(LeafMetric(grid, sym))[..., None, None] * sym)
+
+        g = metric.comps
+        k1 = -2.0 * ((program_gauss_curvature(metric) if pack is None else pack.K)[..., None, None] * g)
+        out = textbook_rk4(g, k1, rate, dt)
+        return LeafMetric(grid, 0.5 * (out + np.swapaxes(out, -1, -2)))
+
+    def rate(d):
+        _check_w(d)
+        return -2.0 * (conformal_curvature(grid, d) * d)
+
+    w = metric.w
+    k1 = -2.0 * ((conformal_curvature(grid, w) if pack is None else pack.K) * w)
+    out = textbook_rk4(w, k1, rate, dt)
+    comps = np.zeros(grid.shape + (DIM, DIM))
+    comps[..., 0, 0] = out
+    comps[..., 1, 1] = out * grid.background_g11
+    return LeafMetric(grid, comps)

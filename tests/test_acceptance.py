@@ -12,7 +12,7 @@ from nullflow.cli import main
 from nullflow.estimates import EstimateParams, build_cutoff, verify
 from nullflow.flow import FlowConfig, run_flow
 from nullflow.grids import ScalarField, make_sphere_grid
-from nullflow.metric import LeafMetric, bochner_residual, curvature, grad_norm_sq, ricci_identity_residual
+from nullflow.metric import LeafMetric, bochner_residual, curvature, grad_norm_sq, ricci, ricci_identity_residual
 from nullflow.nullgeom import (
     DegenerateMetric,
     distinguished_parameter,
@@ -98,7 +98,7 @@ def test_criterion_04_ricci_convergence_order():
         errs = []
         for n in (32, 64, 128):
             m, K = _perturbed_sphere_metric(radius, 0.3, n)
-            errs.append(np.max(np.abs(curvature(m).ricci - K[..., None, None] * m.comps)))
+            errs.append(np.max(np.abs(ricci(m) - K * m.w)))  # Ric = (K w) g_round
         orders += [np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])]
     amp = 0.2
     errs = []
@@ -107,7 +107,7 @@ def test_criterion_04_ricci_convergence_order():
         x, y = m.grid.coordinate_fields()
         pxx, pyy = _bump_log_derivs(amp, x, y)
         K = -(pxx + pyy) / torus_bump_conformal_factor(amp, x, y)
-        errs.append(np.max(np.abs(curvature(m).ricci - K[..., None, None] * m.comps)))
+        errs.append(np.max(np.abs(ricci(m) - K * m.w)))  # Ric = (K w) I
     orders += [np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])]
     worst = min(orders)
     _report(4, worst >= 1.8, f"observed orders {[f'{o:.2f}' for o in orders]}")

@@ -16,7 +16,6 @@ from nullflow.estimates import THEOREM_IDS, EstimateError, build_cutoff, verify
 from nullflow.flow import (
     REACHED_T_END,
     SINGULAR,
-    STEP_UNDERFLOW,
     FlowConfig,
     FlowTrajectory,
     run_flow,
@@ -348,7 +347,7 @@ def _trajectories(draw):
             comps[..., 1, 1] = comps[..., 0, 0] * np.sin(grid.axes[0]) ** 2
         metrics.append(LeafMetric(grid, comps))
     heat = draw(st.booleans())
-    termination = draw(st.sampled_from([REACHED_T_END, SINGULAR, STEP_UNDERFLOW]))
+    termination = draw(st.sampled_from([REACHED_T_END, SINGULAR]))
     return FlowTrajectory(
         np.array(times), metrics, [ScalarField(grid, cells()) for _ in times] if heat else None,
         termination,
@@ -917,7 +916,8 @@ def test_cli_exit_two_on_too_few_live_heat_samples(tmp_path, capsys):
 
 def test_cli_run_exits_two_on_a_nan_metric_where_a_collapse_ends_singular(tmp_path, capsys, monkeypatch):
     # the golden run ends singular on an eigenvalue of its last step: w = r^2 - 2t stays
-    # uniform, and its stage 4 at t = 0.5 is a rounding below 0 at every node; a NaN put
+    # uniform, and its stage 4 at t = 0.5 is a rounding below 0 at every node, whose least
+    # eigenvalue w sin^2(theta) is at the node nearest the equator; a NaN put
     # into the third step's metric is no collapse: the run fails, naming its node,
     # and writes nothing
     import nullflow.flow as flow
@@ -942,7 +942,7 @@ def test_cli_run_exits_two_on_a_nan_metric_where_a_collapse_ends_singular(tmp_pa
     nan_at = None
     assert main(["run", str(GOLDEN_CONFIG), "--out", str(tmp_path / "golden")]) == 0
     assert "termination: singular" in capsys.readouterr().out
-    assert raised == ["metric not positive definite (node 0, eigenvalue -8.812e-16)"]
+    assert raised == ["metric not positive definite (node 23, eigenvalue -8.803e-16)"]
     nan_at, out = 3, tmp_path / "nan"
     steps.clear()
     assert main(["run", str(GOLDEN_CONFIG), "--out", str(out)]) == 2

@@ -24,7 +24,7 @@ from nullflow.flow import (
     run_flow,
     step_flow,
 )
-from nullflow.grids import ScalarField
+from nullflow.grids import ScalarField, make_sphere_grid, make_torus_grid
 from nullflow.metric import LeafMetric, MetricError, curvature, gradient
 from nullflow.scenarios import flat_torus_metric, sphere_metric, torus_bump_metric
 
@@ -123,14 +123,6 @@ def test_rk4_order_under_dt_halving():
     assert np.log2(errs[0] / errs[1]) > 3.5
 
 
-def _textbook_rk4(state, k1, rate, dt):
-    """The allocating RK4 expression that ``flow._rk4`` accumulates in place."""
-    k2 = rate(state + 0.5 * dt * k1)
-    k3 = rate(state + 0.5 * dt * k2)
-    k4 = rate(state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _nonlinear_rate(v):
     # a fresh array at every stage, nonlinear so the stages differ; a zero keeps its sign, as in sin
     return np.sin(v) - v * v * 1e-3
@@ -150,7 +142,7 @@ def test_rk4_in_place_is_the_textbook_expression_bit_for_bit(state, data, dt, li
     kept = state.tobytes(), k1.tobytes()
     got = _rk4(state, k1, rate, dt)
     assert (state.tobytes(), k1.tobytes()) == kept
-    assert got.tobytes() == _textbook_rk4(state, k1, rate, dt).tobytes()
+    assert got.tobytes() == ref.textbook_rk4(state, k1, rate, dt).tobytes()
 
 
 def test_rk4_allocates_at_most_three_state_sized_arrays_and_keeps_one():
@@ -416,12 +408,14 @@ def test_conformal_route_leaves_every_stored_bit_unchanged(monkeypatch, directio
     m = torus_bump_metric(0.3, 16)
     x, _ = m.grid.coordinate_fields()
     config = FlowConfig(direction=direction, t_end=0.02, dt_initial=2e-3, heat=heat, sample_every=5)
-    runs = []
-    for _ in range(2):
-        runs.append(run_flow(m, config, u0=ScalarField(m.grid, 2.0 + np.sin(x))))
-        # then every metric takes the generic Christoffel route
-        monkeypatch.setattr(metric_module, "_conformal_factor", lambda *args: None)
-    fast, generic = runs
+    fast = run_flow(m, config, u0=ScalarField(m.grid, 2.0 + np.sin(x)))
+    # then every metric made from components, each step's stages and result among them,
+    # keeps them and takes the generic Christoffel route
+    monkeypatch.setattr(metric_module, "_not_conformal", lambda comps, g11_0=1.0: np.ones(comps.shape[:-2], bool))
+    start = LeafMetric(m.grid, m.comps)
+    assert start.w is None
+    generic = run_flow(start, config, u0=ScalarField(m.grid, 2.0 + np.sin(x)))
+    assert all(k.w is None for k in generic.metrics)
     assert fast.times.tobytes() == generic.times.tobytes() and len(fast.times) == 3
     # bytes, so that a zero's sign counts as it does in the CSV
     for a, b in zip(fast.metrics, generic.metrics):
@@ -483,11 +477,11 @@ def test_chart_route_leaves_every_stored_bit_unchanged(monkeypatch, run, n):
 def test_a_chart_k_not_finite_fails_as_the_component_step(monkeypatch, stage, value):
     # a non-finite K at one node and RK stage fails the step as the reference's
     # does: the next stage's check on w, or at stage 4 the result's, names the node
-    import nullflow.flow as flow
+    import nullflow.metric as metric_module
 
     m = sphere_metric(1.0, 48)
     outcomes = []
-    for step, module, name in ((step_flow, flow, "conformal_curvature"), (ref.step_flow, ref, "round_curvature")):
+    for step, module, name in ((step_flow, metric_module, "conformal_curvature"), (ref.step_flow, ref, "round_curvature")):
         kernel, calls = getattr(module, name), []
 
         def bad_kernel(grid, w, kernel=kernel, calls=calls):
@@ -548,45 +542,44 @@ def test_backward_run_starts_at_exactly_zero():
 
 
 def test_each_metric_is_checked_once_and_each_rk_stage_once(monkeypatch):
-    # the positive-definiteness check runs where a metric is made and on the
-    # RK stages 2-4 of each step, and nowhere else: a torus-bump n = 64 heat
-    # run of 50 steps (the config of the benchmark's torus-verify-64, seed 0)
-    # makes 50 metrics and checks 200 times; each step's pack, its K, the
-    # heat substeps and the singularity test check nothing
-    import nullflow.flow as flow
+    # the positive-definiteness check runs where a metric is made, the RK
+    # stages 2-4 of each step made metrics too, and nowhere else: a torus-bump
+    # n = 64 heat run of 50 steps (the config of the benchmark's
+    # torus-verify-64, seed 0) makes 50 metrics and 150 stages and checks 200
+    # times; each step's pack, its K, the heat substeps and the singularity
+    # test check nothing
     import nullflow.metric as metric_module
 
     m = torus_bump_metric(0.253175, 64)
     x, y = m.grid.coordinate_fields()
     made, checks = [], []
     check, validate = metric_module._min_eigenvalue, LeafMetric.__post_init__
-    for module in (metric_module, flow):
-        monkeypatch.setattr(module, "_min_eigenvalue", lambda lam, comps: checks.append(1) or check(lam, comps))
-    monkeypatch.setattr(LeafMetric, "__post_init__", lambda self: made.append(1) or validate(self))
+    monkeypatch.setattr(metric_module, "_min_eigenvalue", lambda lam, comps: checks.append(1) or check(lam, comps))
+    monkeypatch.setattr(LeafMetric, "__post_init__", lambda self, values: made.append(1) or validate(self, values))
     config = FlowConfig(t_end=0.1, dt_initial=0.002, heat="heat", sample_every=10)
     traj = run_flow(m, config, u0=ScalarField(m.grid, 2.0 + np.sin(x) * np.cos(y)))
     assert traj.termination == "reached-t_end" and len(traj.times) == 6
-    assert len(made) == 50
-    assert len(checks) == len(made) + 3 * 50
+    assert len(made) == 50 + 3 * 50
+    assert len(checks) == len(made)
 
 
-def test_step_flow_validates_only_its_result(monkeypatch):
-    import nullflow.flow as flow
+def test_step_flow_checks_its_three_later_stages_and_its_result_as_metrics(monkeypatch):
+    import nullflow.metric as metric_module
 
     validated = []
     check = LeafMetric.__post_init__
-    monkeypatch.setattr(LeafMetric, "__post_init__", lambda self: validated.append(1) or check(self))
+    monkeypatch.setattr(LeafMetric, "__post_init__", lambda self, values: validated.append(values) or check(self, values))
     metrics = []
     for m in (sphere_metric(1.0, 32), torus_bump_metric(0.3, 16)):
         for _ in range(3):
             validated.clear()
             m = step_flow(m, 1e-3)
-            assert len(validated) == 1
+            assert len(validated) == 4 and all(v.shape == m.grid.shape for v in validated)
         metrics.append(m)
     # a NaN step still fails closed, as not finite: both topologies step w, so the
     # NaN comes through the conformal K; at stage 4 it reaches the checked
     # result, and at an earlier stage the next stage's check on w
-    kernel = flow.conformal_curvature
+    kernel = metric_module.conformal_curvature
     for m in metrics:
         for nan_at in (4, 3, 1):
             calls = []
@@ -595,7 +588,7 @@ def test_step_flow_validates_only_its_result(monkeypatch):
                 calls.append(1)
                 return np.full(w.shape, np.nan) if len(calls) == nan_at else kernel(grid, w)
 
-            monkeypatch.setattr(flow, "conformal_curvature", nan_kernel)
+            monkeypatch.setattr(metric_module, "conformal_curvature", nan_kernel)
             with pytest.raises(MetricError, match=r"not finite \(node 0\)") as info:
                 step_flow(m, 1e-3)
             assert type(info.value) is MetricError and len(calls) == nan_at
@@ -657,6 +650,57 @@ def test_scalar_step_fails_as_the_component_step_at_one_bad_node(node, n, seed, 
             assert got == _step_outcome(ref.step_flow, checked, dt, with_pack)
 
 
+def _stage_w_I_metric():
+    """A torus metric one bit off w I: g00 = 1 - 2^-53 beside g11 = 1.0 at the minimum of w,
+    where K < 0, so an RK stage grows both past 1.0, and at about every other dt rounds them to
+    one float, which makes the stage exactly w I."""
+    grid = make_torus_grid(16)
+    x, y = grid.coordinate_fields()
+    comps = np.zeros(grid.shape + (2, 2))
+    comps[..., 0, 0] = comps[..., 1, 1] = (1.0 + 0.3 * np.sin(x) * np.sin(y)) / 0.7
+    comps[4, 12, 0, 0], comps[4, 12, 1, 1] = np.nextafter(1.0, 0.0), 1.0
+    return LeafMetric(grid, comps)
+
+
+_TWO_BRANCH_CASES = {
+    "round-sphere": lambda: sphere_metric(1.3, 48),
+    "sphere-w": lambda: LeafMetric(make_sphere_grid(48), 1.0 + 0.2 * np.cos(make_sphere_grid(48).axes[0])),
+    "bump": lambda: torus_bump_metric(0.3, 16),
+    "random-w": lambda: _random_w(17, 3, 0.4, 1.5),
+    "sheared": lambda: _sheared_bump(0.3, 17, 0.2),
+    "stage-w-I": _stage_w_I_metric,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(list(_TWO_BRANCH_CASES)), dt=st.floats(1e-5, 1e-3), with_pack=st.booleans())
+def test_step_flow_is_the_two_branch_step_bit_for_bit(case, dt, with_pack):
+    # one RK4 path in the metric's own form against two separate RK4 loops: on w with a bare
+    # check of each stage's w, and on the symmetrized components
+    m = _TWO_BRANCH_CASES[case]()
+    assert (m.w is None) == (case in ("sheared", "stage-w-I"))
+    got = _step_outcome(step_flow, m, dt, with_pack)
+    assert isinstance(got, bytes) and got == _step_outcome(ref.two_branch_step, m, dt, with_pack)
+
+
+def test_a_components_stage_exactly_w_I_steps_as_the_two_branch_step(monkeypatch):
+    # a stage of the components state made a metric exactly w I keeps w alone, and its
+    # Ricci factor K w is taken back to the components as (K w) I
+    import nullflow.flow as flow
+
+    m, made = _stage_w_I_metric(), []
+    assert m.w is None
+    make = flow.LeafMetric
+    monkeypatch.setattr(flow, "LeafMetric", lambda grid, values: made.append(make(grid, values)) or made[-1])
+    hits = 0
+    for dt in np.linspace(1e-4, 5e-3, 12):
+        made.clear()
+        out = step_flow(m, dt)
+        assert out.comps.tobytes() == ref.two_branch_step(m, dt).comps.tobytes()
+        hits += any(stage.w is not None for stage in made[:3])
+    assert hits >= 6
+
+
 def test_a_negative_zero_off_the_diagonal_steps_as_its_positive_zero_twin():
     # g01 = g10 = -0.0 is still w I, so the step runs on w and writes +0.0
     twin = torus_bump_metric(0.3, 16)
@@ -680,13 +724,6 @@ def test_a_metric_symmetric_only_within_the_tolerance_steps():
     out = step_flow(m, 1e-3)
     assert np.array_equal(out.comps[..., 0, 1], out.comps[..., 1, 0])
     assert np.allclose(out.comps, step_flow(twin, 1e-3).comps, rtol=1e-12, atol=1e-13)
-
-
-def test_cfl_adaptive_controller_runs():
-    traj = run_flow(sphere_metric(1.0, 32), FlowConfig(t_end=0.2, dt_initial=0.05, dt_controller="cfl-adaptive"))
-    assert traj.termination == "reached-t_end"
-    mid = 16
-    assert abs(traj.metrics[-1].comps[mid, 0, 0] - 0.6) < 5e-3
 
 
 # --- heat coupling --------------------------------------------------------
@@ -943,7 +980,7 @@ def _eigen_oracle_suprema(trajectory, masks):
     for metric, mask in zip(trajectory.metrics, masks):
         if not np.any(mask):
             continue
-        ric = curvature(metric).ricci
+        ric = curvature(metric).K[..., None, None] * metric.comps  # Ric = K g
         w, v = np.linalg.eigh(metric.comps)
         s = np.einsum("...ab,...b,...cb->...ac", v, 1.0 / np.sqrt(w), v)
         eigs = np.linalg.eigvalsh(np.einsum("...ab,...bc,...cd->...ad", s, ric, s))

@@ -183,14 +183,13 @@ _UNREACHED_BY_DESIGN = {
     "metric._gauss_curvature_generic": "K of a metric not w g_0: `nullflow verify` on a CSV with "
                                        "g12 != 0; ROADMAP item 6's shear gives it a config",
     "grids.mixed_deriv": "hessian's mixed derivative, wrapped by nullbench/tracing.py",
-    "metric.ricci": "the rate of the components step of a metric not w g_0, wrapped by "
-                    "nullbench/tracing.py; ROADMAP item 6's shear gives it a config",
-    "metric.CurvaturePack.ricci": "stage 1 of that components step, and bochner_residual's Ricci term",
     "metric.christoffel": "the Christoffel symbols of hessian and of the K of a metric not w g_0, "
                           "wrapped by nullbench/tracing.py",
     "metric.CurvaturePack.christoffel": "a pack's cached christoffel, for the same readers",
     "metric.LeafMetric.inverse": "g^ab of a metric not w g_0, for the readers above; w g_0 reads "
                                  "its g^00 and g^11 off a pack",
+    "metric.LeafMetric.comps": "the 2x2 components of a metric not w g_0, for the readers above and "
+                               "nullgeom; the CSV writer and the distances read `entries`",
     "metric.CurvaturePack.ginv": "a pack's cached inverse, for the same readers",
 }
 

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 import node_major_reference as ref
 import nullflow.metric as metric_module
-from nullflow.grids import ScalarField, make_torus_grid
+from nullflow.grids import ScalarField, make_sphere_grid, make_torus_grid
 from nullflow.metric import (
     LeafMetric,
     MetricError,
     SingularMetricError,
-    _conformal_factor,
     _gauss_curvature_conformal,
     _gauss_curvature_generic,
     _trace,
@@ -219,14 +218,14 @@ def _conformal_metric(n, scale, modes):
 @example(n=33, scale=1.0, modes=[(1, 1, 0.0, 0.1), (0, 2, -0.1, 0.0)])
 def test_conformal_kernels_are_bit_identical_to_the_christoffel_route(n, scale, modes):
     m = _conformal_metric(n, scale, modes)
-    w = _conformal_factor(m.comps)
+    w = m.w
     assert np.array_equal(w, m.comps[..., 0, 0])
     K = _gauss_curvature_conformal(m.grid, w)
     pack = curvature(m)
     for other in (_gauss_curvature_generic(pack), ref.gauss_curvature(m)):
         assert np.array_equal(K, other)
         assert np.array_equal(np.signbit(K), np.signbit(other))
-    assert ricci(m).tobytes() == pack.ricci.tobytes()
+    assert ricci(m).tobytes() == ricci(m, pack).tobytes() == (K * w).tobytes()
     x, y = m.grid.coordinate_fields()
     u = 2.0 + np.sin(x) * np.cos(2.0 * y) + 0.5 * np.cos(3.0 * x - y)
     assert m.w is not None
@@ -236,7 +235,7 @@ def test_conformal_kernels_are_bit_identical_to_the_christoffel_route(n, scale, 
 
 
 @pytest.mark.parametrize("node", [(0, 0), (5, 7), (15, 15)])
-@pytest.mark.parametrize("change", ["g11 + 1 ulp", "g01 = 5e-324", "g10 = 5e-324"])
+@pytest.mark.parametrize("change", ["g11 + 1 ulp", "g01 = g10 = 5e-324", "g01 = g10 = -5e-324"])
 def test_a_metric_one_bit_off_w_I_takes_the_generic_route(monkeypatch, node, change):
     m = torus_bump_metric(0.3, 16)
     calls = []
@@ -248,9 +247,8 @@ def test_a_metric_one_bit_off_w_I_takes_the_generic_route(monkeypatch, node, cha
     if change == "g11 + 1 ulp":
         comps[node + (1, 1)] = np.nextafter(comps[node + (1, 1)], np.inf)
     else:
-        comps[node + ((0, 1) if change.startswith("g01") else (1, 0))] = 5e-324
+        comps[node + (0, 1)] = comps[node + (1, 0)] = float(change.split()[-1])
     off = LeafMetric(m.grid, comps)
-    assert _conformal_factor(off.comps) is None
     assert off.w is None
     calls.clear()
     ricci(off)
@@ -264,11 +262,12 @@ def test_conformal_ricci_keeps_the_singular_metric_checks(monkeypatch, w):
     m = torus_bump_metric(0.3, 16)
     comps = m.comps.copy()
     comps[3, 4, 0, 0] = comps[3, 4, 1, 1] = w
-    assert _conformal_factor(comps) is not None
+    assert ref._conformal_factor(comps) is not None
     want = _outcome(lambda: ref.check_metric(m.grid, comps))
     assert want[0] is SingularMetricError
     assert _outcome(lambda: LeafMetric(m.grid, comps)) == want
-    monkeypatch.setattr(metric_module, "_conformal_factor", lambda *args: None)
+    assert _outcome(lambda: LeafMetric(m.grid, comps[..., 0, 0].copy())) == want  # given w alone
+    monkeypatch.setattr(metric_module, "_not_conformal", lambda comps, g11_0=1.0: np.ones(comps.shape[:-2], bool))
     assert _outcome(lambda: LeafMetric(m.grid, comps)) == want  # as on the generic route
 
 
@@ -298,9 +297,9 @@ def test_conformal_checks_on_w_raise_what_the_metric_checks_raise(node, w):
         assert got[:2] == want[:2] and got[2] == np.ravel_multi_index(node, m.grid.shape)
         assert got[0] is (SingularMetricError if np.isfinite(w) else MetricError)
     if np.isnan(w):  # a NaN is not w I, so LeafMetric reads the components
-        assert _conformal_factor(comps) is None
+        assert ref._conformal_factor(comps) is None
     else:
-        assert LeafMetric(m.grid, m.comps).w is not None and _conformal_factor(comps) is not None
+        assert LeafMetric(m.grid, m.comps).w is not None and ref._conformal_factor(comps) is not None
 
 
 _EDGE_W = (5e-324, 1e-160, 1e-150, 1e150, 1e154, -1.0, 0.0, -0.0, np.nan, np.inf, -np.inf)
@@ -319,7 +318,7 @@ def test_the_smallest_eigenvalue_of_w_I_is_min_w_bit_for_bit(scale, node, value)
     comps = np.zeros(w.shape + (2, 2))
     comps[..., 0, 0] = comps[..., 1, 1] = w
     grid, finite = make_torus_grid(8), np.isfinite(w)
-    for make in (lambda: LeafMetric(grid, comps), lambda: LeafMetric(grid, comps, w)):
+    for make in (lambda: LeafMetric(grid, comps), lambda: LeafMetric(grid, w)):
         if finite.all() and w.min() > 0.0:
             assert np.float64(make().smallest_eigenvalue).tobytes() == w.min().tobytes()
             continue
@@ -330,29 +329,93 @@ def test_the_smallest_eigenvalue_of_w_I_is_min_w_bit_for_bit(scale, node, value)
         assert type(info.value) is error and info.value.node == at
 
 
-@settings(max_examples=150, deadline=None)
-@given(scale=st.floats(1e-160, 1e160), node=st.integers(0, 63),
-       value=st.one_of(st.sampled_from(_EDGE_W), st.floats(), st.none()))
-def test_a_metric_given_its_conformal_factor_is_checked_as_its_components_are(scale, node, value):
-    # the flow step writes comps as w I from w and passes w, which alone is then checked:
-    # the same error class, message and node as checking the components, or the same
-    # smallest eigenvalue and w
-    w = scale * torus_bump_metric(0.3, 8).w
+def _holds_components(m):
+    """Whether the metric ``m`` keeps an array of its grid's shape + (2, 2), or a view of one."""
+    return any(isinstance(v, np.ndarray) and (v.shape == m.grid.shape + (2, 2) or v.base is not None)
+               for v in vars(m).values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(sphere=st.booleans(), scale=st.floats(1e-160, 1e160), node=st.integers(0, 63),
+       value=st.one_of(st.sampled_from((5e-324, 1e308, 0.0, -0.0, np.nan, np.inf, -np.inf)),
+                       st.floats(), st.none()))
+def test_a_metric_made_from_w_is_the_metric_made_from_its_components_w_g0(sphere, scale, node, value):
+    # LeafMetric(grid, w) and LeafMetric(grid, w g_0) on the torus and the sphere chart: the
+    # same w and smallest eigenvalue bytes, neither holding components, or the same error
+    # class, message and node
+    grid = make_sphere_grid(64) if sphere else make_torus_grid(8)
+    w = scale * (1.0 + 0.3 * np.cos(grid.coordinate_fields()[0]))
     if value is not None:
         w.flat[node] = value
     comps = np.zeros(w.shape + (2, 2))
-    comps[..., 0, 0] = comps[..., 1, 1] = w
+    comps[..., 0, 0] = w
+    comps[..., 1, 1] = w * grid.background_g11
 
-    def outcome(make):
+    def outcome(values):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                made = make()
+                made = LeafMetric(grid, values)
         except MetricError as exc:
             return type(exc), str(exc), exc.node
-        return np.float64(made.smallest_eigenvalue).tobytes(), None if made.w is None else made.w.tobytes()
+        return np.float64(made.smallest_eigenvalue).tobytes(), made.w.tobytes(), _holds_components(made)
 
+    got = outcome(w)
+    assert got == outcome(comps)
+    assert got[0] in (MetricError, SingularMetricError) or got[2] is False
+
+
+@pytest.mark.parametrize("case", ["sphere-48", "bump-16", "bump-16-g01"])
+def test_a_w_g0_metric_holds_w_alone_and_builds_its_components_on_each_read(case):
+    # entries (g00, g01, g11) are those of comps bit for bit, w, +0.0 and w g11_0 on w g_0
+    m, _ = _kernel_case(case)
+    comps = m.comps
+    made = LeafMetric(m.grid, comps)
+    for metric in (m, made):
+        entries = [e.tobytes() for e in metric.entries]
+        assert entries == [comps[..., a, b].tobytes() for a, b in ((0, 0), (0, 1), (1, 1))]
+        if m.w is None:
+            continue
+        assert not _holds_components(metric) and not np.shares_memory(metric.w, comps)
+        first, again = metric.comps, metric.comps
+        assert first is not again and first.tobytes() == again.tobytes() == comps.tobytes()
+        assert entries[0] == metric.w.tobytes() and not np.any(np.signbit(metric.entries[1]))
+    assert made.w is None if m.w is None else made.w.tobytes() == m.w.tobytes() and made.w.flags.c_contiguous
+
+
+def test_components_within_the_symmetry_tolerance_keep_their_mean():
     grid = make_torus_grid(8)
-    assert outcome(lambda: LeafMetric(grid, comps, w)) == outcome(lambda: LeafMetric(grid, comps))
+    comps = np.zeros(grid.shape + (2, 2))
+    comps[..., 0, 0] = comps[..., 1, 1] = 2.0
+    comps[..., 0, 1] = comps[..., 1, 0] = 0.5
+    comps[3, 4, 1, 0] = 0.5 + 4e-6
+    kept = comps.tobytes()
+    m = LeafMetric(grid, comps)
+    assert comps.tobytes() == kept  # the caller's array is not written
+    assert np.array_equal(m.comps[..., 0, 1], m.comps[..., 1, 0])
+    assert m.comps[3, 4, 0, 1] == 0.5 * (0.5 + (0.5 + 4e-6))
+    same = comps.copy()
+    same[3, 4, 1, 0] = 0.5
+    assert LeafMetric(grid, same).comps.tobytes() == same.tobytes()  # nothing moves where g01 == g10
+    # nor where g01 == g10 elsewhere: a diagonal of 1e308 stays finite, and a subnormal pair keeps its bits
+    comps[0, 0] = [[1e308, 5e-324], [5e-324, 1e308]]
+    m = LeafMetric(grid, comps)
+    assert m.comps[0, 0].tobytes() == comps[0, 0].tobytes() and abs(m.smallest_eigenvalue - (1.5 - 2e-6)) < 1e-15
+
+
+@pytest.mark.parametrize("case", ["sphere-48", "bump-16", "bump-33-g01"])
+def test_ricci_is_k_times_the_metric_in_its_own_form(case):
+    # Ric = K g: the factor K w on w g_0, else K g_ab, bit for bit, a fresh array each
+    # call; K is read off a pack when given, and the pack's K is never written
+    m, _ = _kernel_case(case)
+    pack = curvature(m)
+    K = pack.K
+    kept = K.tobytes()
+    want = (K * m.w) if m.w is not None else K[..., None, None] * m.comps
+    assert want.shape == (m.grid.shape if m.w is not None else m.grid.shape + (2, 2))
+    for got in (ricci(m), ricci(m, pack), ricci(m, pack)):
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert not np.shares_memory(got, K) and (m.w is None or not np.shares_memory(got, m.w))
+    assert pack.K is K and K.tobytes() == kept
 
 
 @pytest.mark.parametrize("case", ["sphere-48", "bump-16-g01"])
@@ -402,15 +465,17 @@ def test_pack_stores_its_tensors_grid_axes_first_and_builds_gamma_once(monkeypat
 
 
 def test_the_smallest_eigenvalue_is_that_of_the_symmetric_form():
-    # g10 within the symmetry tolerance of g01: the form every kernel reads,
-    # [[g00, g01], [g01, g11]], has least eigenvalue 1.0; with the determinant
-    # g00 g11 - g01 g10 the closed form would give 1.0000045, 4.5e-6 above it
+    # g10 within the symmetry tolerance of g01: the metric keeps the mean form every kernel
+    # reads, [[g00, c], [c, g11]] with c = (g01 + g10) / 2 = 1 - 4.5e-6, whose least
+    # eigenvalue is 2 - c = 1.0000045; g01 alone would give 1.0, and g10 alone 1.000009
     grid = make_torus_grid(8)
     comps = np.zeros(grid.shape + (2, 2))
     comps[..., 0, 0] = comps[..., 1, 1] = 2.0
     comps[..., 0, 1], comps[..., 1, 0] = 1.0, 1.0 - 9e-6
     m = LeafMetric(grid, comps)
-    assert m.smallest_eigenvalue == np.linalg.eigvalsh([[2.0, 1.0], [1.0, 2.0]]).min() == 1.0
+    c = 0.5 * (1.0 + (1.0 - 9e-6))
+    assert np.all(m.comps[..., 0, 1] == c) and np.all(m.comps[..., 1, 0] == c)
+    assert m.smallest_eigenvalue == np.linalg.eigvalsh([[2.0, c], [c, 2.0]]).min() == 2.0 - c
 
 
 @settings(max_examples=100, deadline=None)
@@ -418,7 +483,7 @@ def test_the_smallest_eigenvalue_is_that_of_the_symmetric_form():
        angle=st.floats(0.0, np.pi), skew=st.floats(-5e-6, 5e-6), node=st.tuples(st.integers(0, 7), st.integers(0, 7)))
 def test_smallest_eigenvalue_matches_eigvalsh_of_the_symmetric_form(low, gap, angle, skew, node):
     # eigenvalues low and low (1 + gap), apart, nearly equal or equal, rotated by
-    # angle; g10 differs from g01 by at most 5e-6 of it
+    # angle; g10 differs from g01 by at most 5e-6 of it, and the metric keeps their mean
     high = low * (1.0 + gap)
     c, s = np.cos(angle), np.sin(angle)
     g00, g01, g11 = low * c * c + high * s * s, (high - low) * c * s, low * s * s + high * c * c
@@ -426,7 +491,8 @@ def test_smallest_eigenvalue_matches_eigvalsh_of_the_symmetric_form(low, gap, an
     comps = np.zeros(grid.shape + (2, 2))
     comps[..., 0, 0] = comps[..., 1, 1] = 8.0  # every other node's eigenvalues are 8
     comps[node] = [[g00, g01], [g01 * (1.0 + skew), g11]]
-    want = np.linalg.eigvalsh(np.array([[g00, g01], [g01, g11]])).min()
+    mean = 0.5 * (g01 + g01 * (1.0 + skew))
+    want = np.linalg.eigvalsh(np.array([[g00, mean], [mean, g11]])).min()
     assert abs(LeafMetric(grid, comps).smallest_eigenvalue - want) <= 1e-12 * want
 
 
@@ -680,7 +746,7 @@ def test_flat_torus_christoffel_and_curvature_vanish():
     m = flat_torus_metric(n=16)
     assert np.max(np.abs(christoffel(m))) == 0.0
     pack = curvature(m)
-    assert np.max(np.abs(pack.ricci)) == 0.0
+    assert np.max(np.abs(ricci(m, pack))) == 0.0
     assert np.max(np.abs(pack.scal)) == 0.0
 
 
@@ -702,15 +768,16 @@ def test_sphere_ricci_and_scal(radius):
     m = sphere_metric(radius, n)
     pack = curvature(m)
     K = 1.0 / radius**2
-    assert np.max(np.abs(pack.ricci - K * m.comps)) < 5e-3 * max(1.0, radius**2)
+    assert np.max(np.abs(ricci(m, pack) - K * m.w)) < 5e-3 * max(1.0, radius**2)  # Ric = (K w) g_round
     assert np.max(np.abs(pack.scal - 2.0 * K)) < 5e-3
 
 
 def test_curvature_pack_invariants():
     m = torus_bump_metric(BUMP_AMP, 32)
     pack = curvature(m)
-    assert np.max(np.abs(pack.ricci - np.swapaxes(pack.ricci, -2, -1))) == 0.0
-    trace = np.einsum("...ab,...ab->...", m.inverse(), pack.ricci)
+    ric = pack.K[..., None, None] * m.comps
+    assert np.max(np.abs(ric - np.swapaxes(ric, -2, -1))) == 0.0
+    trace = np.einsum("...ab,...ab->...", m.inverse(), ric)
     assert np.max(np.abs(trace - pack.scal)) < 1e-12
 
 
@@ -719,9 +786,8 @@ def test_torus_bump_ricci_matches_fine_stencil_oracle():
     m = torus_bump_metric(BUMP_AMP, n)
     x, y = m.grid.coordinate_fields()
     K_oracle = torus_bump_gauss_oracle(x, y)
-    pack = curvature(m)
     h = 2 * np.pi / n
-    assert np.max(np.abs(pack.ricci - K_oracle[..., None, None] * m.comps)) < 10 * h**2
+    assert np.max(np.abs(ricci(m) - K_oracle * m.w)) < 10 * h**2  # Ric = (K w) I
 
 
 def test_sheared_flat_torus_curvature_converges_to_zero():
@@ -820,6 +886,3 @@ def test_ricci_identity_residual_decays():
     assert np.log2(errs[0] / errs[1]) > 1.8
 
 
-def test_ricci_fast_path_matches_pack():
-    m = torus_bump_metric(BUMP_AMP, 32)
-    assert np.max(np.abs(ricci(m) - curvature(m).ricci)) == 0.0
