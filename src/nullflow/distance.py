@@ -4,7 +4,7 @@ Three routes, chosen by grid/metric structure:
 
 * spherical 1-D grids: arc length along the symmetry-reduced coordinate
   (exact up to quadrature error for the round-sphere scenario);
-* periodic grids with a constant diagonal metric: closed-form minimum-image
+* periodic grids with a constant metric w I: closed-form minimum-image
   distance;
 * periodic grids with varying metrics: ``scipy.sparse.csgraph.dijkstra`` on
   a 16-neighbour periodic graph built with numpy (first-order accurate with
@@ -54,10 +54,8 @@ def _distance_symmetric(metric: LeafMetric, center: int) -> DistanceField:
     return DistanceField(grid, d, theta >= theta[0] + margin)
 
 
-def _is_constant_diagonal(g00, g01, g11) -> bool:
-    if np.max(np.abs(g01)) > 1e-13:
-        return False
-    return all(np.ptp(c) < 1e-13 * max(1.0, np.max(c)) for c in (g00, g11))
+def _is_constant(w) -> bool:
+    return np.ptp(w) < 1e-13 * max(1.0, np.max(w))
 
 
 def _min_image_offsets(grid: LeafGrid, center: tuple):
@@ -75,9 +73,10 @@ def _periodic_mask(grid: LeafGrid, center: tuple) -> np.ndarray:
     return (np.abs(dx) < lx / 2 - CUT_LOCUS_MARGIN * hx) & (np.abs(dy) < ly / 2 - CUT_LOCUS_MARGIN * hy)
 
 
-def _distance_flat_periodic(metric: LeafMetric, g: tuple, center: tuple) -> DistanceField:
+def _distance_flat_periodic(metric: LeafMetric, center: tuple) -> DistanceField:
     dx, dy, _, _ = _min_image_offsets(metric.grid, center)
-    d = np.sqrt(g[0][0, 0] * dx**2 + g[2][0, 0] * dy**2)
+    w = metric.w[0, 0]
+    d = np.sqrt(w * dx**2 + w * dy**2)
     return DistanceField(metric.grid, d, _periodic_mask(metric.grid, center))
 
 
@@ -99,7 +98,7 @@ def _window(c: int, n: int, h: float, reach: float):
     return np.arange(n), c
 
 
-def _distance_dijkstra(metric: LeafMetric, g: tuple, center: tuple, limit: float) -> DistanceField:
+def _distance_dijkstra(metric: LeafMetric, center: tuple, limit: float) -> DistanceField:
     from scipy.sparse import csr_matrix  # the only route that loads scipy
     from scipy.sparse.csgraph import dijkstra
     grid = metric.grid
@@ -111,17 +110,17 @@ def _distance_dijkstra(metric: LeafMetric, g: tuple, center: tuple, limit: float
     reach = limit / np.sqrt(metric.smallest_eigenvalue) * (1.0 + 1e-6)
     (ix, ci), (iy, cj) = (_window(c, n, h, reach) for c, n, h in zip(center, grid.shape, grid.spacings))
     nx, ny = len(ix), len(iy)
-    # padded[p][2 + i, 2 + j] is g00, g01 or g11 at window node (i, j), periodically
-    padded = [np.pad(c[np.ix_(ix, iy)], 2, mode="wrap") for c in g]
+    # padded[2 + i, 2 + j] is w at window node (i, j), periodically
+    padded = np.pad(metric.w[np.ix_(ix, iy)], 2, mode="wrap")
     steps = len(_NEIGHBOR_STEPS)
     weights = np.empty((nx, ny, steps))  # the CSR layout: row = node, one entry per step
     for s, (di, dj) in enumerate(_NEIGHBOR_STEPS[:steps // 2]):
-        # each padded edge (i, j) -> (i + di, j + dj), measured by the mean of both metrics
+        # each padded edge (i, j) -> (i + di, j + dj), measured by the mean m I of both metrics
         near = np.s_[max(0, -di):nx + 4 - max(0, di), max(0, -dj):ny + 4 - max(0, dj)]
         far = np.s_[max(0, di):nx + 4 - max(0, -di), max(0, dj):ny + 4 - max(0, -dj)]
-        m00, m01, m11 = (0.5 * (c[near] + c[far]) for c in padded)
+        m = 0.5 * (padded[near] + padded[far])
         vx, vy = di * hx, dj * hy
-        w = np.sqrt(m00 * vx * vx + 2.0 * m01 * vx * vy + m11 * vy * vy)
+        w = np.sqrt(m * vx * vx + m * vy * vy)
         # the steps are listed in pairs (s, -s) from both ends; node (i, j) leaves by
         # -s on the edge (i - di, j - dj) -> (i, j), seen from its far end
         i0, j0 = 2 - max(0, -di), 2 - max(0, -dj)
@@ -145,9 +144,9 @@ def geodesic_distance(metric: LeafMetric, center, limit: float = np.inf) -> Dist
     read the unbounded distance."""
     if metric.grid.topology == SPHERICAL_1D:
         field = _distance_symmetric(metric, int(center))
-    elif _is_constant_diagonal(*(g := metric.entries)):  # g00, g01 and g11, read once
-        field = _distance_flat_periodic(metric, g, tuple(center))
+    elif _is_constant(metric.w):
+        field = _distance_flat_periodic(metric, tuple(center))
     else:
-        return _distance_dijkstra(metric, g, tuple(center), limit)
+        return _distance_dijkstra(metric, tuple(center), limit)
     field.values[field.values > limit] = np.inf
     return field

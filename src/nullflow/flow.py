@@ -1,12 +1,12 @@
 """Time integration of the leaf-metric flow and coupled heat equations.
 
 The leaf metric evolves by dg'/dt = -2 Ric'(g') (forward) or +2 Ric'
-(backward).  Only forward steps are taken, with classical RK4, in the
-metric's own form: the conformal factor alone where Ric' = K g' keeps
-g' = w g_0 so (every scenario: the flat g_0 on the torus, the round one on
-the sphere chart, where dw/dt = Delta_0 log w - 2), else the 2x2
-components; a backward run reverses a forward one.  Each RK stage and each
-step ends in a LeafMetric, so each is checked by the metric's own rule.
+(backward).  Only forward steps are taken, with classical RK4 on the
+conformal factor w of g' = w g_0, which Ric' = K g' keeps so (the flat g_0
+on the torus, the round one on the sphere chart, where
+dw/dt = Delta_0 log w - 2); a backward run reverses a forward one.  Each RK
+stage and each step ends in a LeafMetric, so each is checked by the
+metric's own rule.
 A scalar density u can be co-evolved by the heat equation
 (Delta - d/dt)u = 0 or the conjugate heat equation
 (d/dt - Delta + Scal')u = 0, interleaved Strang-style so u sees
@@ -33,15 +33,13 @@ HEAT_CONJUGATE = "conjugate-heat"
 REACHED_T_END = "reached-t_end"
 SINGULAR = "singular"
 
-_CFL_NUMBER = 0.2
 # Heat substeps on g = w g_0: w^-1 Delta0 is self-adjoint in the w-weighted (on the sphere
 # chart w sin(theta)-weighted) inner product, so its spectrum is real, and by Gershgorin
 # in [-4 diffusion_rate, 0]: the rows of the periodic 5-point Delta0 sum to 8 / h^2, those
 # of the chart's flux form to 2 (s_{i+1/2} + s_{i-1/2}) / (s_i h^2) <= 4 / h^2, s = sin(theta).
 # Conjugate heat's -Scal' shifts it by at most max|Scal'|.  RK4's amplification R(z) lies
 # in (0, 1) on the real z in (-2.785, 0), and a substep h with h (diffusion_rate +
-# max|Scal'|) <= 0.6 keeps h (4 diffusion_rate + max|Scal'|) <= 2.4 within it.  The heat
-# substeps on a metric not of that form keep _CFL_NUMBER.
+# max|Scal'|) <= 0.6 keeps h (4 diffusion_rate + max|Scal'|) <= 2.4 within it.
 _CONFORMAL_HEAT_CFL = 0.6
 _EPS = float(np.finfo(float).eps)
 
@@ -125,22 +123,19 @@ def _rk4(state: np.ndarray, k1: np.ndarray, rate, dt: float) -> np.ndarray:
 
 
 def step_flow(metric: LeafMetric, dt: float, pack: CurvaturePack | None = None) -> LeafMetric:
-    """One forward RK4 step of dg'/dt = -2 Ric'(g') in the metric's own form: the state is
-    ``metric.w`` where g' = w g_0, which Ric' = K g' keeps so, else ``metric.comps``, and the
-    rate is -2 ``ricci`` of each stage made a LeafMetric, so checked as every metric is.
-    Stage 1 reads K off ``pack``, the metric's own CurvaturePack, when given."""
+    """One forward RK4 step of dg'/dt = -2 Ric'(g') on ``metric.w``, which Ric' = K g' keeps
+    w g_0: the rate is -2 ``ricci`` of each stage made a LeafMetric, so checked as every
+    metric is.  Stage 1 reads K off ``pack``, the metric's own CurvaturePack, when given."""
     if dt <= 0:
         raise FlowError("dt must be positive")
-    grid, state = metric.grid, metric.comps if metric.w is None else metric.w
+    grid = metric.grid
 
     def rate(m, pack=None):
         k = ricci(m, pack)
-        if k.ndim < state.ndim:  # a components stage exactly w g_0, on the torus: (K w) I
-            k = k[..., None, None] * np.eye(2)
         k *= -2.0
         return k
 
-    return LeafMetric(grid, _rk4(state, rate(metric, pack), lambda s: rate(LeafMetric(grid, s)), dt))
+    return LeafMetric(grid, _rk4(metric.w, rate(metric, pack), lambda s: rate(LeafMetric(grid, s)), dt))
 
 
 def _heat_rhs(pack: CurvaturePack, u: np.ndarray, scal: np.ndarray | None) -> np.ndarray:
@@ -150,18 +145,16 @@ def _heat_rhs(pack: CurvaturePack, u: np.ndarray, scal: np.ndarray | None) -> np
 
 def _heat_substep(pack: CurvaturePack, u: np.ndarray, dt: float, mode: str) -> np.ndarray:
     """Advance u by dt on the frozen metric of ``pack`` with RK4, CFL-limited
-    substeps that share its inverse, diffusion rate and the Christoffel symbols its
-    Laplacian reads (none on w g_0); conjugate heat also reads Scal' = 2K, which
-    plain heat never computes.  A substep h keeps h (diffusion_rate + max|Scal'|) at
-    or below _CONFORMAL_HEAT_CFL on w g_0, where RK4 is provably stable, and
-    _CFL_NUMBER elsewhere.  A NaN or inf in u raises
-    FlowError, and numpy prints no warning for it first."""
+    substeps that share its diffusion rate and g^00; conjugate heat also reads
+    Scal' = 2K, which plain heat never computes.  A substep h keeps
+    h (diffusion_rate + max|Scal'|) at or below _CONFORMAL_HEAT_CFL, where RK4 is
+    provably stable.  A NaN or inf in u raises FlowError, and numpy prints no
+    warning for it first."""
     scal = pack.scal if mode == HEAT_CONJUGATE else None
     rate = pack.diffusion_rate
     if scal is not None:
         rate += float(np.max(np.abs(scal)))
-    dt_cfl = (_CFL_NUMBER if pack.metric.w is None else _CONFORMAL_HEAT_CFL) / rate
-    nsub = max(1, int(np.ceil(dt / dt_cfl)))
+    nsub = max(1, int(np.ceil(dt / (_CONFORMAL_HEAT_CFL / rate))))
     h = dt / nsub
     with np.errstate(invalid="ignore", over="ignore"):  # the check below fails a NaN or inf
         for _ in range(nsub):

@@ -7,36 +7,30 @@ curvature computed here and the rest are derived from it.
 
 Every scenario starts conformal to its grid's background metric g_0 (the
 flat one on the torus, the round one on the sphere chart), and the flow
-keeps it so, since Ric = K g scales g at each node.  A metric g = w g_0
-(g01 and g10 zero, g11 == g00 g11_0 bit for bit) is carried by w alone,
-with K = (K_0 - Delta_0 log w / 2) / w and Delta_g = w^-1 Delta_0
-(Chow & Knopf, The Ricci Flow: An Introduction, 2004, ch. 5), where Delta_0
-is :func:`~nullflow.grids.background_laplacian`.  On the sphere chart
-K_0 = 1 and K is that formula, exact on a uniform w; a chart metric of any
-other form is rejected where it is made.  On the torus K keeps the
+keeps it so, since Ric = K g scales g at each node.  So a metric is
+g = w g_0, carried by its conformal factor w alone, with
+K = (K_0 - Delta_0 log w / 2) / w and Delta_g = w^-1 Delta_0 (Chow & Knopf,
+The Ricci Flow: An Introduction, 2004, ch. 5), where Delta_0 is
+:func:`~nullflow.grids.background_laplacian`.  On the sphere chart K_0 = 1
+and K is that formula, exact on a uniform w.  On the torus K keeps the
 Christoffel route's operations on Gamma = +-p, +-q, with
 gi = g^00 = g^11 = w / (w w), p = gi d_0 w / 2 and q = gi d_1 w / 2, which
 drops its products by g^01 = +-0 and its pairs that cancel exactly.
 
-A periodic metric not of that form takes K from the finite-difference
-Christoffel / Ricci construction, Ric_sn = sum_m R^m_{smn}, whose m = n
-summand is exactly 0.0 (an array minus itself), so only m = 1 - n and the
-half of the d_d Gamma^c_ab it reads are computed.
+A LeafMetric checks itself once, where it is made, and is never edited in
+place after, so no kernel checks its metric again.  Its smallest eigenvalue
+is w g11_0 (w off the chart, as g11_0 <= 1), and :func:`_min_eigenvalue`
+is the one check of it.
 
-A LeafMetric decides its form, checks and classifies itself once, where it
-is made, from w or from its components, and is never edited in place after,
-so no kernel checks its metric again.  Its smallest eigenvalue follows one
-rule, min(g00, g11) exactly where g01 == 0 (on w g_0 that is w g11_0, as
-g11_0 <= 1), and :func:`_min_eigenvalue` is the one check of it.
-
-Every tensor is stored node-major, grid axes first and components last, as
-``LeafMetric.comps``: g^ab, Ricci and the Hessian have shape grid + (2, 2),
-Gamma^c_ab grid + (2, 2, 2).  :func:`ricci` keeps the metric's own form:
-the factor K w of Ric = (K w) g_0 on w g_0.
+The Christoffel symbols, the Hessian and g^ab serve the identity residuals
+and :mod:`nullflow.nullgeom`.  Every tensor is stored node-major, grid axes
+first and components last, as ``LeafMetric.comps``: g^ab and the Hessian
+have shape grid + (2, 2), Gamma^c_ab grid + (2, 2, 2).  :func:`ricci` is
+the factor K w of Ric = (K w) g_0.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -62,12 +56,6 @@ def _trace(g, t) -> np.ndarray:
             + (g[..., 0, 1] * t[..., 0, 1] + g[..., 1, 1] * t[..., 1, 1]))
 
 
-def _not_conformal(comps: np.ndarray, g11_0=1.0) -> np.ndarray:
-    """Per node, whether ``comps`` is not exactly w g_0 there, for the background
-    g_0 = diag(1, g11_0): g01 or g10 not zero, or g11 != g00 g11_0 (a NaN is not)."""
-    return (comps[..., 0, 1] != 0.0) | (comps[..., 1, 0] != 0.0) | (comps[..., 1, 1] != comps[..., 0, 0] * g11_0)
-
-
 class MetricError(ValueError):
     """A metric rejected when made; ``node`` is the flat index of the node it names, if any."""
 
@@ -80,33 +68,14 @@ class SingularMetricError(MetricError):
     pass
 
 
-def _smallest_eigenvalues(g00, g01, g11) -> np.ndarray:
-    """Per node, the smaller eigenvalue of [[g00, g01], [g01, g11]]: min(g00, g11), exactly, where
-    g01 == 0, else det / lam_max = min (max / lam_max) - g01 (g01 / lam_max), lam_max from the entries
-    scaled by their largest |entry|, so nothing overflows or underflows (mean - radius where lam_max <= 0,
-    as det / lam_max is 0 / 0 at 0); at most min(g00, g11), so rounding never hides an entry <= 0."""
-    lam = np.minimum(g00, g11)
-    if g01.any():
-        off = g01 != 0.0
-        a, b, c = g00[off], g11[off], g01[off]
-        s = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
-        with np.errstate(all="ignore"):  # where this is not finite, the check fails
-            x, y, z = a / s, b / s, c / s
-            mean, radius = 0.5 * (x + y), np.hypot(0.5 * (x - y), z)
-            top = mean + radius
-            low = np.where(top > 0.0, lam[off] * (np.maximum(x, y) / top) - c * (z / top), (mean - radius) * s)
-            lam[off] = np.minimum(lam[off], low)
-    return lam
-
-
-def _min_eigenvalue(lam: np.ndarray, comps: np.ndarray) -> float:
-    """The least of ``lam``, the smallest eigenvalue of each node's metric ``comps`` (w, or its
-    2x2 components), checked: a component not finite raises MetricError, then an eigenvalue <= 0
-    (or a NaN) SingularMetricError, each naming its first node."""
+def _min_eigenvalue(lam: np.ndarray, w: np.ndarray) -> float:
+    """The least of ``lam``, the smallest eigenvalue of w g_0 at each node, checked: a w not
+    finite raises MetricError, then an eigenvalue <= 0 (or a NaN) SingularMetricError, each
+    naming its first node."""
     low = lam.min()
-    if low > 0.0 and comps.max() < np.inf:
+    if low > 0.0 and w.max() < np.inf:
         return float(low)
-    bad = ~np.isfinite(comps.reshape(lam.size, -1)).all(axis=1)
+    bad = ~np.isfinite(w)
     if bad.any():
         node = int(np.argmax(bad))
         raise MetricError(f"metric components are not finite (node {node})", node)
@@ -116,60 +85,30 @@ def _min_eigenvalue(lam: np.ndarray, comps: np.ndarray) -> float:
 
 @dataclass(eq=False)
 class LeafMetric:
-    """Symmetric positive-definite metric g'_ab per node, valid once made and never edited in
-    place after.  ``values`` is its conformal factor w (shape grid.shape) for g' = w g_0, g_0 the
-    grid's background, or its 2x2 components (shape grid.shape + (2, 2)); components exactly
-    w g_0 keep w alone, and components accepted within the symmetry tolerance keep their mean
-    (g + g^T) / 2.  ``w`` is None where g' is not w g_0, ``entries`` and ``comps`` build w g_0
-    on each read, and ``smallest_eigenvalue`` is the least.  A sphere chart metric must be
-    w g_0, and a periodic one not of that form takes the generic route."""
+    """The metric g' = w g_0 of a leaf, g_0 its grid's background, carried by its conformal
+    factor ``w`` (shape grid.shape); valid once made and never edited in place after.
+    ``entries`` and ``comps`` build its components on each read, and ``smallest_eigenvalue``
+    is the least of its eigenvalues w and w g11_0."""
 
     grid: LeafGrid
-    values: InitVar[np.ndarray]
+    w: np.ndarray
 
-    def __post_init__(self, values):
-        grid, g = self.grid, np.asarray(values, dtype=float)
-        shape, g11_0 = grid.shape, grid.background_g11
-        if g.shape == shape + (DIM, DIM):
-            a, b = g[..., 0, 1], g[..., 1, 0]
-            if not (a == b).all():  # a NaN fails; then np.allclose(a, b, atol=1e-14)'s predicate
-                with np.errstate(invalid="ignore"):  # inf - inf
-                    close = (a == b) | ((np.abs(a - b) <= 1e-14 + 1e-5 * np.abs(b)) & np.isfinite(b))
-                if not np.all(close):
-                    bad = ~np.isfinite(g).all(axis=(-2, -1))
-                    if bad.any():  # a non-finite component fails the test above, so name it
-                        node = int(np.argmax(bad))
-                        raise MetricError(f"metric components are not finite (node {node})", node)
-                    raise MetricError("metric components are not symmetric")
-                off, g = a != b, g.copy()  # the mean of each pair that differs, halved first so it never overflows
-                g[..., 0, 1][off] = g[..., 1, 0][off] = 0.5 * a[off] + 0.5 * b[off]
-            if not _not_conformal(g, g11_0).any():
-                g = np.ascontiguousarray(g[..., 0, 0])
-        elif g.shape != shape:
-            raise MetricError(f"metric shape {g.shape} invalid")
-        conformal, chart = g.shape == shape, grid.topology == SPHERICAL_1D
-        self.w, self._comps = (g, None) if conformal else (None, g)
+    def __post_init__(self):
+        grid, w = self.grid, np.asarray(self.w, dtype=float)
+        if w.shape != grid.shape:
+            raise MetricError(f"metric shape {w.shape} invalid")
+        self.w = w
         # w g_0's eigenvalues are w and w g11_0 <= w, with g11_0 = 1 off the chart
-        lam = ((g * g11_0 if chart else g) if conformal
-               else _smallest_eigenvalues(g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]))
-        self.smallest_eigenvalue = _min_eigenvalue(lam, g)
-        if chart and not conformal:  # every kernel reads a chart metric as w g_0
-            node = int(np.argmax(_not_conformal(g, g11_0)))
-            raise MetricError("sphere chart metric not w g_round: g12 != 0 or g22 != g11 sin^2(theta) "
-                              f"(node {node})", node)
+        self.smallest_eigenvalue = _min_eigenvalue(w * grid.background_g11 if grid.topology == SPHERICAL_1D else w, w)
 
     @property
     def entries(self) -> tuple:
-        """(g00, g01, g11), each of shape grid.shape: on w g_0 w, +0.0 and w g11_0, built on each read."""
-        if self.w is None:
-            return self._comps[..., 0, 0], self._comps[..., 0, 1], self._comps[..., 1, 1]
+        """(g00, g01, g11), each of shape grid.shape: w, +0.0 and w g11_0, built on each read."""
         return self.w, np.zeros_like(self.w), self.w * self.grid.background_g11
 
     @property
     def comps(self) -> np.ndarray:
-        """The components g_ab, shape grid + (2, 2), on w g_0 built from ``entries`` on each read."""
-        if self.w is None:
-            return self._comps
+        """The components g_ab, shape grid + (2, 2), built from ``entries`` on each read."""
         g00, g01, g11 = self.entries
         return np.stack([g00, g01, g01, g11], axis=-1).reshape(self.grid.shape + (DIM, DIM))
 
@@ -188,8 +127,8 @@ class CurvaturePack:
     """The geometry of one frozen metric, built once by :func:`curvature` for every operator on
     it, each part on first read: the inverse ``ginv`` (g^ab, shape grid + (a, b)), the Christoffel
     symbols (Gamma^c_ab, shape grid + (c, a, b)), the Gauss curvature K and the CFL diffusion rate.
-    The heat Laplacian, its rate and |grad f|^2 read ``inverse_diagonal``, which g = w g_0 builds
-    without ``ginv`` or a Christoffel symbol.  The 2-D scalar curvature is derived from K, and
+    The heat Laplacian, its rate and |grad f|^2 read ``inverse_diagonal``, built from w without
+    ``ginv`` or a Christoffel symbol.  The 2-D scalar curvature is derived from K, and
     :func:`ricci` reads K off a pack; Riemann, K (g_ac g_bd - g_ad g_bc), is not provided."""
 
     def __init__(self, metric: LeafMetric):
@@ -205,11 +144,9 @@ class CurvaturePack:
 
     @cached_property
     def inverse_diagonal(self) -> tuple:
-        """(g^00, g^11): on g = w g_0, gi = w / (w w), one contiguous array, and gi / g11_0 (gi
-        itself off the chart: bit for bit ``ginv``'s, whose determinant is w w - 0 0); else ``ginv``'s."""
+        """(g^00, g^11): gi = w / (w w), one contiguous array, and gi / g11_0 (gi itself off the
+        chart: bit for bit ``ginv``'s, whose determinant is w w - 0 0)."""
         w = self.metric.w
-        if w is None:
-            return self.ginv[..., 0, 0], self.ginv[..., 1, 1]
         gi = w / (w * w)
         return (gi, gi) if self.grid.topology == PERIODIC_2D else (gi, gi / self.grid.background_g11)
 
@@ -225,7 +162,7 @@ class CurvaturePack:
 
     @cached_property
     def K(self) -> np.ndarray:
-        return gauss_curvature(self.metric, self)
+        return gauss_curvature(self.metric)
 
     @cached_property
     def grad_scal(self) -> np.ndarray:
@@ -252,37 +189,16 @@ def christoffel(metric: LeafMetric, ginv: np.ndarray | None = None) -> np.ndarra
     return gamma
 
 
-def _gauss_curvature_generic(pack: CurvaturePack) -> np.ndarray:
-    """Ric_sn = sum_m R^m_{smn} from Gamma and its derivatives; returns K = Scal/2.
-
-    In R^r_{smn} = d_m Gamma^r_ns - d_n Gamma^r_ms + Gamma^r_ml Gamma^l_ns - Gamma^r_nl Gamma^l_ms
-    the m = n summand is an array minus itself, exactly 0.0 for finite Gamma, so
-    Ric_sn is the m = 1 - n summand alone, in the full sum's order.  It reads only
-    dgamma[d][..., c, s] = d_d Gamma^c_{1-d, s}: 4 of the 8 components per axis."""
-    grid, gamma = pack.grid, pack.christoffel
-    dgamma = [partial_deriv(grid, gamma[..., 1 - d, :], axis=d) for d in range(DIM)]
-    ric = np.empty(grid.shape + (DIM, DIM))
-    for s in range(DIM):
-        for n in range(DIM):
-            m = 1 - n
-            term = dgamma[m][..., m, s] - dgamma[n][..., m, s]
-            for l in range(DIM):
-                term = term + (gamma[..., m, m, l] * gamma[..., l, n, s]
-                               - gamma[..., m, n, l] * gamma[..., l, m, s])
-            ric[..., s, n] = term
-    return 0.5 * _trace(pack.ginv, 0.5 * (ric + ric.swapaxes(-1, -2)))
-
-
 def _gauss_curvature_conformal(grid: LeafGrid, w: np.ndarray) -> np.ndarray:
-    """K of g = w I, with the operations of :func:`_gauss_curvature_generic`
-    on Gamma^0_00 = Gamma^1_01 = -Gamma^0_11 = p and Gamma^1_11 = Gamma^0_01 =
-    -Gamma^1_00 = q:
+    """K of g = w I, with the operations of the Christoffel route, K = g^ab Ric_ab / 2 from
+    Ric_sn = sum_m R^m_{smn}, on Gamma^0_00 = Gamma^1_01 = -Gamma^0_11 = p and Gamma^1_11 =
+    Gamma^0_01 = -Gamma^1_00 = q:
 
         K = 0.5 (((T + A) - A) gi + ((T - A) + A) gi),  T = -(d_1 q + d_0 p),
         A = p p + q q,
 
-    where ric_01 + ric_10 and every product by g^01 = +-0 are exact zeros.  It
-    checks nothing: w is a metric's, or an RK stage's that the flow checked."""
+    where the m = n summands, ric_01 + ric_10 and every product by g^01 = +-0 are exact
+    zeros (``tests/node_major_reference.py`` keeps the full sum on the components)."""
     ww = w * w  # the determinant
     gi = np.divide(w, ww, out=ww)
     p, q = partial_deriv(grid, w, 0), partial_deriv(grid, w, 1)
@@ -305,10 +221,11 @@ def _gauss_curvature_conformal(grid: LeafGrid, w: np.ndarray) -> np.ndarray:
     return k
 
 
-def conformal_curvature(grid: LeafGrid, w: np.ndarray) -> np.ndarray:
-    """K of g = w g_0: :func:`_gauss_curvature_conformal` on the torus, and on the sphere chart
-    (1 - Delta_0 log w / 2) / w, exactly 1 / w on a uniform w.  It checks nothing: w is a
-    metric's, or an RK stage's that the flow checked."""
+def gauss_curvature(metric: LeafMetric) -> np.ndarray:
+    """Gauss curvature K of g = w g_0 per node: :func:`_gauss_curvature_conformal` on the torus,
+    and on the sphere chart (1 - Delta_0 log w / 2) / w, exactly 1 / w on a uniform w.  It checks
+    nothing: w is a metric's, or an RK stage's, each checked where it was made."""
+    grid, w = metric.grid, metric.w
     if grid.topology == PERIODIC_2D:
         return _gauss_curvature_conformal(grid, w)
     k = background_laplacian(grid, np.log(w))
@@ -318,15 +235,6 @@ def conformal_curvature(grid: LeafGrid, w: np.ndarray) -> np.ndarray:
     return k
 
 
-def gauss_curvature(metric: LeafMetric, pack: CurvaturePack | None = None) -> np.ndarray:
-    """Gauss curvature K per node, the one place that picks its route: the
-    conformal one on g = w g_0 exactly, else the Christoffel route on ``pack``
-    (built if not given)."""
-    if metric.w is not None:
-        return conformal_curvature(metric.grid, metric.w)
-    return _gauss_curvature_generic(curvature(metric) if pack is None else pack)
-
-
 def curvature(metric: LeafMetric) -> CurvaturePack:
     """The geometry pack of ``metric``; its one inversion, if any reader needs it, serves Gamma,
     K and the kernels."""
@@ -334,11 +242,8 @@ def curvature(metric: LeafMetric) -> CurvaturePack:
 
 
 def ricci(metric: LeafMetric, pack: CurvaturePack | None = None) -> np.ndarray:
-    """Ric = K g (the flow's right-hand side) in the metric's own form, a fresh array: the factor
-    K w on g = w g_0, since Ric = (K w) g_0, else K g_ab, shape grid + (a, b).  K is read off
-    ``pack``, the metric's own, when given, and never written."""
-    if metric.w is None:
-        return (gauss_curvature(metric) if pack is None else pack.K)[..., None, None] * metric.comps
+    """Ric = K g (the flow's right-hand side) as the factor K w of Ric = (K w) g_0, a fresh
+    array.  K is read off ``pack``, the metric's own, when given, and never written."""
     if pack is not None:
         return pack.K * metric.w
     k = gauss_curvature(metric)  # fresh, so scaled in place
@@ -355,17 +260,14 @@ def gradient(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np
 
 def grad_norm_sq(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np.ndarray:
     """||grad f||^2 = g^ab d_a f d_b f >= 0, summed in the order of
-    np.einsum("...ab,...a,...b->...").  On g = w g_0 it reads the pack's g^00 and g^11 alone,
-    with g^01 = g^10 = 0.0: the sign of a zero term cannot change the sum, whose first term
-    is never -0.0, and a NaN or inf d f still makes its node NaN."""
+    np.einsum("...ab,...a,...b->...").  It reads the pack's g^00 and g^11 alone, with
+    g^01 = g^10 = 0.0: the sign of a zero term cannot change the sum, whose first term is
+    never -0.0, and a NaN or inf d f still makes its node NaN."""
     pack = curvature(metric) if pack is None else pack
     values = field_values(field, metric.grid)
     d0, d1 = (partial_deriv(metric.grid, values, axis=d) for d in range(DIM))
-    if metric.w is None:
-        g00, g01, g10, g11 = (pack.ginv[..., a, b] for a in range(DIM) for b in range(DIM))
-    else:
-        (g00, g11), g01, g10 = pack.inverse_diagonal, 0.0, 0.0
-    out = ((g00 * d0 * d0 + g01 * d0 * d1) + g10 * d1 * d0) + g11 * d1 * d1
+    g00, g11 = pack.inverse_diagonal
+    out = ((g00 * d0 * d0 + 0.0 * d0 * d1) + 0.0 * d1 * d0) + g11 * d1 * d1
     return np.maximum(out, 0.0)
 
 
@@ -388,16 +290,11 @@ def hessian(metric: LeafMetric, field, gamma: np.ndarray | None = None) -> np.nd
 
 
 def laplace_beltrami(metric: LeafMetric, field, pack: CurvaturePack | None = None) -> np.ndarray:
-    """Delta f = g^ab f_ab, the trace of :func:`hessian`, on ``pack`` (built from
-    ``metric`` if not given).  On g = w g_0 it is w^-1 Delta_0 f (in 2-D sqrt(g) g^ab
-    is conformally invariant), g^00 times the background Laplacian, which reads no
-    Christoffel symbol."""
-    values = field_values(field, metric.grid)
-    pack = curvature(metric) if pack is None else pack
-    if metric.w is not None:
-        lap = background_laplacian(metric.grid, values)
-        return np.multiply(lap, pack.inverse_diagonal[0], out=lap)
-    return _trace(pack.ginv, hessian(metric, values, pack.christoffel))
+    """Delta f = g^ab f_ab on ``pack`` (built from ``metric`` if not given): w^-1 Delta_0 f
+    (in 2-D sqrt(g) g^ab is conformally invariant), g^00 times the background Laplacian,
+    which reads no Christoffel symbol."""
+    lap = background_laplacian(metric.grid, field_values(field, metric.grid))
+    return np.multiply(lap, (curvature(metric) if pack is None else pack).inverse_diagonal[0], out=lap)
 
 
 def bochner_residual(metric: LeafMetric, field) -> np.ndarray:

@@ -125,8 +125,10 @@ def read_trajectory_csv(path, grid) -> FlowTrajectory:
     header, a row without 6 cells, a u cell empty unlike line 3's, a non-finite number,
     a node id outside 0..n-1, a truncated block, a block whose rows disagree on the time
     or do not list the nodes 0..n-1 once each, block times that do not strictly
-    increase, or a metric that LeafMetric rejects (the line of the node it names); a
-    cell that is not a number raises numpy's ValueError.
+    increase, a row whose metric is not w g_0 (g12 != 0, or g22 != g11 g11_0 bit for
+    bit, with g11_0 = 1 on the torus and sin^2(theta) on the sphere chart), or a w that
+    LeafMetric rejects (the line of the node it names); a cell that is not a number
+    raises numpy's ValueError.
     """
     with open(path, "rb") as fh:
         head = [fh.readline().decode().removesuffix("\n").removesuffix("\r") for _ in range(2)]
@@ -158,15 +160,17 @@ def read_trajectory_csv(path, grid) -> FlowTrajectory:
             "block times must strictly increase")
     require(n_nodes * np.flatnonzero((np.sort(nodes, axis=1) != np.arange(n_nodes)).any(axis=1)),
             f"the block does not list the nodes 0..{n_nodes - 1} once each")
-    # each block is a permutation of the nodes: scatter the rows into node order
     order = nodes.astype(int)
+    g11_0 = np.broadcast_to(grid.background_g11, grid.shape).ravel()[order]  # per row, in file order
+    require(np.flatnonzero((values[..., 3] != 0.0) | (values[..., 4] != values[..., 2] * g11_0)),
+            "metric not w g_0: g12 != 0 or g22 != g11 g11_0")
+    # each block is a permutation of the nodes: scatter the rows into node order
     values[np.arange(len(nodes))[:, None], order] = values.copy()
     # copies of the columns kept, so that the parsed rows are freed on return
-    comps = values[..., [2, 3, 3, 4]].reshape((-1,) + grid.shape + (2, 2))
     metrics = []
-    for k, c in enumerate(comps):
+    for k, w in enumerate(values[..., 2].copy().reshape((-1,) + grid.shape)):
         try:
-            metrics.append(LeafMetric(grid, c))
+            metrics.append(LeafMetric(grid, w))
         except MetricError as err:
             require([k * n_nodes + int(np.argmax(order[k] == err.node))], err)
     heats = [ScalarField(grid, u) for u in values[..., 5].copy().reshape((-1,) + grid.shape)] if has_u else None

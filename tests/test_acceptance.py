@@ -83,11 +83,8 @@ def _perturbed_sphere_metric(radius, eps, n):
     """w g_round with w = r^2 (1 + eps cos(theta)), and its closed-form K."""
     grid = make_sphere_grid(n)
     c = np.cos(grid.axes[0])
-    comps = np.zeros(grid.shape + (2, 2))
-    comps[..., 0, 0] = radius**2 * (1.0 + eps * c)
-    comps[..., 1, 1] = comps[..., 0, 0] * grid.background_g11
     K = (2.0 + 6.0 * eps * c + eps**2 * (1.0 + 3.0 * c * c)) / (2.0 * radius**2 * (1.0 + eps * c) ** 3)
-    return LeafMetric(grid, comps), K
+    return LeafMetric(grid, radius**2 * (1.0 + eps * c)), K
 
 
 def test_criterion_04_ricci_convergence_order():

@@ -320,11 +320,8 @@ def _trajectories(draw):
     """A trajectory of random cells on a torus (n = 8, 9, 16) or the sphere
     (n = 8), with or without heat, in each termination state: times in
     [0, 1e300]; u log-uniform over 5e-324..1e300 (both ends present in each
-    field); a positive-definite metric s (a, c; c, b) with a node scale s
-    log-uniform over 1e-300..1e300 (both ends present), a and b in [0.5, 2]
-    and |c| <= 0.4 of either sign, and g12 = 5e-324 and -0.0 at two nodes; on
-    the sphere, whose chart metric is w g_round, g22 = g11 sin^2(theta) and
-    g12 = 0.0, -0.0 at two nodes."""
+    field); a metric w g_0 with w = s a, a node scale s log-uniform over
+    1e-300..1e300 (both ends present) and a in [0.5, 2]."""
     kind, n = draw(st.sampled_from([("torus", 8), ("torus", 9), ("torus", 16), ("sphere", 8)]))
     grid = make_torus_grid(n) if kind == "torus" else make_sphere_grid(n)
     times = sorted(draw(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=3, unique=True)))
@@ -335,17 +332,7 @@ def _trajectories(draw):
         x.flat[rng.choice(x.size, 2, replace=False)] = (low, high)
         return x
 
-    metrics = []
-    for _ in times:
-        # s^2 (ab - c^2) >= 0.09 s^2, and the eigenvalues differ by a factor below 5
-        scale, comps = cells(1e-300, 1e300), np.empty(grid.shape + (2, 2))
-        comps[..., 0, 0], comps[..., 1, 1] = (scale * rng.uniform(0.5, 2.0, grid.shape) for _ in range(2))
-        g12 = scale * rng.uniform(-0.4, 0.4, grid.shape) * (0.0 if kind == "sphere" else 1.0)
-        g12.flat[rng.choice(g12.size, 2, replace=False)] = (0.0 if kind == "sphere" else 5e-324, -0.0)
-        comps[..., 0, 1] = comps[..., 1, 0] = g12
-        if kind == "sphere":
-            comps[..., 1, 1] = comps[..., 0, 0] * np.sin(grid.axes[0]) ** 2
-        metrics.append(LeafMetric(grid, comps))
+    metrics = [LeafMetric(grid, cells(1e-300, 1e300) * rng.uniform(0.5, 2.0, grid.shape)) for _ in times]
     heat = draw(st.booleans())
     termination = draw(st.sampled_from([REACHED_T_END, SINGULAR]))
     return FlowTrajectory(
@@ -382,20 +369,19 @@ def test_trajectory_csv_round_trips_bit_for_bit(tmp_path):
     check()
 
 
-# per column g11, g12, g22, u: the range of fresh cells and the constants drawn
-_COLUMN_KINDS = [(0.5, 2.0, [1.0]), (-0.4, 0.4, [0.0, -0.0]), (0.5, 2.0, [1.0]), (-2.0, 2.0, [0.0, -0.0, 1.0])]
+# per column w and u: the range of fresh cells and the constants drawn
+_COLUMN_KINDS = [(0.5, 2.0, [1.0]), (-2.0, 2.0, [0.0, -0.0, 1.0])]
 
 
 @st.composite
 def _related_column_trajectories(draw):
     """A torus trajectory (n = 8, 9 or 65, so that blocks of 4,225 rows cross
-    a write slice) whose value columns g11, g12, g22 and u, per block, are
-    fresh cells, a constant, a bitwise copy of an earlier column, or such a
-    copy with the sign of one cell flipped (a -0.0 where the other has +0.0);
-    u may be absent.  The metric stays positive definite: g11 and g22 are
-    fresh or constant in [0.5, 2], or g22 a copy of g11, and g12 is fresh
-    in [-0.4, 0.4] with a +0.0 and a -0.0 among them or a constant +0.0,
-    -0.0 or other number there; u is any of the kinds, over [-2, 2]."""
+    a write slice) whose columns per block are g11 = w, g12 = +0.0 and
+    g22 = w, with w fresh cells in [0.5, 2] or a constant there, and u, which
+    may be absent: fresh cells in [-2, 2] with a +0.0 and a -0.0 among them,
+    a constant +0.0, -0.0 or other number there, a bitwise copy of an
+    earlier column, or such a copy with the sign of one cell flipped (a -0.0
+    where the other has +0.0)."""
     grid = make_torus_grid(draw(st.sampled_from([8, 9, 65])))
     size = grid.shape[0] * grid.shape[1]
     times = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True)))
@@ -404,29 +390,25 @@ def _related_column_trajectories(draw):
     blocks = []
     for _ in times:
         cols = []
-        for c in range(4 if heat else 3):
-            related = [("copy", 0)] if c == 2 else [(how, j) for j in range(c) for how in ("copy", "flip")]
-            kind = draw(st.sampled_from(["fresh", "const"] + (related if c >= 2 else [])))
-            low, high, consts = _COLUMN_KINDS[c]
+        for c, (low, high, consts) in enumerate(_COLUMN_KINDS[:2 if heat else 1]):
+            related = [(how, j) for j in range(3) for how in ("copy", "flip")] if c == 1 else []
+            kind = draw(st.sampled_from(["fresh", "const"] + related))
             if kind == "fresh":
                 col = rng.uniform(low, high, size)
                 if low < 0.0:
                     col[rng.choice(size, 2, replace=False)] = (0.0, -0.0)
             elif kind == "const":
                 col = np.full(size, draw(st.sampled_from(consts + [float(rng.uniform(low, high))])))
-            else:
-                col = cols[kind[1]].copy()
+            else:  # a copy of g11, g12 or g22
+                col = (cols[0] if kind[1] != 1 else np.zeros(size)).copy()
                 if kind[0] == "flip":
                     zeros = np.flatnonzero(col == 0.0)
                     i = zeros[0] if zeros.size else 0
                     col[i] = -col[i]
-            cols.append(col)
-        blocks.append([col.reshape(grid.shape) for col in cols])
-    metrics = []
-    for g11, g12, g22, *_ in blocks:
-        comps = np.stack([np.stack([g11, g12], -1), np.stack([g12, g22], -1)], -2)
-        metrics.append(LeafMetric(grid, comps))
-    heats = [ScalarField(grid, cols[3]) for cols in blocks] if heat else None
+            cols.append(col.reshape(grid.shape))
+        blocks.append(cols)
+    metrics = [LeafMetric(grid, cols[0]) for cols in blocks]
+    heats = [ScalarField(grid, cols[1]) for cols in blocks] if heat else None
     return FlowTrajectory(np.array(times), metrics, heats, REACHED_T_END)
 
 
@@ -444,13 +426,12 @@ def test_trajectory_csv_shares_text_only_between_bitwise_equal_columns(tmp_path)
 
 @st.composite
 def _pooled_trajectories(draw):
-    """A torus trajectory whose cells g11, g12, g22 and u all come from one
-    pool shared by nodes, columns and samples: +0.0, -0.0, 5e-324, 1.0 and
-    two random numbers a and b in [2, 4].  n = 8 with 1-5 samples puts
-    several samples in one chunk; n = 65 (4,225 rows) puts one sample in a
-    chunk and crosses a write slice.  u may be absent.  The metric stays
-    positive definite: g11 and g22 are 1.0, a or b, and g12 is +0.0, -0.0,
-    5e-324, or 1.0 where g11 g22 > 1."""
+    """A torus trajectory whose cells w and u all come from one pool shared by
+    nodes, columns and samples: +0.0, -0.0, 5e-324, 1.0 and two random
+    numbers a and b in [2, 4].  n = 8 with 1-5 samples puts several samples
+    in one chunk; n = 65 (4,225 rows) puts one sample in a chunk and crosses
+    a write slice.  u may be absent.  w is 1.0, a or b, so g11 = g22 = w and
+    g12 = +0.0 share the pool with u."""
     n = draw(st.sampled_from([8, 65]))
     grid = make_torus_grid(n)
     times = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5 if n == 8 else 2,
@@ -461,11 +442,7 @@ def _pooled_trajectories(draw):
     def cells(choices):
         return pool[rng.choice(choices, grid.shape)]
 
-    metrics = []
-    for _ in times:
-        g11, g22, g12 = cells([3, 4, 5]), cells([3, 4, 5]), cells([0, 1, 2, 3])
-        g12[(g12 == 1.0) & (g11 * g22 <= 1.0)] = -0.0
-        metrics.append(LeafMetric(grid, np.stack([np.stack([g11, g12], -1), np.stack([g12, g22], -1)], -2)))
+    metrics = [LeafMetric(grid, cells([3, 4, 5])) for _ in times]
     heats = [ScalarField(grid, cells(range(6))) for _ in times] if draw(st.booleans()) else None
     return FlowTrajectory(np.array(times), metrics, heats, REACHED_T_END)
 
@@ -551,16 +528,14 @@ def test_write_trajectory_csv_holds_less_than_its_file(tmp_path):
 
 
 def test_read_trajectory_csv_keeps_no_strings_per_row(tmp_path):
-    """Reading a 6-sample torus n = 64 trajectory (24,576 rows, 2.07 MB)
-    peaked at 2.6 times the file size (numpy 2.4, CPython 3.11); a reader
-    that keeps a list of strings per row and per column peaked at 7.4 times."""
+    """Reading a 6-sample torus n = 64 trajectory (24,576 rows, 1.71 MB)
+    peaked at 1.8 times the file size (numpy 2.4, CPython 3.11); a reader
+    that keeps a list of strings per row and per column peaked at 7.4 times
+    on a file of random 2x2 components."""
     grid = make_torus_grid(64)
     rng = np.random.default_rng(0)
-    comps = 1.0 + 0.1 * rng.random((6,) + grid.shape + (2, 2))
-    comps[..., 0, 1] -= 1.0  # positive definite
-    comps[..., 1, 0] = comps[..., 0, 1]
     traj = FlowTrajectory(
-        0.02 * np.arange(6), [LeafMetric(grid, c) for c in comps],
+        0.02 * np.arange(6), [LeafMetric(grid, w) for w in 1.0 + 0.1 * rng.random((6,) + grid.shape)],
         [ScalarField(grid, 2.0 + rng.random(grid.shape)) for _ in range(6)], REACHED_T_END,
     )
     path = tmp_path / "traj.csv"
@@ -573,9 +548,9 @@ def test_read_trajectory_csv_keeps_no_strings_per_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * path.stat().st_size, (peak, path.stat().st_size)
-    # what stays allocated is the metric components and u (0.98 MB), not the
-    # parsed (rows x 6) array (1.18 MB) that a view into it keeps alive
-    kept = sum(m.comps.nbytes for m in back.metrics) + sum(f.values.nbytes for f in back.heat_fields)
+    # what stays allocated is w and u (0.39 MB), not the parsed (rows x 6)
+    # array (1.18 MB) that a view into it keeps alive
+    kept = sum(m.w.nbytes for m in back.metrics) + sum(f.values.nbytes for f in back.heat_fields)
     assert held < kept + 16_384, (held, kept)
 
 
@@ -722,11 +697,8 @@ def test_row_scan_in_slices_matches_the_whole_body(body, slice_bytes):
 def test_read_trajectory_csv_names_a_bad_row_in_a_later_slice(tmp_path, crlf):
     grid = make_torus_grid(32)
     rng = np.random.default_rng(1)
-    comps = 1.0 + 0.1 * rng.random((6,) + grid.shape + (2, 2))
-    comps[..., 0, 1] -= 1.0  # positive definite
-    comps[..., 1, 0] = comps[..., 0, 1]
     traj = FlowTrajectory(
-        0.02 * np.arange(6), [LeafMetric(grid, c) for c in comps],
+        0.02 * np.arange(6), [LeafMetric(grid, w) for w in 1.0 + 0.1 * rng.random((6,) + grid.shape)],
         [ScalarField(grid, 2.0 + rng.random(grid.shape)) for _ in range(6)], REACHED_T_END,
     )
     path = tmp_path / "traj.csv"
@@ -933,9 +905,9 @@ def test_cli_run_exits_two_on_a_nan_metric_where_a_collapse_ends_singular(tmp_pa
             raise
         steps.append(1)
         if nan_at == len(steps):
-            comps = out.comps.copy()
-            comps[5, 1, 1] = np.nan
-            return LeafMetric(out.grid, comps)
+            w = out.w.copy()
+            w[5] = np.nan
+            return LeafMetric(out.grid, w)
         return out
 
     monkeypatch.setattr(flow, "step_flow", recorded_step)
@@ -1012,19 +984,21 @@ def test_cli_verify_flags_corrupted_trajectory(tmp_path, capsys):
      "log-gradient-backward", 3 * 16 + 12),
 ], ids=["golden", "torus-bump-16"])
 def test_cli_verify_rejects_a_metric_not_positive_definite(tmp_path, capsys, doc, theorem, node):
-    # g11 = g22 = -0.5 at the cube's center in the third sample, which is
-    # live: verify must fail closed, as the reader's LeafMetric rejects it
+    # w = -0.5 at the cube's center in the third sample, which is live (g11 = w and
+    # g22 = w g11_0, so the row is w g_0): verify must fail closed, as the reader's
+    # LeafMetric rejects it
     cfg = _write_cfg(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
     path = out / "trajectory.csv"
     lines = path.read_text().splitlines()
-    n_nodes = int(np.prod(parse_config(json.dumps(doc)).build_metric().grid.shape))
+    grid = parse_config(json.dumps(doc)).build_metric().grid
+    n_nodes = int(np.prod(grid.shape))
     r = 2 + 2 * n_nodes + node
     cells = lines[r].split(",")
     assert int(cells[1]) == node and cells[5] != ""
-    cells[2] = cells[4] = "-0.5"
+    cells[2], cells[4] = "-0.5", repr(float(-0.5 * np.broadcast_to(grid.background_g11, grid.shape).flat[node]))
     lines[r] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     code = main(["verify", str(path), "--theorem", theorem, "--params", cfg])
@@ -1035,7 +1009,7 @@ def test_cli_verify_rejects_a_metric_not_positive_definite(tmp_path, capsys, doc
 
 def test_cli_verify_rejects_a_frozen_sample_not_positive_definite_naming_its_line(tmp_path, capsys):
     # samples past heat_valid_until are never verified, but each is a metric:
-    # g11 = -1 at one node of the last block, whose rows are listed in reverse
+    # w = g11 = g22 = -1 at one node of the last block, whose rows are listed in reverse
     cfg = _write_cfg(tmp_path, _TORUS_DOC)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 0
@@ -1047,7 +1021,7 @@ def test_cli_verify_rejects_a_frozen_sample_not_positive_definite_naming_its_lin
     r = len(lines) - 1 - 37  # the row of node 37
     cells = lines[r].split(",")
     assert int(cells[1]) == 37
-    cells[2] = "-1.0"
+    cells[2] = cells[4] = "-1.0"
     lines[r] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -1060,9 +1034,8 @@ def test_cli_verify_rejects_a_frozen_sample_not_positive_definite_naming_its_lin
 
 @pytest.mark.parametrize("sample", [2, -1], ids=["live", "frozen"])
 def test_cli_verify_rejects_a_sheared_sphere_sample_naming_its_line(tmp_path, capsys, sample):
-    # g12 = 1e-6, or g22 one ulp off g11 sin^2(theta), at node 24 of a golden sample: the
-    # sphere chart's metric must be w g_round, so the reader rejects it, live or past
-    # heat_valid_until
+    # g12 = 1e-6, or g22 one ulp off g11 sin^2(theta), at node 24 of a golden sample: a
+    # metric is w g_0, so the reader rejects it, live or past heat_valid_until
     cfg = str(GOLDEN_CONFIG)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 0
@@ -1084,8 +1057,49 @@ def test_cli_verify_rejects_a_sheared_sphere_sample_naming_its_line(tmp_path, ca
         code = main(["verify", str(path), "--theorem", "li-yau", "--params", cfg])
         out, err = capsys.readouterr()
         assert code == 2
-        assert out == "" and err == (f"error: line {r + 1}: sphere chart metric not w g_round: "
-                                     "g12 != 0 or g22 != g11 sin^2(theta) (node 24)\n")
+        assert out == "" and err == f"error: line {r + 1}: metric not w g_0: g12 != 0 or g22 != g11 g11_0\n"
+
+
+def _next_up(cells):
+    return repr(float(np.nextafter(float(cells[2]), np.inf)))
+
+
+@pytest.mark.parametrize("permuted", [False, True], ids=["in-order", "permuted"])
+@pytest.mark.parametrize("column, value", [(3, "5e-324"), (4, _next_up)], ids=["g12-subnormal", "g22-one-ulp-off"])
+def test_cli_verify_rejects_a_torus_sample_not_w_g0_naming_its_line(tmp_path, capsys, permuted, column, value):
+    # the reader takes g11 as w and requires g12 == 0 and g22 == g11 bit for bit: a defect at
+    # nodes 37 and 200 of the second block is named by whichever line comes first in the
+    # file, node 37's in node order, node 200's where the block's rows are listed in reverse;
+    # a -0.0 g12 is 0, and the file verifies as written
+    cfg = _write_cfg(tmp_path, _TORUS_DOC)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    path = out / "trajectory.csv"
+    written = path.read_text().splitlines()
+    block = range(2 + 256, 2 + 2 * 256)
+    capsys.readouterr()
+    assert main(["verify", str(path), "--theorem", "harnack-global", "--params", cfg]) == 0
+    want = capsys.readouterr().out
+
+    def verify_with(text):
+        lines = list(written)
+        if permuted:
+            lines[block.start:block.stop] = lines[block.start:block.stop][::-1]
+        rows = {int(lines[r].split(",")[1]): r for r in block}
+        for node in (37, 200):
+            cells = lines[rows[node]].split(",")
+            cells[3 if text == "-0.0" else column] = text(cells) if callable(text) else text
+            lines[rows[node]] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["verify", str(path), "--theorem", "harnack-global", "--params", cfg])
+        return (code,) + capsys.readouterr() + (min(rows[37], rows[200]),)
+
+    code, got, err, _ = verify_with("-0.0")
+    assert (code, got, err) == (0, want, "")
+    code, got, err, first = verify_with(value)
+    assert first == (block.stop - 1 - 200 if permuted else block.start + 37)
+    assert code == 2 and got == ""
+    assert err == f"error: line {first + 1}: metric not w g_0: g12 != 0 or g22 != g11 g11_0\n"
 
 
 def test_cli_determinism_across_runs_and_threads(tmp_path):

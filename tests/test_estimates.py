@@ -513,7 +513,7 @@ def test_five_theorem_verify_matches_verify_without_any_cache():
     shared = [verify(traj, tid, cfg.estimates, cert=CERT) for tid in THEOREM_IDS]
     for rep in shared:
         bare = FlowTrajectory(
-            traj.times.copy(), [LeafMetric(m.grid, m.comps.copy()) for m in traj.metrics],
+            traj.times.copy(), [LeafMetric(m.grid, m.w.copy()) for m in traj.metrics],
             [ScalarField(f.grid, f.values.copy()) for f in traj.heat_fields], traj.termination,
         )
         alone = verify(bare, rep.theorem, cfg.estimates, cert=CERT)

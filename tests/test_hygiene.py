@@ -175,22 +175,16 @@ _UNREACHED_BY_DESIGN = {
     "metric.bochner_residual": "an identity residual of acceptance criterion 5",
     "metric.ricci_identity_residual": "an identity residual of acceptance criterion 5",
     "metric.gradient": "ricci_identity_residual's gradient",
-    "metric.hessian": "the Hessian of both residuals and of the periodic Laplacian of a metric not w g_0",
-    "metric._trace": "the trace of that Hessian in the periodic Laplacian of a metric not w g_0, "
-                     "and of ricci_identity_residual",
-    "metric._smallest_eigenvalues": "the smallest eigenvalue of a metric not w g_0: safety code for "
-                                    "`nullflow verify` on a CSV with g12 != 0 or g22 != g11 off the sphere",
-    "metric._gauss_curvature_generic": "K of a metric not w g_0: `nullflow verify` on a CSV with "
-                                       "g12 != 0; ROADMAP item 6's shear gives it a config",
+    "metric.hessian": "the Hessian of both residuals",
+    "metric._trace": "the trace of that Hessian in ricci_identity_residual",
     "grids.mixed_deriv": "hessian's mixed derivative, wrapped by nullbench/tracing.py",
-    "metric.christoffel": "the Christoffel symbols of hessian and of the K of a metric not w g_0, "
-                          "wrapped by nullbench/tracing.py",
-    "metric.CurvaturePack.christoffel": "a pack's cached christoffel, for the same readers",
-    "metric.LeafMetric.inverse": "g^ab of a metric not w g_0, for the readers above; w g_0 reads "
-                                 "its g^00 and g^11 off a pack",
-    "metric.LeafMetric.comps": "the 2x2 components of a metric not w g_0, for the readers above and "
-                               "nullgeom; the CSV writer and the distances read `entries`",
-    "metric.CurvaturePack.ginv": "a pack's cached inverse, for the same readers",
+    "metric.christoffel": "the Christoffel symbols of hessian, for both residuals, wrapped by "
+                          "nullbench/tracing.py",
+    "metric.CurvaturePack.christoffel": "a pack's cached christoffel, for both residuals",
+    "metric.LeafMetric.inverse": "g^ab for the residuals; the kernels read g^00 and g^11 off a pack",
+    "metric.LeafMetric.comps": "the 2x2 components, for christoffel, inverse and nullgeom; the CSV "
+                               "writer reads `entries`, and the distances w",
+    "metric.CurvaturePack.ginv": "a pack's cached inverse, for both residuals",
 }
 
 _TORUS = {
