@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -1058,6 +1059,116 @@ def test_cli_verify_rejects_a_sheared_sphere_sample_naming_its_line(tmp_path, ca
         out, err = capsys.readouterr()
         assert code == 2
         assert out == "" and err == f"error: line {r + 1}: metric not w g_0: g12 != 0 or g22 != g11 g11_0\n"
+
+
+_NOT_W_G0 = "metric not w g_0: g12 != 0 or g22 != g11 g11_0"
+
+
+def _two_sample_csv(path, grid):
+    """Write two samples on ``grid``, w = 1 + 0.25 cos(first coordinate) and 1.1 w, with u;
+    return the file's lines and the metrics written."""
+    w = 1.0 + 0.25 * np.cos(grid.coordinate_fields()[0])
+    metrics = [LeafMetric(grid, w), LeafMetric(grid, 1.1 * w)]
+    traj = FlowTrajectory(np.array([0.0, 0.1]), metrics, [ScalarField(grid, 2.0 + w) for _ in metrics],
+                          REACHED_T_END)
+    write_trajectory_csv(path, traj)
+    return path.read_text().splitlines(), metrics
+
+
+def _read_with(path, grid, lines, edits):
+    """Read the file ``lines`` with each (line index, column, text) of ``edits`` written in."""
+    rows = list(lines)
+    for r, column, text in edits:
+        cells = rows[r].split(",")
+        cells[column] = text
+        rows[r] = ",".join(cells)
+    path.write_text("\n".join(rows) + "\n")
+    return read_trajectory_csv(path, grid)
+
+
+@pytest.mark.parametrize("cell, error", [
+    ("0.0", None), ("-0.0", None), ("5e-324", _NOT_W_G0), ("-5e-324", _NOT_W_G0), ("1e-14", _NOT_W_G0),
+    ("1e+300", _NOT_W_G0), ("nan", "non-finite number"), ("-inf", "non-finite number"),
+])
+@pytest.mark.parametrize("topology", ["torus", "sphere"])
+def test_read_trajectory_csv_takes_g12_for_zero_only_where_it_is_zero(tmp_path, topology, cell, error):
+    # g12 at node 5 of the second sample: +-0.0 reads back as the metrics written, bit for
+    # bit; any other number, a subnormal too, is not w g_0, and a NaN or inf is not a
+    # finite number, each named by the row's line
+    grid = make_torus_grid(8) if topology == "torus" else make_sphere_grid(16)
+    path = tmp_path / "t.csv"
+    lines, metrics = _two_sample_csv(path, grid)
+    r = 2 + int(np.prod(grid.shape)) + 5
+    assert int(lines[r].split(",")[1]) == 5
+    if error is None:
+        back = _read_with(path, grid, lines, [(r, 3, cell)])
+        assert [m.w.tobytes() for m in back.metrics] == [m.w.tobytes() for m in metrics]
+        return
+    with pytest.raises(ValueError, match=f"^line {r + 1}: {re.escape(error)}$"):
+        _read_with(path, grid, lines, [(r, 3, cell)])
+
+
+@pytest.mark.parametrize("change", ["as written", "one ulp up", "one ulp down", "as g11"])
+@pytest.mark.parametrize("topology", ["torus", "sphere"])
+def test_read_trajectory_csv_takes_g22_as_g11_g11_0_bit_for_bit(tmp_path, topology, change):
+    # g22 at node 5 of the second sample must be g11 g11_0 bit for bit: one ulp either way is
+    # rejected, named by the row's line, and g22 = g11 is w g_0 on the torus (g11_0 = 1) alone
+    grid = make_torus_grid(8) if topology == "torus" else make_sphere_grid(16)
+    path = tmp_path / "t.csv"
+    lines, metrics = _two_sample_csv(path, grid)
+    r = 2 + int(np.prod(grid.shape)) + 5
+    g11, g22 = float(lines[r].split(",")[2]), float(lines[r].split(",")[4])
+    assert (g22 == g11) == (topology == "torus")
+    text = {"as written": g22, "one ulp up": np.nextafter(g22, np.inf), "one ulp down": np.nextafter(g22, 0.0),
+            "as g11": g11}[change]
+    edits = [(r, 4, repr(float(text)))]
+    if change == "as written" or (change == "as g11" and topology == "torus"):
+        back = _read_with(path, grid, lines, edits)
+        assert [m.w.tobytes() for m in back.metrics] == [m.w.tobytes() for m in metrics]
+        return
+    with pytest.raises(ValueError, match=f"^line {r + 1}: {re.escape(_NOT_W_G0)}$"):
+        _read_with(path, grid, lines, edits)
+
+
+def _chart_rows(tmp_path, node, reverse):
+    """A two-sample sphere n = 16 file, its second block listed in reverse if ``reverse``: the
+    path, grid, lines and the line index of ``node``'s row in that block."""
+    grid = make_sphere_grid(16)
+    path = tmp_path / "t.csv"
+    lines, _ = _two_sample_csv(path, grid)
+    if reverse:
+        lines[2 + 16:] = lines[2 + 16:][::-1]
+    r = next(i for i in range(2 + 16, 2 + 32) if int(lines[i].split(",")[1]) == node)
+    return path, grid, lines, r
+
+
+@pytest.mark.parametrize("node", [0, 5, 15])
+def test_a_sphere_sample_is_checked_diagonal_where_it_is_read(tmp_path, node):
+    # every kernel reads a chart metric as w g_round: a g12 of any size, 1e-13 of the largest
+    # entry as well as a plain 1e-6, beside a pole or between, is rejected, named by the
+    # row's line in file order, whether the block lists its nodes in order or in reverse
+    for reverse in (False, True):
+        path, grid, lines, r = _chart_rows(tmp_path, node, reverse)
+        top = max(float(line.split(",")[2]) for line in lines[2:])
+        for g12 in (2e-12 * top, -2e-12 * top, 1e-13 * top, 1e-6):
+            with pytest.raises(ValueError, match=f"^line {r + 1}: {re.escape(_NOT_W_G0)}$"):
+                _read_with(path, grid, lines, [(r, 3, repr(g12))])
+
+
+@pytest.mark.parametrize("node", [0, 5, 15])
+def test_a_sphere_sample_is_checked_w_g_round_where_it_is_read(tmp_path, node):
+    # g22 one ulp off g11 sin^2(theta) is rejected, named by the row's line in file order;
+    # g11 = 2 with g22 written as 2 sin^2(theta) is accepted and read back as w = 2
+    for reverse in (False, True):
+        path, grid, lines, r = _chart_rows(tmp_path, node, reverse)
+        g22 = float(lines[r].split(",")[4])
+        for up in (True, False):
+            bad = repr(float(np.nextafter(g22, np.inf if up else 0.0)))
+            with pytest.raises(ValueError, match=f"^line {r + 1}: {re.escape(_NOT_W_G0)}$"):
+                _read_with(path, grid, lines, [(r, 4, bad)])
+        sin2 = float(np.broadcast_to(grid.background_g11, grid.shape)[node])
+        back = _read_with(path, grid, lines, [(r, 2, "2.0"), (r, 4, repr(2.0 * sin2))])
+        assert back.metrics[1].w[node] == 2.0
 
 
 def _next_up(cells):

@@ -388,6 +388,31 @@ def test_torus_run_and_verify_build_no_christoffel_symbols(monkeypatch, heat):
     assert seen == []
 
 
+@pytest.mark.parametrize("direction,heat", [
+    ("forward", "heat"), ("forward", "conjugate-heat"), ("backward", "conjugate-heat"),
+])
+def test_conformal_route_leaves_every_stored_bit_unchanged(monkeypatch, direction, heat):
+    # the torus run's conformal K, its stage 1 read off the heat's pack, against the
+    # reference's textbook RK4 on the full Christoffel sum: the same times, and every
+    # stored w and u bit for bit
+    import nullflow.flow as flow
+
+    m = torus_bump_metric(0.3, 16)
+    x, y = m.grid.coordinate_fields()
+    start = LeafMetric(m.grid, m.w * (1.0 + 0.2 * np.sin(x + 2.0 * y)))
+    config = FlowConfig(direction=direction, t_end=0.02, dt_initial=2e-3, heat=heat, sample_every=5)
+    conformal = run_flow(start, config, u0=ScalarField(m.grid, 2.0 + np.sin(x)))
+    monkeypatch.setattr(flow, "step_flow", ref.step_flow)
+    reference = run_flow(start, config, u0=ScalarField(m.grid, 2.0 + np.sin(x)))
+    assert conformal.termination == reference.termination
+    assert conformal.times.tobytes() == reference.times.tobytes() and len(conformal.times) == 3
+    # bytes, so that a zero's sign counts as it does in the CSV
+    for a, b in zip(conformal.metrics, reference.metrics, strict=True):
+        assert a.w.tobytes() == b.w.tobytes()
+    for a, b in zip(conformal.heat_fields, reference.heat_fields, strict=True):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
 def _reference_route(monkeypatch):
     """Step the sphere chart and take its heat Laplacian on the node-major
     reference kernels: RK4 on w with the chart K, and w^-1 Delta_0 u."""

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,12 +81,15 @@ def _outcome(make):
 
 
 def _kernel_case(case):
-    """Metric and a smooth field: sphere n = 48 or torus bump n = 16 / 33."""
+    """Metric and a smooth field: sphere n = 48, or torus bump n = 16 / 33, the latter
+    optionally times the wave 1 + 0.2 sin(x + 2y), whose w no reflection of the grid keeps."""
     if case == "sphere-48":
         m = sphere_metric(1.3, 48)
         return m, 2.0 + np.cos(m.grid.axes[0])
     m = torus_bump_metric(0.3, int(case.split("-")[1]))
     x, y = m.grid.coordinate_fields()
+    if case.endswith("wave"):
+        m = LeafMetric(m.grid, m.w * (1.0 + 0.2 * np.sin(x + 2.0 * y)))
     return m, 2.0 + np.sin(x) * np.cos(2.0 * y)
 
 
@@ -106,7 +110,7 @@ def _assert_flat_laplacian(m, u, lap, christoffel_forms):
         assert np.all(np.abs(lap - other) <= 4.0 * np.finfo(float).eps * scale)
 
 
-@pytest.mark.parametrize("case", ["sphere-48", "bump-16", "bump-33"])
+@pytest.mark.parametrize("case", ["sphere-48", "bump-16", "bump-16-wave", "bump-33", "bump-33-wave"])
 def test_kernels_bit_identical_to_node_major_reference(case):
     m, u = _kernel_case(case)
     assert np.array_equal(m.inverse(), ref.inverse(m))
@@ -264,7 +268,7 @@ def test_a_metric_made_from_w_has_the_reference_smallest_eigenvalue(sphere, scal
         assert got == want
 
 
-@pytest.mark.parametrize("case", ["sphere-48", "bump-16"])
+@pytest.mark.parametrize("case", ["sphere-48", "bump-16", "bump-16-wave"])
 def test_a_w_g0_metric_holds_w_alone_and_builds_its_components_on_each_read(case):
     # entries (g00, g01, g11) are those of comps bit for bit, w, +0.0 and w g11_0
     m, _ = _kernel_case(case)
@@ -278,7 +282,7 @@ def test_a_w_g0_metric_holds_w_alone_and_builds_its_components_on_each_read(case
     assert entries[0] == m.w.tobytes() and not np.any(np.signbit(m.entries[1]))
 
 
-@pytest.mark.parametrize("case", ["sphere-48", "bump-16", "bump-33"])
+@pytest.mark.parametrize("case", ["sphere-48", "bump-16", "bump-33", "bump-33-wave"])
 def test_ricci_is_k_times_the_metric_in_its_own_form(case):
     # Ric = K g as the factor K w of Ric = (K w) g_0, bit for bit, a fresh array each
     # call; K is read off a pack when given, and the pack's K is never written
@@ -293,7 +297,7 @@ def test_ricci_is_k_times_the_metric_in_its_own_form(case):
     assert pack.K is K and K.tobytes() == kept
 
 
-@pytest.mark.parametrize("case", ["sphere-48", "bump-16"])
+@pytest.mark.parametrize("case", ["sphere-48", "bump-16", "bump-16-wave"])
 @pytest.mark.parametrize("with_K", [False, True])
 def test_curvature_inverts_its_metric_once(monkeypatch, case, with_K):
     m, u = _kernel_case(case)
@@ -322,7 +326,7 @@ def test_curvature_inverts_its_metric_once(monkeypatch, case, with_K):
         assert np.array_equal(lap, laplace_beltrami(m, u))
 
 
-@pytest.mark.parametrize("case", ["sphere-48", "bump-16", "bump-33"])
+@pytest.mark.parametrize("case", ["sphere-48", "bump-16", "bump-33", "bump-33-wave"])
 def test_pack_stores_its_tensors_grid_axes_first_and_builds_gamma_once(monkeypatch, case):
     m, u = _kernel_case(case)
     calls = []
@@ -342,7 +346,7 @@ _BAD_VALUES = (0.0, -0.0, -1.0, np.nan, np.inf, 5e-324, 1e-160, 1e155)
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=st.sampled_from(["sphere-48", "bump-16", "bump-33"]), node=st.integers(0, 33 * 33 - 1),
+@given(case=st.sampled_from(["sphere-48", "bump-16", "bump-33-wave"]), node=st.integers(0, 33 * 33 - 1),
        value=st.sampled_from(_BAD_VALUES))
 def test_a_metric_is_checked_where_it_is_made_as_the_reference_checks_it(case, node, value):
     # one bad node in the w of a torus bump or sphere metric: LeafMetric raises the class,
@@ -405,6 +409,41 @@ def test_grad_norm_sq_is_nan_where_d_f_is_not_finite(monkeypatch, case, bad):
     assert np.array_equal(np.isnan(got), ~np.isfinite(df).all(axis=-1))
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+
+@pytest.mark.parametrize("w", [1e-300, 1e-150, 1e150, 1e300])
+@pytest.mark.parametrize("topology", ["torus", "sphere"])
+def test_a_uniform_w_600_decades_apart_keeps_its_eigenvalue_and_curvature(topology, w):
+    # a uniform w from 1e-300 to 1e300 is accepted with its smallest eigenvalue w min g11_0
+    # rounded once from the exact product; its K is exactly 1 / w on the round chart, and
+    # exactly 0 on the flat torus where w w, the determinant its K divides by, is normal
+    grid = make_torus_grid(8) if topology == "torus" else make_sphere_grid(16)
+    m = LeafMetric(grid, np.full(grid.shape, w))
+    g11_0 = float(np.min(grid.background_g11))
+    assert np.float64(m.smallest_eigenvalue).tobytes() == np.float64(float(Fraction(w) * Fraction(g11_0))).tobytes()
+    if topology == "torus" and not 1e-154 < w < 1e154:
+        return
+    K = gauss_curvature(m)
+    assert np.all(K == (0.0 if topology == "torus" else 1.0 / w))
+    assert np.array_equal(curvature(m).K, K)
+    if topology == "torus":
+        assert K.tobytes() == ref.gauss_curvature(m).tobytes()
+
+
+@pytest.mark.parametrize("w", [-1.0, -3.0, -2e-300])
+def test_a_chart_node_whose_w_is_not_positive_names_its_least_eigenvalue(w):
+    # a chart node's eigenvalues are w and w sin^2(theta), and LeafMetric checks the
+    # latter: with w < 0 at nodes 0 and 7, the check names node 7, nearer the equator,
+    # whose w sin^2(theta) is the least of those it checks, as the reference does
+    m = sphere_metric(1.3, 16)
+    field = m.w.copy()
+    field[[0, 7]] = w
+    lam = w * np.sin(m.grid.axes[0][7]) ** 2
+    assert lam < w * np.sin(m.grid.axes[0][0]) ** 2 < 0.0
+    want = _outcome(lambda: ref.check_metric(m.grid, field))
+    with pytest.raises(SingularMetricError, match=re.escape(f"(node 7, eigenvalue {lam:.3e})") + "$") as info:
+        LeafMetric(m.grid, field)
+    assert info.value.node == 7 and (type(info.value), str(info.value)) == want
 
 
 def test_positive_definiteness_reports_node():
