@@ -40,7 +40,7 @@ SINGULAR = "singular"
 # Conjugate heat's -Scal' shifts it by at most max|Scal'|.  RK4's amplification R(z) lies
 # in (0, 1) on the real z in (-2.785, 0), and a substep h with h (diffusion_rate +
 # max|Scal'|) <= 0.6 keeps h (4 diffusion_rate + max|Scal'|) <= 2.4 within it.
-_CONFORMAL_HEAT_CFL = 0.6
+_HEAT_CFL = 0.6
 _EPS = float(np.finfo(float).eps)
 
 
@@ -147,14 +147,14 @@ def _heat_substep(pack: CurvaturePack, u: np.ndarray, dt: float, mode: str) -> n
     """Advance u by dt on the frozen metric of ``pack`` with RK4, CFL-limited
     substeps that share its diffusion rate and g^00; conjugate heat also reads
     Scal' = 2K, which plain heat never computes.  A substep h keeps
-    h (diffusion_rate + max|Scal'|) at or below _CONFORMAL_HEAT_CFL, where RK4 is
+    h (diffusion_rate + max|Scal'|) at or below _HEAT_CFL, where RK4 is
     provably stable.  A NaN or inf in u raises FlowError, and numpy prints no
     warning for it first."""
     scal = pack.scal if mode == HEAT_CONJUGATE else None
     rate = pack.diffusion_rate
     if scal is not None:
         rate += float(np.max(np.abs(scal)))
-    nsub = max(1, int(np.ceil(dt / (_CONFORMAL_HEAT_CFL / rate))))
+    nsub = max(1, int(np.ceil(dt / (_HEAT_CFL / rate))))
     h = dt / nsub
     with np.errstate(invalid="ignore", over="ignore"):  # the check below fails a NaN or inf
         for _ in range(nsub):

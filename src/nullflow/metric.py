@@ -87,7 +87,7 @@ def _min_eigenvalue(lam: np.ndarray, w: np.ndarray) -> float:
 class LeafMetric:
     """The metric g' = w g_0 of a leaf, g_0 its grid's background, carried by its conformal
     factor ``w`` (shape grid.shape); valid once made and never edited in place after.
-    ``entries`` and ``comps`` build its components on each read, and ``smallest_eigenvalue``
+    ``comps`` builds its components on each read, and ``smallest_eigenvalue``
     is the least of its eigenvalues w and w g11_0."""
 
     grid: LeafGrid
@@ -102,15 +102,11 @@ class LeafMetric:
         self.smallest_eigenvalue = _min_eigenvalue(w * grid.background_g11 if grid.topology == SPHERICAL_1D else w, w)
 
     @property
-    def entries(self) -> tuple:
-        """(g00, g01, g11), each of shape grid.shape: w, +0.0 and w g11_0, built on each read."""
-        return self.w, np.zeros_like(self.w), self.w * self.grid.background_g11
-
-    @property
     def comps(self) -> np.ndarray:
-        """The components g_ab, shape grid + (2, 2), built from ``entries`` on each read."""
-        g00, g01, g11 = self.entries
-        return np.stack([g00, g01, g01, g11], axis=-1).reshape(self.grid.shape + (DIM, DIM))
+        """The components g_ab, shape grid + (2, 2), built on each read: g00 = w, g01 = g10 =
+        +0.0 and g11 = w g11_0."""
+        w, g01 = self.w, np.zeros_like(self.w)
+        return np.stack([w, g01, g01, w * self.grid.background_g11], axis=-1).reshape(self.grid.shape + (DIM, DIM))
 
     def inverse(self) -> np.ndarray:
         g = self.comps

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from itertools import islice, repeat
 
 import numpy as np
 
 from .flow import REACHED_T_END, SINGULAR, FlowTrajectory
-from .grids import ScalarField
+from .grids import SPHERICAL_1D, ScalarField
 from .metric import LeafMetric, MetricError
 
 SCHEMA_VERSION = 1
@@ -32,51 +31,56 @@ def _fmt(x) -> str:
 
 
 def _cell_text(values):
-    """The repr of each float of ``values``, as an object array of its shape.
-    Each distinct 64-bit pattern is formatted once (so +0.0 and -0.0
-    differ): the patterns are sorted, and each cell gathers its text."""
+    """The repr of each float of ``values``, a flat list: each distinct 64-bit pattern (+0.0
+    and -0.0 differ) is formatted once, in sorted order, and each cell gathers its text."""
     bits = values.view(np.int64).ravel()
-    order = bits.argsort(kind="stable")
+    order = bits.argsort()
     ranked = bits[order]
     first = np.concatenate(([True], ranked[1:] != ranked[:-1]))  # where a new pattern starts
     inverse = np.empty_like(order)
     inverse[order] = first.cumsum() - 1
     text = np.array(list(map(repr, ranked[first].view(np.float64).tolist())), dtype=object)
-    return text[inverse].reshape(values.shape)
-
-
-def _chunk_rows(trajectory, ks, nodes):
-    """The CSV rows of the samples ``ks``."""
-    n, heats = len(nodes), trajectory.heat_fields
-
-    def values(k):  # g11, g12, g22 and u of sample k
-        return list(trajectory.metrics[k].entries) + ([heats[k].values] if heats is not None else [])
-
-    cells = _cell_text(np.array([values(k) for k in ks])).reshape(len(ks), -1, n).tolist()
-    for k, columns in zip(ks, cells):
-        if heats is None:
-            columns.append(repeat("", n))
-        yield from map(",".join, zip(repeat(_fmt(trajectory.times[k]), n), nodes, *columns))
+    return text[inverse].tolist()
 
 
 def write_trajectory_csv(path, trajectory: FlowTrajectory):
-    """A ``#`` JSON line with the metadata (termination, singular_time,
-    heat_valid_until), then the long format: one row per (time sample,
-    node) with the metric components and the heat field (empty when
-    absent).  Samples are formatted in chunks of as many as fit in
-    ``_SLICE_ROWS`` rows (at least one), and rows are written in slices
-    of ``_SLICE_ROWS``."""
+    """A ``#`` JSON line with the metadata (termination, singular_time, heat_valid_until),
+    then one row per (time sample, node): t, node, the components of w g_0 (g11 = w, g12 =
+    0.0, g22 = w g11_0, w itself off the chart) and the heat field (empty when absent).
+    Samples go in chunks of as many as fit in ``_SLICE_ROWS`` rows (at least one), each
+    distinct float of a chunk's g11, g22 and u formatted once, and rows in slices of
+    ``_SLICE_ROWS``, one join of their cells each."""
     meta = {key: getattr(trajectory, key) for key in _META_KEYS}
-    n_samples, n = len(trajectory.times), int(np.prod(trajectory.grid.shape))
-    nodes = list(map(str, range(n)))
-    per_chunk = max(1, _SLICE_ROWS // n)
+    grid, times, heats = trajectory.grid, trajectory.times, trajectory.heat_fields
+    n, chart = int(np.prod(grid.shape)), grid.topology == SPHERICAL_1D
+    per_chunk = max(1, min(_SLICE_ROWS // n, len(times)))
+    # rows of a slice (a chunk, or part of one sample), and of one sample in a slice
+    size, span = min(per_chunk * n, _SLICE_ROWS), min(n, _SLICE_ROWS)
+    # a row's cells: t, ",node,", g11, ",0.0,", g22, ",", u, "\n"; without u, g22 then ",\n"
+    row = [None, None, None, ",0.0,", None] + ([",", None, "\n"] if heats is not None else [",\n"])
+    width, cells = len(row), row * size
+    nodes = [f",{i}," for i in range(n)] * per_chunk
+    cells[1::width] = nodes[:size]
+    sources = ((0, 1, 2) if chart else (0, 0, 1))[:3 if heats is not None else 2]  # columns of g11, g22, u
     with open(path, "w") as fh:
         fh.write(f"# {json.dumps(_round_trip(meta))}\n{_CSV_HEADER}\n")
-        for k0 in range(0, n_samples, per_chunk):
-            rows = _chunk_rows(trajectory, range(k0, min(k0 + per_chunk, n_samples)), nodes)
-            while block := "\n".join(islice(rows, _SLICE_ROWS)):
-                fh.write(block)
-                fh.write("\n")
+        for k0 in range(0, len(times), per_chunk):
+            ks = range(k0, min(k0 + per_chunk, len(times)))
+            w = np.array([trajectory.metrics[k].w for k in ks])
+            columns = [w, w * grid.background_g11] if chart else [w]
+            if heats is not None:
+                columns.append(np.array([heats[k].values for k in ks]))
+            rows, text = len(ks) * n, _cell_text(np.array(columns))
+            for j, k in enumerate(ks):
+                cells[j * span * width:(j + 1) * span * width:width] = [_fmt(times[k])] * span
+            for r0 in range(0, rows, size):
+                r1 = min(r0 + size, rows)
+                if n > size:
+                    cells[1:(r1 - r0) * width:width] = nodes[r0:r1]
+                for cell, c in zip((2, 4, 6), sources):
+                    cells[cell:(r1 - r0) * width:width] = text[c * rows + r0:c * rows + r1]
+                fh.write("".join(cells if r1 - r0 == size else cells[:(r1 - r0) * width]))
+            del text  # freed before the next chunk's text is made
 
 
 def _read_meta(line: str) -> dict:

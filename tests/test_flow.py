@@ -11,7 +11,7 @@ import node_major_reference as ref
 
 from nullflow.estimates import CurvatureBounds, curvature_suprema
 from nullflow.flow import (
-    _CONFORMAL_HEAT_CFL,
+    _HEAT_CFL,
     FlowConfig,
     FlowError,
     FlowTrajectory,
@@ -248,7 +248,7 @@ def _reference_heat_substep(metric, u, dt, conjugate, substeps):
     inverse metric, rebuilt at every RK stage on the node-major reference kernels
     (np.roll stencils), in the flat form gi (d_00 v + d_11 v) that the program takes:
     the Hessian's trace differs from it in the last bit at some nodes.  The substeps
-    are sized as the program sizes them, at _CONFORMAL_HEAT_CFL, and their count is
+    are sized as the program sizes them, at _HEAT_CFL, and their count is
     appended to ``substeps``."""
     grid = metric.grid
     scal = 2.0 * ref.gauss_curvature(metric) if conjugate else None
@@ -261,7 +261,7 @@ def _reference_heat_substep(metric, u, dt, conjugate, substeps):
     rate = sum(float(np.max(ginv[..., a, a])) / grid.spacings[a] ** 2 for a in range(len(grid.spacings)))
     if scal is not None:
         rate += float(np.max(np.abs(scal)))
-    nsub = max(1, int(np.ceil(dt / (_CONFORMAL_HEAT_CFL / rate))))
+    nsub = max(1, int(np.ceil(dt / (_HEAT_CFL / rate))))
     substeps.append(nsub)
     h = dt / nsub
     for _ in range(nsub):
@@ -317,7 +317,7 @@ def test_shared_heat_operator_is_bit_identical_to_per_stage_rebuild(direction, h
 
 @pytest.mark.parametrize("direction,heat", _SHARED_HEAT_RUNS)
 def test_shared_heat_operator_is_bit_identical_over_several_conformal_substeps(direction, heat):
-    # every half step takes at least two substeps at _CONFORMAL_HEAT_CFL, where n = 16 at
+    # every half step takes at least two substeps at _HEAT_CFL, where n = 16 at
     # dt 2e-3 takes one
     assert min(_check_shared_heat_operator(direction, heat, 32, 0.03, 0.3)) >= 2
 
@@ -489,7 +489,7 @@ def test_a_chart_k_not_finite_fails_as_the_reference_step(monkeypatch, stage, va
 
 def test_chart_heat_substeps_reach_the_conformal_stability_limit(monkeypatch):
     # w^-1 Delta_0 in flux form has a real spectrum within 4 diffusion_rate, so the chart's
-    # heat substeps are taken at _CONFORMAL_HEAT_CFL: at n = 96, dt 2e-3 the run reaches
+    # heat substeps are taken at _HEAT_CFL: at n = 96, dt 2e-3 the run reaches
     # t_end (the chart's former (a, b) flow blew up at t = 0.27), and plain heat stays
     # within 1e-4 of u = 2 + (1 - 2t) cos(theta)
     import nullflow.flow as flow

@@ -183,7 +183,7 @@ _UNREACHED_BY_DESIGN = {
     "metric.CurvaturePack.christoffel": "a pack's cached christoffel, for both residuals",
     "metric.LeafMetric.inverse": "g^ab for the residuals; the kernels read g^00 and g^11 off a pack",
     "metric.LeafMetric.comps": "the 2x2 components, for christoffel, inverse and nullgeom; the CSV "
-                               "writer reads `entries`, and the distances w",
+                               "writer and the distances read w",
     "metric.CurvaturePack.ginv": "a pack's cached inverse, for both residuals",
 }
 

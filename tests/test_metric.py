@@ -270,16 +270,15 @@ def test_a_metric_made_from_w_has_the_reference_smallest_eigenvalue(sphere, scal
 
 @pytest.mark.parametrize("case", ["sphere-48", "bump-16", "bump-16-wave"])
 def test_a_w_g0_metric_holds_w_alone_and_builds_its_components_on_each_read(case):
-    # entries (g00, g01, g11) are those of comps bit for bit, w, +0.0 and w g11_0
+    # comps (g00, g01, g10, g11) is w, +0.0, +0.0 and w g11_0 bit for bit
     m, _ = _kernel_case(case)
     comps = m.comps
-    entries = [e.tobytes() for e in m.entries]
-    assert entries == [comps[..., a, b].tobytes() for a, b in ((0, 0), (0, 1), (1, 1))]
-    assert entries[2] == (m.w * m.grid.background_g11).tobytes() and comps[..., 1, 0].tobytes() == entries[1]
+    assert comps[..., 0, 0].tobytes() == m.w.tobytes()
+    assert comps[..., 0, 1].tobytes() == comps[..., 1, 0].tobytes() == np.zeros_like(m.w).tobytes()
+    assert comps[..., 1, 1].tobytes() == (m.w * m.grid.background_g11).tobytes()
     assert not _holds_components(m) and m.w.flags.c_contiguous
     again = m.comps
     assert again is not comps and again.tobytes() == comps.tobytes()
-    assert entries[0] == m.w.tobytes() and not np.any(np.signbit(m.entries[1]))
 
 
 @pytest.mark.parametrize("case", ["sphere-48", "bump-16", "bump-33", "bump-33-wave"])
